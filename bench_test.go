@@ -330,55 +330,6 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkAblFlitStreaming tracks the event-per-flit streaming fast
-// path against the stepped 2-cycle handshake it replaces, on the regime
-// the refactor targets: a saturated 16x16 mesh moving long wormholes,
-// where nearly every link is occupied by a steady-state connection.
-// Both paths produce bit-identical Results
-// (TestStreamingMatchesSteppedAcrossKernels); this benchmark pins their
-// wall-clock relation and the saturated delivery rate (flits/sec is the
-// wall-clock rate of flits delivered inside the measurement window).
-// With the paper's 2-deep buffers the two paths are within a few
-// percent of each other at saturation — the streaming win here is the
-// allocation-free wire path (see BenchmarkStreamingSteadyState), not
-// yet throughput; ROADMAP.md tracks multi-flit batch windows as the
-// follow-on that needs deeper buffers to pay off.
-func BenchmarkAblFlitStreaming(b *testing.B) {
-	b.ReportAllocs()
-	const (
-		nodes     = 16 * 16
-		warmup    = 500
-		measure   = 2000
-		simCycles = warmup + measure // drain adds a tail
-	)
-	for _, tc := range []struct {
-		name    string
-		stepped bool
-	}{
-		{"streaming", false},
-		{"stepped", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := noc.Defaults(16, 16)
-			var res traffic.Result
-			for i := 0; i < b.N; i++ {
-				r, err := traffic.Run(cfg, traffic.Config{
-					Rate: 0.40, PayloadFlits: 32, Seed: 3,
-					Warmup: warmup, Measure: measure, Drain: 30000,
-					NoFlitStreaming: tc.stepped,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-			}
-			b.ReportMetric(float64(simCycles)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")
-			b.ReportMetric(res.Delivered*nodes*measure*float64(b.N)/b.Elapsed().Seconds(), "flits/sec")
-		})
-	}
-}
-
 // BenchmarkKernelParallel measures the sharded parallel kernel's
 // scaling curve on the BenchmarkAblKernelSchedule workload (16x16
 // uniform traffic at 0.2% injection): column-strip partitions of 1, 2,

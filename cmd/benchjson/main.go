@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // JSON document on stdout, so CI can archive benchmark results (e.g.
-// BENCH_PR2.json) and the performance trajectory of the simulator can
-// be tracked across PRs without parsing free-form text.
+// BENCH_BASELINE.json) and the performance trajectory of the simulator
+// can be tracked across PRs without parsing free-form text.
 //
 // Usage:
 //
@@ -12,7 +12,9 @@
 //	BenchmarkName/sub-8   10   123456 ns/op   42 extra/metric   ...
 //
 // becomes an entry with its iteration count and every value/unit pair
-// as a metric.
+// as a metric. The "-8" GOMAXPROCS suffix go test appends on multi-core
+// hosts is dropped from the name, so cmd/benchgate matches results
+// taken on machines with different core counts.
 package main
 
 import (
@@ -48,7 +50,7 @@ func main() {
 		if err != nil {
 			continue
 		}
-		e := Entry{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+		e := Entry{Name: trimProcs(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -70,4 +72,15 @@ func main() {
 		os.Exit(1)
 	}
 	os.Stdout.Write(append(out, '\n'))
+}
+
+// trimProcs drops a trailing "-N" GOMAXPROCS suffix from a benchmark
+// name.
+func trimProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
 }

@@ -49,7 +49,6 @@ func main() {
 	vcdPath := flag.String("vcd", "", "trace the centre router's links to a VCD waveform file")
 	domains := flag.Int("domains", 1, "shard the mesh into this many clock domains (column strips)")
 	parallel := flag.Bool("parallel", false, "run clock domains on separate goroutines (needs -domains > 1)")
-	streaming := flag.Bool("streaming", true, "event-per-flit streaming fast path (false forces the stepped handshake)")
 	flag.Parse()
 
 	cfg := noc.Defaults(*w, *h)
@@ -138,7 +137,7 @@ func main() {
 		tcfg := traffic.Config{
 			Spec: spec, Rate: r, PayloadFlits: *payload, Seed: *seed,
 			Warmup: *cycles / 4, Measure: *cycles, Drain: *cycles * 2,
-			Domains: *domains, Parallel: *parallel, NoFlitStreaming: !*streaming,
+			Domains: *domains, Parallel: *parallel,
 		}
 		var res traffic.Result
 		var err error

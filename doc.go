@@ -24,20 +24,10 @@
 // (sim.Clock.RunUntilQuiescent, core.System.DrainIO) instead of
 // stepping a guessed cycle count.
 //
-// The NoC wire protocol itself is event-driven in steady state: once a
-// wormhole connection is established and the receiving buffer has
-// slack, each flit of the 2-cycle asynchronous handshake moves on
-// timer-paced events instead of re-evaluating both sides of the link
-// every cycle (the same run-batching technique the UARTs use for bit
-// edges). The stepped handshake remains the reference and the fallback
-// at connection open and close, buffer-full backpressure, arbitration
-// boundaries, traced links, and clock-domain crossings;
-// noc.Network.SetFlitStreaming(false) pins it for differential testing,
-// and the streaming path is bit-identical to it on traffic results,
-// router statistics, VCD dumps, and boot transcripts. Flits themselves
-// are two-word values — data plus a noc.PacketID indexing a
-// network-owned metadata table — so the steady-state flit path
-// allocates nothing.
+// Every NoC link runs the paper's 2-cycle asynchronous handshake,
+// stepped cycle by cycle while the link is busy. Flits are two-word
+// values — data plus a noc.PacketID indexing a network-owned metadata
+// table — so the steady-state flit path allocates nothing.
 //
 // The system can additionally be sharded into GALS-style clock domains
 // (sim.Group): the mesh is partitioned into per-region domains

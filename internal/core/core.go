@@ -51,11 +51,6 @@ type Config struct {
 	// separate goroutines (sim.Group.SetParallel). No effect unless
 	// NoCDomains > 1.
 	NoCParallel bool
-	// NoFlitStreaming disables the mesh's event-per-flit streaming
-	// fast path, forcing the stepped 2-cycle handshake on every link.
-	// Boot transcripts and all observable state are bit-identical
-	// either way; the knob exists for differential testing.
-	NoFlitStreaming bool
 }
 
 // Default returns the paper's Figure 1 system: a 2x2 Hermes mesh with
@@ -148,9 +143,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if cfg.NoFlitStreaming {
-		net.SetFlitStreaming(false)
 	}
 	s := &System{cfg: cfg, Clk: clk, Group: grp, Net: net}
 

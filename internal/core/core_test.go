@@ -703,81 +703,3 @@ func TestShardedBootTranscriptIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamingBootTranscriptIdentical: the whole-stack transcript —
-// auto-baud, memory round trip, program load, run and printf output —
-// must be bit-identical with the NoC's event-per-flit streaming fast
-// path on (the default) and off, on the single-clock Figure 1 system
-// and on a sharded build whose serial frames cross a streaming mesh on
-// every hop.
-func TestStreamingBootTranscriptIdentical(t *testing.T) {
-	type transcript struct {
-		cycles       uint64
-		baud         int
-		framesSent   uint64
-		framesRecv   uint64
-		framesToNoC  uint64
-		framesToHost uint64
-		words        [8]uint16
-		output       string
-	}
-	run := func(domains int, streaming bool) transcript {
-		cfg := Default()
-		cfg.NoCDomains = domains
-		cfg.NoFlitStreaming = !streaming
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Boot(); err != nil {
-			t.Fatal(err)
-		}
-		memAddr := cfg.Memories[0]
-		if err := s.Host.WriteMemory(memAddr, 0, []uint16{10, 20, 30, 40, 50, 60, 70, 80}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.ReadMemory(memAddr, 0, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.LoadProgram(1, `
-			LDI R1, 0xFFFF
-			CLR R0
-			LDI R2, 'W'
-			ST R2, R1, R0
-			HALT
-		`); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Activate(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunUntilHalted(2_000_000, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.DrainIO(1_000_000); err != nil {
-			t.Fatal(err)
-		}
-		tr := transcript{
-			cycles:       s.Clk.Cycle(),
-			baud:         s.Serial.Baud(),
-			framesSent:   s.Host.FramesSent,
-			framesRecv:   s.Host.FramesRecv,
-			framesToNoC:  s.Serial.FramesToNoC,
-			framesToHost: s.Serial.FramesToHost,
-			output:       s.Output(1),
-		}
-		copy(tr.words[:], got)
-		return tr
-	}
-	for _, domains := range []int{0, 2} {
-		ref := run(domains, true)
-		if ref.output != "W" {
-			t.Fatalf("domains=%d: program output = %q, want W", domains, ref.output)
-		}
-		if got := run(domains, false); got != ref {
-			t.Errorf("domains=%d: stepped transcript diverges from streaming:\n  streaming %+v\n  stepped   %+v",
-				domains, ref, got)
-		}
-	}
-}

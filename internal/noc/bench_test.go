@@ -62,82 +62,67 @@ func BenchmarkLoadedMeshCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingSteadyState measures the per-cycle cost of a
-// wormhole held open end to end — a continuous train of max-size
-// packets crossing a 4x1 mesh — under the event-per-flit streaming
-// path and under the stepped 2-cycle handshake it batches. Packet
-// injection and the drain after each delivery happen with the timer
-// stopped, so ns/op and allocs/op are the flit path alone. The
-// streaming sub-benchmark's allocs/op figure is gated at 0 by
-// cmd/benchgate (-lower): flits are value types indexing a
-// network-owned metadata table, and nothing on the linked path may
+// BenchmarkFlitSteadyState measures the per-cycle cost of a wormhole
+// held open end to end — a continuous train of max-size packets
+// crossing a 4x1 mesh on the 2-cycle handshake. Packet injection and
+// the drain after each delivery happen with the timer stopped, so
+// ns/op and allocs/op are the flit path alone. The allocs/op figure is
+// gated at 0 by cmd/benchgate (-lower): flits are value types indexing
+// a network-owned metadata table, and nothing on the flit path may
 // touch the heap.
-func BenchmarkStreamingSteadyState(b *testing.B) {
+func BenchmarkFlitSteadyState(b *testing.B) {
 	b.ReportAllocs()
-	for _, tc := range []struct {
-		name      string
-		streaming bool
-	}{
-		{"streaming", true},
-		{"stepped", false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			clk := sim.NewClock()
-			// Per-cycle cost benchmark: each iteration must be one
-			// cycle, so dead-cycle skipping is disabled.
-			clk.SetTimeWarp(false)
-			cfg := Defaults(4, 1)
-			net, err := New(clk, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			net.SetFlitStreaming(tc.streaming)
-			src, err := net.NewEndpoint(Addr{0, 0})
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst, err := net.NewEndpoint(Addr{3, 0})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Keep a deep queue of max-size packets behind the head so
-			// the sender's tail-to-header continuation holds the streams
-			// linked across packet boundaries; top it back up (and drain
-			// the sink) with the timer stopped whenever it runs low.
-			// (Send stages into the injection queue at the next clock
-			// edge, so the refill counts packets itself rather than
-			// polling QueuedFlits, which reads committed state only.)
-			payload := make([]uint16, MaxPayload(cfg.FlitBits))
-			pktFlits := len(payload) + 2 // header + size
-			refill := func() {
-				for {
-					if _, ok := dst.Recv(); !ok {
-						break
-					}
-				}
-				for q := src.QueuedFlits(); q < 6000; q += pktFlits {
-					if _, err := src.Send(Addr{3, 0}, payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			refill()
-			for i := 0; i < 2000; i++ { // engage the streams untimed
-				clk.Step()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clk.Step()
-				if src.QueuedFlits() < 600 {
-					b.StopTimer()
-					refill()
-					b.StartTimer()
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
-		})
+	clk := sim.NewClock()
+	// Per-cycle cost benchmark: each iteration must be one cycle, so
+	// dead-cycle skipping is disabled.
+	clk.SetTimeWarp(false)
+	cfg := Defaults(4, 1)
+	net, err := New(clk, cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
+	src, err := net.NewEndpoint(Addr{0, 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst, err := net.NewEndpoint(Addr{3, 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Keep a deep queue of max-size packets behind the head so the
+	// wormhole never drains; top it back up (and drain the sink) with
+	// the timer stopped whenever it runs low. (Send stages into the
+	// injection queue at the next clock edge, so the refill counts
+	// packets itself rather than polling QueuedFlits, which reads
+	// committed state only.)
+	payload := make([]uint16, MaxPayload(cfg.FlitBits))
+	pktFlits := len(payload) + 2 // header + size
+	refill := func() {
+		for {
+			if _, ok := dst.Recv(); !ok {
+				break
+			}
+		}
+		for q := src.QueuedFlits(); q < 6000; q += pktFlits {
+			if _, err := src.Send(Addr{3, 0}, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	refill()
+	for i := 0; i < 2000; i++ { // fill the pipeline untimed
+		clk.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clk.Step()
+		if src.QueuedFlits() < 600 {
+			b.StopTimer()
+			refill()
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
 // BenchmarkKernelActivity compares the activity-scheduled kernel with

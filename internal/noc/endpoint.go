@@ -217,15 +217,12 @@ func (e *Endpoint) Name() string { return fmt.Sprintf("endpoint%s", e.addr) }
 
 // Eval implements sim.Component.
 func (e *Endpoint) Eval() {
-	evalNow := e.clk.Cycle() + 1
 	e.popped = 0
-	if st := e.snd.link.stream; st.isLinked(evalNow) {
-		if st.doneAt == evalNow {
-			// Completion of the flit the router pulled last cycle: the
-			// same bookkeeping the stepped accepted() callback runs, on
-			// exactly the cycle it would run it.
-			st.doneAt = 0
-			tf := e.txq[0]
+	e.snd.eval(
+		func() bool { return len(e.txq)-e.popped > 0 },
+		func() Flit { return e.txq[e.popped].f },
+		func() {
+			tf := e.txq[e.popped]
 			if tf.header {
 				if m := e.net.Meta(tf.f.Pkt); m != nil {
 					m.InjectCycle = e.clk.Cycle()
@@ -235,41 +232,12 @@ func (e *Endpoint) Eval() {
 				e.sent++
 			}
 			e.popped++
-			if len(e.txq) > 1 {
-				st.nextAccept = evalNow + 1
-				st.rcvSelf.WakeAt(evalNow + 1)
-			} else {
-				st.unlinkAt(evalNow)
-				e.snd.link.Tx.Set(false)
-			}
-		}
-	} else {
-		e.snd.eval(
-			evalNow,
-			func() bool { return len(e.txq)-e.popped > 0 },
-			func() Flit { return e.txq[e.popped].f },
-			func() {
-				tf := e.txq[e.popped]
-				if tf.header {
-					if m := e.net.Meta(tf.f.Pkt); m != nil {
-						m.InjectCycle = e.clk.Cycle()
-					}
-				}
-				if tf.tail {
-					e.sent++
-				}
-				e.popped++
-			},
-		)
-	}
-	if st := e.rcv.link.stream; st.isLinked(evalNow) {
-		st.receiverTick(evalNow)
-	} else {
-		e.rcv.eval(
-			func() bool { return true }, // endpoints sink at link rate
-			e.assemble,
-		)
-	}
+		},
+	)
+	e.rcv.eval(
+		func() bool { return true }, // endpoints sink at link rate
+		e.assemble,
+	)
 }
 
 func (e *Endpoint) assemble(fl Flit) {
@@ -317,24 +285,13 @@ func (e *Endpoint) complete() {
 
 // Idle implements sim.Idler. An endpoint may sleep when its injection
 // queue is empty (committed and staged), both link handshakes are at
-// rest and no packet is mid-reassembly — or when the busy side is a
-// streaming link, whose transfers are scheduled events rather than
-// per-cycle handshakes. It is woken by Send (staged work), by the
-// rising tx of the link from its router (watched in NewEndpoint), or by
-// the wakes its links' streams arm for each scheduled transfer.
+// rest and no packet is mid-reassembly. It is woken by Send (staged
+// work) or by the rising tx of the link from its router (watched in
+// NewEndpoint).
 func (e *Endpoint) Idle() bool {
-	if len(e.stSend) != 0 || len(e.stFwd) != 0 {
-		return false
-	}
-	nextEval := e.clk.Cycle() + 1
-	if !e.snd.link.stream.isLinked(nextEval) && (len(e.txq) != 0 || e.snd.busy) {
-		return false
-	}
-	if !e.rcv.link.stream.isLinked(nextEval) &&
-		(e.rcv.ackHigh || e.rcv.link.Tx.Get() || e.rxPhase != phaseHeader) {
-		return false
-	}
-	return true
+	return len(e.stSend) == 0 && len(e.stFwd) == 0 &&
+		len(e.txq) == 0 && !e.snd.busy &&
+		!e.rcv.ackHigh && !e.rcv.link.Tx.Get() && e.rxPhase == phaseHeader
 }
 
 // Commit implements sim.Component.

@@ -5,32 +5,20 @@
 // paper. The package also provides the nine packet services the NoC
 // offers to its IP cores.
 //
-// # Event-per-flit streaming
+// # One link model
 //
-// The 2-cycle handshake is modelled two ways. The stepped reference
-// evaluates both sides of a link every cycle: the sender drives tx and
-// data, the receiver raises ack for one cycle when it accepts, the
-// sender observes the ack two cycles after driving. The streaming fast
-// path recognises a link in steady state — a wormhole connection
-// established, flits queued behind it, free slack in the receiving
-// buffer — and moves each flit with timer-paced events instead: the
-// receiver pulls on its accept cycles and schedules the sender's
-// completion bookkeeping one cycle later, so neither side is evaluated
-// on cycles where the handshake could not change. Every externally
-// observable effect (buffer pushes and pops, statistics, wire values at
-// connection boundaries, delivery cycles) lands on exactly the cycle
-// the stepped reference produces it, so the two paths are bit-identical
-// on traffic results, router statistics, VCD dumps, and core boot
-// transcripts — the TestStreaming* differentials in this package,
-// internal/traffic, and internal/core pin that equivalence.
-//
-// Streaming engages per link and falls back to the stepped handshake at
-// every boundary it cannot batch across: connection open (header
-// routing and arbitration) and close (tail flit), buffer-full
-// backpressure, links with a VCD trace attached, and clock-domain
-// crossings (a cross-domain link's two halves live on different
-// Clocks). Network.SetFlitStreaming(false) disables it entirely,
-// keeping the stepped path as the differential reference.
+// Every link runs the stepped 2-cycle handshake: both sides evaluate
+// each cycle the link is busy, the sender drives tx and data, the
+// receiver raises ack for one cycle when it accepts, and the sender
+// observes the ack two cycles after driving. An event-per-flit
+// streaming fast path that moved steady-state flits on timer-paced
+// events used to sit beside it. It was bit-identical but never faster
+// at the paper's 2-flit buffers, so it was removed: with the stepped
+// handshake as the default, every perfbench workload ran as fast or
+// faster (median normalised jobs/s 1.57 -> 1.70 on the saturated 16x16
+// mesh, 3.99 -> 4.49 at low load, 617 -> 793 on the sweep batch, 3.02
+// -> 3.02 on the full system), and its own ablation ran 3,470
+// simulated cycles/s against 4,307 stepped on a 2-vCPU host.
 //
 // # Flit metadata
 //
@@ -41,7 +29,7 @@
 // released when the packet is delivered or dropped. Flits are therefore
 // plain values on wires and in buffers, and the steady-state flit path
 // performs no heap allocation (gated at 0 allocs/op by cmd/benchgate
-// -lower on BenchmarkStreamingSteadyState).
+// -lower on BenchmarkFlitSteadyState).
 //
 // # Multicast
 //

@@ -19,118 +19,6 @@ type Link struct {
 	Tx   *sim.Wire[bool]
 	Data *sim.Wire[Flit]
 	Ack  *sim.Wire[bool]
-
-	// stream is the event-per-flit fast-path state shared by the two
-	// ends of an intra-domain link; nil until the network wires both a
-	// sender and a receiver onto this Link object. The two views of a
-	// cross-domain link are distinct objects, so a cross-domain stream
-	// never becomes ready and those links always run the stepped
-	// handshake (mirror events fire on wire latches, which streaming
-	// suppresses).
-	stream *linkStream
-}
-
-// linkStream batches steady-state flit transfers over one link: instead
-// of both handshake sides re-evaluating every cycle, the receiver pulls
-// the sender's queue head directly on each accept cycle and the sender
-// runs its bookkeeping one cycle later — exactly the cycles the stepped
-// 2-cycle handshake would use, so every counter, stamp and buffer
-// occupancy is bit-identical. While linked the wires are frozen (tx
-// high, data and ack stale); the fast path exits back to the stepped
-// handshake — restoring the exact stepped wire state — at connection
-// close, on an empty sender queue, and on a full receiver buffer.
-//
-// linkedFrom/unlinkedFrom gate the transition cycles: within one Eval
-// phase component order is arbitrary, so a side that evaluates after
-// the transition was staged must still see the old mode for the
-// current cycle.
-type linkStream struct {
-	on     bool // policy: false for traced links or SetFlitStreaming(false)
-	linked bool
-	linkedFrom   uint64
-	unlinkedFrom uint64
-	nextAccept uint64 // cycle of the next receiver-side transfer
-	doneAt     uint64 // cycle of the pending sender-side completion; 0 none
-
-	// Receiver-side hooks, registered when the receiving component is
-	// wired to the link.
-	rcvSpace func() bool
-	rcvTake  func(Flit)
-	rcvSelf  sim.Handle
-	// Sender-side hooks. sndPeek reads the head of the sender's queue
-	// (valid whenever linked); sndRestage re-presents it on the wires
-	// when the receiver side exits the fast path, recreating the exact
-	// stepped sender state (busy, tx high, data staged).
-	sndPeek    func() Flit
-	sndRestage func()
-	sndSelf    sim.Handle
-}
-
-// initStream returns the link's stream state, allocating it on first
-// use. Only network wiring calls this; raw links built by tests keep a
-// nil stream and always run stepped.
-func (l *Link) initStream() *linkStream {
-	if l.stream == nil {
-		l.stream = &linkStream{on: true}
-	}
-	return l.stream
-}
-
-// ready reports whether both ends registered their hooks — true exactly
-// for intra-domain links wired by the network.
-func (st *linkStream) ready() bool {
-	return st != nil && st.on && st.sndPeek != nil && st.rcvTake != nil
-}
-
-// isLinked reports whether the fast path governs the given Eval cycle,
-// lazily applying a staged unlink once its cycle is reached. Both sides
-// (and Idle checks, with the next Eval cycle) gate on it.
-func (st *linkStream) isLinked(evalNow uint64) bool {
-	if st == nil || !st.linked {
-		return false
-	}
-	if evalNow >= st.unlinkedFrom {
-		st.linked = false
-		return false
-	}
-	return evalNow >= st.linkedFrom
-}
-
-// engage enters the fast path at the sender's accept cycle: the
-// receiver (which lowers ack this cycle via its stepped eval) takes the
-// next flit directly on the following cycle.
-func (st *linkStream) engage(evalNow uint64) {
-	st.linked = true
-	st.linkedFrom = evalNow + 1
-	st.unlinkedFrom = ^uint64(0)
-	st.nextAccept = evalNow + 1
-	st.doneAt = 0
-	st.rcvSelf.WakeAt(evalNow + 1)
-}
-
-// unlinkAt stages the exit: the current cycle still runs linked for any
-// side that has not evaluated yet, the next cycle is stepped.
-func (st *linkStream) unlinkAt(evalNow uint64) { st.unlinkedFrom = evalNow + 1 }
-
-// receiverTick runs the receive side of the fast path for one Eval
-// cycle: on the accept cycle, either pull the sender's queue head into
-// the receiver (scheduling the sender-side completion next cycle), or —
-// with the buffer full — exit to the stepped handshake with the flit
-// re-presented on the wires, exactly where a stepped sender would be
-// waiting for space.
-func (st *linkStream) receiverTick(evalNow uint64) {
-	if evalNow != st.nextAccept {
-		return
-	}
-	if st.rcvSpace() {
-		st.rcvTake(st.sndPeek())
-		st.doneAt = evalNow + 1
-		st.sndSelf.WakeAt(evalNow + 1)
-	} else {
-		st.unlinkAt(evalNow)
-		st.sndRestage()
-		st.sndSelf.Wake()
-	}
 }
 
 // NewLink creates an idle link in clk's domain.
@@ -175,22 +63,12 @@ type sender struct {
 // once per flit, in the Eval phase of the cycle in which the downstream
 // ack is observed, so the owner can stage the corresponding pop and any
 // bookkeeping. After a flit is accepted the sender immediately presents
-// the following one when available, preserving the 2-cycle cadence —
-// or, when the link's stream is ready, engages the event-per-flit fast
-// path instead of re-presenting on the wires.
-func (s *sender) eval(evalNow uint64, hasNext func() bool, peek func() Flit, accepted func()) {
+// the following one when available, preserving the 2-cycle cadence.
+func (s *sender) eval(hasNext func() bool, peek func() Flit, accepted func()) {
 	s.nBusy = s.busy
 	if s.busy && s.link.Ack.Get() {
 		accepted()
 		s.nBusy = false
-		if s.link.stream.ready() && hasNext() {
-			// Steady state reached: downstream just accepted and another
-			// flit is queued. Freeze the wires and batch further
-			// transfers; the receiver lowers ack via its stepped eval
-			// this same cycle, then pulls directly from the queue.
-			s.link.stream.engage(evalNow)
-			return
-		}
 	}
 	if !s.nBusy {
 		if hasNext() {

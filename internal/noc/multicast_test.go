@@ -9,8 +9,8 @@ import (
 
 // mcastNet builds a fully-endpointed mesh, optionally sharded into
 // column-strip clock domains (lockstep or parallel), with the given
-// flit path and multicast mode.
-func mcastNet(t testing.TB, w, h, domains int, parallel, streaming, pathMode bool) (*sim.Clock, *Network) {
+// multicast mode.
+func mcastNet(t testing.TB, w, h, domains int, parallel, pathMode bool) (*sim.Clock, *Network) {
 	t.Helper()
 	cfg := Defaults(w, h)
 	var (
@@ -30,7 +30,6 @@ func mcastNet(t testing.TB, w, h, domains int, parallel, streaming, pathMode boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetFlitStreaming(streaming)
 	net.SetPathMulticast(pathMode)
 	for x := 0; x < w; x++ {
 		for y := 0; y < h; y++ {
@@ -83,9 +82,9 @@ func TestMulticastPathMatchesUnicastOracle(t *testing.T) {
 			{X: mesh.w - 1, Y: mesh.h - 1}, {X: 1, Y: mesh.h / 2}, {X: mesh.w - 2, Y: 1},
 		}
 		payload := []uint16{7, 11, 13, 17, 19}
-		clkP, netP := mcastNet(t, mesh.w, mesh.h, 1, false, true, true)
+		clkP, netP := mcastNet(t, mesh.w, mesh.h, 1, false, true)
 		path, gotPath := mcastDeliver(t, clkP, netP, src, dsts, payload)
-		clkU, netU := mcastNet(t, mesh.w, mesh.h, 1, false, true, false)
+		clkU, netU := mcastNet(t, mesh.w, mesh.h, 1, false, false)
 		oracle, gotUni := mcastDeliver(t, clkU, netU, src, dsts, payload)
 
 		if !path.Path || oracle.Path {
@@ -138,10 +137,9 @@ func TestMulticastPathMatchesUnicastOracle(t *testing.T) {
 // TestMulticastCrossKernelIdentical: one multicast group crossing every
 // partition boundary must deliver each copy at exactly the same cycle —
 // and the oracle mode likewise — whether the mesh is unsharded, sharded
-// lockstep, or parallel, with flit streaming on or off. This is the
-// partition-boundary multicast differential of the issue: the payload
-// hops through intermediate endpoints that live in different clock
-// domains.
+// lockstep, or parallel. This is the partition-boundary multicast
+// differential: the payload hops through intermediate endpoints that
+// live in different clock domains.
 func TestMulticastCrossKernelIdentical(t *testing.T) {
 	const w, h = 8, 4
 	src := Addr{X: 0, Y: 0}
@@ -154,12 +152,12 @@ func TestMulticastCrossKernelIdentical(t *testing.T) {
 		ejects []uint64
 		stats  MulticastStats
 	}
-	run := func(domains int, parallel, streaming, pathMode bool) obs {
-		clk, net := mcastNet(t, w, h, domains, parallel, streaming, pathMode)
+	run := func(domains int, parallel, pathMode bool) obs {
+		clk, net := mcastNet(t, w, h, domains, parallel, pathMode)
 		g, got := mcastDeliver(t, clk, net, src, dsts, payload)
 		if !g.DeliveredAll() {
-			t.Fatalf("domains=%d parallel=%v streaming=%v path=%v: undelivered legs",
-				domains, parallel, streaming, pathMode)
+			t.Fatalf("domains=%d parallel=%v path=%v: undelivered legs",
+				domains, parallel, pathMode)
 		}
 		for _, d := range g.Dsts {
 			for k, v := range got[d] {
@@ -177,15 +175,14 @@ func TestMulticastCrossKernelIdentical(t *testing.T) {
 	}
 
 	for _, pathMode := range []bool{true, false} {
-		ref := run(1, false, true, pathMode)
+		ref := run(1, false, pathMode)
 		for _, c := range []struct {
-			domains   int
-			parallel  bool
-			streaming bool
-		}{{1, false, false}, {2, false, true}, {2, true, true}, {4, false, true}, {4, true, true}, {4, true, false}} {
-			got := run(c.domains, c.parallel, c.streaming, pathMode)
-			name := fmt.Sprintf("path=%v domains=%d parallel=%v streaming=%v",
-				pathMode, c.domains, c.parallel, c.streaming)
+			domains  int
+			parallel bool
+		}{{2, false}, {2, true}, {4, false}, {4, true}} {
+			got := run(c.domains, c.parallel, pathMode)
+			name := fmt.Sprintf("path=%v domains=%d parallel=%v",
+				pathMode, c.domains, c.parallel)
 			for i := range ref.ejects {
 				if got.ejects[i] != ref.ejects[i] {
 					t.Errorf("%s: leg %d delivered at %d, reference %d",
@@ -246,7 +243,7 @@ func TestMulticastDropsEndpointlessDestinations(t *testing.T) {
 // TestSendMultiValidation: malformed destination sets must be rejected
 // as errors before anything is staged.
 func TestSendMultiValidation(t *testing.T) {
-	clk, net := mcastNet(t, 4, 4, 1, false, true, true)
+	clk, net := mcastNet(t, 4, 4, 1, false, true)
 	_ = clk
 	ep := net.Endpoint(Addr{X: 0, Y: 0})
 	if _, err := ep.SendMulti(nil, []uint16{1}); err == nil {

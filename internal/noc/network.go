@@ -94,7 +94,7 @@ type netShard struct {
 	// appends while a receiving domain resolves a cross-domain header,
 	// so the slice header must not be read concurrently with growth.
 	// The lock is per packet (alloc, header stamp, delivery), never per
-	// flit, so it stays off the streaming hot path.
+	// flit, so it stays off the flit hot path.
 	metasMu   sync.Mutex
 	metas     []*PacketMeta
 	completed []*PacketMeta
@@ -121,9 +121,7 @@ type Network struct {
 	routers   [][]*Router
 	endpoints map[Addr]*Endpoint
 	shards    []netShard
-	links     []*Link // every link view built, for SetFlitStreaming
-	streaming bool    // policy applied to links built from now on
-	pathMcast bool    // SendMulti mode: path-based vs unicast replication
+	pathMcast bool // SendMulti mode: path-based vs unicast replication
 }
 
 // New builds the mesh and registers every router with clk.
@@ -170,7 +168,6 @@ func buildNet(clk *sim.Clock, g *sim.Group, cfg Config, domainOf func(Addr) int)
 		domainOf:  domainOf,
 		endpoints: make(map[Addr]*Endpoint),
 		shards:    make([]netShard, shards),
-		streaming: true,
 		pathMcast: true,
 	}
 	n.routers = make([][]*Router, cfg.Width)
@@ -208,50 +205,17 @@ func buildNet(clk *sim.Clock, g *sim.Group, cfg Config, domainOf func(Addr) int)
 }
 
 // connectRouters wires one unidirectional link from an output port of
-// src to an input port of dst, crossing clock domains when needed. An
-// intra-domain link has both streaming sides registered on one Link
-// object and may batch transfers; the two views of a cross-domain link
-// each see only their own side, so the stream never becomes ready and
-// the link runs the stepped handshake (required: mirror events fire on
-// wire latches, which streaming suppresses).
+// src to an input port of dst, crossing clock domains when needed.
 func (n *Network) connectRouters(src *Router, outp Port, dst *Router, inp Port, name string) {
 	if src.clk == dst.clk {
 		l := NewLink(src.clk, name)
 		src.connectOut(outp, l)
 		dst.connectIn(inp, l)
-		n.addLink(l)
 		return
 	}
 	s, r := NewCrossLink(src.clk, dst.clk, name)
 	src.connectOut(outp, s)
 	dst.connectIn(inp, r)
-	n.addLink(s)
-	n.addLink(r)
-}
-
-// addLink records a link view and applies the current streaming policy.
-func (n *Network) addLink(l *Link) {
-	n.links = append(n.links, l)
-	if l.stream != nil {
-		l.stream.on = n.streaming
-	}
-}
-
-// SetFlitStreaming enables (the default) or disables the event-per-flit
-// fast path on every link of the network, keeping the per-cycle stepped
-// handshake as the reference path for differential testing — the same
-// role SetActivityScheduling and SetTimeWarp play in the kernel. Both
-// modes are bit-identical in every observable (delivery cycles, router
-// counters, VCD dumps); streaming only changes how much work a
-// steady-state flit costs. Call it before simulating: links already
-// mid-stream keep batching until they fall back to stepped naturally.
-func (n *Network) SetFlitStreaming(on bool) {
-	n.streaming = on
-	for _, l := range n.links {
-		if l.stream != nil {
-			l.stream.on = on
-		}
-	}
 }
 
 // SetPathMulticast selects the delivery mode of subsequent SendMulti
@@ -381,25 +345,6 @@ func (n *Network) newEndpoint(clk *sim.Clock, a Addr) (*Endpoint, error) {
 	n.endpoints[a] = ep
 	clk.Register(ep)
 	ep.self = clk.Handle(ep)
-	// Streaming hooks for the Local links. On the intra-domain path the
-	// router registered its halves in connectIn/connectOut; these are
-	// the endpoint's halves of the same Link objects. Cross-domain
-	// endpoint links (NewEndpointFor) hold distinct view objects whose
-	// streams never become ready, so they stay stepped.
-	sst := toRouter.initStream()
-	sst.sndPeek = func() Flit { return ep.txq[0].f }
-	sst.sndRestage = func() {
-		toRouter.Data.Set(ep.txq[0].f)
-		toRouter.Tx.Set(true)
-		ep.snd.busy, ep.snd.nBusy = true, true
-	}
-	sst.sndSelf = ep.self
-	rst := fromRouter.initStream()
-	rst.rcvSpace = func() bool { return true } // endpoints sink at link rate
-	rst.rcvTake = ep.assemble
-	rst.rcvSelf = ep.self
-	n.addLink(toRouter)
-	n.addLink(fromRouter)
 	return ep, nil
 }
 

@@ -2,6 +2,8 @@ package noc
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,6 +16,12 @@ import (
 func build(t testing.TB, cfg Config) (*sim.Clock, *Network) {
 	t.Helper()
 	clk := sim.NewClock()
+	return clk, buildOn(t, clk, cfg)
+}
+
+// buildOn is build on a caller-configured clock.
+func buildOn(t testing.TB, clk *sim.Clock, cfg Config) *Network {
+	t.Helper()
 	net, err := New(clk, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -25,7 +33,7 @@ func build(t testing.TB, cfg Config) (*sim.Clock, *Network) {
 			}
 		}
 	}
-	return clk, net
+	return net
 }
 
 func TestAddrEncodeDecode(t *testing.T) {
@@ -797,6 +805,73 @@ func TestRouterStatsMatchAcrossKernels(t *testing.T) {
 			if got[i] != ref[i] {
 				t.Errorf("%s: router %d stats diverge:\n  dense %+v\n  got   %+v", tc.name, i, ref[i], got[i])
 			}
+		}
+	}
+}
+
+// TestFullBufferAcrossKernels: with depth-1 buffers and opposing flows
+// fighting over one column, receivers run out of space constantly, so
+// flits stall on backpressure mid-wormhole over and over. All 9 packets
+// must arrive, and the per-router statistics and every packet's inject
+// and eject cycles must be identical on the sparse, dense and no-warp
+// kernels. The two activity-scheduled kernels must also reach
+// quiescence on the same cycle; dense mode judges quiescence by Idle()
+// alone, without the step a woken component needs to fall asleep
+// again, so its stop cycle is not compared.
+func TestFullBufferAcrossKernels(t *testing.T) {
+	type obs struct {
+		end    uint64
+		stats  []RouterStats
+		ledger []uint64 // (ID, inject, eject) per packet, by ID
+	}
+	run := func(dense, warp bool) obs {
+		cfg := Defaults(1, 4)
+		cfg.BufDepth = 1
+		clk := sim.NewClock()
+		clk.SetActivityScheduling(!dense)
+		clk.SetTimeWarp(warp)
+		net := buildOn(t, clk, cfg)
+		payload := seq(40)
+		for k := 0; k < 3; k++ {
+			for _, f := range [][2]Addr{{{0, 0}, {0, 3}}, {{0, 3}, {0, 0}}, {{0, 1}, {0, 2}}} {
+				if _, err := net.Endpoint(f[0]).Send(f[1], payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := clk.RunUntilQuiescent(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if net.Delivered() != 9 {
+			t.Fatalf("dense=%v warp=%v: delivered %d/9", dense, warp, net.Delivered())
+		}
+		o := obs{end: clk.Cycle()}
+		for y := 0; y < 4; y++ {
+			o.stats = append(o.stats, net.Router(Addr{0, y}).Stats())
+		}
+		ms := append([]*PacketMeta(nil), net.Completed()...)
+		sort.Slice(ms, func(a, b int) bool { return ms[a].ID < ms[b].ID })
+		for _, m := range ms {
+			o.ledger = append(o.ledger, m.ID, m.InjectCycle, m.EjectCycle)
+		}
+		return o
+	}
+	ref := run(false, true)
+	for _, tc := range []struct {
+		name        string
+		dense, warp bool
+	}{{"dense", true, false}, {"sparse-nowarp", false, false}} {
+		got := run(tc.dense, tc.warp)
+		if !tc.dense && got.end != ref.end {
+			t.Errorf("%s: quiescent at cycle %d, sparse reference %d", tc.name, got.end, ref.end)
+		}
+		for i := range ref.stats {
+			if got.stats[i] != ref.stats[i] {
+				t.Errorf("%s: router %d stats diverge:\n  sparse %+v\n  got    %+v", tc.name, i, ref.stats[i], got.stats[i])
+			}
+		}
+		if !slices.Equal(got.ledger, ref.ledger) {
+			t.Errorf("%s: packet (ID, inject, eject) ledger diverges:\n  sparse %v\n  got    %v", tc.name, ref.ledger, got.ledger)
 		}
 	}
 }

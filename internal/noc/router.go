@@ -170,34 +170,14 @@ func (r *Router) Stats() RouterStats {
 }
 
 // connectIn attaches the upstream link arriving at port p. The router
-// watches the link's tx so an arriving flit wakes it from idle sleep,
-// and registers the receive-side streaming hooks (push into the port's
-// buffer, wake token for scheduled accepts).
+// watches the link's tx so an arriving flit wakes it from idle sleep.
 func (r *Router) connectIn(p Port, l *Link) {
 	r.in[p].rcv.link = l
 	sim.Watch(l.Tx, r)
-	st := l.initStream()
-	buf := r.in[p].buf
-	st.rcvSpace = func() bool { return buf.Free() > 0 }
-	st.rcvTake = func(f Flit) { buf.StagePush(f) }
-	st.rcvSelf = r.self
 }
 
-// connectOut attaches the downstream link leaving port p and registers
-// the send-side streaming hooks: the queue feeding a router's output is
-// the buffer of whichever input port the crossbar currently connects.
-func (r *Router) connectOut(p Port, l *Link) {
-	o := &r.out[p]
-	o.snd.link = l
-	st := l.initStream()
-	st.sndPeek = func() Flit { return r.in[o.src].buf.At(0) }
-	st.sndRestage = func() {
-		l.Data.Set(r.in[o.src].buf.At(0))
-		l.Tx.Set(true)
-		o.snd.busy, o.snd.nBusy = true, true
-	}
-	st.sndSelf = r.self
-}
+// connectOut attaches the downstream link leaving port p.
+func (r *Router) connectOut(p Port, l *Link) { r.out[p].snd.link = l }
 
 // Name implements sim.Component.
 func (r *Router) Name() string { return fmt.Sprintf("router%s", r.addr) }
@@ -213,20 +193,14 @@ func (r *Router) Eval() {
 	for i := range r.in {
 		p := &r.in[i]
 		p.nRoute, p.nPhase, p.nRemaining = p.route, p.phase, p.remaining
-		if l := p.rcv.link; l != nil {
-			if l.stream.isLinked(evalNow) {
-				// Streaming inbound: the wires are frozen; pull directly
-				// from the upstream queue on accept cycles.
-				l.stream.receiverTick(evalNow)
-			} else if l.Tx.Get() || p.rcv.ackHigh {
-				// A port whose handshake is at rest (incoming tx low, ack
-				// low) is skipped: its eval would stage nothing, so the
-				// staged receiver state already equals the committed state.
-				p.rcv.eval(
-					func() bool { return p.buf.Free() > 0 },
-					func(f Flit) { p.buf.StagePush(f) },
-				)
-			}
+		// A port whose handshake is at rest (incoming tx low, ack low)
+		// is skipped: its eval would stage nothing, so the staged
+		// receiver state already equals the committed state.
+		if l := p.rcv.link; l != nil && (l.Tx.Get() || p.rcv.ackHigh) {
+			p.rcv.eval(
+				func() bool { return p.buf.Free() > 0 },
+				func(f Flit) { p.buf.StagePush(f) },
+			)
 		}
 	}
 	// Statistics integrate registered state only (route, phase,
@@ -247,38 +221,13 @@ func (r *Router) Eval() {
 			if o.snd.link != nil && (o.snd.busy || o.snd.link.Tx.Peek()) {
 				// Finish deasserting tx on a just-closed connection;
 				// fully idle senders are skipped.
-				o.snd.eval(evalNow, func() bool { return false }, func() Flit { return Flit{} }, func() {})
+				o.snd.eval(func() bool { return false }, func() Flit { return Flit{} }, func() {})
 			}
 			continue
 		}
 		p := &r.in[o.src]
-		if st := o.snd.link.stream; st.isLinked(evalNow) {
-			if st.doneAt == evalNow {
-				// Sender-side completion of the flit the downstream
-				// receiver pulled last cycle: the same pop, counter and
-				// wormhole advance the stepped accepted() callback runs,
-				// on exactly the cycle it would run them.
-				st.doneAt = 0
-				fl := p.buf.At(0)
-				p.buf.StagePop()
-				r.stats.FlitsOut[o.port]++
-				r.forwarded(p, o, fl)
-				if p.nRoute == o.port && p.buf.Len() > 1 {
-					st.nextAccept = evalNow + 1
-					st.rcvSelf.WakeAt(evalNow + 1)
-				} else {
-					// Tail forwarded or queue drained: back to stepped,
-					// with tx lowered exactly as the stepped sender
-					// would this cycle.
-					st.unlinkAt(evalNow)
-					o.snd.link.Tx.Set(false)
-				}
-			}
-			continue
-		}
 		popped := 0
 		o.snd.eval(
-			evalNow,
 			func() bool {
 				// Connection may have been closed by the accepted()
 				// callback this same cycle; the next buffered flit then
@@ -377,44 +326,28 @@ func (r *Router) evalControl(anyRequest bool, evalNow uint64) {
 }
 
 // Idle implements sim.Idler. A router may sleep when every input port's
-// handshake is at rest (incoming tx low, ack low) or batching transfers
-// on a streaming link, every open wormhole connection is served by a
-// streaming output (transfers and completions are scheduled events, so
-// nothing changes on the in-between cycles), and every stepped output
-// sender is idle. Buffered flits are allowed while the control logic is
-// mid routing-delay or while the port's connection streams: nothing
-// about them changes until the armed timer or scheduled transfer fires,
-// and the span-integrated stats account for the skipped cycles. With
-// the control idle, any buffered header is a request the next Eval's
+// handshake is at rest (incoming tx low, ack low), no wormhole
+// connection is open, and every output sender is idle. Buffered flits
+// are allowed while the control logic is mid routing-delay: nothing
+// about them changes until the armed timer fires, and the
+// span-integrated stats account for the skipped cycles. With the
+// control idle, any buffered header is a request the next Eval's
 // arbiter scan must see, so the router stays awake. In the sleepable
 // states Eval stages nothing and drives every wire at its rest value;
 // the router is woken by the rising tx of an incoming link (watched in
-// connectIn), by its routing-delay timer, or by the wakes its links'
-// streams arm for each scheduled transfer.
+// connectIn) or by its routing-delay timer.
 func (r *Router) Idle() bool {
-	nextEval := r.clk.Cycle() + 1
 	serving := r.ctl.serving >= 0
 	for i := range r.in {
 		p := &r.in[i]
-		if p.rcv.ackHigh {
+		if p.rcv.ackHigh || p.route != PortNone || p.phase != phaseHeader {
 			return false
 		}
-		l := p.rcv.link
-		if l != nil && !l.stream.isLinked(nextEval) && l.Tx.Get() {
+		if l := p.rcv.link; l != nil && l.Tx.Get() {
 			return false
 		}
-		if p.route != PortNone {
-			o := &r.out[p.route]
-			if o.snd.link == nil || !o.snd.link.stream.isLinked(nextEval) {
-				return false
-			}
-		} else {
-			if p.phase != phaseHeader {
-				return false
-			}
-			if !serving && p.buf.Len() > 0 {
-				return false
-			}
+		if !serving && p.buf.Len() > 0 {
+			return false
 		}
 	}
 	for i := range r.out {

@@ -37,15 +37,6 @@ func AttachVCD(net *Network, w *vcd.Writer, addrs ...Addr) {
 			if l == nil {
 				continue
 			}
-			// A streaming link freezes its wires, which would corrupt the
-			// dump; sampled links run the stepped handshake so every
-			// tx/ack/data edge appears exactly as the hardware's would.
-			// Links of the traced router that no probe samples (its
-			// outputs towards untraced neighbours) may keep streaming:
-			// cycle timing is identical either way.
-			if l.stream != nil {
-				l.stream.on = false
-			}
 			base := "r" + a.String() + "_" + p.String()
 			if _, seen := byClk[r.clk]; !seen {
 				clks = append(clks, r.clk)

@@ -95,13 +95,10 @@
 // cycles of the protocol are predetermined schedules WakeAt timers for
 // the cycles on which state actually changes and sleeps in between. The
 // UARTs batch a serial run this way (one timer per bit edge rather than
-// per clock), and the NoC batches its 2-cycle link handshake into one
-// event per flit while a wormhole connection is in steady state (see
-// internal/noc: event-per-flit streaming). The contract is the one
-// Idle() already imposes: every latch, counter update, and wire change
-// the batched span produces must land on exactly the cycle the stepped
-// model would produce it, so batching is invisible to differential
-// comparison.
+// per clock). The contract is the one Idle() already imposes: every
+// latch, counter update, and wire change the batched span produces must
+// land on exactly the cycle the stepped model would produce it, so
+// batching is invisible to differential comparison.
 //
 // # Clock domains and conservative parallelism
 //
@@ -419,20 +416,6 @@ func (c *Clock) WakeAt(cycle uint64, comp Component) {
 func (c *Clock) wakeAtIndex(cycle uint64, i int) {
 	if cycle <= c.cycle+1 {
 		c.wakeIndex(i)
-		return
-	}
-	if c.inEval && !c.dense && cycle == c.cycle+2 {
-		// Next-step fast path: a component in its Eval phase (the step
-		// ending at cycle+1) arming the immediately following step. The
-		// pending list already has exactly that meaning — it is drained
-		// by the next step's applyWakes — so the wake needs no timer.
-		// This is the cadence of batched flit transfers (one event every
-		// other cycle per streaming link), which would otherwise churn
-		// the timer heap once per flit per hop.
-		if !c.wakePending[i] {
-			c.wakePending[i] = true
-			c.pending = append(c.pending, i)
-		}
 		return
 	}
 	if c.lastArmed[i] == cycle {

@@ -108,9 +108,8 @@ func TestParallelDeterminism(t *testing.T) {
 // wormholes span domains for many consecutive cycles — plus reverse
 // traffic to contend for the same links, drains it, and returns the
 // delivered count, per-router stats and a VCD dump of router (4,0) (a
-// boundary router under every partition used here). streaming selects
-// between the event-per-flit fast path and the stepped handshake.
-func boundaryRun(t *testing.T, domains int, parallel, streaming bool) (uint64, []noc.RouterStats, []byte) {
+// boundary router under every partition used here).
+func boundaryRun(t *testing.T, domains int, parallel bool) (uint64, []noc.RouterStats, []byte) {
 	t.Helper()
 	cfg := noc.Defaults(8, 2)
 	var (
@@ -130,7 +129,6 @@ func boundaryRun(t *testing.T, domains int, parallel, streaming bool) (uint64, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetFlitStreaming(streaming)
 	var buf bytes.Buffer
 	w := vcd.NewWriter(&buf)
 	noc.AttachVCD(net, w, noc.Addr{X: 4, Y: 0})
@@ -184,7 +182,7 @@ func boundaryRun(t *testing.T, domains int, parallel, streaming bool) (uint64, [
 // byte-identical VCD dump of a boundary router — in lockstep and in
 // parallel, for 2- and 4-way partitions.
 func TestPartitionBoundaryStress(t *testing.T) {
-	refDelivered, refStats, refVCD := boundaryRun(t, 1, false, true)
+	refDelivered, refStats, refVCD := boundaryRun(t, 1, false)
 	if refDelivered == 0 {
 		t.Fatal("reference run delivered nothing; test is vacuous")
 	}
@@ -192,7 +190,7 @@ func TestPartitionBoundaryStress(t *testing.T) {
 		domains  int
 		parallel bool
 	}{{2, false}, {2, true}, {4, false}, {4, true}} {
-		delivered, stats, dump := boundaryRun(t, c.domains, c.parallel, true)
+		delivered, stats, dump := boundaryRun(t, c.domains, c.parallel)
 		if delivered != refDelivered {
 			t.Errorf("domains=%d parallel=%v: delivered %d, want %d",
 				c.domains, c.parallel, delivered, refDelivered)

@@ -58,9 +58,8 @@ func runSpecKernel(t *testing.T, ncfg noc.Config, tcfg Config) specObs {
 // TestPatternCrossKernelIdentical: every pattern of the library must
 // produce a bit-identical Result, identical per-router statistics and a
 // byte-identical boundary-router VCD dump on every kernel mode —
-// dense, sparse without time warp, sharded lockstep, parallel — with
-// flit streaming on or off. The reference is the serial sparse
-// time-warped streaming kernel.
+// dense, sparse without time warp, sharded lockstep, parallel. The
+// reference is the serial sparse time-warped kernel.
 func TestPatternCrossKernelIdentical(t *testing.T) {
 	ncfg := noc.Defaults(4, 4) // power-of-two node count, so bitrev is legal
 	base := Config{
@@ -101,18 +100,12 @@ func TestPatternCrossKernelIdentical(t *testing.T) {
 		name string
 		mod  func(*Config)
 	}{
-		{"stepped", func(c *Config) { c.NoFlitStreaming = true }},
 		{"dense", func(c *Config) { c.DenseKernel = true }},
 		{"nowarp", func(c *Config) { c.NoTimeWarp = true }},
 		{"sharded2", func(c *Config) { c.Domains = 2 }},
 		{"parallel2", func(c *Config) { c.Domains = 2; c.Parallel = true }},
 		{"sharded4", func(c *Config) { c.Domains = 4 }},
 		{"parallel4", func(c *Config) { c.Domains = 4; c.Parallel = true }},
-		{"parallel4-stepped", func(c *Config) {
-			c.Domains = 4
-			c.Parallel = true
-			c.NoFlitStreaming = true
-		}},
 	}
 	for _, s := range specs {
 		s := s

@@ -117,12 +117,6 @@ type Config struct {
 	// way (see TestTimeWarpMatchesNoWarp); the option exists for
 	// differential tests and speedup benchmarks.
 	NoTimeWarp bool
-	// NoFlitStreaming disables the event-per-flit streaming fast path
-	// for this run: every flit crosses every link via the stepped
-	// 2-cycle tx/ack handshake. Results are bit-identical either way
-	// (see TestStreamingMatchesStepped); the option exists for
-	// differential tests and speedup benchmarks.
-	NoFlitStreaming bool
 	// Domains shards the mesh into that many clock domains (contiguous
 	// column strips); 0 or 1 builds the classic single-domain network.
 	// Sharding alone does not change results: the cross-domain links
@@ -480,9 +474,6 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	}
 	if err != nil {
 		return Result{}, nil, err
-	}
-	if tcfg.NoFlitStreaming {
-		net.SetFlitStreaming(false)
 	}
 	if group != nil {
 		net.SetPathMulticast(!tcfg.Spec.MulticastUnicast)
