@@ -1,4 +1,5 @@
-// Benchmarks regenerating every experiment of the paper (DESIGN.md §5):
+// Benchmarks regenerating every experiment of the paper (the section
+// list in internal/experiments):
 // one Benchmark per table/figure/claim plus the ablations. Custom
 // metrics report the figures of merit (simulated cycles, Gbit/s,
 // speedups) alongside the usual ns/op.
@@ -306,12 +307,12 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	const simCycles = 500 + 3000 // warmup + measure (drain adds a tail)
 	for _, tc := range []struct {
-		name          string
-		dense, noWarp bool
+		name   string
+		kernel sim.Kernel
 	}{
-		{"activity", false, false},
-		{"activity-nowarp", false, true},
-		{"dense", true, true},
+		{"activity", ""},
+		{"activity-nowarp", "nowarp"},
+		{"dense", "dense"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -320,7 +321,7 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 				if _, err := traffic.Run(cfg, traffic.Config{
 					Rate: 0.002, PayloadFlits: 8, Seed: 3,
 					Warmup: 500, Measure: 3000, Drain: 20000,
-					DenseKernel: tc.dense, NoTimeWarp: tc.noWarp,
+					Kernel: tc.kernel,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -331,38 +332,46 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 }
 
 // BenchmarkKernelParallel measures the sharded parallel kernel's
-// scaling curve on the BenchmarkAblKernelSchedule workload (16x16
-// uniform traffic at 0.2% injection): column-strip partitions of 1, 2,
-// 4 and 8 domains, each executed serially (lockstep, the bit-exact
-// reference) and in parallel (one goroutine per domain under the
-// conservative horizon protocol). Every variant produces the identical
-// Result (TestShardedMatchesUnsharded, TestParallelMatchesSerial); the
-// metric is simulated cycles per wall-clock second. Parallel speedup
-// over serial requires hardware cores — on a single-core host the
-// horizon protocol's overhead is all that shows.
+// scaling curve on two 16x16 uniform workloads: the
+// BenchmarkAblKernelSchedule load (0.2% injection, sub-benchmarks
+// domainsN/...) and the largest mesh the 4-bit addresses allow driven
+// into saturation (0.40 offered, 32-flit payloads, as perfbench's
+// mesh-saturated; saturated/domainsN/...). Each runs column-strip
+// partitions of 2, 4 and 8 domains serially (kernel shardedN, lockstep,
+// the bit-exact reference) and in parallel (parallelN, one goroutine per
+// domain under the conservative horizon protocol); domains1 is the
+// plain single clock under both names, since a one-domain group does
+// not exist. Every variant produces the identical Result
+// (TestShardedMatchesUnsharded, TestParallelMatchesSerial); the metric
+// is simulated cycles per wall-clock second. Parallel speedup over
+// serial requires hardware cores.
 func BenchmarkKernelParallel(b *testing.B) {
 	b.ReportAllocs()
-	const simCycles = 500 + 3000 // warmup + measure (drain adds a tail)
-	for _, domains := range []int{1, 2, 4, 8} {
-		for _, parallel := range []bool{false, true} {
-			mode := "serial"
-			if parallel {
-				mode = "parallel"
-			}
-			b.Run(fmt.Sprintf("domains%d/%s", domains, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := noc.Defaults(16, 16)
-				for i := 0; i < b.N; i++ {
-					if _, err := traffic.Run(cfg, traffic.Config{
-						Rate: 0.002, PayloadFlits: 8, Seed: 3,
-						Warmup: 500, Measure: 3000, Drain: 20000,
-						Domains: domains, Parallel: parallel,
-					}); err != nil {
-						b.Fatal(err)
-					}
+	for _, load := range []struct {
+		prefix string
+		cfg    traffic.Config
+	}{
+		{"", traffic.Config{Rate: 0.002, PayloadFlits: 8, Seed: 3, Warmup: 500, Measure: 3000, Drain: 20000}},
+		{"saturated/", traffic.Config{Rate: 0.40, PayloadFlits: 32, Seed: 3, Warmup: 500, Measure: 2000, Drain: 30000}},
+	} {
+		simCycles := load.cfg.Warmup + load.cfg.Measure // the drain adds a tail
+		for _, domains := range []int{1, 2, 4, 8} {
+			for _, mode := range []struct{ name, kernel string }{{"serial", "sharded"}, {"parallel", "parallel"}} {
+				tcfg := load.cfg
+				if domains > 1 {
+					tcfg.Kernel = sim.Kernel(fmt.Sprintf("%s%d", mode.kernel, domains))
 				}
-				b.ReportMetric(float64(simCycles)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")
-			})
+				b.Run(fmt.Sprintf("%sdomains%d/%s", load.prefix, domains, mode.name), func(b *testing.B) {
+					b.ReportAllocs()
+					cfg := noc.Defaults(16, 16)
+					for i := 0; i < b.N; i++ {
+						if _, err := traffic.Run(cfg, tcfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(simCycles)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")
+				})
+			}
 		}
 	}
 }
@@ -437,7 +446,7 @@ func BenchmarkAblRouting(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
 				res, err := traffic.Run(cfg, traffic.Config{
-					Pattern: traffic.Transpose, Rate: 0.15, PayloadFlits: 8, Seed: 5,
+					Spec: traffic.PatternSpec{Name: "transpose"}, Rate: 0.15, PayloadFlits: 8, Seed: 5,
 					Warmup: 2000, Measure: 6000, Drain: 20000,
 				})
 				if err != nil {

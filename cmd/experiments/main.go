@@ -1,10 +1,10 @@
-// Command experiments regenerates every experiment of EXPERIMENTS.md:
-// one section per quantitative claim or figure of the paper, with
-// paper-vs-measured values (see DESIGN.md §5 for the index).
+// Command experiments prints the paper-vs-measured report: one markdown
+// section per quantitative claim or figure of the paper, in the order
+// of experiments.All (the index). The report is deterministic.
 //
 // Usage:
 //
-//	experiments [-o EXPERIMENTS.md] [-only E1,E8]
+//	experiments [-o report.md] [-only E1,E8]
 package main
 
 import (

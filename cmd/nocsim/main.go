@@ -1,6 +1,8 @@
 // Command nocsim runs synthetic traffic through a standalone Hermes
 // NoC and prints latency/throughput figures — the workhorse behind the
-// E1/E2/E3 experiments.
+// E1/E2/E3 experiments. Its flags describe one experiments.TrafficJob
+// per offered rate, run through TrafficJob.Run exactly as the sweep
+// service runs a submitted job.
 //
 // Usage:
 //
@@ -11,15 +13,20 @@
 //	nocsim -pattern bursty -burstlen 8 -burstpeak 0.5
 //	nocsim -pattern multicast -mcgroup "0,0;3,1;3,3" -rate 0.02
 //	nocsim -record run.trace -rate 0.05        # then: nocsim -replay run.trace
+//	nocsim -w 16 -h 16 -rate 0.002 -kernel parallel4
 package main
 
 import (
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -27,137 +34,176 @@ import (
 )
 
 func main() {
-	w := flag.Int("w", 4, "mesh width")
-	h := flag.Int("h", 4, "mesh height")
-	rate := flag.Float64("rate", 0.1, "offered load, flits/cycle/node")
-	pattern := flag.String("pattern", "uniform", "uniform|transpose|bitcomp|bitrev|hotspot|bursty|multicast")
-	hotspots := flag.String("hotspots", "", `weighted hotspot set as "x,y,w;x,y,w" (default: mesh centre at 0.2)`)
-	burstLen := flag.Float64("burstlen", 0, "mean packets per burst (0 = library default)")
-	burstPeak := flag.Float64("burstpeak", 0, "in-burst injection rate, flits/cycle (0 = library default)")
-	mcGroup := flag.String("mcgroup", "", `multicast destination set as "x,y;x,y"`)
-	mcUnicast := flag.Bool("mcunicast", false, "deliver multicast by unicast replication instead of path forwarding")
-	record := flag.String("record", "", "write the injection log to this NDJSON trace file")
-	replay := flag.String("replay", "", "replay an NDJSON trace file instead of a synthetic pattern")
-	payload := flag.Int("payload", 8, "payload flits per packet")
-	depth := flag.Int("depth", 2, "input buffer depth")
-	flit := flag.Int("flit", 8, "flit width in bits")
-	routing := flag.String("routing", "xy", "xy|yx|westfirst")
-	cycles := flag.Int("cycles", 20000, "measurement cycles")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	sweep := flag.String("sweep", "", "comma-separated rates for a sweep table")
-	peak := flag.Bool("peak", false, "run the 5-connection peak-throughput experiment")
-	vcdPath := flag.String("vcd", "", "trace the centre router's links to a VCD waveform file")
-	domains := flag.Int("domains", 1, "shard the mesh into this many clock domains (column strips)")
-	parallel := flag.Bool("parallel", false, "run clock domains on separate goroutines (needs -domains > 1)")
-	flag.Parse()
-
-	cfg := noc.Defaults(*w, *h)
-	cfg.BufDepth = *depth
-	cfg.FlitBits = *flit
-	switch *routing {
-	case "xy":
-		cfg.Routing = noc.RouteXY
-	case "yx":
-		cfg.Routing = noc.RouteYX
-	case "westfirst":
-		cfg.Routing = noc.RouteWestFirst
-	default:
-		fatal(fmt.Errorf("unknown routing %q", *routing))
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "nocsim:", err)
+		os.Exit(1)
 	}
+}
 
-	if *vcdPath != "" {
-		if err := traceOnePacket(cfg, *vcdPath); err != nil {
-			fatal(err)
-		}
-		return
+// options is a parsed command line: the traffic experiment as one job
+// per offered rate, and the side experiments that only need its mesh.
+type options struct {
+	jobs   []experiments.TrafficJob
+	peak   bool
+	vcd    string
+	record string
+}
+
+func parse(args []string) (*options, error) {
+	fs := flag.NewFlagSet("nocsim", flag.ExitOnError)
+	w := fs.Int("w", 4, "mesh width")
+	h := fs.Int("h", 4, "mesh height")
+	rate := fs.Float64("rate", 0.1, "offered load, flits/cycle/node")
+	pattern := fs.String("pattern", "uniform", "uniform|transpose|bitcomp|bitrev|hotspot|bursty|multicast")
+	hotspots := fs.String("hotspots", "", `weighted hotspot set as "x,y,w;x,y,w" (default: mesh centre at 0.2)`)
+	burstLen := fs.Float64("burstlen", 0, "mean packets per burst (0 = library default)")
+	burstPeak := fs.Float64("burstpeak", 0, "in-burst injection rate, flits/cycle (0 = library default)")
+	mcGroup := fs.String("mcgroup", "", `multicast destination set as "x,y;x,y"`)
+	mcUnicast := fs.Bool("mcunicast", false, "deliver multicast by unicast replication instead of path forwarding")
+	record := fs.String("record", "", "write the injection log to this NDJSON trace file")
+	replay := fs.String("replay", "", "replay an NDJSON trace file instead of a synthetic pattern")
+	payload := fs.Int("payload", 8, "payload flits per packet")
+	depth := fs.Int("depth", 2, "input buffer depth")
+	flit := fs.Int("flit", 8, "flit width in bits")
+	routing := fs.String("routing", "xy", "xy|yx|westfirst")
+	cycles := fs.Int("cycles", 20000, "measurement cycles (warmup is a quarter, the drain budget twice that)")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	sweep := fs.String("sweep", "", "comma-separated rates for a sweep table")
+	peak := fs.Bool("peak", false, "run the 5-connection peak-throughput experiment")
+	vcdPath := fs.String("vcd", "", "trace the centre router's links to a VCD waveform file")
+	kernel := fs.String("kernel", "", "simulation kernel: nowarp|dense|sharded<N>|parallel<N> (default: activity scheduling with time warp)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-
-	if *peak {
-		res, err := traffic.PeakThroughput(cfg, 50)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("router peak: measured %.3f Gbit/s of %.3f theoretical (%.1f%% efficiency)\n",
-			res.MeasuredGbps, res.TheoreticalGbps, 100*res.Efficiency)
-		return
+	// A zero TrafficJob field means "default", so a zero flag would
+	// silently run another experiment, and -cycles below 4 a zero warmup.
+	if *w < 1 || *h < 1 || *payload < 1 || *depth < 1 || *flit < 1 || *cycles < 4 {
+		return nil, fmt.Errorf("-w, -h, -payload, -depth and -flit must be positive, -cycles at least 4")
 	}
 
-	spec := traffic.PatternSpec{Name: *pattern}
-	if *hotspots != "" {
-		spots, err := parseHotspots(*hotspots)
-		if err != nil {
-			fatal(err)
-		}
-		spec.Hotspots = spots
-	} else if *pattern == "hotspot" {
-		spec.Hotspots = []traffic.HotspotSpec{{X: *w / 2, Y: *h / 2, Weight: 0.2}}
-	}
-	if *burstLen != 0 || *burstPeak != 0 {
-		spec.Burst = &traffic.BurstSpec{Len: *burstLen, Peak: *burstPeak}
-	}
-	if *mcGroup != "" {
-		group, err := parseAddrs(*mcGroup)
-		if err != nil {
-			fatal(err)
-		}
-		spec.Group = group
-		spec.MulticastUnicast = *mcUnicast
+	job := experiments.TrafficJob{
+		Width: *w, Height: *h, FlitBits: *flit, BufDepth: *depth, Routing: *routing,
+		Pattern: *pattern, BurstLen: *burstLen, BurstPeak: *burstPeak, MulticastUnicast: *mcUnicast,
+		PayloadFlits: *payload, Seed: *seed,
+		Warmup: *cycles / 4, Measure: *cycles, Drain: *cycles * 2,
+		Kernel: sim.Kernel(*kernel),
 	}
 	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			fatal(err)
+		b, err := os.ReadFile(*replay)
+		if err == nil {
+			job.Trace, err = traffic.ReadTrace(bytes.NewReader(b))
 		}
-		entries, err := traffic.ReadTrace(f)
-		f.Close()
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		spec.Name = "trace"
-		spec.Trace = entries
+		job.Pattern = "trace"
+	}
+	var err error
+	if *hotspots != "" {
+		if job.Hotspots, err = parseHotspots(*hotspots); err != nil {
+			return nil, err
+		}
+	} else if job.Pattern == "hotspot" {
+		job.Hotspots = []traffic.HotspotSpec{{X: *w / 2, Y: *h / 2, Weight: 0.2}}
+	}
+	if *mcGroup != "" {
+		if job.Multicast, err = parseAddrs(*mcGroup); err != nil {
+			return nil, err
+		}
 	}
 
+	o := &options{peak: *peak, vcd: *vcdPath, record: *record}
 	rates := []float64{*rate}
 	if *sweep != "" {
 		rates = nil
 		for _, f := range strings.Split(*sweep, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			rates = append(rates, v)
 		}
 	}
-	if *record != "" && len(rates) != 1 {
-		fatal(fmt.Errorf("-record needs a single rate, not a sweep"))
+	if o.record != "" && len(rates) != 1 {
+		return nil, fmt.Errorf("-record needs a single rate, not a sweep")
 	}
-	fmt.Printf("%8s %10s %10s %10s %10s %10s %8s\n",
-		"offered", "accepted", "delivered", "lat.mean", "lat.p95", "lat.total", "packets")
 	for _, r := range rates {
-		tcfg := traffic.Config{
-			Spec: spec, Rate: r, PayloadFlits: *payload, Seed: *seed,
-			Warmup: *cycles / 4, Measure: *cycles, Drain: *cycles * 2,
-			Domains: *domains, Parallel: *parallel,
+		job.Rate = r
+		o.jobs = append(o.jobs, job)
+	}
+	return o, nil
+}
+
+func run(args []string, stdout io.Writer) error {
+	o, err := parse(args)
+	if err != nil {
+		return err
+	}
+	ncfg, _, err := o.jobs[0].Configs()
+	if err != nil {
+		return err
+	}
+	if o.vcd != "" {
+		return traceOnePacket(ncfg, o.vcd)
+	}
+	if o.peak {
+		res, err := traffic.PeakThroughput(ncfg, 50)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintf(stdout, "router peak: measured %.3f Gbit/s of %.3f theoretical (%.1f%% efficiency)\n",
+			res.MeasuredGbps, res.TheoreticalGbps, 100*res.Efficiency)
+		return nil
+	}
+	_, err = o.runTraffic(stdout)
+	return err
+}
+
+// runTraffic validates every job, then runs them in rate order and
+// prints one table row per result as it completes.
+func (o *options) runTraffic(stdout io.Writer) ([]traffic.Result, error) {
+	for _, j := range o.jobs {
+		if err := j.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	fmt.Fprintf(stdout, "%8s %10s %10s %10s %10s %10s %8s\n",
+		"offered", "accepted", "delivered", "lat.mean", "lat.p95", "lat.total", "packets")
+	var results []traffic.Result
+	for _, j := range o.jobs {
 		var res traffic.Result
 		var err error
-		if *record != "" {
-			var rec []traffic.TraceEntry
-			res, rec, err = traffic.RunRecorded(cfg, tcfg)
-			if err == nil {
-				err = writeTraceFile(*record, rec)
-			}
+		if o.record != "" {
+			res, err = recordJob(j, o.record)
 		} else {
-			res, err = traffic.Run(cfg, tcfg)
+			res, err = j.Run(context.Background(), 0)
 		}
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		fmt.Printf("%8.3f %10.4f %10.4f %10.1f %10d %10.1f %8d\n",
+		fmt.Fprintf(stdout, "%8.3f %10.4f %10.4f %10.1f %10d %10.1f %8d\n",
 			res.Offered, res.Accepted, res.Delivered,
 			res.Latency.MeanCycles, res.Latency.P95Cycles,
 			res.Latency.MeanTotalCycles, res.MeasuredPackets)
+		results = append(results, res)
 	}
+	return results, nil
+}
+
+// recordJob runs the job's resolved configuration while recording its
+// injections, and writes them to path as an NDJSON trace.
+func recordJob(j experiments.TrafficJob, path string) (traffic.Result, error) {
+	ncfg, tcfg, err := j.Configs()
+	if err != nil {
+		return traffic.Result{}, err
+	}
+	res, rec, err := traffic.RunRecorded(ncfg, tcfg)
+	if err != nil {
+		return traffic.Result{}, err
+	}
+	var buf bytes.Buffer
+	traffic.WriteTrace(&buf, rec) // cannot fail: plain structs into memory
+	return res, os.WriteFile(path, buf.Bytes(), 0o666)
 }
 
 // parseHotspots parses the "x,y,w;x,y,w" weighted hotspot syntax.
@@ -195,18 +241,6 @@ func parseAddrs(s string) ([]noc.Addr, error) {
 		addrs = append(addrs, noc.Addr{X: x, Y: y})
 	}
 	return addrs, nil
-}
-
-func writeTraceFile(path string, entries []traffic.TraceEntry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := traffic.WriteTrace(f, entries); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // traceOnePacket records the waveforms of a single corner-to-corner
@@ -248,9 +282,4 @@ func traceOnePacket(cfg noc.Config, path string) error {
 	}
 	fmt.Fprintf(os.Stderr, "traced %d cycles into %s\n", clk.Cycle(), path)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nocsim:", err)
-	os.Exit(1)
 }

@@ -29,23 +29,19 @@
 // values — data plus a noc.PacketID indexing a network-owned metadata
 // table — so the steady-state flit path allocates nothing.
 //
-// The system can additionally be sharded into GALS-style clock domains
-// (sim.Group): the mesh is partitioned into per-region domains
-// (noc.NewSharded, noc.StripDomains, core.Config.NoCDomains) whose
-// only coupling is mirror wires (sim.MirrorWire) with a one-cycle
+// One value, sim.Kernel, says how any run is scheduled: the default,
+// the "nowarp" and "dense" oracles, or "sharded<N>"/"parallel<N>",
+// which split the mesh into N column-strip clock domains (sim.Group)
+// coupled only by mirror wires (sim.MirrorWire) with a one-cycle
 // boundary register — the conservative lookahead. Each domain owns its
 // active set, wake queue and timer heap and warps its own dead spans;
-// in parallel mode (Group.SetParallel) every domain runs on its own
-// goroutine and may advance to min(upstream horizons) + 1, exchanging
-// wire changes as ordered cross-domain events. The contract for models
-// is unchanged: anything built on registered wires, Watch, and WakeAt
-// timers is warpable and shardable as-is, because a mirror delivers a
-// change with exactly a local wire's timing. Lockstep execution
-// (SetParallel(false), the default) is bit-identical to registering
-// everything on one Clock — traffic results, router statistics, VCD
-// dumps, and full boot transcripts — and the parallel schedule is
-// deterministic for a fixed partition and reproduces the lockstep
-// results exactly.
+// under "parallel<N>" every domain runs on its own goroutine and may
+// advance to min(upstream horizons) + 1. Models need nothing extra:
+// anything built on registered wires, Watch, and WakeAt timers is
+// warpable and shardable as-is. sim.ParseKernel is the value's only
+// parser and noc.Build the one place a run picks a single Clock or a
+// group, and every kernel reproduces the default's traffic results,
+// router statistics, VCD dumps and boot transcripts bit for bit.
 //
 // Workloads come from a traffic-pattern library
 // (internal/traffic.PatternSpec): uniform, transpose, bit-complement,
@@ -54,11 +50,14 @@
 // so bursts warp like everything else), NDJSON trace record/replay,
 // and multicast groups delivered either by path-based forwarding
 // (noc.Endpoint.SendMulti, one wormhole snaking through the group) or
-// by unicast replication as the differential oracle. Patterns are
-// named values, so the same spec selects a workload in traffic.Config,
-// an experiments.TrafficJob swept by sweepd, or a nocsim invocation —
-// and every pattern draws randomness only on injection cycles, keeping
-// results bit-identical across all kernel modes.
+// by unicast replication as the differential oracle. Every pattern
+// draws randomness only on injection cycles, keeping results
+// bit-identical across all kernel modes.
+//
+// A traffic experiment has one description, experiments.TrafficJob
+// (mesh, routing and pattern by name, load, seed, kernel), and one run
+// path, TrafficJob.Run: sweepd runs submitted jobs through it, and
+// nocsim turns its flags into one job per offered rate and runs those.
 //
 // On top of the kernel sits the design-space sweep service
 // (internal/sweep, cmd/sweepd): an HTTP server that takes batches of
@@ -73,9 +72,9 @@
 // restarted server resume unfinished jobs while serving finished ones
 // from a dedupe cache keyed by (canonical config, seed, code version).
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmarks in bench_test.go regenerate every experiment; the
-// binaries under cmd/ and the programs under examples/ exercise the
-// public API.
+// Each package under internal/ documents its own model. `go run
+// ./cmd/experiments` prints the paper-vs-measured report, one section
+// per claim (experiments.All is the index). The benchmarks in
+// bench_test.go regenerate every experiment; the binaries under cmd/
+// and the programs under examples/ exercise the public API.
 package repro

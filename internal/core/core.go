@@ -41,16 +41,11 @@ type Config struct {
 	Memories []noc.Addr
 	// SerialDiv is the RS-232 divisor in clock cycles per bit.
 	SerialDiv int
-	// NoCDomains shards the mesh into this many clock domains (column
-	// strips, see noc.StripDomains), leaving the host, Serial IP,
-	// processors and memories in the default domain 0; 0 or 1 builds
-	// the classic single-clock system. Results are bit-identical either
-	// way.
-	NoCDomains int
-	// NoCParallel runs the clock domains of a sharded system on
-	// separate goroutines (sim.Group.SetParallel). No effect unless
-	// NoCDomains > 1.
-	NoCParallel bool
+	// Kernel selects how the system is scheduled (see sim.Kernel). The
+	// sharded modes split the mesh into column-strip clock domains and
+	// leave the host, Serial IP, processors and memories in domain 0.
+	// Every kernel runs the system bit-identically.
+	Kernel sim.Kernel
 }
 
 // Default returns the paper's Figure 1 system: a 2x2 Hermes mesh with
@@ -93,10 +88,9 @@ func Scaled(width, height, nProcs, nMems int) (Config, error) {
 type System struct {
 	cfg Config
 
-	Clk *sim.Clock
-	// Group is the clock-domain group of a sharded system (NoCDomains >
-	// 1), nil otherwise. Clk is its domain 0 either way.
-	Group  *sim.Group
+	// Clk is the system clock: domain 0 of Net.Group() under a sharded
+	// kernel.
+	Clk    *sim.Clock
 	Net    *noc.Network
 	Host   *host.Host
 	Serial *serial.IP
@@ -124,27 +118,13 @@ func New(cfg Config) (*System, error) {
 		}
 		ncfg = noc.Defaults(w, h)
 	}
-	var (
-		clk *sim.Clock
-		grp *sim.Group
-		net *noc.Network
-		err error
-	)
-	if cfg.NoCDomains > 1 {
-		// Domain 0 hosts everything outside the mesh; the mesh fills
-		// domains 1..NoCDomains as column strips.
-		grp = sim.NewGroup(cfg.NoCDomains + 1)
-		grp.SetParallel(cfg.NoCParallel)
-		net, err = noc.NewSharded(grp, ncfg, noc.StripDomains(ncfg, cfg.NoCDomains, 1))
-		clk = grp.Clock(0)
-	} else {
-		clk = sim.NewClock()
-		net, err = noc.New(clk, ncfg)
-	}
+	// Domain 0 hosts everything outside the mesh.
+	net, err := noc.Build(cfg.Kernel, ncfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, Clk: clk, Group: grp, Net: net}
+	clk := net.Clock()
+	s := &System{cfg: cfg, Clk: clk, Net: net}
 
 	// Serial IP and host, joined by the two RS-232 lines (tx/rx pins).
 	toNoC := serial.NewLine(clk, "host-tx")

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/noc"
 	"repro/internal/rcc"
+	"repro/internal/sim"
 )
 
 // boot builds and synchronizes the Figure 1 system.
@@ -296,7 +297,7 @@ func TestWaitNotify(t *testing.T) {
 
 func TestNotifyBeforeWaitIsNotLost(t *testing.T) {
 	// Reversed race: the notify lands before P1 executes its wait; the
-	// pending-notify queue must absorb it (DESIGN.md §4.2).
+	// pending-notify count must absorb it (procip's wait).
 	s := boot(t)
 	if _, err := s.LoadProgramDirect(1, `
 		LDI R6, 250      ; dawdle so the notify arrives first
@@ -525,6 +526,74 @@ func TestCompiledProgramOnSystem(t *testing.T) {
 	}
 }
 
+// transcript is the observable outcome of bootTranscript's whole-stack
+// run.
+type transcript struct {
+	cycles       uint64
+	baud         int
+	framesSent   uint64
+	framesRecv   uint64
+	framesToNoC  uint64
+	framesToHost uint64
+	words        [8]uint16
+	output       string
+}
+
+// bootTranscript boots cfg under the given kernel, writes and reads
+// back eight words of its first memory over the serial path, and runs a
+// printf program on processor 1 to completion.
+func bootTranscript(t *testing.T, cfg Config, kernel sim.Kernel) transcript {
+	t.Helper()
+	cfg.Kernel = kernel
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := sim.ParseKernel(kernel); (s.Net.Group() != nil) != (m.Domains > 0) {
+		t.Fatalf("kernel %q built Group %v", kernel, s.Net.Group())
+	}
+	if err := s.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	memAddr := cfg.Memories[0]
+	if err := s.Host.WriteMemory(memAddr, 0, []uint16{10, 20, 30, 40, 50, 60, 70, 80}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ReadMemory(memAddr, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadProgram(1, `
+		LDI R1, 0xFFFF
+		CLR R0
+		LDI R2, 'W'
+		ST R2, R1, R0
+		HALT
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Activate(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntilHalted(2_000_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DrainIO(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	tr := transcript{
+		cycles:       s.Clk.Cycle(),
+		baud:         s.Serial.Baud(),
+		framesSent:   s.Host.FramesSent,
+		framesRecv:   s.Host.FramesRecv,
+		framesToNoC:  s.Serial.FramesToNoC,
+		framesToHost: s.Serial.FramesToHost,
+		output:       s.Output(1),
+	}
+	copy(tr.words[:], got)
+	return tr
+}
+
 // TestTimeWarpBootTranscriptIdentical: a full serial boot — 0x55
 // auto-baud, a memory write, a read round trip and a printf program —
 // must produce a bit-identical transcript with time warping on, off,
@@ -534,77 +603,16 @@ func TestCompiledProgramOnSystem(t *testing.T) {
 // time-warp kernel: the serial path exercises UART edge timers, the
 // NoC path the router delay timers.
 func TestTimeWarpBootTranscriptIdentical(t *testing.T) {
-	type transcript struct {
-		cycles       uint64
-		baud         int
-		framesSent   uint64
-		framesRecv   uint64
-		framesToNoC  uint64
-		framesToHost uint64
-		words        [8]uint16
-		output       string
-	}
-	run := func(dense, warp bool) transcript {
-		s, err := New(Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Clk.SetActivityScheduling(!dense)
-		s.Clk.SetTimeWarp(warp)
-		if err := s.Boot(); err != nil {
-			t.Fatal(err)
-		}
-		memAddr := noc.Addr{X: 1, Y: 1}
-		if err := s.Host.WriteMemory(memAddr, 0, []uint16{10, 20, 30, 40, 50, 60, 70, 80}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.ReadMemory(memAddr, 0, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.LoadProgram(1, `
-			LDI R1, 0xFFFF
-			CLR R0
-			LDI R2, 'W'
-			ST R2, R1, R0
-			HALT
-		`); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Activate(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunUntilHalted(2_000_000, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.DrainIO(1_000_000); err != nil {
-			t.Fatal(err)
-		}
-		tr := transcript{
-			cycles:       s.Clk.Cycle(),
-			baud:         s.Serial.Baud(),
-			framesSent:   s.Host.FramesSent,
-			framesRecv:   s.Host.FramesRecv,
-			framesToNoC:  s.Serial.FramesToNoC,
-			framesToHost: s.Serial.FramesToHost,
-			output:       s.Output(1),
-		}
-		copy(tr.words[:], got)
-		return tr
-	}
-	ref := run(false, true) // the default configuration: sparse + warp
+	ref := bootTranscript(t, Default(), "") // the default kernel: sparse + warp
 	if ref.words != [8]uint16{10, 20, 30, 40, 50, 60, 70, 80} {
 		t.Fatalf("read-back words wrong: %v", ref.words)
 	}
 	if ref.output != "W" {
 		t.Fatalf("program output = %q, want W", ref.output)
 	}
-	for _, tc := range []struct {
-		name        string
-		dense, warp bool
-	}{{"sparse-nowarp", false, false}, {"dense", true, false}} {
-		if got := run(tc.dense, tc.warp); got != ref {
-			t.Errorf("%s transcript diverges:\n  warp %+v\n  got  %+v", tc.name, ref, got)
+	for _, k := range []sim.Kernel{"nowarp", "dense"} {
+		if got := bootTranscript(t, Default(), k); got != ref {
+			t.Errorf("%s transcript diverges:\n  warp %+v\n  got  %+v", k, ref, got)
 		}
 	}
 }
@@ -616,67 +624,6 @@ func TestTimeWarpBootTranscriptIdentical(t *testing.T) {
 // every frame; processors and memories talk to their routers over
 // cross-domain Local-port links throughout.
 func TestShardedBootTranscriptIdentical(t *testing.T) {
-	type transcript struct {
-		cycles       uint64
-		baud         int
-		framesSent   uint64
-		framesRecv   uint64
-		framesToNoC  uint64
-		framesToHost uint64
-		words        [8]uint16
-		output       string
-	}
-	run := func(cfg Config, domains int, parallel bool) transcript {
-		cfg.NoCDomains = domains
-		cfg.NoCParallel = parallel
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if domains > 1 && s.Group == nil {
-			t.Fatal("sharded system has no Group")
-		}
-		if err := s.Boot(); err != nil {
-			t.Fatal(err)
-		}
-		memAddr := cfg.Memories[0]
-		if err := s.Host.WriteMemory(memAddr, 0, []uint16{10, 20, 30, 40, 50, 60, 70, 80}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.ReadMemory(memAddr, 0, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.LoadProgram(1, `
-			LDI R1, 0xFFFF
-			CLR R0
-			LDI R2, 'W'
-			ST R2, R1, R0
-			HALT
-		`); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Activate(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunUntilHalted(2_000_000, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.DrainIO(1_000_000); err != nil {
-			t.Fatal(err)
-		}
-		tr := transcript{
-			cycles:       s.Clk.Cycle(),
-			baud:         s.Serial.Baud(),
-			framesSent:   s.Host.FramesSent,
-			framesRecv:   s.Host.FramesRecv,
-			framesToNoC:  s.Serial.FramesToNoC,
-			framesToHost: s.Serial.FramesToHost,
-			output:       s.Output(1),
-		}
-		copy(tr.words[:], got)
-		return tr
-	}
 	scaled, err := Scaled(4, 4, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -684,21 +631,18 @@ func TestShardedBootTranscriptIdentical(t *testing.T) {
 	for _, sys := range []struct {
 		name    string
 		cfg     Config
-		domains []int
+		kernels []sim.Kernel
 	}{
-		{"fig1", Default(), []int{2}},
-		{"scaled4x4", scaled, []int{2, 4}},
+		{"fig1", Default(), []sim.Kernel{"sharded2", "parallel2"}},
+		{"scaled4x4", scaled, []sim.Kernel{"sharded2", "parallel2", "sharded4", "parallel4"}},
 	} {
-		ref := run(sys.cfg, 0, false)
+		ref := bootTranscript(t, sys.cfg, "")
 		if ref.output != "W" {
 			t.Fatalf("%s: program output = %q, want W", sys.name, ref.output)
 		}
-		for _, d := range sys.domains {
-			for _, parallel := range []bool{false, true} {
-				if got := run(sys.cfg, d, parallel); got != ref {
-					t.Errorf("%s domains=%d parallel=%v transcript diverges:\n  ref %+v\n  got %+v",
-						sys.name, d, parallel, ref, got)
-				}
+		for _, k := range sys.kernels {
+			if got := bootTranscript(t, sys.cfg, k); got != ref {
+				t.Errorf("%s kernel %s transcript diverges:\n  ref %+v\n  got %+v", sys.name, k, ref, got)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package experiments regenerates every quantitative claim of the
-// MultiNoC paper (see DESIGN.md §5 for the experiment index). Each
-// function runs one experiment and writes a markdown section with
-// paper-vs-measured figures; All produces the full EXPERIMENTS.md body.
+// MultiNoC paper. Each function runs one experiment and writes a
+// markdown section with paper-vs-measured figures; All is the index, in
+// report order, and `go run ./cmd/experiments` prints the whole report.
 package experiments
 
 import (

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/noc"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -34,15 +35,11 @@ type TrafficJob struct {
 	Routing string `json:"routing,omitempty"`
 	// Pattern selects the traffic pattern by name — any name of the
 	// traffic pattern library: "uniform" (default), "transpose",
-	// "bitcomp", "bitrev", "hotspot" (weighted Hotspots, or the legacy
-	// single HotspotX/Y/Fraction spot), "bursty", "trace" (replaying
-	// Trace) or "multicast" (a SendMulti group per injection).
-	Pattern         string  `json:"pattern,omitempty"`
-	HotspotX        int     `json:"hotspotX,omitempty"`
-	HotspotY        int     `json:"hotspotY,omitempty"`
-	HotspotFraction float64 `json:"hotspotFraction,omitempty"`
-	// Hotspots is the weighted hotspot set; when empty, Canonical lifts
-	// the legacy single-spot fields into it.
+	// "bitcomp", "bitrev", "hotspot" (weighted Hotspots), "bursty",
+	// "trace" (replaying Trace) or "multicast" (a SendMulti group per
+	// injection). Validate rejects parameters the pattern does not use.
+	Pattern string `json:"pattern,omitempty"`
+	// Hotspots is the weighted hotspot set of the "hotspot" pattern.
 	Hotspots []traffic.HotspotSpec `json:"hotspots,omitempty"`
 	// BurstLen and BurstPeak modulate arrivals with the on/off burst
 	// process (zero → library defaults for the "bursty" pattern, no
@@ -64,12 +61,10 @@ type TrafficJob struct {
 	Measure      int     `json:"measure,omitempty"`
 	Drain        int     `json:"drain,omitempty"`
 	QueueCap     int     `json:"queueCap,omitempty"`
-	// Kernel execution knobs. They never change results — only how the
-	// simulation is scheduled — so Canonical() drops Parallel from the
-	// dedupe identity but keeps Domains (packet-ID numbering and the
-	// Completed log ordering are partition-dependent).
-	Domains  int  `json:"domains,omitempty"`
-	Parallel bool `json:"parallel,omitempty"`
+	// Kernel selects how the simulation is scheduled (see sim.Kernel).
+	// Every kernel gives the same Result, so it is not part of the job's
+	// identity: Canonical clears it, and Run honours it.
+	Kernel sim.Kernel `json:"kernel,omitempty"`
 }
 
 // defaultJob holds the phase-length fallbacks for zero-valued jobs: a
@@ -83,7 +78,7 @@ const (
 
 // Canonical returns the job with every default applied explicitly —
 // two jobs describing the same simulation canonicalize to equal
-// structs, the basis of the sweep service's dedupe key. Parallel is
+// structs, the basis of the sweep service's dedupe key. Kernel is
 // cleared: it selects an execution strategy with bit-identical results,
 // not a different experiment.
 func (j TrafficJob) Canonical() TrafficJob {
@@ -112,17 +107,6 @@ func (j TrafficJob) Canonical() TrafficJob {
 	if j.Pattern == "" {
 		j.Pattern = "uniform"
 	}
-	if j.Pattern == "hotspot" && len(j.Hotspots) == 0 {
-		// Lift the legacy single-spot form into the weighted set, so
-		// both forms of the same experiment share one dedupe identity.
-		// A zero fraction is the legacy spelling of uniform traffic.
-		if j.HotspotFraction == 0 {
-			j.Pattern = "uniform"
-		} else {
-			j.Hotspots = []traffic.HotspotSpec{{X: j.HotspotX, Y: j.HotspotY, Weight: j.HotspotFraction}}
-		}
-		j.HotspotX, j.HotspotY, j.HotspotFraction = 0, 0, 0
-	}
 	if j.Pattern == "bursty" || j.BurstLen != 0 || j.BurstPeak != 0 {
 		if j.BurstLen == 0 {
 			j.BurstLen = 8
@@ -146,10 +130,7 @@ func (j TrafficJob) Canonical() TrafficJob {
 	if j.QueueCap == 0 {
 		j.QueueCap = 64
 	}
-	if j.Domains == 0 {
-		j.Domains = 1
-	}
-	j.Parallel = false
+	j.Kernel = ""
 	return j
 }
 
@@ -161,62 +142,46 @@ var routings = map[string]noc.RoutingFunc{
 	"westfirst": noc.RouteWestFirst,
 }
 
-// NoCConfig resolves the job's mesh configuration.
-func (j TrafficJob) NoCConfig() (noc.Config, error) {
-	j = j.Canonical()
-	routing, ok := routings[j.Routing]
+// Configs resolves the job into the mesh and experiment configurations
+// Run executes: every default applied, the job's Kernel kept. A caller
+// that needs more than a Result (nocsim's -record, -peak and -vcd) runs
+// these itself.
+func (j TrafficJob) Configs() (noc.Config, traffic.Config, error) {
+	c := j.Canonical()
+	routing, ok := routings[c.Routing]
 	if !ok {
-		return noc.Config{}, fmt.Errorf("experiments: unknown routing %q", j.Routing)
+		return noc.Config{}, traffic.Config{}, fmt.Errorf("experiments: unknown routing %q", c.Routing)
 	}
-	return noc.Config{
-		Width: j.Width, Height: j.Height,
-		FlitBits: j.FlitBits, BufDepth: j.BufDepth,
-		RouteCycles: j.RouteCycles, Routing: routing,
-		ClockMHz: j.ClockMHz,
-	}, nil
-}
-
-// patternSpec assembles the traffic pattern spec of the (canonical)
-// job. Pattern-parameter validation lives in traffic.PatternSpec
-// .Validate, reached through Config.Validate.
-func (j TrafficJob) patternSpec() traffic.PatternSpec {
-	s := traffic.PatternSpec{
-		Name:             j.Pattern,
-		Hotspots:         j.Hotspots,
-		Trace:            j.Trace,
-		Group:            j.Multicast,
-		MulticastUnicast: j.MulticastUnicast,
+	ncfg := noc.Config{
+		Width: c.Width, Height: c.Height,
+		FlitBits: c.FlitBits, BufDepth: c.BufDepth,
+		RouteCycles: c.RouteCycles, Routing: routing,
+		ClockMHz: c.ClockMHz,
 	}
-	if j.BurstLen != 0 || j.BurstPeak != 0 {
-		s.Burst = &traffic.BurstSpec{Len: j.BurstLen, Peak: j.BurstPeak}
+	tcfg := traffic.Config{
+		Spec: traffic.PatternSpec{
+			Name: c.Pattern, Hotspots: c.Hotspots, Trace: c.Trace,
+			Group: c.Multicast, MulticastUnicast: c.MulticastUnicast,
+		},
+		Kernel: j.Kernel, Rate: c.Rate, PayloadFlits: c.PayloadFlits, Seed: c.Seed,
+		Warmup: c.Warmup, Measure: c.Measure, Drain: c.Drain, QueueCap: c.QueueCap,
 	}
-	return s
+	if c.BurstLen != 0 || c.BurstPeak != 0 {
+		tcfg.Spec.Burst = &traffic.BurstSpec{Len: c.BurstLen, Peak: c.BurstPeak}
+	}
+	// Pattern parameters are checked by tcfg.Validate, against the mesh.
+	return ncfg, tcfg, nil
 }
 
 // Validate reports the first reason the job cannot run, nil when it is
 // well-formed. The sweep service maps a non-nil result to a client
 // error (HTTP 400) at submission time, before a worker is spent on it.
 func (j TrafficJob) Validate() error {
-	c := j.Canonical()
-	ncfg, err := c.NoCConfig()
+	ncfg, tcfg, err := j.Configs()
 	if err != nil {
 		return err
 	}
-	return c.trafficConfig().Validate(ncfg)
-}
-
-// trafficConfig assembles the traffic.Config for the (canonical) job.
-// Mesh-dependent pattern checks run in traffic.Config.Validate.
-func (j TrafficJob) trafficConfig() traffic.Config {
-	domains := j.Domains
-	if domains == 1 {
-		domains = 0
-	}
-	return traffic.Config{
-		Spec: j.patternSpec(), Rate: j.Rate, PayloadFlits: j.PayloadFlits,
-		Seed: j.Seed, Warmup: j.Warmup, Measure: j.Measure, Drain: j.Drain,
-		QueueCap: j.QueueCap, Domains: domains, Parallel: j.Parallel,
-	}
+	return tcfg.Validate(ncfg)
 }
 
 // Run executes the job: an independent sim.Clock (or sharded Group),
@@ -224,15 +189,13 @@ func (j TrafficJob) trafficConfig() traffic.Config {
 // concurrently without sharing simulator state. ctx bounds the run in
 // wall-clock time and maxCycles (0 = unbounded) in simulated time; both
 // surface as errors from the kernel's cancellation hook, never as hangs.
+// It is the one run path of a traffic experiment: sweepd's default
+// runner and nocsim both call it.
 func (j TrafficJob) Run(ctx context.Context, maxCycles uint64) (traffic.Result, error) {
-	c := j.Canonical()
-	c.Parallel = j.Parallel // execution strategy is the caller's choice
-	ncfg, err := c.NoCConfig()
+	ncfg, tcfg, err := j.Configs()
 	if err != nil {
 		return traffic.Result{}, err
 	}
-	tcfg := c.trafficConfig()
-	tcfg.Ctx = ctx
-	tcfg.MaxCycles = maxCycles
+	tcfg.Ctx, tcfg.MaxCycles = ctx, maxCycles
 	return traffic.Run(ncfg, tcfg)
 }

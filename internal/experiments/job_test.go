@@ -8,34 +8,24 @@ import (
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
 func TestTrafficJobCanonicalIsStable(t *testing.T) {
-	// Canonicalization is idempotent and erases the execution-strategy
-	// flag, so jobs differing only in Parallel share an identity.
-	j := TrafficJob{Rate: 0.05, Seed: 3, Parallel: true}
-	c := j.Canonical()
-	if !reflect.DeepEqual(c, c.Canonical()) {
-		t.Fatalf("Canonical not idempotent: %+v vs %+v", c, c.Canonical())
+	// Canonicalization is idempotent and erases the kernel, so jobs
+	// differing only in how they are scheduled share an identity.
+	ref := TrafficJob{Rate: 0.05, Seed: 3}.Canonical()
+	if !reflect.DeepEqual(ref, ref.Canonical()) {
+		t.Fatalf("Canonical not idempotent: %+v vs %+v", ref, ref.Canonical())
 	}
-	if c.Parallel {
-		t.Fatal("Canonical kept Parallel")
+	for _, k := range []sim.Kernel{"nowarp", "dense", "sharded2", "parallel4"} {
+		if c := (TrafficJob{Rate: 0.05, Seed: 3, Kernel: k}).Canonical(); !reflect.DeepEqual(c, ref) {
+			t.Fatalf("kernel %s canonicalizes differently:\n%+v\n%+v", k, c, ref)
+		}
 	}
-	serial := TrafficJob{Rate: 0.05, Seed: 3}
-	if !reflect.DeepEqual(c, serial.Canonical()) {
-		t.Fatalf("parallel and serial jobs canonicalize differently:\n%+v\n%+v", c, serial.Canonical())
-	}
-	// The legacy single-spot hotspot form and its weighted spelling
-	// share a canonical identity, and the burst fields default for
-	// bursty jobs — Canonical stays idempotent through both rewrites.
-	legacy := TrafficJob{Rate: 0.05, Pattern: "hotspot", HotspotX: 2, HotspotY: 1, HotspotFraction: 0.3}
-	weighted := TrafficJob{Rate: 0.05, Pattern: "hotspot",
-		Hotspots: []traffic.HotspotSpec{{X: 2, Y: 1, Weight: 0.3}}}
-	if !reflect.DeepEqual(legacy.Canonical(), weighted.Canonical()) {
-		t.Fatalf("hotspot forms canonicalize differently:\n%+v\n%+v",
-			legacy.Canonical(), weighted.Canonical())
-	}
+	// The burst fields default for bursty jobs, and Canonical stays
+	// idempotent through the rewrite.
 	bursty := (TrafficJob{Rate: 0.05, Pattern: "bursty"}).Canonical()
 	if bursty.BurstLen != 8 || bursty.BurstPeak != 0.5 {
 		t.Fatalf("bursty job missing burst defaults: %+v", bursty)
@@ -48,8 +38,8 @@ func TestTrafficJobCanonicalIsStable(t *testing.T) {
 func TestTrafficJobSurvivesJSONRoundTrip(t *testing.T) {
 	j := TrafficJob{
 		Width: 6, Height: 4, Routing: "yx", Pattern: "hotspot",
-		HotspotX: 2, HotspotY: 1, HotspotFraction: 0.3,
-		Rate: 0.08, PayloadFlits: 4, Seed: 42, Measure: 1500, Domains: 2,
+		Rate: 0.08, PayloadFlits: 4, Seed: 42, Measure: 1500, Kernel: "parallel2",
+		Hotspots: []traffic.HotspotSpec{{X: 2, Y: 1, Weight: 0.3}},
 	}
 	bs, err := json.Marshal(j)
 	if err != nil {
@@ -62,7 +52,8 @@ func TestTrafficJobSurvivesJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, j) {
 		t.Fatalf("round trip changed the job:\n got %+v\nwant %+v", back, j)
 	}
-	// The pattern-library fields survive the round trip too.
+	// The pattern-library fields survive the round trip too (as data:
+	// this combination would not validate).
 	rich := TrafficJob{
 		Rate: 0.05, Pattern: "multicast",
 		Multicast:        []noc.Addr{{X: 1, Y: 2}, {X: 3, Y: 0}},
@@ -94,8 +85,9 @@ func TestTrafficJobValidate(t *testing.T) {
 		{Rate: 0.05, Width: 40},
 		{Rate: 0.05, Routing: "zigzag"},
 		{Rate: 0.05, Pattern: "nope"},
-		{Rate: 0.05, Pattern: "hotspot", HotspotX: 99, HotspotFraction: 0.3},
-		{Rate: 0.05, Pattern: "hotspot", HotspotFraction: 2},
+		{Rate: 0.05, Pattern: "hotspot"},
+		{Rate: 0.05, Pattern: "hotspot", Hotspots: []traffic.HotspotSpec{{X: 99, Weight: 0.3}}},
+		{Rate: 0.05, Pattern: "hotspot", Hotspots: []traffic.HotspotSpec{{X: 1, Y: 1, Weight: 2}}},
 		{Rate: 0.05, Pattern: "hotspot", Hotspots: []traffic.HotspotSpec{
 			{X: 1, Y: 1, Weight: 0.7}, {X: 2, Y: 2, Weight: 0.7}}},
 		{Rate: 0.05, Pattern: "bitrev", Width: 6, Height: 6},
@@ -107,8 +99,21 @@ func TestTrafficJobValidate(t *testing.T) {
 		{Rate: 0.05, Pattern: "multicast"},
 		{Rate: 0.05, Pattern: "multicast", Multicast: []noc.Addr{{X: 1, Y: 1}, {X: 1, Y: 1}}},
 		{Rate: 0.05, Measure: -5},
-		{Rate: 0.05, Domains: 100},
+		{Rate: 0.05, Kernel: "sharded100"},
+		{Rate: 0.05, Kernel: "parallel"},
+		{Rate: 0.05, Kernel: "fast"},
+		// Parameters the pattern does not use: rejected, not ignored.
+		{Rate: 0.05, Hotspots: []traffic.HotspotSpec{{X: 1, Y: 1, Weight: 0.3}}},
+		{Rate: 0.05, Pattern: "bitcomp", Hotspots: []traffic.HotspotSpec{{X: 1, Y: 1, Weight: 0.3}}},
+		{Rate: 0.05, Multicast: []noc.Addr{{X: 1, Y: 1}, {X: 2, Y: 2}}},
+		{Rate: 0.05, Pattern: "transpose", MulticastUnicast: true},
+		{Rate: 0.05, Pattern: "bursty", Trace: []traffic.TraceEntry{
+			{Cycle: 1, Src: noc.Addr{X: 0, Y: 0}, Dst: noc.Addr{X: 1, Y: 1}, Payload: 1}}},
+		{Rate: 0.05, Pattern: "trace", Trace: []traffic.TraceEntry{
+			{Cycle: 1, Src: noc.Addr{X: 0, Y: 0}, Dst: noc.Addr{X: 1, Y: 1}, Payload: 1}},
+			Hotspots: []traffic.HotspotSpec{{X: 1, Y: 1, Weight: 0.3}}},
 		{Rate: 0.05, FlitBits: 13},
+		{Rate: 0.05, Width: 1, Height: 1}, // uniform has no destination
 	}
 	for i, j := range bad {
 		if err := j.Validate(); err == nil {
@@ -117,7 +122,7 @@ func TestTrafficJobValidate(t *testing.T) {
 	}
 	good := []TrafficJob{
 		{Rate: 0.05, Pattern: "bitrev"},
-		{Rate: 0.05, Pattern: "bursty"},
+		{Rate: 0.05, Pattern: "bursty", Kernel: "parallel8"},
 		{Rate: 0.05, Pattern: "transpose", BurstLen: 4, BurstPeak: 0.4},
 		{Rate: 0.05, Pattern: "multicast", Multicast: []noc.Addr{{X: 1, Y: 1}, {X: 7, Y: 7}}},
 		{Rate: 0.05, Pattern: "trace", Trace: []traffic.TraceEntry{
@@ -165,9 +170,9 @@ func TestTrafficJobRunMatchesDirectTrafficRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job run: %v", err)
 	}
-	ncfg, err := j.NoCConfig()
+	ncfg, _, err := j.Configs()
 	if err != nil {
-		t.Fatalf("NoCConfig: %v", err)
+		t.Fatalf("Configs: %v", err)
 	}
 	want, err := traffic.Run(ncfg, traffic.Config{
 		Rate: 0.05, PayloadFlits: 4, Seed: 9,

@@ -31,18 +31,18 @@ func A6KernelSchedule(w io.Writer) error {
 		{16, 16, 0.10},
 	} {
 		cfg := noc.Defaults(tc.w, tc.h)
-		run := func(dense bool) (traffic.Result, error) {
+		run := func(kernel sim.Kernel) (traffic.Result, error) {
 			return traffic.Run(cfg, traffic.Config{
 				Rate: tc.rate, PayloadFlits: 8, Seed: 7,
 				Warmup: 500, Measure: 3000, Drain: 20000,
-				DenseKernel: dense,
+				Kernel: kernel,
 			})
 		}
-		dres, err := run(true)
+		dres, err := run("dense")
 		if err != nil {
 			return err
 		}
-		ares, err := run(false)
+		ares, err := run("")
 		if err != nil {
 			return err
 		}

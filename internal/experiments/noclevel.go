@@ -103,7 +103,7 @@ func AblRouting(w io.Writer) error {
 		cfg := noc.Defaults(4, 4)
 		cfg.Routing = tc.fn
 		res, err := traffic.Run(cfg, traffic.Config{
-			Pattern: traffic.Transpose, Rate: 0.15, PayloadFlits: 8, Seed: 5,
+			Spec: traffic.PatternSpec{Name: "transpose"}, Rate: 0.15, PayloadFlits: 8, Seed: 5,
 			Warmup: 3000, Measure: 10000, Drain: 30000,
 		})
 		if err != nil {

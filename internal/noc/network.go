@@ -153,6 +153,41 @@ func StripDomains(cfg Config, d, base int) func(Addr) int {
 	return func(a Addr) int { return base + a.X*d/cfg.Width }
 }
 
+// KernelMode parses kernel k for this mesh: a sharded mode may not ask
+// for more domains than the mesh has column strips.
+func (c Config) KernelMode(k sim.Kernel) (sim.KernelMode, error) {
+	m, err := sim.ParseKernel(k)
+	if err == nil && m.Domains > c.Width {
+		err = fmt.Errorf("noc: kernel %q: %d domains exceed the mesh's %d column strips", k, m.Domains, c.Width)
+	}
+	return m, err
+}
+
+// Build constructs the mesh on the clocks kernel k names. It is the one
+// place a run chooses between a single clock and a sharded group. The
+// single-domain modes get a plain sim.Clock; sharded<N> and parallel<N>
+// get a sim.Group of host+N domains with the mesh in N column strips
+// from domain host on, which leaves domains 0..host-1 to the caller's
+// components outside the mesh. Network.Clock is domain 0 either way.
+func Build(k sim.Kernel, cfg Config, host int) (*Network, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m, err := cfg.KernelMode(k)
+	if err != nil {
+		return nil, err
+	}
+	if m.Domains == 0 {
+		clk := sim.NewClock()
+		clk.SetActivityScheduling(!m.Dense)
+		clk.SetTimeWarp(!m.NoWarp)
+		return New(clk, cfg)
+	}
+	g := sim.NewGroup(host + m.Domains)
+	g.SetParallel(m.Parallel)
+	return NewSharded(g, cfg, StripDomains(cfg, m.Domains, host))
+}
+
 func buildNet(clk *sim.Clock, g *sim.Group, cfg Config, domainOf func(Addr) int) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -218,7 +218,7 @@ func (ip *IP) dispatch() {
 			ip.stats.NotifiesRecv++
 			ip.pendingNotifies[m.Proc]++
 		case noc.SvcWait:
-			// Registration of a waiter (DESIGN.md §4.2); wake-up
+			// Registration of a waiter (noc.SvcWait); wake-up
 			// correctness rides on notify, so this is bookkeeping.
 			ip.stats.WaitRegsRecv++
 		default:

@@ -6,7 +6,8 @@
 // The original R8 specification is no longer published; the ISA here is
 // a reconstruction that satisfies every constraint the paper states,
 // including the three-register ST used by the wait/notify example
-// ("ST R3, R1, R2" stores R3 at address R1+R2). See DESIGN.md §4.4.
+// ("ST R3, R1, R2" stores R3 at address R1+R2). opTable below is the
+// full encoding: format, major opcode and sub-code of every instruction.
 package r8
 
 import "fmt"
@@ -14,7 +15,7 @@ import "fmt"
 // Op enumerates the 36 R8 instructions.
 type Op uint8
 
-// The instruction set, grouped as in DESIGN.md §4.4.
+// The instruction set, grouped by operation class.
 const (
 	// ALU register-register: rt = rs1 op rs2.
 	ADD Op = iota
@@ -85,7 +86,7 @@ const (
 // Format describes how an instruction's fields are packed.
 type Format uint8
 
-// Instruction formats (DESIGN.md §4.4).
+// Instruction formats: the field layout of a 16-bit instruction word.
 const (
 	FmtR Format = iota // [op:4][rt:4][rs1:4][rs2:4]
 	FmtI               // [op:4][rt:4][imm:8]

@@ -76,21 +76,6 @@ func (g *Group) Cycle() uint64 { return g.clocks[0].cycle }
 // execution relaxes.
 func (g *Group) SetParallel(on bool) { g.parallel = on }
 
-// SetActivityScheduling applies Clock.SetActivityScheduling to every
-// domain.
-func (g *Group) SetActivityScheduling(on bool) {
-	for _, c := range g.clocks {
-		c.SetActivityScheduling(on)
-	}
-}
-
-// SetTimeWarp applies Clock.SetTimeWarp to every domain.
-func (g *Group) SetTimeWarp(on bool) {
-	for _, c := range g.clocks {
-		c.SetTimeWarp(on)
-	}
-}
-
 // SetCancel applies Clock.SetCancel to every domain: one hook shared by
 // the whole group. In a parallel run every domain goroutine consults
 // the hook independently, so it must be safe for concurrent calls (a

@@ -86,8 +86,8 @@
 //     next executed step, so the accumulator can integrate the frozen
 //     state over the span and stay bit-identical to dense evaluation.
 //
-// SetTimeWarp(false) disables the jump (every cycle is stepped, as in
-// PR 1) for differential testing; dense mode never warps.
+// SetTimeWarp(false) — the "nowarp" Kernel — disables the jump (every
+// cycle is stepped) for differential testing; dense mode never warps.
 //
 // Models extend the same idea below whole-clock granularity by
 // *run-batching* their own periodic protocols: instead of stepping a
@@ -117,7 +117,7 @@
 // busy — the case a single domain can never warp.
 //
 // Group.SetParallel selects between two executions of the same
-// semantics:
+// semantics (the "sharded<N>" and "parallel<N>" Kernels):
 //
 //   - Serial lockstep (the default): every domain executes cycle c
 //     before any executes c+1, with a group-wide warp when every domain
@@ -149,7 +149,8 @@
 // scheduling on or off, with time warping on or off, and with any
 // domain partition serial or parallel;
 // SetActivityScheduling(false) restores the dense reference behaviour
-// for differential testing.
+// for differential testing. Runs select all of this with one value,
+// Kernel (see ParseKernel).
 package sim
 
 import (

@@ -203,6 +203,16 @@ func TestHTTPPatternSweep(t *testing.T) {
 			j.Pattern = "bursty"
 			j.BurstPeak = 0.04
 		}),
+		spec(func(j *experiments.TrafficJob) { // hotspots on uniform traffic
+			j.Hotspots = []traffic.HotspotSpec{{X: 1, Y: 1, Weight: 0.3}}
+		}),
+		spec(func(j *experiments.TrafficJob) { // multicast set on transpose
+			j.Pattern = "transpose"
+			j.Multicast = []noc.Addr{{X: 0, Y: 0}, {X: 1, Y: 1}}
+		}),
+		spec(func(j *experiments.TrafficJob) { // unknown kernel
+			j.Kernel = "turbo"
+		}),
 	}
 	for i, js := range bad {
 		resp := postBatch(t, srv.URL, SubmitRequest{Jobs: []JobSpec{js}})

@@ -318,7 +318,7 @@ func TestDedupeAcrossBatches(t *testing.T) {
 	// and execution strategy): served from cache, not recomputed.
 	again := spec
 	again.MaxRetries = 5
-	again.Parallel = true
+	again.Kernel = "parallel2"
 	snap2, err := s.Submit("", []JobSpec{again, testSpec(0.04, 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -652,7 +652,7 @@ func TestConcurrentClocksMatchSerial(t *testing.T) {
 	for i := range specs {
 		specs[i] = testSpec(0.01+0.01*float64(i%4), uint64(100+i))
 	}
-	specs[5].Domains = 2 // a sharded job among the plain ones
+	specs[5].Kernel = "sharded2" // a sharded job among the plain ones
 
 	serial := make(map[string]traffic.Result, len(specs))
 	for _, sp := range specs {

@@ -1,8 +1,8 @@
 // Package sweep is the design-space exploration service: it accepts
 // batches of simulation configurations (experiments.TrafficJob points —
-// topology, mesh size, injection rate, routing, seeds, clock domains),
-// fans them out across a worker pool with one independent sim.Clock per
-// job, and aggregates latency/throughput results. It is the repo's
+// mesh size, routing, traffic pattern, injection rate, seeds), fans
+// them out across a worker pool with one independent sim.Clock per job,
+// and aggregates latency/throughput results. It is the repo's
 // "millions of users" workload: the simulator as a server.
 //
 // Robustness is the design center, because a 10k-job batch is only as
@@ -49,8 +49,9 @@ import (
 
 // CodeVersion names the simulator revision for the dedupe cache: a
 // journaled result is only reused by a binary with the same version, so
-// bump this whenever a change alters simulation results.
-const CodeVersion = "multinoc-sim-7"
+// bump this whenever a change alters simulation results or the
+// canonical job encoding.
+const CodeVersion = "multinoc-sim-8"
 
 // JobSpec is one sweep job: a design-space point plus per-job
 // robustness knobs. The embedded TrafficJob is the job's identity (see
@@ -81,7 +82,7 @@ func (s JobSpec) Validate() error {
 }
 
 // Key is the job's dedupe identity: a hash of the canonical
-// configuration (defaults applied, execution-strategy flags erased),
+// configuration (defaults applied, the kernel erased),
 // the seed it contains, and the simulator's CodeVersion. Two specs with
 // equal keys describe bit-identical simulations, so one result serves
 // both — across batches and across service restarts.

@@ -24,7 +24,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tcfg.Domains = 4
+		tcfg.Kernel = "sharded4"
 		sharded, err := Run(cfg, tcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -56,13 +56,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 		tcfg := Config{
 			Rate: c.rate, PayloadFlits: 8, Seed: 42,
 			Warmup: 300, Measure: c.measure, Drain: 30000,
-			Domains: 4,
+			Kernel: "sharded4",
 		}
 		serial, err := Run(cfg, tcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tcfg.Parallel = true
+		tcfg.Kernel = "parallel4"
 		parallel, err := Run(cfg, tcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestParallelDeterminism(t *testing.T) {
 	tcfg := Config{
 		Rate: 0.05, PayloadFlits: 8, Seed: 7,
 		Warmup: 300, Measure: 2000, Drain: 30000,
-		Domains: 4, Parallel: true,
+		Kernel: "parallel4",
 	}
 	ref, err := Run(cfg, tcfg)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 )
 
 // PatternSpec selects a traffic pattern by name with its parameters —
-// the serializable counterpart of the Pattern function type, and the
-// contract of the pattern library: a spec that survives a JSON round
+// the one description of a workload's destinations and arrivals, and
+// the contract of the pattern library: a spec that survives a JSON round
 // trip describes the same workload, so sweep jobs
 // (experiments.TrafficJob) and nocsim flags both speak it. Names:
 //
@@ -31,9 +31,9 @@ import (
 //
 // Burst may also be combined with any destination-pattern name
 // (uniform, transpose, bitcomp, bitrev, hotspot) to modulate its
-// arrivals; trace and multicast fix their own arrival process. The
-// zero value (empty Name) means "no spec": Config falls back to its
-// programmatic Pattern field.
+// arrivals; trace and multicast fix their own arrival process. Every
+// other parameter belongs to one pattern, and Validate rejects it under
+// any other name. The zero value (empty Name) is uniform traffic.
 type PatternSpec struct {
 	Name string `json:"name"`
 	// Hotspots weights the hotspot pattern: each spot receives Weight
@@ -134,19 +134,32 @@ func ReadTrace(r io.Reader) ([]TraceEntry, error) {
 	return entries, nil
 }
 
-// specNames is the set of pattern names the library accepts.
+// specNames is the set of pattern names the library accepts; the empty
+// name is uniform.
 var specNames = map[string]bool{
-	"uniform": true, "transpose": true, "bitcomp": true, "bitrev": true,
+	"": true, "uniform": true, "transpose": true, "bitcomp": true, "bitrev": true,
 	"hotspot": true, "bursty": true, "trace": true, "multicast": true,
 }
 
 // Validate reports the first reason the spec cannot drive a run on the
-// given mesh, nil when it is well-formed. Config.Validate calls it when
-// a spec is set, so malformed pattern parameters surface as client
-// errors (sweepd 400s) instead of failed jobs.
+// given mesh, nil when it is well-formed. Config.Validate calls it, so
+// malformed pattern parameters, and parameters the named pattern does
+// not use, surface as client errors (sweepd 400s) instead of failed or
+// silently different jobs.
 func (s PatternSpec) Validate(ncfg noc.Config) error {
-	if !specNames[s.Name] {
+	switch {
+	case !specNames[s.Name]:
 		return fmt.Errorf("traffic: unknown pattern %q", s.Name)
+	case len(s.Hotspots) > 0 && s.Name != "hotspot":
+		return fmt.Errorf("traffic: hotspots given for pattern %q; only hotspot uses them", s.Name)
+	case (len(s.Group) > 0 || s.MulticastUnicast) && s.Name != "multicast":
+		return fmt.Errorf("traffic: multicast group options given for pattern %q; only multicast uses them", s.Name)
+	case len(s.Trace) > 0 && s.Name != "trace":
+		return fmt.Errorf("traffic: trace given for pattern %q; only trace uses it", s.Name)
+	case ncfg.Width*ncfg.Height < 2 && s.Name != "trace" && s.Name != "multicast":
+		// Every destination pattern falls back to Uniform, which draws
+		// until it finds a node other than the source.
+		return fmt.Errorf("traffic: pattern %q needs a mesh of at least two nodes", s.Name)
 	}
 	inMesh := func(a noc.Addr) bool {
 		return a.X >= 0 && a.X < ncfg.Width && a.Y >= 0 && a.Y < ncfg.Height
@@ -240,24 +253,23 @@ func (s PatternSpec) resolveBurst() *BurstSpec {
 	return nil
 }
 
-// destPattern resolves the spec's destination pattern, nil for the
-// modes that carry their own destinations (trace, multicast).
-func (s PatternSpec) destPattern(ncfg noc.Config) (Pattern, error) {
+// destPattern resolves the spec's destination pattern: nil for the
+// modes that carry their own destinations (trace, multicast), uniform
+// for the rest of the unpermuted names.
+func (s PatternSpec) destPattern() Pattern {
 	switch s.Name {
-	case "uniform", "bursty":
-		return Uniform, nil
 	case "transpose":
-		return Transpose, nil
+		return Transpose
 	case "bitcomp":
-		return BitComplement, nil
+		return BitComplement
 	case "bitrev":
-		return BitReverse, nil
+		return BitReverse
 	case "hotspot":
-		return WeightedHotspots(s.Hotspots), nil
+		return WeightedHotspots(s.Hotspots)
 	case "trace", "multicast":
-		return nil, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("traffic: unknown pattern %q", s.Name)
+		return Uniform
 	}
 }
 
@@ -281,10 +293,9 @@ func BitReverse(src noc.Addr, r *sim.Rand, cfg noc.Config) noc.Addr {
 	return d
 }
 
-// WeightedHotspots generalizes Hotspot to a weighted spot set: a packet
-// targets spot i with probability Weight_i (a spot equal to the source
-// redraws uniformly, as Hotspot does), and the remaining
-// 1 - sum(weights) of traffic is uniform.
+// WeightedHotspots sends to a weighted spot set: a packet targets spot
+// i with probability Weight_i (a spot equal to the source redraws
+// uniformly), and the remaining 1 - sum(weights) of traffic is uniform.
 func WeightedHotspots(spots []HotspotSpec) Pattern {
 	cum := make([]float64, len(spots))
 	var sum float64

@@ -96,17 +96,7 @@ func TestPatternCrossKernelIdentical(t *testing.T) {
 		{"multicast-oracle", PatternSpec{Name: "multicast", Group: group, MulticastUnicast: true}, 0.02},
 		{"trace", PatternSpec{Name: "trace", Trace: rec}, 0.05},
 	}
-	kernels := []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"dense", func(c *Config) { c.DenseKernel = true }},
-		{"nowarp", func(c *Config) { c.NoTimeWarp = true }},
-		{"sharded2", func(c *Config) { c.Domains = 2 }},
-		{"parallel2", func(c *Config) { c.Domains = 2; c.Parallel = true }},
-		{"sharded4", func(c *Config) { c.Domains = 4 }},
-		{"parallel4", func(c *Config) { c.Domains = 4; c.Parallel = true }},
-	}
+	kernels := []sim.Kernel{"dense", "nowarp", "sharded2", "parallel2", "sharded4", "parallel4"}
 	for _, s := range specs {
 		s := s
 		t.Run(s.label, func(t *testing.T) {
@@ -119,20 +109,20 @@ func TestPatternCrossKernelIdentical(t *testing.T) {
 			}
 			for _, k := range kernels {
 				kcfg := tcfg
-				k.mod(&kcfg)
+				kcfg.Kernel = k
 				got := runSpecKernel(t, ncfg, kcfg)
 				if got.res != ref.res {
-					t.Errorf("%s/%s: results diverged:\n  ref %+v\n  got %+v", s.label, k.name, ref.res, got.res)
+					t.Errorf("%s/%s: results diverged:\n  ref %+v\n  got %+v", s.label, k, ref.res, got.res)
 				}
 				for i := range ref.stats {
 					if got.stats[i] != ref.stats[i] {
 						t.Errorf("%s/%s: router %d stats diverged:\n  ref %+v\n  got %+v",
-							s.label, k.name, i, ref.stats[i], got.stats[i])
+							s.label, k, i, ref.stats[i], got.stats[i])
 					}
 				}
 				if !bytes.Equal(got.vcd, ref.vcd) {
 					t.Errorf("%s/%s: boundary VCD dump differs from reference (%d vs %d bytes)",
-						s.label, k.name, len(got.vcd), len(ref.vcd))
+						s.label, k, len(got.vcd), len(ref.vcd))
 				}
 			}
 		})

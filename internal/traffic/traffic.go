@@ -20,7 +20,7 @@
 // noc.Endpoint.SendMulti — path-based forwarding by default, unicast
 // replication as the differential oracle. Every pattern draws its
 // randomness only on injection cycles, which keeps the RNG stream — and
-// therefore the Result — bit-identical across all kernel modes
+// therefore the Result — bit-identical under every Config.Kernel
 // (TestPatternCrossKernelIdentical).
 package traffic
 
@@ -66,26 +66,15 @@ func BitComplement(src noc.Addr, r *sim.Rand, cfg noc.Config) noc.Addr {
 	return d
 }
 
-// Hotspot sends a fraction of traffic to a fixed node, the rest
-// uniformly.
-func Hotspot(spot noc.Addr, fraction float64) Pattern {
-	return func(src noc.Addr, r *sim.Rand, cfg noc.Config) noc.Addr {
-		if src != spot && r.Bool(fraction) {
-			return spot
-		}
-		return Uniform(src, r, cfg)
-	}
-}
-
 // Config parameterizes a load experiment.
 type Config struct {
-	// Pattern picks destinations (Uniform if nil).
-	Pattern Pattern
-	// Spec selects a pattern by name with parameters — the serializable
-	// form used by sweep jobs and command-line flags. A non-empty
-	// Spec.Name overrides Pattern and may also change the arrival
-	// process (bursty, trace) or switch injection to multicast groups.
+	// Spec selects the traffic pattern by name with its parameters (see
+	// PatternSpec); the zero value is uniform traffic.
 	Spec PatternSpec
+	// Kernel selects how the run is scheduled (see sim.Kernel). Every
+	// kernel produces the same Result (TestPatternCrossKernelIdentical);
+	// the oracle modes exist for differential tests and benchmarks.
+	Kernel sim.Kernel
 	// OnNetwork, when non-nil, is called with the freshly built network
 	// (endpoints and injectors attached) before the first cycle runs —
 	// an instrumentation hook for differential tests to attach VCD
@@ -105,28 +94,6 @@ type Config struct {
 	// QueueCap skips injection at a node whose endpoint queue already
 	// holds this many flits (source-queue backpressure). 0 means 64.
 	QueueCap int
-	// DenseKernel disables the kernel's activity scheduling for this
-	// run, evaluating every component every cycle. The results are
-	// bit-identical either way (see TestSparseKernelMatchesDense); the
-	// dense kernel exists as the reference for differential tests and
-	// speedup benchmarks.
-	DenseKernel bool
-	// NoTimeWarp disables the kernel's dead-cycle skipping for this
-	// run: every cycle is stepped one at a time even when the whole
-	// mesh sleeps between injections. Results are bit-identical either
-	// way (see TestTimeWarpMatchesNoWarp); the option exists for
-	// differential tests and speedup benchmarks.
-	NoTimeWarp bool
-	// Domains shards the mesh into that many clock domains (contiguous
-	// column strips); 0 or 1 builds the classic single-domain network.
-	// Sharding alone does not change results: the cross-domain links
-	// keep identical cycle timing.
-	Domains int
-	// Parallel runs the sharded domains on one goroutine each under
-	// the kernel's conservative horizon protocol (requires Domains >
-	// 1 to have any effect). Results are bit-identical to the serial
-	// lockstep run of the same partition.
-	Parallel bool
 	// Ctx, when non-nil, bounds the run in wall-clock time: once the
 	// context is cancelled (or its deadline passes) the kernel stops at
 	// its next cancellation check and Run returns the context's error.
@@ -169,19 +136,16 @@ func (c Config) Validate(ncfg noc.Config) error {
 		return fmt.Errorf("traffic: measurement window must be at least 1 cycle, got %d", c.Measure)
 	case c.QueueCap < 0:
 		return fmt.Errorf("traffic: negative queue cap %d", c.QueueCap)
-	case c.Domains < 0:
-		return fmt.Errorf("traffic: negative domain count %d", c.Domains)
-	case c.Domains > ncfg.Width:
-		return fmt.Errorf("traffic: %d domains exceed the mesh's %d column strips", c.Domains, ncfg.Width)
 	}
-	if c.Spec.Name != "" {
-		if err := c.Spec.Validate(ncfg); err != nil {
-			return err
-		}
-		if b := c.Spec.resolveBurst(); b != nil && c.Rate >= b.Peak {
-			return fmt.Errorf("traffic: offered rate %v must stay below the burst peak rate %v",
-				c.Rate, b.Peak)
-		}
+	if _, err := ncfg.KernelMode(c.Kernel); err != nil {
+		return err
+	}
+	if err := c.Spec.Validate(ncfg); err != nil {
+		return err
+	}
+	if b := c.Spec.resolveBurst(); b != nil && c.Rate >= b.Peak {
+		return fmt.Errorf("traffic: offered rate %v must stay below the burst peak rate %v",
+			c.Rate, b.Peak)
 	}
 	return nil
 }
@@ -378,8 +342,8 @@ func Run(ncfg noc.Config, tcfg Config) (Result, error) {
 // RunRecorded executes a load experiment while recording every
 // successful packet injection, returning the merged trace (cycle
 // order, ties in node order) alongside the result. Replaying the trace
-// — Config.Spec = PatternSpec{Name: "trace", Trace: rec} with the same
-// mesh and kernel options — injects the identical packet sequence and
+// — Config.Spec = PatternSpec{Name: "trace", Trace: rec} on the same
+// mesh, under any kernel — injects the identical packet sequence and
 // therefore reproduces the recorded run's Result bit for bit
 // (TestTraceReplayReproducesRecordedRun). Multicast workloads cannot
 // be recorded: a trace entry is a unicast send.
@@ -391,9 +355,6 @@ func RunRecorded(ncfg noc.Config, tcfg Config) (Result, []TraceEntry, error) {
 }
 
 func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error) {
-	if tcfg.Pattern == nil {
-		tcfg.Pattern = Uniform
-	}
 	if tcfg.QueueCap == 0 {
 		tcfg.QueueCap = 64
 	}
@@ -405,75 +366,46 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	}
 	// Resolve the pattern spec into the injectors' destination pattern,
 	// arrival mode and multicast group.
+	s := tcfg.Spec
+	pattern := s.destPattern()
 	mode := modeGap
-	burst := tcfg.Spec.resolveBurst()
+	burst := s.resolveBurst()
 	if burst != nil {
 		mode = modeBurst
 	}
 	var group []noc.Addr
 	var traceBySrc map[noc.Addr][]TraceEntry
-	if s := tcfg.Spec; s.Name != "" {
-		if p, err := s.destPattern(ncfg); err != nil {
-			return Result{}, nil, err
-		} else if p != nil {
-			tcfg.Pattern = p
+	switch s.Name {
+	case "trace":
+		mode = modeTrace
+		traceBySrc = make(map[noc.Addr][]TraceEntry)
+		for _, e := range s.Trace {
+			traceBySrc[e.Src] = append(traceBySrc[e.Src], e)
 		}
-		switch s.Name {
-		case "trace":
-			mode = modeTrace
-			traceBySrc = make(map[noc.Addr][]TraceEntry)
-			for _, e := range s.Trace {
-				traceBySrc[e.Src] = append(traceBySrc[e.Src], e)
-			}
-			for _, es := range traceBySrc {
-				sortTrace(es)
-			}
-		case "multicast":
-			group = s.Group
+		for _, es := range traceBySrc {
+			sortTrace(es)
 		}
+	case "multicast":
+		group = s.Group
 	}
-	var (
-		clk *sim.Clock
-		net *noc.Network
-		err error
-	)
-	// armCancel installs the wall-clock/cycle-budget cancellation hook
-	// on one clock domain. Each domain's closure reads only its own
-	// cycle counter, so the hook is safe on parallel runs.
-	armCancel := func(c *sim.Clock) {
-		ctx, limit := tcfg.Ctx, tcfg.MaxCycles
-		if ctx == nil && limit == 0 {
-			return
-		}
-		c.SetCancel(func() bool {
-			if ctx != nil && ctx.Err() != nil {
-				return true
-			}
-			return limit > 0 && c.Cycle() >= limit
-		})
-	}
-	if tcfg.Domains > 1 {
-		// Sharded build: contiguous column strips, one clock domain per
-		// strip, each injector registered in its endpoint's domain so
-		// its RNG stream and timer heap stay domain-local.
-		g := sim.NewGroup(tcfg.Domains)
-		g.SetActivityScheduling(!tcfg.DenseKernel)
-		g.SetTimeWarp(!tcfg.NoTimeWarp)
-		g.SetParallel(tcfg.Parallel)
-		net, err = noc.NewSharded(g, ncfg, noc.StripDomains(ncfg, tcfg.Domains, 0))
-		clk = g.Clock(0)
-		for i := 0; i < g.Domains(); i++ {
-			armCancel(g.Clock(i))
-		}
-	} else {
-		clk = sim.NewClock()
-		clk.SetActivityScheduling(!tcfg.DenseKernel)
-		clk.SetTimeWarp(!tcfg.NoTimeWarp)
-		armCancel(clk)
-		net, err = noc.New(clk, ncfg)
-	}
+	net, err := noc.Build(tcfg.Kernel, ncfg, 0)
 	if err != nil {
 		return Result{}, nil, err
+	}
+	clk := net.Clock()
+	// Arm the wall-clock/cycle-budget cancellation hook on every clock
+	// domain. Each domain's closure reads only its own cycle counter, so
+	// the hook is safe on parallel runs.
+	if ctx, limit := tcfg.Ctx, tcfg.MaxCycles; ctx != nil || limit > 0 {
+		arm := func(c *sim.Clock) {
+			c.SetCancel(func() bool { return ctx != nil && ctx.Err() != nil || limit > 0 && c.Cycle() >= limit })
+		}
+		arm(clk)
+		if g := net.Group(); g != nil {
+			for i := 1; i < g.Domains(); i++ { // domain 0 is clk
+				arm(g.Clock(i))
+			}
+		}
 	}
 	if group != nil {
 		net.SetPathMulticast(!tcfg.Spec.MulticastUnicast)
@@ -503,7 +435,7 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 				clk:       ep.Clock(),
 				ep:        ep,
 				rng:       sim.NewRand(tcfg.Seed + uint64(x*31+y)),
-				pattern:   tcfg.Pattern,
+				pattern:   pattern,
 				ncfg:      ncfg,
 				prob:      tcfg.Rate / float64(tcfg.PayloadFlits+2),
 				payload:   tcfg.PayloadFlits,

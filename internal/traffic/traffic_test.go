@@ -24,7 +24,7 @@ func TestPatterns(t *testing.T) {
 			if d := BitComplement(src, r, cfg); d == src {
 				t.Errorf("bitcomplement(%s) = source", src)
 			}
-			hot := Hotspot(noc.Addr{X: 3, Y: 3}, 1.0)
+			hot := WeightedHotspots([]HotspotSpec{{X: 3, Y: 3, Weight: 1}})
 			if src != (noc.Addr{X: 3, Y: 3}) {
 				if d := hot(src, r, cfg); d != (noc.Addr{X: 3, Y: 3}) {
 					t.Errorf("hotspot(%s) = %s", src, d)
@@ -208,7 +208,7 @@ func TestHotspotCongestsWorseThanUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot := common
-	hot.Pattern = Hotspot(noc.Addr{X: 1, Y: 1}, 0.2)
+	hot.Spec = PatternSpec{Name: "hotspot", Hotspots: []HotspotSpec{{X: 1, Y: 1, Weight: 0.2}}}
 	hotRes, err := Run(ncfg, hot)
 	if err != nil {
 		t.Fatal(err)
@@ -255,12 +255,11 @@ func TestSparseKernelMatchesDense(t *testing.T) {
 			Rate: rate, PayloadFlits: 8, Seed: 42,
 			Warmup: 500, Measure: 3000, Drain: 30000,
 		}
-		tcfg.DenseKernel = false
 		sparse, err := Run(cfg, tcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tcfg.DenseKernel = true
+		tcfg.Kernel = "dense"
 		dense, err := Run(cfg, tcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -285,12 +284,11 @@ func TestTimeWarpMatchesNoWarp(t *testing.T) {
 			Rate: rate, PayloadFlits: 8, Seed: 42,
 			Warmup: 500, Measure: 3000, Drain: 30000,
 		}
-		tcfg.NoTimeWarp = false
 		warp, err := Run(cfg, tcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tcfg.NoTimeWarp = true
+		tcfg.Kernel = "nowarp"
 		dense, err := Run(cfg, tcfg)
 		if err != nil {
 			t.Fatal(err)

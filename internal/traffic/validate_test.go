@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/sim"
 )
 
 func TestConfigValidateRejectsBadFields(t *testing.T) {
@@ -28,8 +29,26 @@ func TestConfigValidateRejectsBadFields(t *testing.T) {
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }, ncfg},
 		{"zero measure", func(c *Config) { c.Measure = 0 }, ncfg},
 		{"negative queue cap", func(c *Config) { c.QueueCap = -1 }, ncfg},
-		{"negative domains", func(c *Config) { c.Domains = -2 }, ncfg},
-		{"domains beyond columns", func(c *Config) { c.Domains = 5 }, ncfg},
+		{"unknown kernel", func(c *Config) { c.Kernel = "turbo" }, ncfg},
+		{"one-domain kernel", func(c *Config) { c.Kernel = "parallel1" }, ncfg},
+		{"domains beyond columns", func(c *Config) { c.Kernel = "sharded5" }, ncfg},
+		{"hotspots on uniform", func(c *Config) {
+			c.Spec = PatternSpec{Name: "uniform", Hotspots: []HotspotSpec{{X: 1, Y: 1, Weight: 0.2}}}
+		}, ncfg},
+		{"hotspots on the empty pattern", func(c *Config) {
+			c.Spec = PatternSpec{Hotspots: []HotspotSpec{{X: 1, Y: 1, Weight: 0.2}}}
+		}, ncfg},
+		{"group on transpose", func(c *Config) {
+			c.Spec = PatternSpec{Name: "transpose", Group: []noc.Addr{{X: 0, Y: 0}, {X: 3, Y: 3}}}
+		}, ncfg},
+		{"unicast oracle on bursty", func(c *Config) {
+			c.Spec = PatternSpec{Name: "bursty", MulticastUnicast: true}
+		}, ncfg},
+		{"trace on hotspot", func(c *Config) {
+			c.Spec = PatternSpec{Name: "hotspot", Hotspots: []HotspotSpec{{X: 1, Y: 1, Weight: 0.2}},
+				Trace: []TraceEntry{{Cycle: 1, Dst: noc.Addr{X: 1, Y: 1}, Payload: 1}}}
+		}, ncfg},
+		{"one-node mesh", func(c *Config) {}, noc.Defaults(1, 1)},
 		{"zero mesh", func(c *Config) {}, noc.Config{}},
 		{"zero-width mesh", func(c *Config) {}, noc.Defaults(0, 4)},
 	}
@@ -51,7 +70,7 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	if _, err := Run(noc.Defaults(4, 4), Config{Rate: -1, PayloadFlits: 4, Measure: 10}); err == nil {
 		t.Fatal("Run accepted a negative rate")
 	}
-	if _, err := Run(noc.Defaults(4, 4), Config{Rate: 0.1, PayloadFlits: 4, Measure: 10, Domains: 9}); err == nil {
+	if _, err := Run(noc.Defaults(4, 4), Config{Rate: 0.1, PayloadFlits: 4, Measure: 10, Kernel: "parallel9"}); err == nil {
 		t.Fatal("Run accepted more domains than columns")
 	}
 }
@@ -97,15 +116,15 @@ func TestRunCycleBudget(t *testing.T) {
 }
 
 func TestRunCycleBudgetSharded(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+	for _, kernel := range []sim.Kernel{"sharded2", "parallel2"} {
 		_, err := Run(noc.Defaults(8, 8), Config{
 			Rate: 0.05, PayloadFlits: 8, Seed: 1,
 			Warmup: 500, Measure: 1_000_000, Drain: 1000,
-			Domains: 2, Parallel: parallel,
+			Kernel:    kernel,
 			MaxCycles: 2000,
 		})
 		if !errors.Is(err, ErrCycleBudget) {
-			t.Fatalf("parallel=%v: Run = %v, want ErrCycleBudget", parallel, err)
+			t.Fatalf("%s: Run = %v, want ErrCycleBudget", kernel, err)
 		}
 	}
 }
