@@ -331,49 +331,23 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelParallel measures the sharded parallel kernel's
-// scaling curve on two 16x16 uniform workloads: the
-// BenchmarkAblKernelSchedule load (0.2% injection, sub-benchmarks
-// domainsN/...) and the largest mesh the 4-bit addresses allow driven
-// into saturation (0.40 offered, 32-flit payloads, as perfbench's
-// mesh-saturated; saturated/domainsN/...). Each runs column-strip
-// partitions of 2, 4 and 8 domains serially (kernel shardedN, lockstep,
-// the bit-exact reference) and in parallel (parallelN, one goroutine per
-// domain under the conservative horizon protocol); domains1 is the
-// plain single clock under both names, since a one-domain group does
-// not exist. Every variant produces the identical Result
-// (TestShardedMatchesUnsharded, TestParallelMatchesSerial); the metric
-// is simulated cycles per wall-clock second. Parallel speedup over
-// serial requires hardware cores.
-func BenchmarkKernelParallel(b *testing.B) {
+// BenchmarkMeshSaturated measures the largest mesh the 4-bit Hermes
+// addresses allow, driven into saturation: 16x16, uniform traffic at
+// 0.40 flits/cycle/node offered with 32-flit payloads (the load of
+// perfbench's mesh-saturated workload). Router evaluation and the link
+// handshake dominate its cost, so it is the profile target for the
+// NoC models. The metric is simulated cycles (warmup + measure; the
+// drain adds a tail) per wall-clock second.
+func BenchmarkMeshSaturated(b *testing.B) {
 	b.ReportAllocs()
-	for _, load := range []struct {
-		prefix string
-		cfg    traffic.Config
-	}{
-		{"", traffic.Config{Rate: 0.002, PayloadFlits: 8, Seed: 3, Warmup: 500, Measure: 3000, Drain: 20000}},
-		{"saturated/", traffic.Config{Rate: 0.40, PayloadFlits: 32, Seed: 3, Warmup: 500, Measure: 2000, Drain: 30000}},
-	} {
-		simCycles := load.cfg.Warmup + load.cfg.Measure // the drain adds a tail
-		for _, domains := range []int{1, 2, 4, 8} {
-			for _, mode := range []struct{ name, kernel string }{{"serial", "sharded"}, {"parallel", "parallel"}} {
-				tcfg := load.cfg
-				if domains > 1 {
-					tcfg.Kernel = sim.Kernel(fmt.Sprintf("%s%d", mode.kernel, domains))
-				}
-				b.Run(fmt.Sprintf("%sdomains%d/%s", load.prefix, domains, mode.name), func(b *testing.B) {
-					b.ReportAllocs()
-					cfg := noc.Defaults(16, 16)
-					for i := 0; i < b.N; i++ {
-						if _, err := traffic.Run(cfg, tcfg); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(simCycles)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")
-				})
-			}
+	tcfg := traffic.Config{Rate: 0.40, PayloadFlits: 32, Seed: 3, Warmup: 500, Measure: 2000, Drain: 30000}
+	cfg := noc.Defaults(16, 16)
+	for i := 0; i < b.N; i++ {
+		if _, err := traffic.Run(cfg, tcfg); err != nil {
+			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(tcfg.Warmup+tcfg.Measure)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")
 }
 
 // BenchmarkAblTimeWarp measures the time-warp kernel on the workload it

@@ -5,7 +5,7 @@ import "testing"
 func TestTrimProcs(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"BenchmarkFlitSteadyState-2", "BenchmarkFlitSteadyState"},
-		{"BenchmarkKernelParallel/domains4/parallel-16", "BenchmarkKernelParallel/domains4/parallel"},
+		{"BenchmarkMeshSaturated-16", "BenchmarkMeshSaturated"},
 		{"BenchmarkAblKernelSchedule/activity-nowarp", "BenchmarkAblKernelSchedule/activity-nowarp"},
 		{"BenchmarkAblTimeWarp/div434/warp", "BenchmarkAblTimeWarp/div434/warp"},
 	} {

@@ -13,7 +13,7 @@
 //	nocsim -pattern bursty -burstlen 8 -burstpeak 0.5
 //	nocsim -pattern multicast -mcgroup "0,0;3,1;3,3" -rate 0.02
 //	nocsim -record run.trace -rate 0.05        # then: nocsim -replay run.trace
-//	nocsim -w 16 -h 16 -rate 0.002 -kernel parallel4
+//	nocsim -w 16 -h 16 -rate 0.002 -kernel dense   # the activity oracle
 package main
 
 import (
@@ -71,7 +71,7 @@ func parse(args []string) (*options, error) {
 	sweep := fs.String("sweep", "", "comma-separated rates for a sweep table")
 	peak := fs.Bool("peak", false, "run the 5-connection peak-throughput experiment")
 	vcdPath := fs.String("vcd", "", "trace the centre router's links to a VCD waveform file")
-	kernel := fs.String("kernel", "", "simulation kernel: nowarp|dense|sharded<N>|parallel<N> (default: activity scheduling with time warp)")
+	kernel := fs.String("kernel", "", "simulation kernel: nowarp|dense (default: activity scheduling with time warp)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

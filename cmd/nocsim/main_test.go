@@ -16,7 +16,7 @@ import (
 // reports, and the CLI prints its table from those Results.
 func TestCLIMatchesService(t *testing.T) {
 	args := []string{"-w", "4", "-h", "4", "-pattern", "hotspot", "-payload", "4",
-		"-sweep", "0.05,0.12", "-cycles", "1500", "-seed", "3", "-kernel", "parallel2"}
+		"-sweep", "0.05,0.12", "-cycles", "1500", "-seed", "3", "-kernel", "nowarp"}
 	o, err := parse(args)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +79,7 @@ func TestCLIRejects(t *testing.T) {
 		{[]string{"-pattern", "uniform", "-mcgroup", "0,0;3,3"}, "only multicast"},
 		{[]string{"-pattern", "transpose", "-hotspots", "1,1,0.3"}, "only hotspot"},
 		{[]string{"-mcunicast"}, "only multicast"},
-		{[]string{"-kernel", "parallel8"}, "column strips"},
-		{[]string{"-kernel", "sharded"}, "domain count"},
+		{[]string{"-kernel", "parallel2"}, "unknown kernel"},
 		{[]string{"-cycles", "3"}, "-cycles at least 4"},
 		{[]string{"-w", "0"}, "must be positive"},
 		{[]string{"-routing", "zigzag"}, "routing"},

@@ -30,18 +30,14 @@
 // table — so the steady-state flit path allocates nothing.
 //
 // One value, sim.Kernel, says how any run is scheduled: the default,
-// the "nowarp" and "dense" oracles, or "sharded<N>"/"parallel<N>",
-// which split the mesh into N column-strip clock domains (sim.Group)
-// coupled only by mirror wires (sim.MirrorWire) with a one-cycle
-// boundary register — the conservative lookahead. Each domain owns its
-// active set, wake queue and timer heap and warps its own dead spans;
-// under "parallel<N>" every domain runs on its own goroutine and may
-// advance to min(upstream horizons) + 1. Models need nothing extra:
-// anything built on registered wires, Watch, and WakeAt timers is
-// warpable and shardable as-is. sim.ParseKernel is the value's only
-// parser and noc.Build the one place a run picks a single Clock or a
-// group, and every kernel reproduces the default's traffic results,
-// router statistics, VCD dumps and boot transcripts bit for bit.
+// or one of the two oracles that each switch one optimisation off —
+// "nowarp" steps every cycle, "dense" evaluates every component every
+// cycle. A run has exactly one Clock: sim.ParseKernel, the value's only
+// parser, returns it configured, and the run builds its mesh and IP
+// cores on it. Models need nothing extra: anything built on registered
+// wires, Watch, and WakeAt timers is warpable as-is. Every kernel
+// reproduces the default's traffic results, router statistics, VCD
+// dumps and boot transcripts bit for bit.
 //
 // Workloads come from a traffic-pattern library
 // (internal/traffic.PatternSpec): uniform, transpose, bit-complement,
@@ -62,7 +58,7 @@
 // On top of the kernel sits the design-space sweep service
 // (internal/sweep, cmd/sweepd): an HTTP server that takes batches of
 // serializable simulation configs (experiments.TrafficJob), runs each
-// on its own independent Clock or Group across a worker pool, and
+// on its own independent Clock across a worker pool, and
 // journals every result. The service is built to survive its own
 // workload — a panicking model becomes a failed-job record with the
 // captured stack, runaway configs hit wall-clock and simulated-cycle

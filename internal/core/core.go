@@ -41,10 +41,8 @@ type Config struct {
 	Memories []noc.Addr
 	// SerialDiv is the RS-232 divisor in clock cycles per bit.
 	SerialDiv int
-	// Kernel selects how the system is scheduled (see sim.Kernel). The
-	// sharded modes split the mesh into column-strip clock domains and
-	// leave the host, Serial IP, processors and memories in domain 0.
-	// Every kernel runs the system bit-identically.
+	// Kernel selects how the system's one clock is scheduled (see
+	// sim.Kernel). Every kernel runs the system bit-identically.
 	Kernel sim.Kernel
 }
 
@@ -88,8 +86,8 @@ func Scaled(width, height, nProcs, nMems int) (Config, error) {
 type System struct {
 	cfg Config
 
-	// Clk is the system clock: domain 0 of Net.Group() under a sharded
-	// kernel.
+	// Clk is the system clock: every component, the mesh's included, is
+	// registered on it.
 	Clk    *sim.Clock
 	Net    *noc.Network
 	Host   *host.Host
@@ -118,12 +116,14 @@ func New(cfg Config) (*System, error) {
 		}
 		ncfg = noc.Defaults(w, h)
 	}
-	// Domain 0 hosts everything outside the mesh.
-	net, err := noc.Build(cfg.Kernel, ncfg, 1)
+	clk, err := sim.ParseKernel(cfg.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	clk := net.Clock()
+	net, err := noc.New(clk, ncfg)
+	if err != nil {
+		return nil, err
+	}
 	s := &System{cfg: cfg, Clk: clk, Net: net}
 
 	// Serial IP and host, joined by the two RS-232 lines (tx/rx pins).

@@ -549,9 +549,6 @@ func bootTranscript(t *testing.T, cfg Config, kernel sim.Kernel) transcript {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, _ := sim.ParseKernel(kernel); (s.Net.Group() != nil) != (m.Domains > 0) {
-		t.Fatalf("kernel %q built Group %v", kernel, s.Net.Group())
-	}
 	if err := s.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -599,50 +596,29 @@ func bootTranscript(t *testing.T, cfg Config, kernel sim.Kernel) transcript {
 // must produce a bit-identical transcript with time warping on, off,
 // and under the dense reference kernel: same final cycle count, same
 // detected baud, same frame tallies, same read-back words, same
-// program output. This is the whole-stack differential for the
-// time-warp kernel: the serial path exercises UART edge timers, the
-// NoC path the router delay timers.
+// program output. It runs on the Figure 1 system and on a scaled 4x4
+// one. This is the whole-stack differential for the time-warp kernel:
+// the serial path exercises UART edge timers, the NoC path the router
+// delay timers.
 func TestTimeWarpBootTranscriptIdentical(t *testing.T) {
-	ref := bootTranscript(t, Default(), "") // the default kernel: sparse + warp
-	if ref.words != [8]uint16{10, 20, 30, 40, 50, 60, 70, 80} {
-		t.Fatalf("read-back words wrong: %v", ref.words)
-	}
-	if ref.output != "W" {
-		t.Fatalf("program output = %q, want W", ref.output)
-	}
-	for _, k := range []sim.Kernel{"nowarp", "dense"} {
-		if got := bootTranscript(t, Default(), k); got != ref {
-			t.Errorf("%s transcript diverges:\n  warp %+v\n  got  %+v", k, ref, got)
-		}
-	}
-}
-
-// TestShardedBootTranscriptIdentical: the same whole-stack transcript
-// must be bit-identical when the mesh is sharded into clock domains —
-// in lockstep and in parallel — on the Figure 1 system and on a larger
-// scaled one. The serial path crosses the domain-0/mesh boundary on
-// every frame; processors and memories talk to their routers over
-// cross-domain Local-port links throughout.
-func TestShardedBootTranscriptIdentical(t *testing.T) {
 	scaled, err := Scaled(4, 4, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sys := range []struct {
-		name    string
-		cfg     Config
-		kernels []sim.Kernel
-	}{
-		{"fig1", Default(), []sim.Kernel{"sharded2", "parallel2"}},
-		{"scaled4x4", scaled, []sim.Kernel{"sharded2", "parallel2", "sharded4", "parallel4"}},
-	} {
-		ref := bootTranscript(t, sys.cfg, "")
+		name string
+		cfg  Config
+	}{{"fig1", Default()}, {"scaled4x4", scaled}} {
+		ref := bootTranscript(t, sys.cfg, "") // the default kernel: sparse + warp
+		if ref.words != [8]uint16{10, 20, 30, 40, 50, 60, 70, 80} {
+			t.Fatalf("%s: read-back words wrong: %v", sys.name, ref.words)
+		}
 		if ref.output != "W" {
 			t.Fatalf("%s: program output = %q, want W", sys.name, ref.output)
 		}
-		for _, k := range sys.kernels {
+		for _, k := range []sim.Kernel{"nowarp", "dense"} {
 			if got := bootTranscript(t, sys.cfg, k); got != ref {
-				t.Errorf("%s kernel %s transcript diverges:\n  ref %+v\n  got %+v", sys.name, k, ref, got)
+				t.Errorf("%s: %s transcript diverges:\n  warp %+v\n  got  %+v", sys.name, k, ref, got)
 			}
 		}
 	}

@@ -184,9 +184,9 @@ func (j TrafficJob) Validate() error {
 	return tcfg.Validate(ncfg)
 }
 
-// Run executes the job: an independent sim.Clock (or sharded Group),
-// mesh and injector set per call, so any number of jobs run
-// concurrently without sharing simulator state. ctx bounds the run in
+// Run executes the job: an independent sim.Clock, mesh and injector
+// set per call, so any number of jobs run concurrently without sharing
+// simulator state. ctx bounds the run in
 // wall-clock time and maxCycles (0 = unbounded) in simulated time; both
 // surface as errors from the kernel's cancellation hook, never as hangs.
 // It is the one run path of a traffic experiment: sweepd's default

@@ -19,7 +19,7 @@ func TestTrafficJobCanonicalIsStable(t *testing.T) {
 	if !reflect.DeepEqual(ref, ref.Canonical()) {
 		t.Fatalf("Canonical not idempotent: %+v vs %+v", ref, ref.Canonical())
 	}
-	for _, k := range []sim.Kernel{"nowarp", "dense", "sharded2", "parallel4"} {
+	for _, k := range []sim.Kernel{"nowarp", "dense"} {
 		if c := (TrafficJob{Rate: 0.05, Seed: 3, Kernel: k}).Canonical(); !reflect.DeepEqual(c, ref) {
 			t.Fatalf("kernel %s canonicalizes differently:\n%+v\n%+v", k, c, ref)
 		}
@@ -38,7 +38,7 @@ func TestTrafficJobCanonicalIsStable(t *testing.T) {
 func TestTrafficJobSurvivesJSONRoundTrip(t *testing.T) {
 	j := TrafficJob{
 		Width: 6, Height: 4, Routing: "yx", Pattern: "hotspot",
-		Rate: 0.08, PayloadFlits: 4, Seed: 42, Measure: 1500, Kernel: "parallel2",
+		Rate: 0.08, PayloadFlits: 4, Seed: 42, Measure: 1500, Kernel: "nowarp",
 		Hotspots: []traffic.HotspotSpec{{X: 2, Y: 1, Weight: 0.3}},
 	}
 	bs, err := json.Marshal(j)
@@ -99,8 +99,8 @@ func TestTrafficJobValidate(t *testing.T) {
 		{Rate: 0.05, Pattern: "multicast"},
 		{Rate: 0.05, Pattern: "multicast", Multicast: []noc.Addr{{X: 1, Y: 1}, {X: 1, Y: 1}}},
 		{Rate: 0.05, Measure: -5},
-		{Rate: 0.05, Kernel: "sharded100"},
-		{Rate: 0.05, Kernel: "parallel"},
+		{Rate: 0.05, Kernel: "sharded2"},
+		{Rate: 0.05, Kernel: "parallel4"},
 		{Rate: 0.05, Kernel: "fast"},
 		// Parameters the pattern does not use: rejected, not ignored.
 		{Rate: 0.05, Hotspots: []traffic.HotspotSpec{{X: 1, Y: 1, Weight: 0.3}}},
@@ -122,7 +122,7 @@ func TestTrafficJobValidate(t *testing.T) {
 	}
 	good := []TrafficJob{
 		{Rate: 0.05, Pattern: "bitrev"},
-		{Rate: 0.05, Pattern: "bursty", Kernel: "parallel8"},
+		{Rate: 0.05, Pattern: "bursty", Kernel: "dense"},
 		{Rate: 0.05, Pattern: "transpose", BurstLen: 4, BurstPeak: 0.4},
 		{Rate: 0.05, Pattern: "multicast", Multicast: []noc.Addr{{X: 1, Y: 1}, {X: 7, Y: 7}}},
 		{Rate: 0.05, Pattern: "trace", Trace: []traffic.TraceEntry{

@@ -203,10 +203,9 @@ type IP struct {
 }
 
 // NewIP creates the remote memory at the given mesh address and
-// registers it with the network's primary clock (domain 0 on a sharded
-// network, matching its endpoint's placement).
+// registers it with the network's clock.
 func NewIP(net *noc.Network, addr noc.Addr, words int) (*IP, error) {
-	ep, err := net.NewEndpointFor(net.Clock(), addr)
+	ep, err := net.NewEndpoint(addr)
 	if err != nil {
 		return nil, err
 	}

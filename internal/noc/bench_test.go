@@ -63,62 +63,24 @@ func BenchmarkLoadedMeshCycle(b *testing.B) {
 }
 
 // BenchmarkFlitSteadyState measures the per-cycle cost of a wormhole
-// held open end to end — a continuous train of max-size packets
-// crossing a 4x1 mesh on the 2-cycle handshake. Packet injection and
-// the drain after each delivery happen with the timer stopped, so
-// ns/op and allocs/op are the flit path alone. The allocs/op figure is
-// gated at 0 by cmd/benchgate (-lower): flits are value types indexing
-// a network-owned metadata table, and nothing on the flit path may
-// touch the heap.
+// held open end to end: the flit train of newFlitTrain, a continuous
+// stream of max-size packets crossing a 4x1 mesh on the 2-cycle
+// handshake. Refilling the source queue and draining the sink happen
+// with the timer stopped, but packet delivery does not: every 514th
+// step or so Endpoint.complete copies a payload. allocs/op divides the
+// total by b.N and truncates, so those per-packet allocations read as
+// 0 allocs/op. cmd/benchgate (-lower) gates that figure at 0;
+// TestFlitPathAllocs is the exact check that the flit path itself
+// allocates nothing.
 func BenchmarkFlitSteadyState(b *testing.B) {
 	b.ReportAllocs()
-	clk := sim.NewClock()
-	// Per-cycle cost benchmark: each iteration must be one cycle, so
-	// dead-cycle skipping is disabled.
-	clk.SetTimeWarp(false)
-	cfg := Defaults(4, 1)
-	net, err := New(clk, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := net.NewEndpoint(Addr{0, 0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst, err := net.NewEndpoint(Addr{3, 0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Keep a deep queue of max-size packets behind the head so the
-	// wormhole never drains; top it back up (and drain the sink) with
-	// the timer stopped whenever it runs low. (Send stages into the
-	// injection queue at the next clock edge, so the refill counts
-	// packets itself rather than polling QueuedFlits, which reads
-	// committed state only.)
-	payload := make([]uint16, MaxPayload(cfg.FlitBits))
-	pktFlits := len(payload) + 2 // header + size
-	refill := func() {
-		for {
-			if _, ok := dst.Recv(); !ok {
-				break
-			}
-		}
-		for q := src.QueuedFlits(); q < 6000; q += pktFlits {
-			if _, err := src.Send(Addr{3, 0}, payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	refill()
-	for i := 0; i < 2000; i++ { // fill the pipeline untimed
-		clk.Step()
-	}
+	ft := newFlitTrain(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clk.Step()
-		if src.QueuedFlits() < 600 {
+		ft.clk.Step()
+		if ft.src.QueuedFlits() < 600 {
 			b.StopTimer()
-			refill()
+			ft.refill(b)
 			b.StartTimer()
 		}
 	}

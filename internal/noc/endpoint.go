@@ -19,8 +19,7 @@ import (
 type Endpoint struct {
 	net   *Network
 	addr  Addr
-	clk   *sim.Clock // the endpoint's (and its owner's) clock domain
-	dom   int        // shard index for packet bookkeeping
+	clk   *sim.Clock // the network's clock, shared with the owner
 	self  sim.Handle // pre-resolved wake token, set at registration
 	snd   sender
 	rcv   receiver
@@ -150,9 +149,8 @@ func (e *Endpoint) SendMulti(dsts []Addr, payload []uint16) (*MulticastMeta, err
 	if len(g.Legs) > 0 {
 		g.ID = g.Legs[0].ID
 	}
-	sh := &e.net.shards[e.dom]
-	sh.mcGroups++
-	sh.mcDropped += uint64(g.Dropped)
+	e.net.mcast.Groups++
+	e.net.mcast.Dropped += uint64(g.Dropped)
 	if g.Path {
 		if len(g.Legs) > 0 {
 			e.stagePacket(g.Legs[0], g.Dsts[0], payload, false)
@@ -186,8 +184,8 @@ func MulticastPath(dsts []Addr) []Addr {
 	return path
 }
 
-// Clock returns the endpoint's clock domain (the attached router's, or
-// the owner's when built with NewEndpointFor).
+// Clock returns the clock the endpoint is registered on: the
+// network's, which its owning IP core shares.
 func (e *Endpoint) Clock() *sim.Clock { return e.clk }
 
 // Recv pops the oldest fully received packet, reporting false when none

@@ -26,10 +26,12 @@
 // simulation metadata (source, destination, injection and ejection
 // cycles) lives in a metadata table owned by the Network — Network.Meta
 // resolves a PacketID to its *PacketMeta, and the table entry is
-// released when the packet is delivered or dropped. Flits are therefore
-// plain values on wires and in buffers, and the steady-state flit path
-// performs no heap allocation (gated at 0 allocs/op by cmd/benchgate
-// -lower on BenchmarkFlitSteadyState).
+// released when the packet is delivered. Flits are therefore plain
+// values on wires and in buffers, and the steady-state flit path
+// performs no heap allocation: TestFlitPathAllocs requires exactly 0
+// allocations over a window of a streaming wormhole in which no packet
+// is delivered or enqueued. (Delivery itself allocates, to copy the
+// payload out of the reassembly buffer.)
 //
 // # Multicast
 //
@@ -69,14 +71,10 @@ func (a Addr) Encode() uint16 { return uint16(a.X&0xF)<<4 | uint16(a.Y&0xF) }
 func DecodeAddr(v uint16) Addr { return Addr{X: int(v>>4) & 0xF, Y: int(v) & 0xF} }
 
 // PacketID names a packet in the network-owned metadata table (see
-// Network.Meta). It is the PacketMeta.ID value: a per-shard sequence
-// number with the shard's domain index in the top 16 bits. Zero means
-// "no packet" — the value carried by idle wires and zero Flits.
+// Network.Meta). It is the PacketMeta.ID value: the network numbers its
+// packets from 1 in the order they are sent. Zero means "no packet" —
+// the value carried by idle wires and zero Flits.
 type PacketID uint64
-
-// pktSeqBits splits a PacketID into domain (top bits) and per-domain
-// sequence number, matching the encoding of Network.allocMeta.
-const pktSeqBits = 48
 
 // Flit is one flow-control unit travelling over a link. Data carries at
 // most Config.FlitBits significant bits. Pkt indexes the simulation
@@ -90,7 +88,7 @@ type Flit struct {
 }
 
 // PacketMeta records the life cycle of one packet for statistics. All
-// cycle stamps are in clock cycles of the network's clock domain.
+// cycle stamps are in cycles of the network's clock.
 type PacketMeta struct {
 	ID  uint64
 	Src Addr

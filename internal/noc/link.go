@@ -21,31 +21,13 @@ type Link struct {
 	Ack  *sim.Wire[bool]
 }
 
-// NewLink creates an idle link in clk's domain.
+// NewLink creates an idle link on clk.
 func NewLink(clk *sim.Clock, name string) *Link {
 	return &Link{
 		Tx:   sim.NewWire(clk, name+".tx", false),
 		Data: sim.NewWire(clk, name+".data", Flit{}),
 		Ack:  sim.NewWire(clk, name+".ack", false),
 	}
-}
-
-// NewCrossLink creates a link crossing a clock-domain boundary: the
-// sender lives in src's domain, the receiver in dst's. Each side gets
-// its own view of the link holding local wires for the signals it
-// drives (tx/data on the send side, ack on the receive side) and
-// mirror wires for the signals driven from the other domain. The
-// mirrors carry exactly the one-cycle registration an intra-domain
-// wire has, so the 2-cycle flit handshake — and therefore every
-// latency and throughput figure — is bit-identical to an ordinary
-// link; the boundary costs lookahead, not cycles.
-func NewCrossLink(src, dst *sim.Clock, name string) (send, recv *Link) {
-	tx := sim.NewWire(src, name+".tx", false)
-	data := sim.NewWire(src, name+".data", Flit{})
-	ack := sim.NewWire(dst, name+".ack", false)
-	send = &Link{Tx: tx, Data: data, Ack: sim.MirrorWire(ack, src)}
-	recv = &Link{Tx: sim.MirrorWire(tx, dst), Data: sim.MirrorWire(data, dst), Ack: ack}
-	return send, recv
 }
 
 // sender drives the upstream side of a Link. It is embedded in router

@@ -7,26 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
-// mcastNet builds a fully-endpointed mesh, optionally sharded into
-// column-strip clock domains (lockstep or parallel), with the given
-// multicast mode.
-func mcastNet(t testing.TB, w, h, domains int, parallel, pathMode bool) (*sim.Clock, *Network) {
+// mcastNet builds a fully-endpointed mesh on a clock scheduled by
+// kernel, with the given multicast mode.
+func mcastNet(t testing.TB, w, h int, kernel sim.Kernel, pathMode bool) (*sim.Clock, *Network) {
 	t.Helper()
-	cfg := Defaults(w, h)
-	var (
-		clk *sim.Clock
-		net *Network
-		err error
-	)
-	if domains > 1 {
-		g := sim.NewGroup(domains)
-		g.SetParallel(parallel)
-		net, err = NewSharded(g, cfg, StripDomains(cfg, domains, 0))
-		clk = g.Clock(0)
-	} else {
-		clk = sim.NewClock()
-		net, err = New(clk, cfg)
+	clk, err := sim.ParseKernel(kernel)
+	if err != nil {
+		t.Fatal(err)
 	}
+	net, err := New(clk, Defaults(w, h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +71,9 @@ func TestMulticastPathMatchesUnicastOracle(t *testing.T) {
 			{X: mesh.w - 1, Y: mesh.h - 1}, {X: 1, Y: mesh.h / 2}, {X: mesh.w - 2, Y: 1},
 		}
 		payload := []uint16{7, 11, 13, 17, 19}
-		clkP, netP := mcastNet(t, mesh.w, mesh.h, 1, false, true)
+		clkP, netP := mcastNet(t, mesh.w, mesh.h, "", true)
 		path, gotPath := mcastDeliver(t, clkP, netP, src, dsts, payload)
-		clkU, netU := mcastNet(t, mesh.w, mesh.h, 1, false, false)
+		clkU, netU := mcastNet(t, mesh.w, mesh.h, "", false)
 		oracle, gotUni := mcastDeliver(t, clkU, netU, src, dsts, payload)
 
 		if !path.Path || oracle.Path {
@@ -134,17 +123,15 @@ func TestMulticastPathMatchesUnicastOracle(t *testing.T) {
 	}
 }
 
-// TestMulticastCrossKernelIdentical: one multicast group crossing every
-// partition boundary must deliver each copy at exactly the same cycle —
-// and the oracle mode likewise — whether the mesh is unsharded, sharded
-// lockstep, or parallel. This is the partition-boundary multicast
-// differential: the payload hops through intermediate endpoints that
-// live in different clock domains.
+// TestMulticastCrossKernelIdentical: one multicast group spread across
+// the mesh must deliver each copy at exactly the same cycle — in path
+// mode and in the unicast oracle mode alike — under the default kernel,
+// with time warp off and under the dense kernel. The payload hops
+// through intermediate endpoints that forward it, so this covers the
+// forwarding path's evaluation order under every scheduler.
 func TestMulticastCrossKernelIdentical(t *testing.T) {
 	const w, h = 8, 4
 	src := Addr{X: 0, Y: 0}
-	// One destination per column strip under the 4-way partition, so
-	// every forwarded leg crosses at least one domain boundary.
 	dsts := []Addr{{X: 1, Y: 3}, {X: 3, Y: 0}, {X: 5, Y: 2}, {X: 7, Y: 1}}
 	payload := []uint16{3, 1, 4, 1, 5, 9, 2, 6}
 
@@ -152,18 +139,17 @@ func TestMulticastCrossKernelIdentical(t *testing.T) {
 		ejects []uint64
 		stats  MulticastStats
 	}
-	run := func(domains int, parallel, pathMode bool) obs {
-		clk, net := mcastNet(t, w, h, domains, parallel, pathMode)
+	run := func(kernel sim.Kernel, pathMode bool) obs {
+		clk, net := mcastNet(t, w, h, kernel, pathMode)
 		g, got := mcastDeliver(t, clk, net, src, dsts, payload)
 		if !g.DeliveredAll() {
-			t.Fatalf("domains=%d parallel=%v path=%v: undelivered legs",
-				domains, parallel, pathMode)
+			t.Fatalf("kernel %q path=%v: undelivered legs", kernel, pathMode)
 		}
 		for _, d := range g.Dsts {
 			for k, v := range got[d] {
 				if v != payload[k] {
-					t.Fatalf("domains=%d path=%v dst %s: corrupt payload flit %d = %d",
-						domains, pathMode, d, k, v)
+					t.Fatalf("kernel %q path=%v dst %s: corrupt payload flit %d = %d",
+						kernel, pathMode, d, k, v)
 				}
 			}
 		}
@@ -175,14 +161,10 @@ func TestMulticastCrossKernelIdentical(t *testing.T) {
 	}
 
 	for _, pathMode := range []bool{true, false} {
-		ref := run(1, false, pathMode)
-		for _, c := range []struct {
-			domains  int
-			parallel bool
-		}{{2, false}, {2, true}, {4, false}, {4, true}} {
-			got := run(c.domains, c.parallel, pathMode)
-			name := fmt.Sprintf("path=%v domains=%d parallel=%v",
-				pathMode, c.domains, c.parallel)
+		ref := run("", pathMode)
+		for _, k := range []sim.Kernel{"dense", "nowarp"} {
+			got := run(k, pathMode)
+			name := fmt.Sprintf("path=%v kernel=%s", pathMode, k)
 			for i := range ref.ejects {
 				if got.ejects[i] != ref.ejects[i] {
 					t.Errorf("%s: leg %d delivered at %d, reference %d",
@@ -243,7 +225,7 @@ func TestMulticastDropsEndpointlessDestinations(t *testing.T) {
 // TestSendMultiValidation: malformed destination sets must be rejected
 // as errors before anything is staged.
 func TestSendMultiValidation(t *testing.T) {
-	clk, net := mcastNet(t, 4, 4, 1, false, true)
+	clk, net := mcastNet(t, 4, 4, "", true)
 	_ = clk
 	ep := net.Endpoint(Addr{X: 0, Y: 0})
 	if _, err := ep.SendMulti(nil, []uint16{1}); err == nil {

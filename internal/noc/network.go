@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -77,147 +76,47 @@ func (c Config) Validate() error {
 	}
 }
 
-// netShard holds the per-domain slice of the network's bookkeeping, so
-// endpoints in different clock domains allocate packet IDs and log
-// deliveries without sharing state across goroutines. An unsharded
-// network has exactly one shard.
-type netShard struct {
+// Network is a complete Hermes mesh: routers, inter-router links and the
+// endpoints attached to Local ports, all registered on one clock.
+type Network struct {
+	cfg       Config
+	clk       *sim.Clock
+	routers   [][]*Router
+	endpoints map[Addr]*Endpoint
+	pathMcast bool // SendMulti mode: path-based vs unicast replication
+
 	nextPktID uint64
-	// metas is the shard's slice of the network-owned packet-metadata
-	// table: metas[seq-1] resolves the PacketID with sequence number
-	// seq. Flits carry PacketIDs instead of *PacketMeta pointers, so
-	// this table is the one place flit indices become metadata. A slot
-	// is nilled once its packet is delivered (no flit references it any
-	// more), keeping retired metadata collectable on long runs.
-	//
-	// metasMu guards metas: on a parallel group run the sending domain
-	// appends while a receiving domain resolves a cross-domain header,
-	// so the slice header must not be read concurrently with growth.
-	// The lock is per packet (alloc, header stamp, delivery), never per
-	// flit, so it stays off the flit hot path.
-	metasMu   sync.Mutex
+	// metas is the network-owned packet-metadata table: metas[id-1]
+	// resolves PacketID id. Flits carry PacketIDs instead of *PacketMeta
+	// pointers, so this table is the one place flit indices become
+	// metadata. A slot is nilled once its packet is delivered (no flit
+	// references it any more), keeping retired metadata collectable on
+	// long runs.
 	metas     []*PacketMeta
 	completed []*PacketMeta
 	delivered uint64
-	// Multicast counters. mcGroups/mcDropped are bumped by the sending
-	// endpoint's SendMulti (source shard); mcCopies by each delivering
-	// endpoint (receiver shard) — the same ownership split as
-	// nextPktID/delivered, so no extra locking is needed.
-	mcGroups  uint64
-	mcCopies  uint64
-	mcDropped uint64
-}
-
-// Network is a complete Hermes mesh: routers, inter-router links and the
-// endpoints attached to Local ports. It lives in a caller-provided clock
-// domain — or, sharded, across the domains of a sim.Group, with routers
-// assigned per address and neighbour links crossing domain boundaries
-// as mirror-wire pairs.
-type Network struct {
-	cfg       Config
-	clk       *sim.Clock // primary (domain-0) clock; the only one when unsharded
-	group     *sim.Group // nil when unsharded
-	domainOf  func(Addr) int
-	routers   [][]*Router
-	endpoints map[Addr]*Endpoint
-	shards    []netShard
-	pathMcast bool // SendMulti mode: path-based vs unicast replication
+	mcast     MulticastStats
 }
 
 // New builds the mesh and registers every router with clk.
 func New(clk *sim.Clock, cfg Config) (*Network, error) {
-	return buildNet(clk, nil, cfg, nil)
-}
-
-// NewSharded builds the mesh across the clock domains of g, assigning
-// the router at address a to domain domainOf(a) (every value must be a
-// valid domain index). Links between routers of different domains
-// become cross-domain mirror pairs with identical cycle timing, so a
-// sharded network simulates bit-identically to an unsharded one — only
-// packet IDs (sharded per domain) and the ordering of the Completed
-// log differ. A nil domainOf places every router in domain 0.
-func NewSharded(g *sim.Group, cfg Config, domainOf func(Addr) int) (*Network, error) {
-	if g == nil {
-		return nil, fmt.Errorf("noc: NewSharded with nil group")
-	}
-	if domainOf == nil {
-		domainOf = func(Addr) int { return 0 }
-	}
-	return buildNet(g.Clock(0), g, cfg, domainOf)
-}
-
-// StripDomains partitions the mesh into d contiguous column strips,
-// mapping strip i to domain base+i — the standard partition for
-// sharded traffic runs (XY routing keeps most hops inside a strip).
-func StripDomains(cfg Config, d, base int) func(Addr) int {
-	return func(a Addr) int { return base + a.X*d/cfg.Width }
-}
-
-// KernelMode parses kernel k for this mesh: a sharded mode may not ask
-// for more domains than the mesh has column strips.
-func (c Config) KernelMode(k sim.Kernel) (sim.KernelMode, error) {
-	m, err := sim.ParseKernel(k)
-	if err == nil && m.Domains > c.Width {
-		err = fmt.Errorf("noc: kernel %q: %d domains exceed the mesh's %d column strips", k, m.Domains, c.Width)
-	}
-	return m, err
-}
-
-// Build constructs the mesh on the clocks kernel k names. It is the one
-// place a run chooses between a single clock and a sharded group. The
-// single-domain modes get a plain sim.Clock; sharded<N> and parallel<N>
-// get a sim.Group of host+N domains with the mesh in N column strips
-// from domain host on, which leaves domains 0..host-1 to the caller's
-// components outside the mesh. Network.Clock is domain 0 either way.
-func Build(k sim.Kernel, cfg Config, host int) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	m, err := cfg.KernelMode(k)
-	if err != nil {
-		return nil, err
-	}
-	if m.Domains == 0 {
-		clk := sim.NewClock()
-		clk.SetActivityScheduling(!m.Dense)
-		clk.SetTimeWarp(!m.NoWarp)
-		return New(clk, cfg)
-	}
-	g := sim.NewGroup(host + m.Domains)
-	g.SetParallel(m.Parallel)
-	return NewSharded(g, cfg, StripDomains(cfg, m.Domains, host))
-}
-
-func buildNet(clk *sim.Clock, g *sim.Group, cfg Config, domainOf func(Addr) int) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	shards := 1
-	if g != nil {
-		shards = g.Domains()
 	}
 	n := &Network{
 		cfg:       cfg,
 		clk:       clk,
-		group:     g,
-		domainOf:  domainOf,
 		endpoints: make(map[Addr]*Endpoint),
-		shards:    make([]netShard, shards),
 		pathMcast: true,
 	}
 	n.routers = make([][]*Router, cfg.Width)
 	for x := 0; x < cfg.Width; x++ {
 		n.routers[x] = make([]*Router, cfg.Height)
 		for y := 0; y < cfg.Height; y++ {
-			a := Addr{X: x, Y: y}
-			ck, err := n.clockAt(a)
-			if err != nil {
-				return nil, err
-			}
-			r := newRouter(a, cfg, ck)
+			r := newRouter(Addr{X: x, Y: y}, cfg, clk)
 			n.routers[x][y] = r
-			ck.Register(r)
-			r.self = ck.Handle(r)
+			clk.Register(r)
+			r.self = clk.Handle(r)
 		}
 	}
 	// Wire neighbour links: one Link per direction per adjacent pair.
@@ -240,17 +139,11 @@ func buildNet(clk *sim.Clock, g *sim.Group, cfg Config, domainOf func(Addr) int)
 }
 
 // connectRouters wires one unidirectional link from an output port of
-// src to an input port of dst, crossing clock domains when needed.
+// src to an input port of dst.
 func (n *Network) connectRouters(src *Router, outp Port, dst *Router, inp Port, name string) {
-	if src.clk == dst.clk {
-		l := NewLink(src.clk, name)
-		src.connectOut(outp, l)
-		dst.connectIn(inp, l)
-		return
-	}
-	s, r := NewCrossLink(src.clk, dst.clk, name)
-	src.connectOut(outp, s)
-	dst.connectIn(inp, r)
+	l := NewLink(n.clk, name)
+	src.connectOut(outp, l)
+	dst.connectIn(inp, l)
 }
 
 // SetPathMulticast selects the delivery mode of subsequent SendMulti
@@ -274,42 +167,15 @@ type MulticastStats struct {
 	Dropped uint64
 }
 
-// MulticastStats reports the delivered/dropped multicast counters,
-// summed over the network's shards.
-func (n *Network) MulticastStats() MulticastStats {
-	var s MulticastStats
-	for i := range n.shards {
-		s.Groups += n.shards[i].mcGroups
-		s.Copies += n.shards[i].mcCopies
-		s.Dropped += n.shards[i].mcDropped
-	}
-	return s
-}
-
-// clockAt resolves the clock domain owning address a.
-func (n *Network) clockAt(a Addr) (*sim.Clock, error) {
-	if n.group == nil {
-		return n.clk, nil
-	}
-	d := n.domainOf(a)
-	if d < 0 || d >= n.group.Domains() {
-		return nil, fmt.Errorf("noc: router %s mapped to domain %d of %d", a, d, n.group.Domains())
-	}
-	return n.group.Clock(d), nil
-}
+// MulticastStats reports the delivered/dropped multicast counters.
+func (n *Network) MulticastStats() MulticastStats { return n.mcast }
 
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Clock returns the primary clock domain (the only one when the
-// network is unsharded; domain 0 — by convention the default domain of
-// non-NoC components — otherwise). Run/RunUntil*/Quiescent calls on it
-// drive the whole group.
+// Clock returns the clock every router and endpoint of the network is
+// registered on.
 func (n *Network) Clock() *sim.Clock { return n.clk }
-
-// Group returns the clock-domain group of a sharded network, nil when
-// unsharded.
-func (n *Network) Group() *sim.Group { return n.group }
 
 // Router returns the router at a, or nil when out of range.
 func (n *Network) Router(a Addr) *Router {
@@ -320,66 +186,30 @@ func (n *Network) Router(a Addr) *Router {
 }
 
 // NewEndpoint creates, wires and registers the endpoint on the Local
-// port of router a, in the router's own clock domain. Each router
-// supports exactly one endpoint.
+// port of router a. Each router supports exactly one endpoint.
 func (n *Network) NewEndpoint(a Addr) (*Endpoint, error) {
 	r := n.Router(a)
 	if r == nil {
 		return nil, fmt.Errorf("noc: no router at %s", a)
 	}
-	return n.newEndpoint(r.clk, a)
-}
-
-// NewEndpointFor is NewEndpoint with the endpoint placed in clk's
-// domain instead of the router's — for endpoints owned by an IP-core
-// component in another domain (an owner calls Send/Recv from its Eval,
-// so endpoint and owner must share a domain). The Local-port links
-// cross the boundary like any inter-router link.
-func (n *Network) NewEndpointFor(clk *sim.Clock, a Addr) (*Endpoint, error) {
-	if n.Router(a) == nil {
-		return nil, fmt.Errorf("noc: no router at %s", a)
-	}
-	return n.newEndpoint(clk, a)
-}
-
-func (n *Network) newEndpoint(clk *sim.Clock, a Addr) (*Endpoint, error) {
-	r := n.Router(a)
 	if _, dup := n.endpoints[a]; dup {
 		return nil, fmt.Errorf("noc: endpoint at %s already exists", a)
 	}
-	if n.group == nil && clk != n.clk {
-		return nil, fmt.Errorf("noc: endpoint clock outside the network's domain")
-	}
-	if n.group != nil && clk.Group() != n.group {
-		return nil, fmt.Errorf("noc: endpoint clock outside the network's domain group")
-	}
-	dom := clk.Domain()
-	var toRouter, fromRouter *Link // endpoint-side views
-	if clk == r.clk {
-		toRouter = NewLink(clk, fmt.Sprintf("l%s-Lin", a))
-		fromRouter = NewLink(clk, fmt.Sprintf("l%s-Lout", a))
-		r.connectIn(Local, toRouter)
-		r.connectOut(Local, fromRouter)
-	} else {
-		send, recvSide := NewCrossLink(clk, r.clk, fmt.Sprintf("l%s-Lin", a))
-		r.connectIn(Local, recvSide)
-		toRouter = send
-		outSend, outRecv := NewCrossLink(r.clk, clk, fmt.Sprintf("l%s-Lout", a))
-		r.connectOut(Local, outSend)
-		fromRouter = outRecv
-	}
+	toRouter := NewLink(n.clk, fmt.Sprintf("l%s-Lin", a))
+	fromRouter := NewLink(n.clk, fmt.Sprintf("l%s-Lout", a))
+	r.connectIn(Local, toRouter)
+	r.connectOut(Local, fromRouter)
 	ep := &Endpoint{
 		net:  n,
 		addr: a,
-		clk:  clk,
-		dom:  dom,
+		clk:  n.clk,
 		snd:  sender{link: toRouter},
 		rcv:  receiver{link: fromRouter},
 	}
 	sim.Watch(fromRouter.Tx, ep)
 	n.endpoints[a] = ep
-	clk.Register(ep)
-	ep.self = clk.Handle(ep)
+	n.clk.Register(ep)
+	ep.self = n.clk.Handle(ep)
 	return ep, nil
 }
 
@@ -387,62 +217,33 @@ func (n *Network) newEndpoint(clk *sim.Clock, a Addr) (*Endpoint, error) {
 func (n *Network) Endpoint(a Addr) *Endpoint { return n.endpoints[a] }
 
 // Completed returns the metadata of every packet fully delivered so
-// far. On a sharded network the per-domain logs are concatenated in
-// domain order — deterministic, but not the global delivery order an
-// unsharded run records; consumers aggregate (sums, sorted quantiles),
-// so results are unaffected.
-func (n *Network) Completed() []*PacketMeta {
-	if len(n.shards) == 1 {
-		return n.shards[0].completed
-	}
-	var all []*PacketMeta
-	for i := range n.shards {
-		all = append(all, n.shards[i].completed...)
-	}
-	return all
-}
+// far, in delivery order.
+func (n *Network) Completed() []*PacketMeta { return n.completed }
 
 // Delivered reports how many packets have been fully delivered.
-func (n *Network) Delivered() uint64 {
-	var t uint64
-	for i := range n.shards {
-		t += n.shards[i].delivered
-	}
-	return t
-}
+func (n *Network) Delivered() uint64 { return n.delivered }
 
 // ResetStats clears the completed-packet log and the delivered counter,
 // so rates computed after a warmup reset start from zero (router
 // counters keep accumulating; they are snapshots, not rates).
 func (n *Network) ResetStats() {
-	for i := range n.shards {
-		n.shards[i].completed = nil
-		n.shards[i].delivered = 0
-	}
+	n.completed = nil
+	n.delivered = 0
 }
 
-// allocMeta stamps fresh packet metadata in the sending endpoint's
-// shard. Sharded IDs carry the domain index in the top bits over a
-// per-domain sequence number — deterministic for a fixed partition,
-// and identical to the unsharded numbering for domain 0.
+// allocMeta stamps fresh packet metadata for a packet e sends. IDs
+// number the network's packets from 1 in allocation order.
 func (n *Network) allocMeta(e *Endpoint, dst Addr, payload int) *PacketMeta {
-	sh := &n.shards[e.dom]
-	sh.nextPktID++
-	id := sh.nextPktID
-	if e.dom > 0 {
-		id |= uint64(e.dom) << pktSeqBits
-	}
+	n.nextPktID++
 	m := &PacketMeta{
-		ID:           id,
+		ID:           n.nextPktID,
 		Src:          e.addr,
 		Dst:          dst,
 		Len:          payload + 2,
 		CreatedCycle: e.clk.Cycle(),
 		Hops:         HopCount(e.addr, dst),
 	}
-	sh.metasMu.Lock()
-	sh.metas = append(sh.metas, m)
-	sh.metasMu.Unlock()
+	n.metas = append(n.metas, m)
 	return m
 }
 
@@ -450,36 +251,20 @@ func (n *Network) allocMeta(e *Endpoint, dst Addr, payload int) *PacketMeta {
 // It returns nil for the zero PacketID and for packets already
 // delivered (their table slots are released on ejection).
 func (n *Network) Meta(id PacketID) *PacketMeta {
-	if id == 0 {
+	if id == 0 || uint64(id) > uint64(len(n.metas)) {
 		return nil
 	}
-	dom := int(id >> pktSeqBits)
-	seq := uint64(id) & (1<<pktSeqBits - 1)
-	if dom >= len(n.shards) {
-		return nil
-	}
-	sh := &n.shards[dom]
-	sh.metasMu.Lock()
-	defer sh.metasMu.Unlock()
-	if seq == 0 || seq > uint64(len(sh.metas)) {
-		return nil
-	}
-	return sh.metas[seq-1]
+	return n.metas[id-1]
 }
 
 func (n *Network) packetDelivered(e *Endpoint, m *PacketMeta) {
 	m.EjectCycle = e.clk.Cycle()
-	// Release the sender-shard table slot: the packet has left the
-	// network, so no flit references its ID any more.
-	src := &n.shards[int(m.ID>>pktSeqBits)]
-	src.metasMu.Lock()
-	src.metas[m.ID&(1<<pktSeqBits-1)-1] = nil
-	src.metasMu.Unlock()
-	// Delivery bookkeeping stays in the receiving endpoint's shard.
-	sh := &n.shards[e.dom]
-	sh.completed = append(sh.completed, m)
-	sh.delivered++
+	// Release the table slot: the packet has left the network, so no
+	// flit references its ID any more.
+	n.metas[m.ID-1] = nil
+	n.completed = append(n.completed, m)
+	n.delivered++
 	if m.MC != nil {
-		sh.mcCopies++
+		n.mcast.Copies++
 	}
 }

@@ -135,8 +135,7 @@ func newRouter(addr Addr, cfg Config, clk *sim.Clock) *Router {
 // Addr reports the router's mesh coordinates.
 func (r *Router) Addr() Addr { return r.addr }
 
-// Clock returns the clock domain the router is registered in (its
-// shard's clock on a sharded network).
+// Clock returns the clock the router is registered on: the network's.
 func (r *Router) Clock() *sim.Clock { return r.clk }
 
 // integrateStats adds span cycles of the registered per-port state to

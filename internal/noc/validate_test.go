@@ -26,19 +26,6 @@ func TestSendRejectsOffMeshDestination(t *testing.T) {
 	}
 }
 
-func TestNewShardedRejectsNilGroupAndBadDomains(t *testing.T) {
-	if _, err := NewSharded(nil, Defaults(4, 4), nil); err == nil {
-		t.Error("NewSharded accepted a nil group")
-	}
-	g := sim.NewGroup(2)
-	if _, err := NewSharded(g, Defaults(4, 4), func(Addr) int { return 7 }); err == nil {
-		t.Error("NewSharded accepted an out-of-range domain mapping")
-	}
-	if _, err := NewSharded(sim.NewGroup(2), Defaults(4, 4), func(Addr) int { return -1 }); err == nil {
-		t.Error("NewSharded accepted a negative domain mapping")
-	}
-}
-
 func TestConfigValidateExported(t *testing.T) {
 	if err := Defaults(4, 4).Validate(); err != nil {
 		t.Errorf("Defaults invalid: %v", err)

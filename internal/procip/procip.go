@@ -107,7 +107,7 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 	if cfg.LocalWords <= 0 {
 		cfg.LocalWords = 1024
 	}
-	ep, err := net.NewEndpointFor(net.Clock(), cfg.Addr)
+	ep, err := net.NewEndpoint(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}

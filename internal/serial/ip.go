@@ -48,12 +48,10 @@ type IP struct {
 
 // NewIP creates the Serial IP on the router at addr. rxd carries data
 // from the host (the system's "tx" pin in Figure 1), txd to the host.
-// The IP registers itself with the network's primary clock — on a
-// sharded network that is domain 0, where the host and its UART lines
-// live, so its endpoint is placed there too (the Local-port links
-// cross to the router's domain like any boundary link).
+// The IP registers itself with the network's clock, which the host and
+// its UART lines share.
 func NewIP(net *noc.Network, addr noc.Addr, rxd, txd *Line) (*IP, error) {
-	ep, err := net.NewEndpointFor(net.Clock(), addr)
+	ep, err := net.NewEndpoint(addr)
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,10 @@ package sim
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 )
 
-// ticker is a component that never sleeps, keeping its domain busy so
+// ticker is a component that never sleeps, keeping its clock busy so
 // run loops execute every cycle.
 type ticker struct{ evals int }
 
@@ -15,7 +14,7 @@ func (t *ticker) Name() string { return "ticker" }
 func (t *ticker) Eval()        { t.evals++ }
 func (t *ticker) Commit()      {}
 
-// napper sleeps forever on a far-future timer, so its domain is dead
+// napper sleeps forever on a far-future timer, so its clock is dead
 // and every run warps.
 type napper struct {
 	clk   *Clock
@@ -67,7 +66,7 @@ func TestCancelRunUntilReturnsErrCanceled(t *testing.T) {
 }
 
 func TestCancelQuiescencePreemptsCancellation(t *testing.T) {
-	// A domain that is already quiescent reports success even with a
+	// A clock that is already quiescent reports success even with a
 	// triggered hook: the drain finished, cancellation has nothing to
 	// stop.
 	clk := NewClock()
@@ -119,63 +118,5 @@ func TestCancelClearHook(t *testing.T) {
 	clk.Run(100)
 	if clk.Cycle() != 100 {
 		t.Fatalf("cycle %d after clearing hook, want 100", clk.Cycle())
-	}
-}
-
-// groupPair builds a two-domain group with a mirror wire from domain 0
-// to domain 1 and a ticker in each, so both domains stay busy and the
-// parallel horizon protocol is exercised.
-func groupPair(t *testing.T) (*Group, *ticker, *ticker) {
-	t.Helper()
-	g := NewGroup(2)
-	t0, t1 := &ticker{}, &ticker{}
-	g.Clock(0).Register(t0)
-	g.Clock(1).Register(t1)
-	MirrorWire(NewWire(g.Clock(0), "x", false), g.Clock(1))
-	return g, t0, t1
-}
-
-func TestCancelGroupLockstep(t *testing.T) {
-	g, _, _ := groupPair(t)
-	var n atomic.Int64
-	g.SetCancel(func() bool { return n.Add(1) >= 4 })
-	g.Run(1_000_000)
-	if g.Cycle() >= 1_000_000 {
-		t.Fatalf("lockstep run not cancelled: cycle %d", g.Cycle())
-	}
-	if err := g.RunUntil(func() bool { return false }, 1_000_000); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("group RunUntil = %v, want ErrCanceled", err)
-	}
-}
-
-func TestCancelGroupParallelNoDeadlock(t *testing.T) {
-	g, _, _ := groupPair(t)
-	g.SetParallel(true)
-	var n atomic.Int64
-	// The hook fires on one domain's goroutine first; the other must
-	// not deadlock waiting for the cancelled domain's horizon.
-	g.SetCancel(func() bool { return n.Add(1) >= 10 })
-	g.Run(200_000) // must terminate
-	if err := g.RunUntilQuiescent(1_000_000); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("parallel RunUntilQuiescent = %v, want ErrCanceled", err)
-	}
-}
-
-func TestCancelGroupParallelPerDomainHooks(t *testing.T) {
-	// Per-domain cycle-budget closures: each goroutine reads only its
-	// own clock, the pattern traffic.Run uses for simulated-cycle
-	// deadlines on sharded meshes.
-	g, _, _ := groupPair(t)
-	g.SetParallel(true)
-	const budget = 5_000
-	for i := 0; i < g.Domains(); i++ {
-		c := g.Clock(i)
-		c.SetCancel(func() bool { return c.Cycle() >= budget })
-	}
-	g.Run(50_000_000) // must terminate well before 50M busy cycles
-	for i := 0; i < g.Domains(); i++ {
-		if cyc := g.Clock(i).Cycle(); cyc > budget+2*cancelCheckStride {
-			t.Fatalf("domain %d ran to cycle %d past budget %d", i, cyc, budget)
-		}
 	}
 }

@@ -3,25 +3,24 @@ package sim
 import "testing"
 
 func TestParseKernel(t *testing.T) {
-	for k, want := range map[Kernel]KernelMode{
-		"":           {},
-		"nowarp":     {NoWarp: true},
-		"dense":      {Dense: true},
-		"sharded2":   {Domains: 2},
-		"parallel16": {Domains: 16, Parallel: true},
-		"sharded4":   {Domains: 4},
-		"parallel4":  {Domains: 4, Parallel: true},
+	for k, want := range map[Kernel]struct{ dense, noWarp bool }{
+		"":       {},
+		"nowarp": {noWarp: true},
+		"dense":  {dense: true},
 	} {
-		if got, err := ParseKernel(k); err != nil || got != want {
-			t.Errorf("ParseKernel(%q) = %+v, %v; want %+v", k, got, err, want)
+		c, err := ParseKernel(k)
+		if err != nil {
+			t.Errorf("ParseKernel(%q): %v", k, err)
+		} else if c.dense != want.dense || c.noWarp != want.noWarp {
+			t.Errorf("ParseKernel(%q): dense=%v noWarp=%v, want %+v", k, c.dense, c.noWarp, want)
 		}
 	}
-	// One spelling per mode: no aliases, no one-domain groups, no signs
-	// or leading zeros on the domain count.
-	for _, k := range []Kernel{"default", "Dense", "sharded", "sharded1", "parallel0",
-		"parallel-2", "sharded+2", "sharded02", "sharded 2", "parallel2x", "densenowarp"} {
-		if m, err := ParseKernel(k); err == nil {
-			t.Errorf("ParseKernel(%q) accepted as %+v", k, m)
+	// One spelling per mode. The sharded<N> and parallel<N> forms name
+	// modes that no longer exist and must be rejected, not ignored.
+	for _, k := range []Kernel{"default", "Dense", "densenowarp", "nowarp ",
+		"sharded", "sharded2", "sharded4", "parallel", "parallel2", "parallel16"} {
+		if _, err := ParseKernel(k); err == nil {
+			t.Errorf("ParseKernel(%q) accepted", k)
 		}
 	}
 }

@@ -51,7 +51,7 @@
 // Components that never satisfy this — or that predate the protocol —
 // simply do not implement Idler and run every cycle, which is always
 // correct, only slower — and, since they never retire from the active
-// set, a domain containing one never reports Quiescent (quiescence
+// set, a clock holding one never reports Quiescent (quiescence
 // callers then run to their cycle budgets).
 //
 // Wires participate too: a wire only latches on edges following a Set
@@ -100,63 +100,20 @@
 // land on exactly the cycle the stepped model would produce it, so
 // batching is invisible to differential comparison.
 //
-// # Clock domains and conservative parallelism
-//
-// A Clock is one clock domain: components, wires, an active set, a wake
-// queue and a timer heap of its own. A Group couples several domains
-// GALS-style — each domain is locally synchronous, and domains exchange
-// state only over mirror wires (MirrorWire), which carry a value across
-// the domain boundary with exactly the one-cycle latency an ordinary
-// wire has inside a domain. That latency is the lookahead that makes
-// conservative parallel simulation possible: a domain that has
-// completed cycle h cannot affect a neighbour before cycle h+1, so the
-// neighbour may freely simulate up to min(upstream horizons) + 1
-// without ever seeing a value out of order (null-message style, after
-// Chandy–Misra–Bryant). Within that bound each domain warps its own
-// dead spans, so an idle region skips time even while another region is
-// busy — the case a single domain can never warp.
-//
-// Group.SetParallel selects between two executions of the same
-// semantics (the "sharded<N>" and "parallel<N>" Kernels):
-//
-//   - Serial lockstep (the default): every domain executes cycle c
-//     before any executes c+1, with a group-wide warp when every domain
-//     is dead. This is bit-for-bit identical to registering all
-//     components on one Clock — the differential reference.
-//   - Parallel: one goroutine per domain, horizons exchanged through
-//     atomics, blocked domains parking on a condition variable. Results
-//     are deterministic for a fixed partition (each domain's execution
-//     is sequential and cross-domain values apply at fixed cycles) and
-//     bit-identical to lockstep in all simulation state; only the cycle
-//     at which budgeted drains stop may overshoot, which no state
-//     observes.
-//
-// The domain/horizon contract for models: a component must interact
-// with other domains only through mirror wires (never by calling
-// methods on, waking, or arming timers for a component registered on
-// another Clock), and everything a component touches in Eval/Commit —
-// its wires, its endpoint, its RNG — must live in its own domain. A
-// model that honours the Idler contract within its domain stays
-// warpable across domain edges for free: inbound mirror events bound
-// the warp exactly like timers, so a sleeping domain executes precisely
-// the cycles on which upstream values land.
-//
 // Determinism is unaffected by any of this: the active set only ever
 // skips Evals that stage nothing and Commits that latch nothing, wakes
 // are applied at deterministic points of the cycle, warped spans are
 // provably free of state changes, and iteration stays in registration
-// order. The same seed yields bit-identical results with activity
-// scheduling on or off, with time warping on or off, and with any
-// domain partition serial or parallel;
-// SetActivityScheduling(false) restores the dense reference behaviour
-// for differential testing. Runs select all of this with one value,
-// Kernel (see ParseKernel).
+// order. The same seed therefore yields bit-identical results under all
+// three Kernel modes: the default (activity scheduling with time warp),
+// "nowarp" (SetTimeWarp(false), the time-warp oracle) and "dense"
+// (SetActivityScheduling(false), the activity-scheduling oracle).
+// ParseKernel turns a Kernel into a Clock configured for it.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Component is a clocked hardware block. Eval must only read wire values
@@ -232,31 +189,15 @@ type Clock struct {
 	cancelCtr   int
 	cancelFired bool // latched first true result; reset by SetCancel
 
-	cycle uint64
-	// lastActive is the most recent cycle whose step did real work
-	// (components evaluated, a wire latched, a timer fired, a mirror
-	// event arrived). A parallel RunUntilQuiescent rewinds the counters
-	// to the maximum across domains when it detects quiescence, undoing
-	// its chunk-boundary overshoot; see Group.RunUntilQuiescent.
-	lastActive  uint64
+	cycle       uint64
 	probes      []func(cycle uint64)
 	rangeProbes []func(from, to uint64)
-
-	// Domain coupling (nil/zero for a standalone clock). group links
-	// the clock into a Group of domains; inQ holds one event queue per
-	// upstream domain delivering mirror-wire changes; horizon publishes
-	// the completed cycle to downstream domains during parallel runs.
-	group    *Group
-	domIdx   int
-	inQ      []*crossQueue // one slot per domain; inQ[j] feeds from domain j
-	upstream []int         // domain indices that mirror wires into this one
-	horizon  atomic.Uint64
 }
 
-// NewClock returns an empty clock domain.
+// NewClock returns an empty clock with the default scheduling.
 func NewClock() *Clock { return &Clock{} }
 
-// Register adds components to the clock domain. Registering the same
+// Register adds components to the clock. Registering the same
 // component twice double-clocks it; callers must not do that. Newly
 // registered components start active.
 func (c *Clock) Register(comps ...Component) {
@@ -299,51 +240,16 @@ func (c *Clock) ProbeRange(fn func(from, to uint64)) {
 	c.rangeProbes = append(c.rangeProbes, fn)
 }
 
-// Cycle reports how many clock cycles have elapsed in this domain.
-// Domains of a group all simulate the same timeline; their counters
-// agree whenever the group is joined (between Run calls) and may differ
-// transiently while a parallel run is in flight.
+// Cycle reports how many clock cycles have elapsed.
 func (c *Clock) Cycle() uint64 { return c.cycle }
 
-// Domain reports the clock's index within its Group, 0 for a
-// standalone clock.
-func (c *Clock) Domain() int { return c.domIdx }
-
-// Group returns the group the clock belongs to, or nil for a
-// standalone clock.
-func (c *Clock) Group() *Group { return c.group }
-
-// ComponentCount reports how many components are registered. For a
-// clock in a Group it aggregates every domain, so harness code holding
-// any one domain keeps seeing the whole system.
-func (c *Clock) ComponentCount() int {
-	if c.group != nil {
-		t := 0
-		for _, d := range c.group.clocks {
-			t += len(d.comps)
-		}
-		return t
-	}
-	return len(c.comps)
-}
+// ComponentCount reports how many components are registered.
+func (c *Clock) ComponentCount() int { return len(c.comps) }
 
 // ActiveCount reports how many components will be evaluated next cycle
 // (pending wakes not yet applied). With activity scheduling disabled it
-// is the total component count. For a clock in a Group it aggregates
-// every domain, so existing harness predicates work unchanged on
-// sharded systems.
+// is the total component count.
 func (c *Clock) ActiveCount() int {
-	if c.group != nil {
-		t := 0
-		for _, d := range c.group.clocks {
-			t += d.activeCountLocal()
-		}
-		return t
-	}
-	return c.activeCountLocal()
-}
-
-func (c *Clock) activeCountLocal() int {
 	if c.dense {
 		return len(c.comps)
 	}
@@ -352,7 +258,7 @@ func (c *Clock) activeCountLocal() int {
 
 // SetTimeWarp enables (the default) or disables dead-cycle skipping.
 // With it off, Step/Run/RunUntil* execute every cycle one at a time even
-// when the domain is provably dead — the PR 1 reference behaviour, kept
+// when the clock is provably dead — the PR 1 reference behaviour, kept
 // for differential testing and speedup benchmarks. Both modes produce
 // bit-identical simulations. Dense mode never warps regardless of this
 // setting.
@@ -539,18 +445,8 @@ func (c *Clock) applyWakes() {
 }
 
 // PendingTimers reports how many WakeAt timers are armed (after
-// coalescing). It exists for tests and diagnostics. For a clock in a
-// Group it aggregates every domain.
-func (c *Clock) PendingTimers() int {
-	if c.group != nil {
-		t := 0
-		for _, d := range c.group.clocks {
-			t += len(d.timers)
-		}
-		return t
-	}
-	return len(c.timers)
-}
+// coalescing). It exists for tests and diagnostics.
+func (c *Clock) PendingTimers() int { return len(c.timers) }
 
 // ErrCanceled reports that a run was stopped early by a cancellation
 // hook installed with SetCancel — a wall-clock deadline, a context, or
@@ -566,18 +462,11 @@ var ErrCanceled = errors.New("sim: run canceled")
 const cancelCheckStride = 64
 
 // SetCancel installs (or, with nil, removes) a cancellation hook for
-// this clock domain. The hook is consulted between executed steps of
-// Run, RunUntil and RunUntilQuiescent; when it returns true the run
-// stops early — Run simply returns with fewer cycles elapsed, the
+// this clock. The hook is consulted between executed steps of Run,
+// RunUntil and RunUntilQuiescent; when it returns true the run stops
+// early — Run simply returns with fewer cycles elapsed, the
 // error-returning entry points return ErrCanceled. The hook must be
-// cheap (a context Err poll, a cycle comparison) and, in a parallel
-// group run, safe to call from the domain's goroutine: a hook that
-// reads a Clock must read only its own.
-//
-// For a grouped clock the hook covers this domain only; use
-// Group.SetCancel to apply one hook to every domain, or install a
-// per-domain closure on each (the way a simulated-cycle budget is
-// enforced without cross-goroutine cycle reads).
+// cheap: a context Err poll, a cycle comparison.
 func (c *Clock) SetCancel(fn func() bool) {
 	c.cancel = fn
 	c.cancelCtr = 0
@@ -586,9 +475,8 @@ func (c *Clock) SetCancel(fn func() bool) {
 
 // canceled consults the cancellation hook, at most once every
 // cancelCheckStride calls. A true result latches: once a run has been
-// cancelled, every later check answers true without re-consulting the
-// hook, so all of the group's run loops observe the cancellation no
-// matter which one's check happened to trigger it.
+// cancelled, every later run loop stops at its first check without
+// re-consulting the hook, until SetCancel installs a new one.
 func (c *Clock) canceled() bool {
 	if c.cancelFired {
 		return true
@@ -626,21 +514,9 @@ func (c *Clock) warp(limit uint64) {
 	if len(c.timers) > 0 && c.timers[0].cycle < target {
 		target = c.timers[0].cycle
 	}
-	if c.inQ != nil {
-		if b := c.inboundBound(); b < target {
-			target = b
-		}
-	}
 	if target == warpUnbounded || target <= c.cycle+1 {
 		return
 	}
-	c.jumpTo(target)
-}
-
-// jumpTo moves the counter so the next executed step ends at target,
-// reporting the skipped span to ProbeRange hooks. Callers must have
-// established that the span is dead.
-func (c *Clock) jumpTo(target uint64) {
 	from := c.cycle + 1
 	c.cycle = target - 1
 	// A warp can cross an arbitrary span of simulated time, so a
@@ -653,40 +529,8 @@ func (c *Clock) jumpTo(target uint64) {
 	}
 }
 
-// inboundBound caps a warp at the first pending mirror-wire event: an
-// event latched upstream at cycle k is delivered at the end of this
-// domain's step ending at k (between stepCore and stepFinish), so that
-// step must execute. Like timers, inbound events bound the warp rather
-// than forbid it.
-func (c *Clock) inboundBound() uint64 {
-	b := warpUnbounded
-	for _, q := range c.inQ {
-		if q == nil {
-			continue
-		}
-		if k, ok := q.peekCycle(); ok && k < b {
-			b = k
-		}
-	}
-	return b
-}
-
-// drainInbound applies every pending mirror-wire event latched at or
-// before the just-completed cycle. It runs between stepCore and
-// stepFinish — after every producer has latched the cycle — so the
-// mirrored value is visible to this cycle's probes on the latch tick
-// itself, and the mirror's watchers are woken into pending, evaluating
-// next cycle: exactly the timing of a local wire latched this cycle.
-func (c *Clock) drainInbound() {
-	for _, q := range c.inQ {
-		if q != nil && q.drainTo(c.cycle) {
-			c.lastActive = c.cycle
-		}
-	}
-}
-
 // Step advances the simulation to the next event. With time warping
-// enabled (the default) and the domain momentarily dead — no active
+// enabled (the default) and the clock momentarily dead — no active
 // components, no pending wakes, no staged wires — the cycle counter
 // first jumps so that this step executes the earliest armed WakeAt
 // timer, skipping the dead cycles in between; otherwise (and always
@@ -694,33 +538,18 @@ func (c *Clock) drainInbound() {
 // active set, Commit it, latch staged wires, then retire idle
 // components.
 func (c *Clock) Step() {
-	if c.group != nil {
-		c.group.Step()
-		return
-	}
 	c.warp(warpUnbounded)
 	c.step()
 }
 
-// step executes exactly one clock cycle. Grouped domains run the two
-// halves with a mirror-event drain in between (see stepCore).
+// step executes exactly one clock cycle: wake, Eval, Commit, latch,
+// advance the counter, run the probes, retire idle components.
 func (c *Clock) step() {
-	c.stepCore()
-	c.stepFinish()
-}
-
-// stepCore is the state-changing half of a cycle: wake, Eval, Commit,
-// latch, advance the counter. For a grouped domain the group runner
-// inserts the inbound mirror-event drain between stepCore and
-// stepFinish — once every producer has latched this cycle — so the
-// cycle's probes observe mirrored values on exactly the tick the
-// source domain latched them, as an unsharded probe would.
-func (c *Clock) stepCore() {
+	// In dense mode timers have no activation effect (everything is
+	// already active), but due ones must still pop so Quiescent sees
+	// the in-flight work they mark retire on schedule.
+	c.applyWakes()
 	if c.dense {
-		// Timers have no activation effect in dense mode (everything is
-		// already active) but due ones must still pop so Quiescent sees
-		// the in-flight work they mark retire on schedule.
-		c.applyWakes()
 		for _, comp := range c.comps {
 			comp.Eval()
 		}
@@ -734,43 +563,29 @@ func (c *Clock) stepCore() {
 			w.latch()
 		}
 		c.dirty = c.dirty[:0]
-		c.cycle++
-		c.lastActive = c.cycle // dense cycles always count as work
-		return
-	}
-	busy := len(c.activeList) != 0 || len(c.pending) != 0 || len(c.dirty) != 0 ||
-		(len(c.timers) > 0 && c.timers[0].cycle <= c.cycle+1)
-	c.applyWakes()
-	// Explicit index loops: a Wake during the Eval phase appends to
-	// activeList, and the appended component must still be visited —
-	// its Eval is a no-op (it was asleep, so its inputs are quiescent)
-	// but its Commit latches whatever the waker staged on it, exactly
-	// as in a dense run.
-	c.inEval = true
-	for k := 0; k < len(c.activeList); k++ {
-		c.comps[c.activeList[k]].Eval()
-	}
-	c.inEval = false
-	for k := 0; k < len(c.activeList); k++ {
-		c.comps[c.activeList[k]].Commit()
-	}
-	// Only wires whose driver staged a value this cycle need latching;
-	// watchers of wires whose latched value changes are woken here.
-	if len(c.dirty) > 0 {
+	} else {
+		// Explicit index loops: a Wake during the Eval phase appends to
+		// activeList, and the appended component must still be visited —
+		// its Eval is a no-op (it was asleep, so its inputs are
+		// quiescent) but its Commit latches whatever the waker staged on
+		// it, exactly as in a dense run.
+		c.inEval = true
+		for k := 0; k < len(c.activeList); k++ {
+			c.comps[c.activeList[k]].Eval()
+		}
+		c.inEval = false
+		for k := 0; k < len(c.activeList); k++ {
+			c.comps[c.activeList[k]].Commit()
+		}
+		// Only wires whose driver staged a value this cycle need
+		// latching; watchers of wires whose latched value changes are
+		// woken here.
 		for _, w := range c.dirty {
 			w.latch()
 		}
 		c.dirty = c.dirty[:0]
 	}
 	c.cycle++
-	if busy {
-		c.lastActive = c.cycle
-	}
-}
-
-// stepFinish is the observing half of a cycle: probes, then idle
-// retirement.
-func (c *Clock) stepFinish() {
 	for _, p := range c.probes {
 		p(c.cycle)
 	}
@@ -797,10 +612,6 @@ func (c *Clock) stepFinish() {
 // with the cycle counter wherever the last executed step left it;
 // callers that arm a hook re-check its condition after Run returns.
 func (c *Clock) Run(n uint64) {
-	if c.group != nil {
-		c.group.Run(n)
-		return
-	}
 	target := c.cycle + n
 	for c.cycle < target {
 		if c.canceled() {
@@ -821,9 +632,6 @@ var ErrTimeout = errors.New("sim: watchdog timeout")
 // time warping cannot change state, so a predicate over simulation
 // state flips at exactly the same cycle either way.
 func (c *Clock) RunUntil(pred func() bool, maxCycles uint64) error {
-	if c.group != nil {
-		return c.group.RunUntil(pred, maxCycles)
-	}
 	target := c.cycle + maxCycles
 	for c.cycle < target {
 		if c.canceled() {
@@ -845,29 +653,12 @@ func (c *Clock) RunUntil(pred func() bool, maxCycles uint64) error {
 // endpoint, bytes queued on a UART — ends quiescence.
 //
 // A component that does not implement Idler never leaves the active
-// set, so a domain containing one can never report quiescence (its
+// set, so a clock holding one can never report quiescence (its
 // simulation stays correct; only Quiescent/RunUntilQuiescent are
 // unavailable and callers fall back to their cycle budgets).
 func (c *Clock) Quiescent() bool {
-	if c.group != nil {
-		return c.group.Quiescent()
-	}
-	return c.quiescentLocal()
-}
-
-// quiescentLocal is the single-domain quiescence test; a grouped domain
-// is additionally held awake by undelivered inbound mirror events.
-func (c *Clock) quiescentLocal() bool {
 	if len(c.dirty) > 0 {
 		return false
-	}
-	for _, q := range c.inQ {
-		if q == nil {
-			continue
-		}
-		if _, pending := q.peekCycle(); pending {
-			return false
-		}
 	}
 	if c.dense {
 		if len(c.timers) != 0 {
@@ -889,12 +680,9 @@ func (c *Clock) quiescentLocal() bool {
 // everything drained" idiom: drivers stop exactly when the hardware
 // does, without polling a predicate every cycle.
 func (c *Clock) RunUntilQuiescent(maxCycles uint64) error {
-	if c.group != nil {
-		return c.group.RunUntilQuiescent(maxCycles)
-	}
 	target := c.cycle + maxCycles
 	for c.cycle < target {
-		if c.quiescentLocal() {
+		if c.Quiescent() {
 			return nil
 		}
 		if c.canceled() {
@@ -903,7 +691,7 @@ func (c *Clock) RunUntilQuiescent(maxCycles uint64) error {
 		c.warp(target)
 		c.step()
 	}
-	if c.quiescentLocal() {
+	if c.Quiescent() {
 		return nil
 	}
 	return fmt.Errorf("%w: not quiescent after %d cycles", ErrTimeout, maxCycles)

@@ -576,3 +576,41 @@ func TestDenseKernelEquivalence(t *testing.T) {
 		}
 	}
 }
+
+func TestHandleMatchesClockCalls(t *testing.T) {
+	clk := NewClock()
+	p := &pulser{clk: clk}
+	clk.Register(p)
+	h := clk.Handle(p)
+	if !h.Valid() {
+		t.Fatal("handle for registered component invalid")
+	}
+	clk.Step()
+	if clk.ActiveCount() != 0 {
+		t.Fatal("pulser did not retire")
+	}
+	h.Wake()
+	clk.Step()
+	// A woken pulser with no work retires again after one step.
+	if clk.ActiveCount() != 0 {
+		t.Fatal("handle Wake did not behave like Clock.Wake")
+	}
+	h.WakeAt(clk.Cycle() + 50)
+	if clk.PendingTimers() != 1 {
+		t.Fatal("handle WakeAt did not arm a timer")
+	}
+	clk.Run(60)
+	if clk.PendingTimers() != 0 {
+		t.Fatal("handle timer never fired")
+	}
+
+	var zero Handle
+	if zero.Valid() {
+		t.Fatal("zero handle claims validity")
+	}
+	zero.Wake()          // must not panic
+	zero.WakeAt(1 << 20) // must not panic
+	if got := clk.Handle(nil); got.Valid() {
+		t.Fatal("Handle(nil) should be invalid")
+	}
+}

@@ -23,14 +23,10 @@ type Wire[T any] struct {
 	eq         func(a, b T) bool
 	watchers   []Component
 	watcherIdx []int
-
-	// mirrors forward every latched change into other clock domains
-	// (one entry per MirrorWire made from this wire).
-	mirrors []func(v T)
 }
 
-// NewWire creates a wire in clk's domain, carrying v both as the current
-// and staged value.
+// NewWire creates a wire on clk, carrying v both as the current and
+// staged value.
 func NewWire[T any](clk *Clock, name string, v T) *Wire[T] {
 	w := &Wire[T]{cur: v, next: v, clk: clk, name: name}
 	clk.allWires = append(clk.allWires, w)
@@ -40,9 +36,9 @@ func NewWire[T any](clk *Clock, name string, v T) *Wire[T] {
 // Name reports the wire's diagnostic name.
 func (w *Wire[T]) Name() string { return w.name }
 
-// Clock returns the clock domain the wire belongs to, so code handed
-// only a wire (a UART given its line) can derive cycle counts and arm
-// timers in the right domain.
+// Clock returns the clock the wire belongs to, so code handed only a
+// wire (a UART given its line) can derive cycle counts and arm timers
+// on it.
 func (w *Wire[T]) Clock() *Clock { return w.clk }
 
 // Get returns the value latched at the previous clock edge.
@@ -72,38 +68,9 @@ func (w *Wire[T]) latch() {
 				w.clk.wakeIndex(i)
 			}
 		}
-		for _, m := range w.mirrors {
-			m(w.next)
-		}
 	}
 	w.cur = w.next
 	w.dirty = false
-}
-
-// wakeWatchers is the mirror-apply counterpart of the latch-time wake:
-// it wakes the wire's watchers without latching (a mirror has no staged
-// value of its own).
-func (w *Wire[T]) wakeWatchers() {
-	for k, comp := range w.watchers {
-		if i := w.watcherIdx[k]; i >= 0 {
-			w.clk.wakeIndex(i)
-		} else if i, ok := w.clk.index[comp]; ok {
-			w.watcherIdx[k] = i
-			w.clk.wakeIndex(i)
-		}
-	}
-}
-
-// applyMirror implements mirrorSink: the source wire latched val one
-// boundary cycle ago; publish it in this domain and wake watchers for
-// the step about to execute.
-func (w *Wire[T]) applyMirror(val any) {
-	v := val.(T)
-	if !w.eq(w.cur, v) {
-		w.cur = v
-		w.next = v
-		w.wakeWatchers()
-	}
 }
 
 // Watch registers comps to be woken by the wire's clock whenever a
@@ -121,34 +88,4 @@ func Watch[T comparable](w *Wire[T], comps ...Component) {
 	for range comps {
 		w.watcherIdx = append(w.watcherIdx, -1)
 	}
-}
-
-// MirrorWire couples src into another clock domain of the same Group:
-// it returns a read-only wire on dst that tracks src with exactly the
-// one-cycle latency an ordinary wire has inside a domain — a value
-// staged on src during cycle k latches at the end of k and is observed
-// by the mirror's readers (and wakes its watchers) in cycle k+1. That
-// boundary latency is the group's conservative lookahead. The mirror
-// has no driver; calling Set on it is a protocol violation, as is
-// mirroring between clocks of different groups or within one domain.
-func MirrorWire[T comparable](src *Wire[T], dst *Clock) *Wire[T] {
-	if src.clk.group == nil || src.clk.group != dst.group {
-		panic("sim: MirrorWire requires both clocks in one Group")
-	}
-	if src.clk == dst {
-		panic("sim: MirrorWire within a single domain (use the wire directly)")
-	}
-	if src.eq == nil {
-		src.eq = func(a, b T) bool { return a == b }
-	}
-	m := &Wire[T]{cur: src.cur, next: src.cur, clk: dst, name: src.name}
-	m.eq = func(a, b T) bool { return a == b }
-	q := dst.inQueueFrom(src.clk)
-	srcClk := src.clk
-	src.mirrors = append(src.mirrors, func(v T) {
-		// latch runs before the cycle counter increments, so the edge
-		// being latched ends cycle srcClk.cycle+1.
-		q.push(srcClk.cycle+1, m, v)
-	})
-	return m
 }

@@ -213,6 +213,12 @@ func TestHTTPPatternSweep(t *testing.T) {
 		spec(func(j *experiments.TrafficJob) { // unknown kernel
 			j.Kernel = "turbo"
 		}),
+		spec(func(j *experiments.TrafficJob) { // removed sharded kernel
+			j.Kernel = "sharded2"
+		}),
+		spec(func(j *experiments.TrafficJob) { // removed parallel kernel
+			j.Kernel = "parallel4"
+		}),
 	}
 	for i, js := range bad {
 		resp := postBatch(t, srv.URL, SubmitRequest{Jobs: []JobSpec{js}})

@@ -318,7 +318,7 @@ func TestDedupeAcrossBatches(t *testing.T) {
 	// and execution strategy): served from cache, not recomputed.
 	again := spec
 	again.MaxRetries = 5
-	again.Kernel = "parallel2"
+	again.Kernel = "dense"
 	snap2, err := s.Submit("", []JobSpec{again, testSpec(0.04, 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -601,6 +601,52 @@ func TestRestartAfterTornJournalWrite(t *testing.T) {
 	}
 }
 
+// TestReplayOldJournalWithRemovedKernel: a journal written while the
+// sharded and parallel kernels existed may hold a pending job that
+// names one. Replay must not panic, the journal's done record must
+// still be served from the cache, and the pending job must end failed
+// with an error that names its kernel.
+func TestReplayOldJournalWithRemovedKernel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	jn, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := testSpec(0.05, 1)
+	pending := testSpec(0.03, 2)
+	pending.Kernel = "parallel2"
+	res := traffic.Result{Offered: 0.05, Delivered: 0.05, MeasuredPackets: 9}
+	if err := jn.AppendBatch(BatchEntry{ID: "old", Specs: []JobSpec{done, pending}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.AppendJob(JobRecord{Key: done.Key(), Spec: done, Status: StatusDone, Attempts: 1, Result: &res}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The real runner: the pending job meets the kernel parser.
+	s, err := NewService(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	final := waitDone(t, s, "old")
+	if len(final.Jobs) != 2 {
+		t.Fatalf("replayed batch has %d jobs, want 2", len(final.Jobs))
+	}
+	if got := final.Jobs[0]; got.Status != StatusDone || !got.Cached || got.Result == nil || *got.Result != res {
+		t.Errorf("done record = %+v, want the journal's result served from the cache", got)
+	}
+	if got := final.Jobs[1]; got.Status != StatusFailed || !strings.Contains(got.Error, "parallel2") {
+		t.Errorf("pending job = %+v, want failed with an error naming kernel parallel2", got)
+	}
+	if st := s.Stats(); st.Computed != 0 {
+		t.Errorf("computed = %d, want 0: the done record is cached and the other job fails", st.Computed)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s, err := NewService(Config{Workers: 1, Runner: instantRunner})
 	if err != nil {
@@ -652,7 +698,7 @@ func TestConcurrentClocksMatchSerial(t *testing.T) {
 	for i := range specs {
 		specs[i] = testSpec(0.01+0.01*float64(i%4), uint64(100+i))
 	}
-	specs[5].Kernel = "sharded2" // a sharded job among the plain ones
+	specs[5].Kernel = "nowarp" // an oracle-kernel job among the default ones
 
 	serial := make(map[string]traffic.Result, len(specs))
 	for _, sp := range specs {

@@ -23,7 +23,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 			Warmup: 100, Measure: 500, Drain: 5000,
 		}
 	}
-	cfgs[3].Kernel = "sharded2" // one sharded run among the plain ones
+	cfgs[3].Kernel = "dense" // one oracle-kernel run among the default ones
 	ncfg := noc.Defaults(4, 4)
 
 	serial := make([]Result, len(cfgs))

@@ -137,7 +137,7 @@ func (c Config) Validate(ncfg noc.Config) error {
 	case c.QueueCap < 0:
 		return fmt.Errorf("traffic: negative queue cap %d", c.QueueCap)
 	}
-	if _, err := ncfg.KernelMode(c.Kernel); err != nil {
+	if _, err := sim.ParseKernel(c.Kernel); err != nil {
 		return err
 	}
 	if err := c.Spec.Validate(ncfg); err != nil {
@@ -388,24 +388,17 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	case "multicast":
 		group = s.Group
 	}
-	net, err := noc.Build(tcfg.Kernel, ncfg, 0)
+	clk, err := sim.ParseKernel(tcfg.Kernel)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	clk := net.Clock()
-	// Arm the wall-clock/cycle-budget cancellation hook on every clock
-	// domain. Each domain's closure reads only its own cycle counter, so
-	// the hook is safe on parallel runs.
+	net, err := noc.New(clk, ncfg)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	// Arm the wall-clock/cycle-budget cancellation hook.
 	if ctx, limit := tcfg.Ctx, tcfg.MaxCycles; ctx != nil || limit > 0 {
-		arm := func(c *sim.Clock) {
-			c.SetCancel(func() bool { return ctx != nil && ctx.Err() != nil || limit > 0 && c.Cycle() >= limit })
-		}
-		arm(clk)
-		if g := net.Group(); g != nil {
-			for i := 1; i < g.Domains(); i++ { // domain 0 is clk
-				arm(g.Clock(i))
-			}
-		}
+		clk.SetCancel(func() bool { return ctx != nil && ctx.Err() != nil || limit > 0 && clk.Cycle() >= limit })
 	}
 	if group != nil {
 		net.SetPathMulticast(!tcfg.Spec.MulticastUnicast)

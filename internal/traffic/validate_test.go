@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/noc"
-	"repro/internal/sim"
 )
 
 func TestConfigValidateRejectsBadFields(t *testing.T) {
@@ -30,8 +29,8 @@ func TestConfigValidateRejectsBadFields(t *testing.T) {
 		{"zero measure", func(c *Config) { c.Measure = 0 }, ncfg},
 		{"negative queue cap", func(c *Config) { c.QueueCap = -1 }, ncfg},
 		{"unknown kernel", func(c *Config) { c.Kernel = "turbo" }, ncfg},
-		{"one-domain kernel", func(c *Config) { c.Kernel = "parallel1" }, ncfg},
-		{"domains beyond columns", func(c *Config) { c.Kernel = "sharded5" }, ncfg},
+		{"removed sharded kernel", func(c *Config) { c.Kernel = "sharded2" }, ncfg},
+		{"removed parallel kernel", func(c *Config) { c.Kernel = "parallel4" }, ncfg},
 		{"hotspots on uniform", func(c *Config) {
 			c.Spec = PatternSpec{Name: "uniform", Hotspots: []HotspotSpec{{X: 1, Y: 1, Weight: 0.2}}}
 		}, ncfg},
@@ -70,8 +69,8 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	if _, err := Run(noc.Defaults(4, 4), Config{Rate: -1, PayloadFlits: 4, Measure: 10}); err == nil {
 		t.Fatal("Run accepted a negative rate")
 	}
-	if _, err := Run(noc.Defaults(4, 4), Config{Rate: 0.1, PayloadFlits: 4, Measure: 10, Kernel: "parallel9"}); err == nil {
-		t.Fatal("Run accepted more domains than columns")
+	if _, err := Run(noc.Defaults(4, 4), Config{Rate: 0.1, PayloadFlits: 4, Measure: 10, Kernel: "parallel2"}); err == nil {
+		t.Fatal("Run accepted a removed kernel")
 	}
 }
 
@@ -112,19 +111,5 @@ func TestRunCycleBudget(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("budgeted result diverged:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-func TestRunCycleBudgetSharded(t *testing.T) {
-	for _, kernel := range []sim.Kernel{"sharded2", "parallel2"} {
-		_, err := Run(noc.Defaults(8, 8), Config{
-			Rate: 0.05, PayloadFlits: 8, Seed: 1,
-			Warmup: 500, Measure: 1_000_000, Drain: 1000,
-			Kernel:    kernel,
-			MaxCycles: 2000,
-		})
-		if !errors.Is(err, ErrCycleBudget) {
-			t.Fatalf("%s: Run = %v, want ErrCycleBudget", kernel, err)
-		}
 	}
 }
