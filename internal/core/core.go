@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -267,12 +268,29 @@ func (s *System) RunUntilHalted(maxCycles uint64, ids ...int) error {
 // the whole system is asleep, bounded by maxCycles. It replaces the
 // "run a generous fixed cycle count and hope the printf frames made it"
 // idiom: with halted (or never-activated) processors the system reaches
-// quiescence the cycle the last bit lands. Processors still executing
-// keep the system non-quiescent, so callers should RunUntilHalted
-// first; a timeout still pumps the clock maxCycles, so output produced
-// within the budget is available to read even on error.
+// quiescence the cycle the last bit lands. A processor still executing
+// keeps DrainIO running even while it sleeps at a fixed point, so
+// callers should RunUntilHalted first; a timeout still pumps the clock
+// maxCycles, so output produced within the budget is available to read
+// even on error. Like sim.Clock.RunUntilQuiescent, it checks before the
+// first step.
 func (s *System) DrainIO(maxCycles uint64) error {
-	return s.Clk.RunUntilQuiescent(maxCycles)
+	settled := func() bool {
+		for _, p := range s.Procs {
+			if p.Active() && !p.Halted() {
+				return false
+			}
+		}
+		return s.Clk.Quiescent()
+	}
+	if settled() {
+		return nil
+	}
+	err := s.Clk.RunUntil(settled, maxCycles)
+	if errors.Is(err, sim.ErrTimeout) {
+		return fmt.Errorf("%w: not quiescent after %d cycles", sim.ErrTimeout, maxCycles)
+	}
+	return err
 }
 
 // ReadMemory reads n words from an IP's memory over the serial path

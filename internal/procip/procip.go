@@ -8,6 +8,25 @@
 // (wait at 0xFFFE, notify at 0xFFFD). Remote accesses stall the R8 via
 // the waitR8 mechanism — here the Bus returning "not ready" — until the
 // NoC transaction completes.
+//
+// A running core sleeps whenever it sits at a fixed point, where the
+// next cycles change nothing but its counters, in a way that repeats:
+//
+//   - a pure poll loop: one iteration from a backward-jump target back to
+//     that target that reads only local memory, stores nothing, never
+//     stalls and ends in the same core state;
+//   - a repeated stall: a remote read, scanf or wait whose retry changes
+//     nothing.
+//
+// Only the IP sees which bus accesses are local, ready and free of side
+// effects, so the detector lives here. A bus write, a non-local or
+// stalled access, a dispatched packet, a busy memory engine or a Banks
+// call ends a fixed point. A sleeping core is brought up to date
+// exactly when it next evaluates, or when CPU or Banks reads it: whole
+// periods are added to its Cycles and Retired counters and to the
+// banks' Reads, and the rest of the gap is stepped against memory that
+// has not changed. The dense kernel evaluates every component every
+// cycle, so it never sees a gap and stays the oracle.
 package procip
 
 import (
@@ -16,6 +35,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/r8"
+	"repro/internal/sim"
 )
 
 // The memory-mapped control addresses of §2.4.
@@ -78,6 +98,7 @@ type Stats struct {
 // IP is the Processor IP component.
 type IP struct {
 	cfg   Config
+	clk   *sim.Clock
 	cpu   *r8.CPU
 	banks *mem.Banks
 	eng   *mem.Engine
@@ -98,7 +119,23 @@ type IP struct {
 	banksUsed bool
 
 	stats Stats
+
+	// Fixed-point sleep (see the package comment). synced is the clock
+	// cycle the core has been stepped up to.
+	synced uint64
+	fixed  bool
+	orbit  orbit
+	// head is the core at the last backward-jump target, when headReads
+	// were the banks' Reads; headOK holds while nothing has broken the
+	// loop since.
+	head      r8.CPU
+	headReads uint64
+	headOK    bool
+	instPC    uint16 // address of the instruction in flight
 }
+
+// orbit is one period of a fixed point.
+type orbit struct{ cycles, retired, reads uint64 }
 
 // New creates the Processor IP on the network and registers it with the
 // network's clock. The processor stays inactive until an "activate
@@ -114,6 +151,7 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 	banks := mem.NewBanks(cfg.LocalWords)
 	ip := &IP{
 		cfg:             cfg,
+		clk:             net.Clock(),
 		cpu:             r8.New(),
 		banks:           banks,
 		ep:              ep,
@@ -124,15 +162,27 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 		return err
 	})
 	ep.SetOwner(ip)
-	net.Clock().Register(ip)
+	ip.clk.Register(ip)
 	return ip, nil
 }
 
-// CPU exposes the core for inspection.
-func (ip *IP) CPU() *r8.CPU { return ip.cpu }
+// CPU exposes the core for inspection, brought up to the current cycle
+// first. A core that sleeps later does not advance in the returned
+// value until the next call.
+func (ip *IP) CPU() *r8.CPU {
+	ip.catchUp()
+	return ip.cpu
+}
 
-// Banks exposes the local memory.
-func (ip *IP) Banks() *mem.Banks { return ip.banks }
+// Banks exposes the local memory. The core is brought up to date, loses
+// its fixed point and is woken, so a backdoor write lands on a core
+// that sees it on its next cycle.
+func (ip *IP) Banks() *mem.Banks {
+	ip.catchUp()
+	ip.drop()
+	ip.clk.Wake(ip)
+	return ip.banks
+}
 
 // Stats returns a snapshot of the control-logic counters.
 func (ip *IP) Stats() Stats { return ip.stats }
@@ -155,30 +205,97 @@ func (ip *IP) ID() uint16 { return ip.cfg.ID }
 // Name implements sim.Component.
 func (ip *IP) Name() string { return fmt.Sprintf("procip%s", ip.cfg.Addr) }
 
-// Eval implements sim.Component: dispatch incoming packets, give the
-// R8 its cycle, then let the memory engine use whatever the processor
-// left free.
+// Eval implements sim.Component: catch up a core that slept, dispatch
+// incoming packets, give the R8 its cycle, then let the memory engine
+// use whatever the processor left free.
 func (ip *IP) Eval() {
+	ip.catchUp()
 	ip.dispatch()
 	ip.banksUsed = false
 	if ip.active && !ip.cpu.Halted() {
-		ip.cpu.Step(ip)
+		ip.step()
+	}
+	if ip.eng.Busy() {
+		ip.drop() // the engine may write the banks under the core
 	}
 	ip.eng.Tick(!ip.banksUsed, ip.rstate == rIdle)
+	ip.synced = ip.clk.Cycle() + 1
 }
 
 // Commit implements sim.Component.
 func (ip *IP) Commit() {}
 
 // Idle implements sim.Idler: a Processor IP sleeps while not yet
-// activated or after HALT, provided its memory engine is drained and no
-// packet awaits dispatch. The endpoint wakes it (via SetOwner) when a
-// packet — activate, read, write, notify — arrives. A *running* core is
-// never idle, even when stalled on a remote access or a wait command:
-// the R8 gets its cycle every cycle, keeping CPI accounting and the
-// waitR8 retry timing identical to the dense kernel.
+// activated, after HALT, or while its core sits at a fixed point,
+// provided its memory engine is drained and no packet awaits dispatch.
+// The endpoint wakes it (via SetOwner) when a packet — activate, read,
+// write, notify, a remote read's or scanf's return — arrives. A core
+// that slept is caught up before anything else touches it, so its
+// counters and the waitR8 retry timing match the dense kernel's.
 func (ip *IP) Idle() bool {
-	return (!ip.active || ip.cpu.Halted()) && !ip.eng.Busy() && ip.ep.Pending() == 0
+	return (!ip.active || ip.cpu.Halted() || ip.fixed) && !ip.eng.Busy() && ip.ep.Pending() == 0
+}
+
+// step gives the core one cycle and looks for a pure poll loop: a
+// return to a backward-jump target in the state the core had there last
+// time. (The bus handlers spot stalls that repeat; see retry.)
+func (ip *IP) step() {
+	retired := ip.cpu.Retired
+	ip.cpu.Step(ip)
+	if ip.cpu.Retired == retired || ip.cpu.Halted() {
+		return
+	}
+	// An instruction retired, so the next cycle fetches at PC.
+	back := ip.cpu.PC <= ip.instPC
+	ip.instPC = ip.cpu.PC
+	if !back || ip.fixed {
+		return
+	}
+	if ip.headOK && sameState(ip.head, *ip.cpu) {
+		ip.fixed = true
+		ip.orbit = orbit{
+			cycles:  ip.cpu.Cycles - ip.head.Cycles,
+			retired: ip.cpu.Retired - ip.head.Retired,
+			reads:   ip.banks.Reads - ip.headReads,
+		}
+		return
+	}
+	ip.head, ip.headReads, ip.headOK = *ip.cpu, ip.banks.Reads, true
+}
+
+// sameState compares two cores on everything but their counters.
+func sameState(a, b r8.CPU) bool {
+	a.Cycles, a.Retired = b.Cycles, b.Retired
+	return a == b
+}
+
+// drop ends the fixed point and any loop under watch.
+func (ip *IP) drop() { ip.fixed, ip.headOK = false, false }
+
+// retry marks a stalled access whose retry changed nothing: a fixed
+// point one cycle long that retires nothing and reads no bank.
+func (ip *IP) retry() { ip.fixed, ip.orbit = true, orbit{cycles: 1} }
+
+// catchUp brings a core that slept at a fixed point up to the current
+// cycle: whole periods in one addition, then the rest of the gap
+// stepped against memory that has not changed.
+func (ip *IP) catchUp() {
+	now := ip.clk.Cycle()
+	if now <= ip.synced {
+		return
+	}
+	gap := now - ip.synced
+	ip.synced = now
+	if !ip.fixed {
+		return
+	}
+	n := gap / ip.orbit.cycles
+	ip.cpu.Cycles += n * ip.orbit.cycles
+	ip.cpu.Retired += n * ip.orbit.retired
+	ip.banks.Reads += n * ip.orbit.reads
+	for r := gap % ip.orbit.cycles; r > 0; r-- {
+		ip.step()
+	}
 }
 
 func (ip *IP) dispatch() {
@@ -187,6 +304,7 @@ func (ip *IP) dispatch() {
 		if !ok {
 			return
 		}
+		ip.drop()
 		if err != nil {
 			ip.stats.PacketErrors++
 			continue
@@ -238,12 +356,14 @@ func (ip *IP) window(addr uint16) *Window {
 	return nil
 }
 
-// Read implements r8.Bus.
+// Read implements r8.Bus. Only a local read keeps a fixed point.
 func (ip *IP) Read(addr uint16) (uint16, bool) {
-	switch {
-	case int(addr) < ip.cfg.LocalWords:
+	if int(addr) < ip.cfg.LocalWords {
 		ip.banksUsed = true
 		return ip.banks.Read(addr), true
+	}
+	ip.drop()
+	switch {
 	case addr == IOAddr:
 		return ip.scanf()
 	case addr == WaitAddr || addr == NotifyAddr:
@@ -258,8 +378,9 @@ func (ip *IP) Read(addr uint16) (uint16, bool) {
 	return 0, true
 }
 
-// Write implements r8.Bus.
+// Write implements r8.Bus. Every write ends a fixed point.
 func (ip *IP) Write(addr, v uint16) bool {
+	ip.drop()
 	switch {
 	case int(addr) < ip.cfg.LocalWords:
 		ip.banksUsed = true
@@ -294,6 +415,7 @@ func (ip *IP) remoteRead(w *Window, addr uint16) (uint16, bool) {
 		ip.rstate = rIdle
 		return ip.rData, true
 	default:
+		ip.retry()
 		return 0, false // transaction in flight: keep stalling
 	}
 }
@@ -336,6 +458,7 @@ func (ip *IP) scanf() (uint16, bool) {
 		ip.rstate = rIdle
 		return ip.rData, true
 	default:
+		ip.retry()
 		return 0, false
 	}
 }
@@ -352,6 +475,10 @@ func (ip *IP) wait(n uint16) bool {
 		ip.sentReg = false
 		ip.stats.Waits++
 		return true
+	}
+	if ip.waiting && ip.sentReg {
+		ip.retry()
+		return false
 	}
 	if !ip.waiting {
 		ip.waiting = true

@@ -123,30 +123,37 @@ func (r *cpuRAM) Write(a, v uint16) bool       { r.m[int(a)%len(r.m)] = v; retur
 // programs on both R8 implementations and requires identical
 // architectural state after every instruction. This is the
 // cross-check the paper's flow performs manually (simulate first, then
-// run on hardware).
+// run on hardware). Programs draw from every instruction but HALT,
+// which only ends them, and jump both ways, so they loop, call and
+// return through the stack, and move SP.
 func TestDifferentialAgainstCycleAccurateCore(t *testing.T) {
 	rng := sim.NewRand(2024)
-	safeOps := []r8.Op{
+	ops := []r8.Op{
 		r8.ADD, r8.SUB, r8.AND, r8.OR, r8.XOR,
 		r8.ADDI, r8.SUBI, r8.LDL, r8.LDH,
 		r8.LD, r8.ST,
 		r8.SL0, r8.SL1, r8.SR0, r8.SR1, r8.NOT, r8.MOV,
-		r8.PUSH, r8.POP, r8.RDSP, r8.NOP,
-		r8.JMPZ, r8.JMPC, r8.JMPN, r8.JMPV,
+		r8.PUSH, r8.POP, r8.LDSP, r8.RDSP, r8.NOP,
+		r8.JMP, r8.JMPZ, r8.JMPC, r8.JMPN, r8.JMPV,
+		r8.JMPNZ, r8.JMPNC, r8.JMPNN, r8.JMPNV,
+		r8.JSR, r8.JSRR, r8.JMPR, r8.RTS,
 	}
+	executed := make(map[r8.Op]int)
+	var lastPC uint16
+	backward := 0
 	for trial := 0; trial < 200; trial++ {
 		const progLen = 64
 		words := make([]uint16, progLen)
 		for i := range words {
-			op := safeOps[rng.Intn(len(safeOps))]
+			op := ops[rng.Intn(len(ops))]
 			inst := r8.Inst{
 				Op:  op,
 				Rt:  rng.Intn(16),
 				Rs1: rng.Intn(16),
 				Rs2: rng.Intn(16),
 				Imm: uint8(rng.Intn(256)),
-				// Forward-only small jumps keep execution bounded.
-				Disp: int8(rng.Intn(4)),
+				// Backward jumps loop; the step cap below bounds them.
+				Disp: int8(rng.Intn(16) - 8),
 			}
 			w, err := inst.Encode()
 			if err != nil {
@@ -160,6 +167,10 @@ func TestDifferentialAgainstCycleAccurateCore(t *testing.T) {
 
 		fm := New(1024)
 		copy(fm.Mem, words)
+		fm.Trace = func(pc uint16, inst r8.Inst) {
+			executed[inst.Op]++
+			lastPC = pc
+		}
 		cc := r8.New()
 		ram := &cpuRAM{m: make([]uint16, 1024)}
 		copy(ram.m, words)
@@ -180,6 +191,9 @@ func TestDifferentialAgainstCycleAccurateCore(t *testing.T) {
 				cc.Step(ram)
 			}
 			fm.StepInst()
+			if !fm.Halted() && fm.PC <= lastPC {
+				backward++
+			}
 			if fm.Halted() != cc.Halted() {
 				t.Fatalf("trial %d step %d: halted %v vs %v", trial, step, fm.Halted(), cc.Halted())
 			}
@@ -208,6 +222,14 @@ func TestDifferentialAgainstCycleAccurateCore(t *testing.T) {
 					trial, i, fm.Mem[i], ram.m[i])
 			}
 		}
+	}
+	for _, op := range append(ops, r8.HALT) {
+		if executed[op] == 0 {
+			t.Errorf("no program executed %s", op)
+		}
+	}
+	if backward == 0 {
+		t.Error("no program jumped backwards")
 	}
 }
 

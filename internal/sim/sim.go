@@ -95,10 +95,16 @@
 // cycles of the protocol are predetermined schedules WakeAt timers for
 // the cycles on which state actually changes and sleeps in between. The
 // UARTs batch a serial run this way (one timer per bit edge rather than
-// per clock). The contract is the one Idle() already imposes: every
-// latch, counter update, and wire change the batched span produces must
-// land on exactly the cycle the stepped model would produce it, so
-// batching is invisible to differential comparison.
+// per clock). The Processor IP (internal/procip) batches a core at a
+// fixed point, a poll loop over local memory or a stalled access that
+// repeats, without any timer: it sleeps until a packet or a backdoor
+// access wakes it, then adds the whole periods it slept through to its
+// counters and steps the rest. The contract is the one Idle() already
+// imposes: every latch, counter update, and wire change the batched span
+// produces must land on exactly the cycle the stepped model would
+// produce it, or, for state only the model's own accessors expose, be
+// brought up to date before any of them returns it, so batching is
+// invisible to differential comparison.
 //
 // Determinism is unaffected by any of this: the active set only ever
 // skips Evals that stage nothing and Commits that latch nothing, wakes
@@ -630,14 +636,20 @@ var ErrTimeout = errors.New("sim: watchdog timeout")
 // ErrTimeout after maxCycles additional cycles of simulated time. pred
 // is evaluated after each executed cycle commits; cycles skipped by
 // time warping cannot change state, so a predicate over simulation
-// state flips at exactly the same cycle either way.
+// state flips at exactly the same cycle either way. The first step
+// never warps: a pred that already holds returns one cycle after the
+// call under every kernel, where a warp would first jump to the next
+// timer. pred is not called before that step, because predicates may
+// have side effects (popping a received message, say).
 func (c *Clock) RunUntil(pred func() bool, maxCycles uint64) error {
 	target := c.cycle + maxCycles
-	for c.cycle < target {
+	for first := true; c.cycle < target; first = false {
 		if c.canceled() {
 			return fmt.Errorf("%w at cycle %d", ErrCanceled, c.cycle)
 		}
-		c.warp(target)
+		if !first {
+			c.warp(target)
+		}
 		c.step()
 		if pred() {
 			return nil

@@ -356,6 +356,41 @@ func TestTimeWarpJumpsToTimer(t *testing.T) {
 	}
 }
 
+// TestRunUntilFirstStepNeverWarps: a predicate that already holds must
+// return one cycle after the call under every kernel, called exactly
+// once, instead of the default kernel warping to the next timer first.
+// Later steps still warp.
+func TestRunUntilFirstStepNeverWarps(t *testing.T) {
+	for _, k := range []Kernel{"", "nowarp", "dense"} {
+		clk, err := ParseKernel(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &pulser{clk: clk, work: 1}
+		clk.Register(p)
+		clk.Step() // evaluates at cycle 1, then sleeps
+		clk.WakeAt(1000, p)
+		calls := 0
+		if err := clk.RunUntil(func() bool { calls++; return true }, 5000); err != nil {
+			t.Fatal(err)
+		}
+		if clk.Cycle() != 2 || calls != 1 {
+			t.Errorf("kernel %q: held predicate returned at cycle %d after %d calls, want cycle 2 after 1", k, clk.Cycle(), calls)
+		}
+		steps := 0
+		clk.Probe(func(uint64) { steps++ })
+		if err := clk.RunUntil(func() bool { return clk.Cycle() >= 1000 }, 5000); err != nil {
+			t.Fatal(err)
+		}
+		if clk.Cycle() != 1000 {
+			t.Errorf("kernel %q: predicate returned at cycle %d, want 1000", k, clk.Cycle())
+		}
+		if k == "" && steps != 2 {
+			t.Errorf("executed %d steps to the timer, want 2 (one plain, one warped)", steps)
+		}
+	}
+}
+
 // TestTimeWarpOffStepsEveryCycle: SetTimeWarp(false) restores the
 // one-cycle-per-Step reference behaviour on a dead domain.
 func TestTimeWarpOffStepsEveryCycle(t *testing.T) {
