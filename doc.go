@@ -7,26 +7,27 @@
 //
 // The simulator runs on an activity-scheduled, time-warping two-phase
 // kernel (internal/sim): components that report themselves idle —
-// routers with empty buffers, links with tx low, endpoints with
-// drained queues, halted processors, processors at a fixed point (a
-// pure poll loop over local memory, or a stalled access whose retry
-// changes nothing), quiet UARTs — are skipped entirely and woken by
-// link activity, explicit wakes or timers; and when nothing at all is
-// switching, the kernel jumps the clock straight to the earliest armed
-// timer instead of stepping the dead cycles one by one. The models
-// produce warpable gaps on purpose: UARTs sleep between line
-// transitions on bit-edge timers, routers sleep through their routing
-// delay on a completion timer, traffic injectors precompute their next
-// injection cycle and sleep until it, and a processor polling a flag
-// sleeps until a packet arrives, then adds the loop periods it slept
-// through to its counters — so executed steps are proportional to
-// events, not to simulated time (a host round trip at a realistic
-// RS-232 rate costs the same wall clock as at a compressed one, and so
-// does the paper's edge-detection flow). All of it preserves bit-exact
-// equivalence with dense evaluation (same seed, same results, any
-// kernel mode), and drivers wait for quiescence
-// (sim.Clock.RunUntilQuiescent, core.System.DrainIO) instead of
-// stepping a guessed cycle count.
+// routers and endpoints whose next evaluation would stage nothing (at
+// rest, or stalled mid-wormhole until a tx, an ack or a routing timer
+// ends the stall), links with tx low, halted processors, processors
+// at a fixed point (a pure poll loop over local memory, or a stalled
+// access whose retry changes nothing), quiet UARTs — are skipped
+// entirely and woken by link activity, explicit wakes or timers; and
+// when nothing at all is switching, the kernel jumps the clock
+// straight to the earliest armed timer instead of stepping the dead
+// cycles one by one. The models produce warpable gaps on purpose:
+// UARTs sleep between line transitions on bit-edge timers, routers
+// sleep through their routing delay on a completion timer, traffic
+// injectors precompute their next injection cycle and sleep until it,
+// and a processor polling a flag sleeps until a packet arrives, then
+// adds the loop periods it slept through to its counters — so
+// executed steps are proportional to events, not to simulated time (a
+// host round trip at a realistic RS-232 rate costs the same wall
+// clock as at a compressed one, and so does the paper's
+// edge-detection flow). All of it preserves bit-exact equivalence
+// with dense evaluation (same seed, same results, any kernel mode),
+// and drivers wait for quiescence (sim.Clock.RunUntilQuiescent,
+// core.System.DrainIO) instead of stepping a guessed cycle count.
 //
 // Every NoC link runs the paper's 2-cycle asynchronous handshake,
 // stepped cycle by cycle while the link is busy. Flits are two-word

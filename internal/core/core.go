@@ -128,8 +128,8 @@ func New(cfg Config) (*System, error) {
 	s := &System{cfg: cfg, Clk: clk, Net: net}
 
 	// Serial IP and host, joined by the two RS-232 lines (tx/rx pins).
-	toNoC := serial.NewLine(clk, "host-tx")
-	fromNoC := serial.NewLine(clk, "host-rx")
+	toNoC := serial.NewLine(clk)
+	fromNoC := serial.NewLine(clk)
 	sip, err := serial.NewIP(net, cfg.Serial, toNoC, fromNoC)
 	if err != nil {
 		return nil, fmt.Errorf("core: serial IP: %w", err)

@@ -20,8 +20,8 @@ func rig(t *testing.T) (*Host, *serial.IP, *mem.IP) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	toNoC := serial.NewLine(clk, "tx")
-	fromNoC := serial.NewLine(clk, "rx")
+	toNoC := serial.NewLine(clk)
+	fromNoC := serial.NewLine(clk)
 	sip, err := serial.NewIP(net, noc.Addr{X: 0, Y: 0}, toNoC, fromNoC)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ package noc
 // Mutations are staged and applied on Commit so that all router logic
 // observes register semantics: a push staged this cycle is not visible
 // to reads until the next cycle, matching a FIFO with registered flags.
+// A router holds its five fifos inline; their slots are windows of one
+// per-network slab.
 type fifo struct {
 	slots []Flit
 	head  int
@@ -15,8 +17,6 @@ type fifo struct {
 	hasPush bool
 	stPop   bool
 }
-
-func newFifo(depth int) *fifo { return &fifo{slots: make([]Flit, depth)} }
 
 // Len reports the committed number of buffered flits.
 func (f *fifo) Len() int { return f.n }

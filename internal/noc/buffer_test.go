@@ -2,6 +2,8 @@ package noc
 
 import "testing"
 
+func newFifo(depth int) *fifo { return &fifo{slots: make([]Flit, depth)} }
+
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
 	defer func() {

@@ -281,15 +281,20 @@ func (e *Endpoint) complete() {
 	e.clk.Wake(e.owner)
 }
 
-// Idle implements sim.Idler. An endpoint may sleep when its injection
-// queue is empty (committed and staged), both link handshakes are at
-// rest and no packet is mid-reassembly. It is woken by Send (staged
-// work) or by the rising tx of the link from its router (watched in
+// Idle implements sim.Idler: it reports whether the next Eval would
+// stage nothing. An endpoint may sleep mid-reassembly and with flits
+// queued behind a presented one, provided that no Send is staged, the
+// link from its router has tx low and no ack outstanding, and its
+// sender waits for an ack or has nothing to present and tx low. It is
+// woken by Send (staged work), by a tx change on the link from its
+// router or by an ack change on the link to it (both watched in
 // NewEndpoint).
 func (e *Endpoint) Idle() bool {
-	return len(e.stSend) == 0 && len(e.stFwd) == 0 &&
-		len(e.txq) == 0 && !e.snd.busy &&
-		!e.rcv.ackHigh && !e.rcv.link.Tx.Get() && e.rxPhase == phaseHeader
+	if len(e.stSend) != 0 || len(e.stFwd) != 0 || e.rcv.ackHigh || e.rcv.link.Tx.Get() {
+		return false
+	}
+	l := e.snd.link
+	return !l.Ack.Get() && (e.snd.busy || len(e.txq) == 0 && !l.Tx.Get())
 }
 
 // Commit implements sim.Component.

@@ -20,6 +20,24 @@
 // -> 3.02 on the full system), and its own ablation ran 3,470
 // simulated cycles/s against 4,307 stepped on a 2-vCPU host.
 //
+// # Sleeping mid-wormhole
+//
+// A router or endpoint sleeps whenever its next Eval would stage
+// nothing, open wormholes, buffered flits and all: a flit presented
+// and waiting for its ack, a full buffer facing a presented flit, or a
+// header inside its routing delay all stage nothing until the stall
+// ends. Three events end a stall, and each wakes the component on the
+// cycle a dense run would act on it: a tx change on an input link, an
+// ack change on an output link (both watched wires) and the
+// routing-delay timer. An endpoint is also woken by Send. Everything
+// else that ends a stall, such as a pop that frees buffer space,
+// happens in the component's own Eval while it is awake. So every wake
+// comes from an awake component or an armed timer, and a mesh asleep
+// with flits inside and no timer armed can never move again; a dense
+// run would be stuck in the same state. That is a deadlock, which the
+// deadlock-free routing algorithms exclude, so quiescence still means
+// the mesh has drained.
+//
 // # Flit metadata
 //
 // A Flit carries only its data word and a PacketID. All per-packet

@@ -16,18 +16,17 @@ import "repro/internal/sim"
 //	cycle k+1: receiver sees it, accepts, raises ack for one cycle
 //	cycle k+2: sender sees ack, presents the next flit
 type Link struct {
-	Tx   *sim.Wire[bool]
-	Data *sim.Wire[Flit]
-	Ack  *sim.Wire[bool]
+	Tx   sim.Wire[bool]
+	Data sim.Wire[Flit]
+	Ack  sim.Wire[bool]
 }
 
-// NewLink creates an idle link on clk.
-func NewLink(clk *sim.Clock, name string) *Link {
-	return &Link{
-		Tx:   sim.NewWire(clk, name+".tx", false),
-		Data: sim.NewWire(clk, name+".data", Flit{}),
-		Ack:  sim.NewWire(clk, name+".ack", false),
-	}
+// init readies an idle link in place on clk: links live in the
+// network's slab, not in one allocation each.
+func (l *Link) init(clk *sim.Clock) {
+	l.Tx.Init(clk, false)
+	l.Data.Init(clk, Flit{})
+	l.Ack.Init(clk, false)
 }
 
 // sender drives the upstream side of a Link. It is embedded in router

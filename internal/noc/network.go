@@ -79,9 +79,13 @@ func (c Config) Validate() error {
 // Network is a complete Hermes mesh: routers, inter-router links and the
 // endpoints attached to Local ports, all registered on one clock.
 type Network struct {
-	cfg       Config
-	clk       *sim.Clock
-	routers   [][]*Router
+	cfg     Config
+	clk     *sim.Clock
+	routers []Router // routers[x*Height+y]
+	// links is the slab every link of the mesh lives in: one per
+	// direction per adjacent router pair, then two per endpoint. Its
+	// length counts the links taken so far; its capacity never grows.
+	links     []Link
 	endpoints map[Addr]*Endpoint
 	pathMcast bool // SendMulti mode: path-based vs unicast replication
 
@@ -109,39 +113,53 @@ func New(clk *sim.Clock, cfg Config) (*Network, error) {
 		endpoints: make(map[Addr]*Endpoint),
 		pathMcast: true,
 	}
-	n.routers = make([][]*Router, cfg.Width)
-	for x := 0; x < cfg.Width; x++ {
-		n.routers[x] = make([]*Router, cfg.Height)
-		for y := 0; y < cfg.Height; y++ {
-			r := newRouter(Addr{X: x, Y: y}, cfg, clk)
-			n.routers[x][y] = r
+	// The routers, their input buffers' slots and the links are three
+	// allocations, however large the mesh.
+	w, h := cfg.Width, cfg.Height
+	perRouter := int(numPorts) * cfg.BufDepth
+	slots := make([]Flit, w*h*perRouter)
+	n.routers = make([]Router, w*h)
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			k := x*h + y
+			r := &n.routers[k]
+			r.init(Addr{X: x, Y: y}, cfg, clk, slots[k*perRouter:(k+1)*perRouter])
 			clk.Register(r)
 			r.self = clk.Handle(r)
 		}
 	}
+	n.links = make([]Link, 0, 2*((w-1)*h+w*(h-1))+2*w*h)
 	// Wire neighbour links: one Link per direction per adjacent pair.
-	for x := 0; x < cfg.Width; x++ {
-		for y := 0; y < cfg.Height; y++ {
-			r := n.routers[x][y]
-			if x+1 < cfg.Width {
-				e := n.routers[x+1][y]
-				n.connectRouters(r, East, e, West, fmt.Sprintf("l%s-E", r.addr))
-				n.connectRouters(e, West, r, East, fmt.Sprintf("l%s-W", e.addr))
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			r := &n.routers[x*h+y]
+			if x+1 < w {
+				e := &n.routers[(x+1)*h+y]
+				n.connectRouters(r, East, e, West)
+				n.connectRouters(e, West, r, East)
 			}
-			if y+1 < cfg.Height {
-				u := n.routers[x][y+1]
-				n.connectRouters(r, North, u, South, fmt.Sprintf("l%s-N", r.addr))
-				n.connectRouters(u, South, r, North, fmt.Sprintf("l%s-S", u.addr))
+			if y+1 < h {
+				u := &n.routers[x*h+y+1]
+				n.connectRouters(r, North, u, South)
+				n.connectRouters(u, South, r, North)
 			}
 		}
 	}
 	return n, nil
 }
 
+// link takes the next link of the slab and readies it on the clock.
+func (n *Network) link() *Link {
+	n.links = n.links[:len(n.links)+1]
+	l := &n.links[len(n.links)-1]
+	l.init(n.clk)
+	return l
+}
+
 // connectRouters wires one unidirectional link from an output port of
 // src to an input port of dst.
-func (n *Network) connectRouters(src *Router, outp Port, dst *Router, inp Port, name string) {
-	l := NewLink(n.clk, name)
+func (n *Network) connectRouters(src *Router, outp Port, dst *Router, inp Port) {
+	l := n.link()
 	src.connectOut(outp, l)
 	dst.connectIn(inp, l)
 }
@@ -182,7 +200,7 @@ func (n *Network) Router(a Addr) *Router {
 	if a.X < 0 || a.X >= n.cfg.Width || a.Y < 0 || a.Y >= n.cfg.Height {
 		return nil
 	}
-	return n.routers[a.X][a.Y]
+	return &n.routers[a.X*n.cfg.Height+a.Y]
 }
 
 // NewEndpoint creates, wires and registers the endpoint on the Local
@@ -195,8 +213,7 @@ func (n *Network) NewEndpoint(a Addr) (*Endpoint, error) {
 	if _, dup := n.endpoints[a]; dup {
 		return nil, fmt.Errorf("noc: endpoint at %s already exists", a)
 	}
-	toRouter := NewLink(n.clk, fmt.Sprintf("l%s-Lin", a))
-	fromRouter := NewLink(n.clk, fmt.Sprintf("l%s-Lout", a))
+	toRouter, fromRouter := n.link(), n.link()
 	r.connectIn(Local, toRouter)
 	r.connectOut(Local, fromRouter)
 	ep := &Endpoint{
@@ -206,7 +223,8 @@ func (n *Network) NewEndpoint(a Addr) (*Endpoint, error) {
 		snd:  sender{link: toRouter},
 		rcv:  receiver{link: fromRouter},
 	}
-	sim.Watch(fromRouter.Tx, ep)
+	sim.Watch(&fromRouter.Tx, ep)
+	sim.Watch(&toRouter.Ack, ep)
 	n.endpoints[a] = ep
 	n.clk.Register(ep)
 	ep.self = n.clk.Handle(ep)

@@ -22,7 +22,7 @@ const (
 type inPort struct {
 	port Port
 	rcv  receiver
-	buf  *fifo
+	buf  fifo
 
 	// registered state
 	route     Port // output port currently connected, PortNone if idle
@@ -56,9 +56,11 @@ type outPort struct {
 // Serving one request takes routeDelay cycles, modelling the paper's
 // Ri >= 7 routing-algorithm time. The delay is kept as an absolute
 // completion cycle (with a WakeAt timer armed for it) rather than a
-// per-cycle countdown, so a router whose ports are otherwise at rest
-// can sleep through the routing delay and the time-warp kernel can
-// skip it.
+// per-cycle countdown, so a router whose ports stage nothing can sleep
+// through the routing delay, open wormholes and all, and the time-warp
+// kernel can skip it when the whole mesh does. An idle control with a
+// request pending keeps the router awake: its next Eval starts the
+// arbiter scan.
 type control struct {
 	serving    int // input port being served, -1 when idle
 	completeAt uint64
@@ -113,23 +115,26 @@ type Router struct {
 	ctl        control
 	stats      RouterStats
 	// statsAt is the cycle through which the per-cycle stats integrals
-	// (WaitCycles, BufferedFlitCycles) have been accumulated. A router
-	// asleep through the routing delay has frozen registered state, so
-	// the skipped cycles are integrated as span x frozen value on the
-	// next Eval — bit-identical to dense per-cycle accumulation.
+	// (WaitCycles, BufferedFlitCycles) have been accumulated. A sleeping
+	// router has frozen registered state, so the skipped cycles are
+	// integrated as span x frozen value on the next Eval — bit-identical
+	// to dense per-cycle accumulation.
 	statsAt uint64
 }
 
-// newRouter builds a router with all ports unconnected; the mesh builder
-// wires links afterwards.
-func newRouter(addr Addr, cfg Config, clk *sim.Clock) *Router {
-	r := &Router{addr: addr, clk: clk, routing: cfg.Routing, routeDelay: cfg.internalRouteDelay()}
+// init readies a zero router in place (routers live in the network's
+// slab) with all ports unconnected; the mesh builder wires links
+// afterwards. slots backs the five input buffers, cfg.BufDepth flits
+// each.
+func (r *Router) init(addr Addr, cfg Config, clk *sim.Clock, slots []Flit) {
+	r.addr, r.clk, r.routing, r.routeDelay = addr, clk, cfg.Routing, cfg.internalRouteDelay()
+	d := cfg.BufDepth
 	for i := Port(0); i < numPorts; i++ {
-		r.in[i] = inPort{port: i, buf: newFifo(cfg.BufDepth), route: PortNone, nRoute: PortNone}
+		k := int(i) * d
+		r.in[i] = inPort{port: i, buf: fifo{slots: slots[k : k+d]}, route: PortNone, nRoute: PortNone}
 		r.out[i] = outPort{port: i, src: PortNone, nSrc: PortNone}
 	}
 	r.ctl = control{serving: -1, nServing: -1}
-	return r
 }
 
 // Addr reports the router's mesh coordinates.
@@ -157,9 +162,9 @@ func (r *Router) integrateStats(s *RouterStats, span uint64) (anyRequest bool) {
 }
 
 // Stats returns a snapshot of the router's counters, with the per-cycle
-// integrals brought up to the current cycle (a router asleep mid
-// routing delay has not evaluated since it fell asleep; its registered
-// state was frozen throughout, so the pending span integrates exactly).
+// integrals brought up to the current cycle (a sleeping router has not
+// evaluated since it fell asleep; its registered state was frozen
+// throughout, so the pending span integrates exactly).
 func (r *Router) Stats() RouterStats {
 	s := r.stats
 	if now := r.clk.Cycle(); now > r.statsAt {
@@ -169,14 +174,19 @@ func (r *Router) Stats() RouterStats {
 }
 
 // connectIn attaches the upstream link arriving at port p. The router
-// watches the link's tx so an arriving flit wakes it from idle sleep.
+// watches the link's tx so an arriving flit wakes it.
 func (r *Router) connectIn(p Port, l *Link) {
 	r.in[p].rcv.link = l
-	sim.Watch(l.Tx, r)
+	sim.Watch(&l.Tx, r)
 }
 
-// connectOut attaches the downstream link leaving port p.
-func (r *Router) connectOut(p Port, l *Link) { r.out[p].snd.link = l }
+// connectOut attaches the downstream link leaving port p. The router
+// watches the link's ack so the acceptance of a presented flit wakes
+// it.
+func (r *Router) connectOut(p Port, l *Link) {
+	r.out[p].snd.link = l
+	sim.Watch(&l.Ack, r)
+}
 
 // Name implements sim.Component.
 func (r *Router) Name() string { return fmt.Sprintf("router%s", r.addr) }
@@ -324,33 +334,41 @@ func (r *Router) evalControl(anyRequest bool, evalNow uint64) {
 	r.stats.PacketsRouted++
 }
 
-// Idle implements sim.Idler. A router may sleep when every input port's
-// handshake is at rest (incoming tx low, ack low), no wormhole
-// connection is open, and every output sender is idle. Buffered flits
-// are allowed while the control logic is mid routing-delay: nothing
-// about them changes until the armed timer fires, and the
-// span-integrated stats account for the skipped cycles. With the
-// control idle, any buffered header is a request the next Eval's
-// arbiter scan must see, so the router stays awake. In the sleepable
-// states Eval stages nothing and drives every wire at its rest value;
-// the router is woken by the rising tx of an incoming link (watched in
-// connectIn) or by its routing-delay timer.
+// Idle implements sim.Idler: it reports whether the next Eval would
+// stage nothing. A router may sleep with open wormholes, buffered flits
+// and busy senders, provided that
+//   - no input holds ack, or sees tx high with buffer space to accept;
+//   - no output sees an ack, or is free to present a flit of its
+//     connection or to drop tx;
+//   - the control is mid routing-delay, or has no request to serve.
+//
+// Each of these ends only through an event that wakes the router on
+// the cycle a dense run would act on it: a tx change on an input link
+// or an ack change on an output link (both watched, see connectIn and
+// connectOut), the routing-delay timer, or the router's own Eval (a pop
+// that frees buffer space, a push that raises a request), which runs
+// because the router is awake then anyway.
 func (r *Router) Idle() bool {
 	serving := r.ctl.serving >= 0
 	for i := range r.in {
 		p := &r.in[i]
-		if p.rcv.ackHigh || p.route != PortNone || p.phase != phaseHeader {
+		if p.rcv.ackHigh || !serving && p.requestActive() {
 			return false
 		}
-		if l := p.rcv.link; l != nil && l.Tx.Get() {
-			return false
-		}
-		if !serving && p.buf.Len() > 0 {
+		if l := p.rcv.link; l != nil && l.Tx.Get() && p.buf.Free() > 0 {
 			return false
 		}
 	}
 	for i := range r.out {
-		if r.out[i].snd.busy {
+		o := &r.out[i]
+		l := o.snd.link
+		if l == nil {
+			continue
+		}
+		if l.Ack.Get() {
+			return false
+		}
+		if !o.snd.busy && (l.Tx.Get() || o.src != PortNone && r.in[o.src].buf.Len() > 0) {
 			return false
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // uartPair wires a TX to an RX over one line in a fresh clock domain.
 func uartPair(div int) (*sim.Clock, *TX, *RX, *[]byte) {
 	clk := sim.NewClock()
-	line := NewLine(clk, "line")
+	line := NewLine(clk)
 	tx := NewTX(line, div)
 	rx := NewRX(line, div)
 	got := &[]byte{}
@@ -73,7 +73,7 @@ func TestUARTGapKeepsLineIdle(t *testing.T) {
 
 func TestRXIgnoresTrafficWithoutDivisor(t *testing.T) {
 	clk := sim.NewClock()
-	line := NewLine(clk, "line")
+	line := NewLine(clk)
 	tx := NewTX(line, 8)
 	rx := NewRX(line, 0) // divisor unknown
 	n := 0
@@ -198,8 +198,8 @@ func TestSerialIPAutobaudAndFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rxd := NewLine(clk, "rxd")
-	txd := NewLine(clk, "txd")
+	rxd := NewLine(clk)
+	txd := NewLine(clk)
 	ip, err := NewIP(net, noc.Addr{X: 0, Y: 0}, rxd, txd)
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +254,8 @@ func TestSerialIPSplitsLargeWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rxd := NewLine(clk, "rxd")
-	txd := NewLine(clk, "txd")
+	rxd := NewLine(clk)
+	txd := NewLine(clk)
 	ip, err := NewIP(net, noc.Addr{X: 0, Y: 0}, rxd, txd)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestRXRecoversFromLineGlitch(t *testing.T) {
 	// vanishes at the mid-bit sample) and the next clean byte must
 	// still decode.
 	clk := sim.NewClock()
-	line := NewLine(clk, "line")
+	line := NewLine(clk)
 	tx := NewTX(line, 16)
 	rx := NewRX(line, 16)
 	var got []byte
@@ -385,7 +385,7 @@ func TestBoundRXGlitchMatchesReference(t *testing.T) {
 	}
 	run := func(bound bool) result {
 		clk := sim.NewClock()
-		line := NewLine(clk, "line")
+		line := NewLine(clk)
 		tx := NewTX(line, div)
 		rx := NewRX(line, div)
 		var res result

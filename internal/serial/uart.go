@@ -22,8 +22,8 @@ import "repro/internal/sim"
 type Line = sim.Wire[bool]
 
 // NewLine creates an idle-high line in clk's domain.
-func NewLine(clk *sim.Clock, name string) *Line {
-	return sim.NewWire(clk, name, true)
+func NewLine(clk *sim.Clock) *Line {
+	return sim.NewWire(clk, true)
 }
 
 // TX serializes bytes onto a line at a fixed divisor (clock cycles per

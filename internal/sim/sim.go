@@ -22,13 +22,14 @@
 //
 // A sleeping component may be woken three ways:
 //
-//   - Wire.Watch / sim.Watch — a clock edge that changes a watched
-//     wire's value wakes the watchers for the next cycle. This is how a
-//     router sleeping on empty buffers is woken by the rising tx of an
-//     incoming link: the upstream sender stages tx in cycle k, the edge
-//     latches it, and the watcher evaluates in cycle k+1 — exactly the
-//     cycle in which a dense simulation would first observe the new
-//     value. Wake-on-change therefore preserves bit-identical results.
+//   - sim.Watch — a clock edge that changes a watched wire's value
+//     wakes the watchers for the next cycle. This is how a router
+//     stalled mid-wormhole is woken by the one signal that ends its
+//     stall, the tx of an incoming link or the ack of an outgoing one:
+//     the neighbour stages the signal in cycle k, the edge latches it,
+//     and the watcher evaluates in cycle k+1 — exactly the cycle in
+//     which a dense simulation would first observe the new value.
+//     Wake-on-change therefore preserves bit-identical results.
 //   - Clock.Wake — an explicit wake, used when state is handed to a
 //     sleeping component outside the wire protocol (e.g. a packet
 //     staged on an endpoint's injection queue, or a received packet
@@ -143,9 +144,9 @@ type Component interface {
 // the exact contract.
 type Idler interface {
 	Component
-	// Idle reports whether the component's Eval would currently be a
-	// no-op: no staged work, no pending input, all driven wires at
-	// their rest values.
+	// Idle reports whether the component's next Eval would be a
+	// no-op: it would stage no state change and drive no wire to a new
+	// value.
 	Idle() bool
 }
 

@@ -29,7 +29,7 @@ func (f *follower) Commit()      { f.seen = append(f.seen, f.next) }
 
 func TestWireRegistersOneCycle(t *testing.T) {
 	clk := NewClock()
-	w := NewWire(clk, "w", uint64(0))
+	w := NewWire(clk, uint64(0))
 	c := &counter{out: w}
 	f := &follower{in: w}
 	clk.Register(c, f)
@@ -54,7 +54,7 @@ func TestOrderIndependence(t *testing.T) {
 	// order must produce identical traces.
 	run := func(swap bool) []uint64 {
 		clk := NewClock()
-		w := NewWire(clk, "w", uint64(0))
+		w := NewWire(clk, uint64(0))
 		c := &counter{out: w}
 		f := &follower{in: w}
 		if swap {
@@ -75,7 +75,7 @@ func TestOrderIndependence(t *testing.T) {
 
 func TestRunUntil(t *testing.T) {
 	clk := NewClock()
-	w := NewWire(clk, "w", uint64(0))
+	w := NewWire(clk, uint64(0))
 	c := &counter{out: w}
 	clk.Register(c)
 
@@ -96,7 +96,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestProbeSeesPostEdgeState(t *testing.T) {
 	clk := NewClock()
-	w := NewWire(clk, "w", uint64(0))
+	w := NewWire(clk, uint64(0))
 	c := &counter{out: w}
 	clk.Register(c)
 	var got []uint64
@@ -112,7 +112,7 @@ func TestProbeSeesPostEdgeState(t *testing.T) {
 
 func TestWireHoldsValue(t *testing.T) {
 	clk := NewClock()
-	w := NewWire(clk, "w", 42)
+	w := NewWire(clk, 42)
 	clk.Run(5)
 	if w.Get() != 42 {
 		t.Errorf("undriven wire = %d, want 42", w.Get())
@@ -259,7 +259,7 @@ func TestWakeAtTimer(t *testing.T) {
 
 func TestRunUntilQuiescentTimeout(t *testing.T) {
 	clk := NewClock()
-	w := NewWire(clk, "w", uint64(0))
+	w := NewWire(clk, uint64(0))
 	clk.Register(&counter{out: w}) // counter never idles
 	err := clk.RunUntilQuiescent(7)
 	if !errors.Is(err, ErrTimeout) {
@@ -305,7 +305,7 @@ func TestWatchWakeMatchesDense(t *testing.T) {
 	run := func(sparse bool) map[uint64]uint64 {
 		clk := NewClock()
 		clk.SetActivityScheduling(sparse)
-		w := NewWire(clk, "w", uint64(0))
+		w := NewWire(clk, uint64(0))
 		d := &stepDriver{out: w, clk: clk, values: map[uint64]uint64{3: 7, 5: 7, 9: 8}}
 		wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
 		Watch(w, wc)
@@ -532,7 +532,7 @@ func TestWakeAtDistinctCyclesAllFire(t *testing.T) {
 // value-changing edge, each observing the new value on the same cycle.
 func TestWatchMultipleWatchers(t *testing.T) {
 	clk := NewClock()
-	w := NewWire(clk, "w", uint64(0))
+	w := NewWire(clk, uint64(0))
 	d := &stepDriver{out: w, clk: clk, values: map[uint64]uint64{5: 9}}
 	a := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
 	b := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
@@ -546,11 +546,32 @@ func TestWatchMultipleWatchers(t *testing.T) {
 	}
 }
 
+// TestWatchInPlaceAllocatesNothing: a wire readied in place and given
+// one watcher costs no heap allocation, so a mesh's watched link wires
+// cost only the slab they live in.
+func TestWatchInPlaceAllocatesNothing(t *testing.T) {
+	clk := NewClock()
+	wc := &watcherComp{clk: clk, seen: make(map[uint64]uint64)}
+	wires := make([]Wire[uint64], 64)
+	clk.allWires = make([]latcher, 0, len(wires))
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for k := next; k < next+len(wires)/2; k++ {
+			wires[k].Init(clk, 0)
+			Watch(&wires[k], wc)
+		}
+		next += len(wires) / 2
+	})
+	if allocs != 0 {
+		t.Fatalf("Init plus one Watch on %d wires allocated %v objects, want 0", len(wires)/2, allocs)
+	}
+}
+
 // TestWatchAfterStagedSet: a watcher registered between a staged Set
 // and the edge that latches it must still be woken by that edge.
 func TestWatchAfterStagedSet(t *testing.T) {
 	clk := NewClock()
-	w := NewWire(clk, "w", uint64(0))
+	w := NewWire(clk, uint64(0))
 	wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
 	clk.Register(wc)
 	clk.Run(3) // watcher asleep from cycle 1 on
@@ -569,7 +590,7 @@ func TestWatchDenseMode(t *testing.T) {
 	run := func(sparse bool) map[uint64]uint64 {
 		clk := NewClock()
 		clk.SetActivityScheduling(sparse)
-		w := NewWire(clk, "w", uint64(0))
+		w := NewWire(clk, uint64(0))
 		d := &stepDriver{out: w, clk: clk, values: map[uint64]uint64{4: 3, 8: 11}}
 		wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
 		Watch(w, wc)
@@ -597,7 +618,7 @@ func TestDenseKernelEquivalence(t *testing.T) {
 	run := func(sparse bool) []uint64 {
 		clk := NewClock()
 		clk.SetActivityScheduling(sparse)
-		w := NewWire(clk, "w", uint64(0))
+		w := NewWire(clk, uint64(0))
 		c := &counter{out: w}
 		f := &follower{in: w}
 		clk.Register(c, f)

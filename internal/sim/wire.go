@@ -9,32 +9,46 @@ package sim
 // latching on edges following a Set (an undriven wire holds its value by
 // definition), and watchers registered through Watch are woken whenever
 // an edge changes the latched value — the sensitivity-list mechanism
-// that lets a wire's reader sleep.
-type Wire[T any] struct {
+// that lets a wire's reader sleep. T is comparable so the latch can
+// detect that change.
+//
+// A Wire is either made by NewWire or embedded in a larger value and
+// readied in place by Init, so a model holding many signals (a mesh's
+// links) allocates them in one block. It must not be copied after Init.
+type Wire[T comparable] struct {
 	cur, next T
 	clk       *Clock
-	name      string
 	dirty     bool
 
-	// eq and watchers implement Watch; eq is nil until the first
-	// watcher registers. watcherIdx caches each watcher's component
-	// index (resolved lazily, since Watch may run before Register) so
-	// the latch-time wake avoids a map lookup per edge.
-	eq         func(a, b T) bool
-	watchers   []Component
-	watcherIdx []int
+	// watchers is the sensitivity list. It starts out backed by first,
+	// so a wire with a single reader (every link wire) watches without
+	// a heap allocation; more watchers move it to the heap.
+	watchers []watcher
+	first    [1]watcher
+}
+
+// watcher is one component woken by a wire change. idx caches the
+// component's clock index, resolved lazily (Watch may run before
+// Register) so the latch-time wake avoids a map lookup per edge.
+type watcher struct {
+	comp Component
+	idx  int
 }
 
 // NewWire creates a wire on clk, carrying v both as the current and
 // staged value.
-func NewWire[T any](clk *Clock, name string, v T) *Wire[T] {
-	w := &Wire[T]{cur: v, next: v, clk: clk, name: name}
-	clk.allWires = append(clk.allWires, w)
+func NewWire[T comparable](clk *Clock, v T) *Wire[T] {
+	w := new(Wire[T])
+	w.Init(clk, v)
 	return w
 }
 
-// Name reports the wire's diagnostic name.
-func (w *Wire[T]) Name() string { return w.name }
+// Init readies a zero wire in place on clk, carrying v both as the
+// current and staged value.
+func (w *Wire[T]) Init(clk *Clock, v T) {
+	w.cur, w.next, w.clk = v, v, clk
+	clk.allWires = append(clk.allWires, w)
+}
 
 // Clock returns the clock the wire belongs to, so code handed only a
 // wire (a UART given its line) can derive cycle counts and arm timers
@@ -59,14 +73,17 @@ func (w *Wire[T]) Set(v T) {
 func (w *Wire[T]) Peek() T { return w.next }
 
 func (w *Wire[T]) latch() {
-	if w.eq != nil && !w.eq(w.cur, w.next) {
-		for k, comp := range w.watchers {
-			if i := w.watcherIdx[k]; i >= 0 {
-				w.clk.wakeIndex(i)
-			} else if i, ok := w.clk.index[comp]; ok {
-				w.watcherIdx[k] = i
-				w.clk.wakeIndex(i)
+	if len(w.watchers) != 0 && w.cur != w.next {
+		for k := range w.watchers {
+			wt := &w.watchers[k]
+			if wt.idx < 0 {
+				i, ok := w.clk.index[wt.comp]
+				if !ok {
+					continue
+				}
+				wt.idx = i
 			}
+			w.clk.wakeIndex(wt.idx)
 		}
 	}
 	w.cur = w.next
@@ -77,15 +94,12 @@ func (w *Wire[T]) latch() {
 // clock edge changes the wire's latched value. The wake takes effect on
 // the cycle in which the watcher first observes the new value through
 // Get, so a sleeping watcher sees exactly what it would have seen
-// evaluating densely. (A free function rather than a method because
-// change detection needs T comparable, which the Wire type itself does
-// not require.)
+// evaluating densely.
 func Watch[T comparable](w *Wire[T], comps ...Component) {
-	if w.eq == nil {
-		w.eq = func(a, b T) bool { return a == b }
+	if w.watchers == nil {
+		w.watchers = w.first[:0]
 	}
-	w.watchers = append(w.watchers, comps...)
-	for range comps {
-		w.watcherIdx = append(w.watcherIdx, -1)
+	for _, c := range comps {
+		w.watchers = append(w.watchers, watcher{comp: c, idx: -1})
 	}
 }
