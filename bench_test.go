@@ -335,12 +335,14 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 // addresses allow, driven into saturation: 16x16, uniform traffic at
 // 0.40 flits/cycle/node offered with 32-flit payloads (the load of
 // perfbench's mesh-saturated workload). Stalled routers and endpoints
-// sleep, so about 118 of its 768 components evaluate per cycle. In a
-// CPU profile Router.Eval takes 42% cumulative (its sender and receiver
-// handshakes 17%), Router.Commit and Router.Idle 12% each, and the
-// kernel's step loop 13% flat, so it is the profile target for the NoC
-// models. The metric is simulated cycles (warmup + measure; the drain
-// adds a tail) per wall-clock second.
+// sleep, and a router starts serving a waiting header on the clock
+// edge, so about 112 of its 768 components evaluate per cycle. In a CPU
+// profile Router.Eval takes 42% cumulative (its receiver and sender
+// handshakes 11%), Router.Commit 26% (latching the staged ports 9%,
+// computing the Idle answer 9%, the arbiter scan 3%), and the kernel's
+// step loop 12% flat, so it is the profile target for the NoC models.
+// The metric is simulated cycles (warmup + measure; the drain adds a
+// tail) per wall-clock second.
 func BenchmarkMeshSaturated(b *testing.B) {
 	b.ReportAllocs()
 	tcfg := traffic.Config{Rate: 0.40, PayloadFlits: 32, Seed: 3, Warmup: 500, Measure: 2000, Drain: 30000}

@@ -9,7 +9,9 @@
 // kernel (internal/sim): components that report themselves idle —
 // routers and endpoints whose next evaluation would stage nothing (at
 // rest, or stalled mid-wormhole until a tx, an ack or a routing timer
-// ends the stall), links with tx low, halted processors, processors
+// ends the stall; a router starts serving a waiting header on the
+// clock edge, so a header never keeps it awake), links with tx low,
+// halted processors, processors
 // at a fixed point (a pure poll loop over local memory, or a stalled
 // access whose retry changes nothing), quiet UARTs — are skipped
 // entirely and woken by link activity, explicit wakes or timers; and
@@ -30,9 +32,11 @@
 // core.System.DrainIO) instead of stepping a guessed cycle count.
 //
 // Every NoC link runs the paper's 2-cycle asynchronous handshake,
-// stepped cycle by cycle while the link is busy. Flits are two-word
-// values — data plus a noc.PacketID indexing a network-owned metadata
-// table — so the steady-state flit path allocates nothing.
+// stepped cycle by cycle while the link is busy; a router's evaluation
+// stages on, and its clock edge latches, only the ports whose
+// handshake moved. Flits are two-word values — data plus a
+// noc.PacketID indexing a network-owned metadata table — so the
+// steady-state flit path allocates nothing.
 //
 // One value, sim.Kernel, says how any run is scheduled: the default,
 // or one of the two oracles that each switch one optimisation off —
@@ -41,8 +45,9 @@
 // parser, returns it configured, and the run builds its mesh and IP
 // cores on it. Models need nothing extra: anything built on registered
 // wires, Watch, and WakeAt timers is warpable as-is. Every kernel
-// reproduces the default's traffic results, router statistics, VCD
-// dumps and boot transcripts bit for bit.
+// visits its awake components in registration order and reproduces
+// the default's traffic results, packet numbering, router statistics,
+// VCD dumps and boot transcripts bit for bit.
 //
 // Workloads come from a traffic-pattern library
 // (internal/traffic.PatternSpec): uniform, transpose, bit-complement,

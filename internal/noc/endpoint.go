@@ -28,7 +28,7 @@ type Endpoint struct {
 	txq    []txFlit // committed outgoing flit stream
 	stSend []txFlit // staged by Send, moved to txq at Commit
 	stFwd  []txFlit // staged by path-multicast forwarding (see Commit)
-	popped int      // flits of txq accepted this Eval
+	popped int      // flits of txq accepted this Eval (0 or 1)
 
 	rxPhase     int
 	rxRemaining int
@@ -215,27 +215,30 @@ func (e *Endpoint) Name() string { return fmt.Sprintf("endpoint%s", e.addr) }
 
 // Eval implements sim.Component.
 func (e *Endpoint) Eval() {
-	e.popped = 0
-	e.snd.eval(
-		func() bool { return len(e.txq)-e.popped > 0 },
-		func() Flit { return e.txq[e.popped].f },
-		func() {
-			tf := e.txq[e.popped]
-			if tf.header {
-				if m := e.net.Meta(tf.f.Pkt); m != nil {
-					m.InjectCycle = e.clk.Cycle()
-				}
+	accepted, free := e.snd.begin()
+	if accepted {
+		tf := e.txq[0]
+		if tf.header {
+			if m := e.net.Meta(tf.f.Pkt); m != nil {
+				m.InjectCycle = e.clk.Cycle()
 			}
-			if tf.tail {
-				e.sent++
-			}
-			e.popped++
-		},
-	)
-	e.rcv.eval(
-		func() bool { return true }, // endpoints sink at link rate
-		e.assemble,
-	)
+		}
+		if tf.tail {
+			e.sent++
+		}
+		e.popped = 1
+	}
+	if free {
+		if len(e.txq) > e.popped {
+			e.snd.offer(e.txq[e.popped].f)
+		} else {
+			e.snd.drop()
+		}
+	}
+	// Endpoints sink at link rate.
+	if f, ok := e.rcv.eval(true); ok {
+		e.assemble(f)
+	}
 }
 
 func (e *Endpoint) assemble(fl Flit) {

@@ -26,12 +26,19 @@
 // nothing, open wormholes, buffered flits and all: a flit presented
 // and waiting for its ack, a full buffer facing a presented flit, or a
 // header inside its routing delay all stage nothing until the stall
-// ends. Three events end a stall, and each wakes the component on the
-// cycle a dense run would act on it: a tx change on an input link, an
-// ack change on an output link (both watched wires) and the
-// routing-delay timer. An endpoint is also woken by Send. Everything
-// else that ends a stall, such as a pop that frees buffer space,
-// happens in the component's own Eval while it is awake. So every wake
+// ends. A header waiting for the control does not keep a router awake
+// either: the arbiter scan runs on the clock edge, in Commit, over the
+// state just latched, so the routing delay starts and its timer is
+// armed on the cycle the next Eval would have started them. Three
+// events end a stall, and each wakes the component on the cycle a
+// dense run would act on it: a tx change on an input link, an ack
+// change on an output link (both watched wires) and the routing-delay
+// timer. An endpoint is also woken by Send. Everything else that ends
+// a stall, such as a pop that frees buffer space, happens in the
+// component's own Eval while it is awake. A router's Commit computes
+// its Idle answer from the state it has just latched and the link
+// wires' Peek, which is what the coming latch publishes because link
+// wires are Set only during Eval. So every wake
 // comes from an awake component or an armed timer, and a mesh asleep
 // with flits inside and no timer armed can never move again; a dense
 // run would be stuck in the same state. That is a deadlock, which the

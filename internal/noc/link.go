@@ -30,7 +30,20 @@ func (l *Link) init(clk *sim.Clock) {
 }
 
 // sender drives the upstream side of a Link. It is embedded in router
-// output ports and endpoints; its owner supplies the flit source.
+// output ports and endpoints, whose Eval runs one cycle of the
+// handshake as begin, then offer or drop:
+//
+//	accepted, free := s.begin()
+//	if accepted { /* stage the pop of the presented flit */ }
+//	if free { /* offer the next flit, or drop tx */ }
+//
+// Its next-state field equals the registered one outside Eval, so a
+// router whose sender stages nothing leaves that output unlatched. It
+// Sets tx and data only there, in its owner's Eval: the reading
+// router's Commit takes its Idle answer from tx through Peek. The
+// sender's ack is one of a router's wake sources; a header waiting for
+// the router's control is not, because the control's scan starts on
+// the edge.
 type sender struct {
 	link *Link
 	busy bool // flit presented, waiting for ack
@@ -38,37 +51,42 @@ type sender struct {
 	nBusy bool
 }
 
-// eval runs the sender handshake for one cycle.
-//
-// hasNext/peek expose the owner's flit queue; accepted is called exactly
-// once per flit, in the Eval phase of the cycle in which the downstream
-// ack is observed, so the owner can stage the corresponding pop and any
-// bookkeeping. After a flit is accepted the sender immediately presents
-// the following one when available, preserving the 2-cycle cadence.
-func (s *sender) eval(hasNext func() bool, peek func() Flit, accepted func()) {
-	s.nBusy = s.busy
+// begin starts the cycle. accepted reports that the presented flit's
+// ack is seen, in the Eval of the cycle it is observed, so the owner
+// stages the pop and any bookkeeping. free reports that the sender may
+// present a flit this cycle: at once after an accept, preserving the
+// 2-cycle cadence.
+func (s *sender) begin() (accepted, free bool) {
 	if s.busy && s.link.Ack.Get() {
-		accepted()
 		s.nBusy = false
+		return true, true
 	}
-	if !s.nBusy {
-		if hasNext() {
-			s.link.Data.Set(peek())
-			s.link.Tx.Set(true)
-			s.nBusy = true
-		} else if s.link.Tx.Peek() {
-			// Deassert only on the transition; re-staging an already-low
-			// tx every cycle would keep the idle link on the kernel's
-			// dirty-wire list for nothing.
-			s.link.Tx.Set(false)
-		}
+	return false, !s.busy
+}
+
+// offer presents f on the link. Only a free sender may offer.
+func (s *sender) offer(f Flit) {
+	s.link.Data.Set(f)
+	s.link.Tx.Set(true)
+	s.nBusy = true
+}
+
+// drop deasserts tx when a free sender has nothing to present.
+// Deassert only on the transition; re-staging an already-low tx every
+// cycle would keep the idle link on the kernel's dirty-wire list for
+// nothing.
+func (s *sender) drop() {
+	if s.link.Tx.Peek() {
+		s.link.Tx.Set(false)
 	}
 }
 
 func (s *sender) commit() { s.busy = s.nBusy }
 
-// receiver drives the downstream side of a Link. Its owner supplies the
-// space check and consumes accepted flits.
+// receiver drives the downstream side of a Link. Its next-state field
+// equals the registered one outside Eval, and it Sets ack only in its
+// owner's Eval: the sending router's Commit takes its Idle answer from
+// ack through Peek. Its tx is the other link wake source of a router.
 type receiver struct {
 	link    *Link
 	ackHigh bool // we accepted last cycle; data on the wire is stale
@@ -76,17 +94,20 @@ type receiver struct {
 	nAckHigh bool
 }
 
-// eval runs the receiver handshake for one cycle. If a flit is accepted
-// this cycle, take is called with it (the owner stages the push).
-func (r *receiver) eval(hasSpace func() bool, take func(Flit)) {
-	accept := r.link.Tx.Get() && !r.ackHigh && hasSpace()
-	if accept {
-		take(r.link.Data.Get())
+// eval runs the receiver handshake for one cycle: with tx high, no ack
+// outstanding and space in the owner's buffer, it accepts the flit on
+// the link and raises ack for one cycle. It returns the accepted flit,
+// which the owner stages.
+func (r *receiver) eval(space bool) (f Flit, accepted bool) {
+	accepted = r.link.Tx.Get() && !r.ackHigh && space
+	if accepted != r.link.Ack.Peek() {
+		r.link.Ack.Set(accepted)
 	}
-	if accept != r.link.Ack.Peek() {
-		r.link.Ack.Set(accept)
+	r.nAckHigh = accepted
+	if accepted {
+		f = r.link.Data.Get()
 	}
-	r.nAckHigh = accept
+	return f, accepted
 }
 
 func (r *receiver) commit() { r.ackHigh = r.nAckHigh }

@@ -250,7 +250,9 @@ func (n *Network) ResetStats() {
 }
 
 // allocMeta stamps fresh packet metadata for a packet e sends. IDs
-// number the network's packets from 1 in allocation order.
+// number the network's packets from 1 in allocation order: the order
+// their senders evaluate, which every kernel keeps to registration
+// order, so a packet has the same ID under every kernel.
 func (n *Network) allocMeta(e *Endpoint, dst Addr, payload int) *PacketMeta {
 	n.nextPktID++
 	m := &PacketMeta{

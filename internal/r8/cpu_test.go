@@ -133,6 +133,65 @@ func TestDecodeIllegal(t *testing.T) {
 	}
 }
 
+// decodeRef decodes w by a linear search of opTable, the reference for
+// Decode's lookup table. ok is false for an unassigned encoding.
+func decodeRef(w uint16) (in Inst, ok bool) {
+	major, hi, lo := w>>12, w>>8&0xF, w&0xF
+	for op := Op(0); op < numOps; op++ {
+		info := opTable[op]
+		if info.major != major {
+			continue
+		}
+		switch info.format {
+		case FmtR:
+			return Inst{Op: op, Rt: int(hi), Rs1: int(w >> 4 & 0xF), Rs2: int(lo)}, true
+		case FmtI:
+			return Inst{Op: op, Rt: int(hi), Imm: uint8(w)}, true
+		case FmtJ:
+			if hi == info.sub {
+				return Inst{Op: op, Disp: int8(w)}, true
+			}
+		case FmtU:
+			if lo == info.sub {
+				return Inst{Op: op, Rt: int(hi), Rs1: int(w >> 4 & 0xF)}, true
+			}
+		case FmtS:
+			if hi == info.sub {
+				return Inst{Op: op, Rt: int(w >> 4 & 0xF), Rs1: int(lo)}, true
+			}
+		}
+	}
+	return Inst{}, false
+}
+
+// TestDecodeExhaustive: every one of the 65,536 words decodes to the
+// instruction a linear search of opTable finds, or is illegal under
+// both, and every legal word encodes back to itself.
+func TestDecodeExhaustive(t *testing.T) {
+	legal := 0
+	for i := 0; i < 1<<16; i++ {
+		w := uint16(i)
+		got, err := Decode(w)
+		want, ok := decodeRef(w)
+		if ok != (err == nil) {
+			t.Fatalf("Decode(%#04x) error %v, reference legal %v", w, err, ok)
+		}
+		if !ok {
+			continue
+		}
+		legal++
+		if got != want {
+			t.Fatalf("Decode(%#04x) = %+v, reference %+v", w, got, want)
+		}
+		if back, err := got.Encode(); err != nil || back != w {
+			t.Fatalf("Decode(%#04x) = %+v encodes to %#04x, %v", w, got, back, err)
+		}
+	}
+	if legal == 0 {
+		t.Fatal("no legal encoding")
+	}
+}
+
 func TestALUArithmetic(t *testing.T) {
 	cases := []struct {
 		name       string

@@ -221,37 +221,20 @@ func (i Inst) Encode() (uint16, error) {
 	return 0, fmt.Errorf("r8: unknown format for %s", info.name)
 }
 
-// jmpByCond maps a J-major/cond pair back to an opcode.
-var jmpByCond = func() map[[2]uint16]Op {
-	m := make(map[[2]uint16]Op)
-	for op := Op(0); op < numOps; op++ {
-		if opTable[op].format == FmtJ {
-			m[[2]uint16{opTable[op].major, opTable[op].sub}] = op
+// opByCode maps a major opcode and sub-code to its instruction: the
+// sub-code is the cond of J format, the sub of U and S formats and 0
+// for R and I formats, whose major alone names them. Unassigned codes
+// hold numOps.
+var opByCode = func() (t [16][16]Op) {
+	for i := range t {
+		for j := range t[i] {
+			t[i][j] = numOps
 		}
 	}
-	return m
-}()
-
-var subByMajor = func() map[[2]uint16]Op {
-	m := make(map[[2]uint16]Op)
 	for op := Op(0); op < numOps; op++ {
-		f := opTable[op].format
-		if f == FmtU || f == FmtS {
-			m[[2]uint16{opTable[op].major, opTable[op].sub}] = op
-		}
+		t[opTable[op].major][opTable[op].sub] = op
 	}
-	return m
-}()
-
-var majorToOp = func() map[uint16]Op {
-	m := make(map[uint16]Op)
-	for op := Op(0); op < numOps; op++ {
-		f := opTable[op].format
-		if f == FmtR || f == FmtI {
-			m[opTable[op].major] = op
-		}
-	}
-	return m
+	return t
 }()
 
 // Decode unpacks a machine word. Unassigned encodings return an error;
@@ -261,39 +244,39 @@ func Decode(w uint16) (Inst, error) {
 	switch major {
 	case 0xB, 0xC:
 		cond := (w >> 8) & 0xF
-		op, ok := jmpByCond[[2]uint16{major, cond}]
-		if !ok {
+		op := opByCode[major][cond]
+		if op == numOps {
 			return Inst{}, fmt.Errorf("r8: illegal jump condition %d in %#04x", cond, w)
 		}
 		return Inst{Op: op, Disp: int8(w & 0xFF)}, nil
 	case 0xD:
 		sub := w & 0xF
-		op, ok := subByMajor[[2]uint16{major, sub}]
-		if !ok {
+		op := opByCode[major][sub]
+		if op == numOps {
 			return Inst{}, fmt.Errorf("r8: illegal unary sub-op %d in %#04x", sub, w)
 		}
 		return Inst{Op: op, Rt: int(w >> 8 & 0xF), Rs1: int(w >> 4 & 0xF)}, nil
 	case 0xF:
 		sub := (w >> 8) & 0xF
-		op, ok := subByMajor[[2]uint16{major, sub}]
-		if !ok {
+		op := opByCode[major][sub]
+		if op == numOps {
 			return Inst{}, fmt.Errorf("r8: illegal system sub-op %d in %#04x", sub, w)
 		}
 		return Inst{Op: op, Rt: int(w >> 4 & 0xF), Rs1: int(w & 0xF)}, nil
-	case 0xE:
-		return Inst{}, fmt.Errorf("r8: illegal instruction %#04x", w)
-	default:
-		op := majorToOp[major]
-		if opTable[op].format == FmtI {
-			return Inst{Op: op, Rt: int(w >> 8 & 0xF), Imm: uint8(w & 0xFF)}, nil
-		}
-		return Inst{
-			Op:  op,
-			Rt:  int(w >> 8 & 0xF),
-			Rs1: int(w >> 4 & 0xF),
-			Rs2: int(w & 0xF),
-		}, nil
 	}
+	op := opByCode[major][0]
+	switch {
+	case op == numOps:
+		return Inst{}, fmt.Errorf("r8: illegal instruction %#04x", w)
+	case opTable[op].format == FmtI:
+		return Inst{Op: op, Rt: int(w >> 8 & 0xF), Imm: uint8(w & 0xFF)}, nil
+	}
+	return Inst{
+		Op:  op,
+		Rt:  int(w >> 8 & 0xF),
+		Rs1: int(w >> 4 & 0xF),
+		Rs2: int(w & 0xF),
+	}, nil
 }
 
 // OpByName resolves an assembler mnemonic (case-sensitive, upper case).

@@ -37,10 +37,12 @@
 //     the Eval phase joins the component to the *current* cycle: its
 //     Commit runs this edge, so state staged on it by the caller
 //     latches on the same edge it would have latched in a dense run.
-//     (Such a component may see Commit without a same-cycle Eval; that
+//     The Eval scan runs in registration order: a component woken
+//     ahead of it (registered after the one evaluating) is evaluated
+//     this cycle, and one woken behind it gets only its Commit. That
 //     is safe by construction — a component asleep at Eval time had
 //     quiescent combinational outputs, so its skipped Eval was a
-//     no-op.) A Wake issued at any other time takes effect at the next
+//     no-op. A Wake issued at any other time takes effect at the next
 //     Step.
 //   - Clock.WakeAt — a timer: the component is woken so that it is
 //     active during the step that ends at the given cycle count.
@@ -110,10 +112,13 @@
 // Determinism is unaffected by any of this: the active set only ever
 // skips Evals that stage nothing and Commits that latch nothing, wakes
 // are applied at deterministic points of the cycle, warped spans are
-// provably free of state changes, and iteration stays in registration
-// order. The same seed therefore yields bit-identical results under all
-// three Kernel modes: the default (activity scheduling with time warp),
-// "nowarp" (SetTimeWarp(false), the time-warp oracle) and "dense"
+// provably free of state changes, and the active set is visited in
+// registration order, the order dense evaluates everything in, so
+// anything a model numbers in evaluation order, such as packet IDs,
+// comes out the same under every kernel. The same seed therefore
+// yields bit-identical results under all three Kernel modes: the
+// default (activity scheduling with time warp), "nowarp"
+// (SetTimeWarp(false), the time-warp oracle) and "dense"
 // (SetActivityScheduling(false), the activity-scheduling oracle).
 // ParseKernel turns a Kernel into a Clock configured for it.
 package sim
@@ -121,6 +126,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Component is a clocked hardware block. Eval must only read wire values
@@ -165,17 +171,20 @@ type wakeTimer struct {
 type Clock struct {
 	comps  []Component
 	idlers []Idler // parallel to comps; nil entries never sleep
-	active []bool  // parallel to comps: membership in activeList
 	index  map[Component]int
 
-	// activeList holds the indices of awake components in arbitrary
-	// order (swap-removed on sleep), so Step costs O(active), not
-	// O(registered). Order-independence of the two-phase protocol makes
-	// the arbitrary order harmless.
-	activeList []int
-	inEval     bool
-	dense      bool // activity scheduling disabled: evaluate everything
-	noWarp     bool // time warping disabled: step every cycle
+	// awake is the active set, a bitmap over registration indices (bit
+	// i%64 of word i/64 is component i), and nAwake counts its members.
+	// Step visits the set in registration order, the order dense
+	// evaluates everything in, so anything numbered in evaluation order
+	// (packet IDs) numbers alike under every kernel. A Wake during the
+	// Eval phase of a component ahead of the scan is evaluated this
+	// cycle; one behind it gets only its Commit.
+	awake  []uint64
+	nAwake int
+	inEval bool
+	dense  bool // activity scheduling disabled: evaluate everything
+	noWarp bool // time warping disabled: step every cycle
 
 	wakePending []bool // parallel to comps; dedups pending
 	pending     []int
@@ -217,10 +226,12 @@ func (c *Clock) Register(comps ...Component) {
 		c.comps = append(c.comps, comp)
 		id, _ := comp.(Idler)
 		c.idlers = append(c.idlers, id)
-		c.active = append(c.active, true)
 		c.wakePending = append(c.wakePending, false)
 		c.lastArmed = append(c.lastArmed, 0)
-		c.activeList = append(c.activeList, i)
+		if i%64 == 0 {
+			c.awake = append(c.awake, 0)
+		}
+		c.activate(i)
 	}
 }
 
@@ -260,7 +271,7 @@ func (c *Clock) ActiveCount() int {
 	if c.dense {
 		return len(c.comps)
 	}
-	return len(c.activeList)
+	return c.nAwake
 }
 
 // SetTimeWarp enables (the default) or disables dead-cycle skipping.
@@ -280,10 +291,8 @@ func (c *Clock) SetActivityScheduling(on bool) {
 	// Reset the active set to everything: correct for entering dense
 	// mode, and the safe starting point when re-entering sparse mode
 	// (idle components retire again on the next edges).
-	c.activeList = c.activeList[:0]
-	for i := range c.active {
-		c.active[i] = true
-		c.activeList = append(c.activeList, i)
+	for i := range c.comps {
+		c.activate(i)
 	}
 }
 
@@ -389,9 +398,9 @@ func (h Handle) WakeAt(cycle uint64) {
 }
 
 func (c *Clock) activate(i int) {
-	if !c.active[i] {
-		c.active[i] = true
-		c.activeList = append(c.activeList, i)
+	if w, b := &c.awake[i>>6], uint64(1)<<(i&63); *w&b == 0 {
+		*w |= b
+		c.nAwake++
 	}
 }
 
@@ -514,7 +523,7 @@ const warpUnbounded = ^uint64(0)
 // reported to ProbeRange hooks.
 func (c *Clock) warp(limit uint64) {
 	if c.dense || c.noWarp ||
-		len(c.activeList) != 0 || len(c.pending) != 0 || len(c.dirty) != 0 {
+		c.nAwake != 0 || len(c.pending) != 0 || len(c.dirty) != 0 {
 		return
 	}
 	target := limit
@@ -571,18 +580,26 @@ func (c *Clock) step() {
 		}
 		c.dirty = c.dirty[:0]
 	} else {
-		// Explicit index loops: a Wake during the Eval phase appends to
-		// activeList, and the appended component must still be visited —
-		// its Eval is a no-op (it was asleep, so its inputs are
-		// quiescent) but its Commit latches whatever the waker staged on
-		// it, exactly as in a dense run.
-		c.inEval = true
-		for k := 0; k < len(c.activeList); k++ {
-			c.comps[c.activeList[k]].Eval()
-		}
-		c.inEval = false
-		for k := 0; k < len(c.activeList); k++ {
-			c.comps[c.activeList[k]].Commit()
+		// The Eval scan re-reads its word after every Eval, so a
+		// component woken ahead of it is evaluated this cycle; the Commit
+		// scan visits every woken one, and its Commit latches whatever
+		// the waker staged on it, exactly as in a dense run. A step with
+		// nothing awake (nowarp stepping a dead span) skips both.
+		if c.nAwake != 0 {
+			c.inEval = true
+			for w := range c.awake {
+				for m := c.awake[w]; m != 0; {
+					b := bits.TrailingZeros64(m)
+					c.comps[w<<6|b].Eval()
+					m = c.awake[w] &^ (2<<b - 1)
+				}
+			}
+			c.inEval = false
+			for w, m := range c.awake {
+				for ; m != 0; m &= m - 1 {
+					c.comps[w<<6|bits.TrailingZeros64(m)].Commit()
+				}
+			}
 		}
 		// Only wires whose driver staged a value this cycle need
 		// latching; watchers of wires whose latched value changes are
@@ -596,18 +613,16 @@ func (c *Clock) step() {
 	for _, p := range c.probes {
 		p(c.cycle)
 	}
-	if c.dense {
+	if c.dense || c.nAwake == 0 {
 		return
 	}
-	for k := 0; k < len(c.activeList); {
-		i := c.activeList[k]
-		if id := c.idlers[i]; id != nil && id.Idle() {
-			c.active[i] = false
-			last := len(c.activeList) - 1
-			c.activeList[k] = c.activeList[last]
-			c.activeList = c.activeList[:last]
-		} else {
-			k++
+	for w, m := range c.awake {
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if id := c.idlers[w<<6|b]; id != nil && id.Idle() {
+				c.awake[w] &^= 1 << b
+				c.nAwake--
+			}
 		}
 	}
 }
@@ -684,7 +699,7 @@ func (c *Clock) Quiescent() bool {
 		}
 		return true
 	}
-	return len(c.activeList) == 0 && len(c.pending) == 0 && len(c.timers) == 0
+	return c.nAwake == 0 && len(c.pending) == 0 && len(c.timers) == 0
 }
 
 // RunUntilQuiescent steps the clock until the simulation is quiescent —

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -235,6 +237,58 @@ func TestWakeReactivates(t *testing.T) {
 		if p.evals[i] != want[i] {
 			t.Fatalf("eval cycles %v, want %v", p.evals, want)
 		}
+	}
+}
+
+// logger appends "E<id>" to a shared log on Eval and "C<id>" on Commit.
+// It sleeps between steps, and wakes the components in wakes during its
+// next Eval.
+type logger struct {
+	id    int
+	clk   *Clock
+	log   *[]string
+	wakes []Component
+}
+
+func (l *logger) Name() string { return "logger" }
+func (l *logger) Eval() {
+	*l.log = append(*l.log, fmt.Sprintf("E%d", l.id))
+	for _, c := range l.wakes {
+		l.clk.Wake(c)
+	}
+	l.wakes = nil
+}
+func (l *logger) Commit()    { *l.log = append(*l.log, fmt.Sprintf("C%d", l.id)) }
+func (l *logger) Idle() bool { return true }
+
+// TestActiveSetRegistrationOrder: the active set is visited in
+// registration order, whatever order its members were woken in, across
+// bitmap words. A component woken during Eval ahead of the scan is
+// evaluated this cycle; one woken behind it gets only its Commit.
+func TestActiveSetRegistrationOrder(t *testing.T) {
+	clk := NewClock()
+	var log []string
+	ls := make([]*logger, 130)
+	for i := range ls {
+		ls[i] = &logger{id: i, clk: clk, log: &log}
+		clk.Register(ls[i])
+	}
+	clk.Step() // everything evaluates once, then sleeps
+	if clk.ActiveCount() != 0 {
+		t.Fatalf("%d components awake after the first step", clk.ActiveCount())
+	}
+	ls[70].wakes = []Component{ls[5], ls[90], ls[71]}
+	for _, i := range []int{100, 3, 70} {
+		clk.Wake(ls[i])
+	}
+	log = log[:0]
+	clk.Step()
+	want := []string{"E3", "E70", "E71", "E90", "E100", "C3", "C5", "C70", "C71", "C90", "C100"}
+	if !slices.Equal(log, want) {
+		t.Errorf("step log %v, want %v", log, want)
+	}
+	if clk.ActiveCount() != 0 {
+		t.Errorf("%d components awake, want 0", clk.ActiveCount())
 	}
 }
 

@@ -1,7 +1,9 @@
 package traffic
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/noc"
@@ -14,22 +16,29 @@ import (
 // On a saturated 6x6 mesh, over buffer depths 1, 2 and 4 and the three
 // routing algorithms, plus a path-multicast row whose small queue cap
 // keeps the sources backed up, the default and nowarp kernels must
-// match dense on every packet's inject and eject cycles, every
-// router's statistics and the Result. Packets are matched by source,
-// destination and creation cycle, not by ID: IDs number packets in the
-// order their senders evaluate, which the active set does not fix. The
-// default run must also have slept through stalls: at some cycle of
-// its measurement window fewer components are active than routers hold
-// flits.
+// match dense on every packet's ID, inject and eject cycles, every
+// router's statistics and the Result: every kernel evaluates awake
+// components in registration order, so packets are numbered alike.
+//
+// Dense is no oracle for the router code all three kernels share, so
+// each row also pins a 64-bit FNV-1a hash of its observable behaviour,
+// recorded under dense before the router's eval and commit were
+// rewritten to touch only changed ports: every completed packet's ID,
+// source, destination and creation, inject and eject cycles in
+// Completed order, then every router's RouterStats. Every kernel must
+// reproduce it. The default run must also have slept through stalls:
+// at some cycle of its measurement window fewer components are active
+// than routers hold flits.
 func TestStallSleepCrossKernel(t *testing.T) {
 	type packet struct {
-		src, dst noc.Addr
-		created  uint64
+		src, dst               noc.Addr
+		created, inject, eject uint64
 	}
 	type obs struct {
 		res     Result
 		stats   []noc.RouterStats
-		packets map[packet][2]uint64 // inject and eject cycles
+		packets map[uint64]packet // by ID
+		hash    uint64
 		stalled bool
 	}
 	run := func(t *testing.T, ncfg noc.Config, tcfg Config) obs {
@@ -72,10 +81,26 @@ func TestStallSleepCrossKernel(t *testing.T) {
 		for i := 0; i < nodes; i++ {
 			o.stats = append(o.stats, router(i).Stats())
 		}
-		o.packets = make(map[packet][2]uint64)
-		for _, m := range net.Completed() {
-			o.packets[packet{m.Src, m.Dst, m.CreatedCycle}] = [2]uint64{m.InjectCycle, m.EjectCycle}
+		h := fnv.New64a()
+		var buf []byte
+		put := func(vs ...uint64) {
+			buf = buf[:0]
+			for _, v := range vs {
+				buf = binary.LittleEndian.AppendUint64(buf, v)
+			}
+			h.Write(buf)
 		}
+		o.packets = make(map[uint64]packet)
+		for _, m := range net.Completed() {
+			o.packets[m.ID] = packet{m.Src, m.Dst, m.CreatedCycle, m.InjectCycle, m.EjectCycle}
+			put(m.ID, uint64(m.Src.X), uint64(m.Src.Y), uint64(m.Dst.X), uint64(m.Dst.Y),
+				m.CreatedCycle, m.InjectCycle, m.EjectCycle)
+		}
+		for _, s := range o.stats {
+			put(s.FlitsOut[:]...)
+			put(s.PacketsRouted, s.Grants, s.BlockedAttempts, s.WaitCycles, s.BufferedFlitCycles)
+		}
+		o.hash = h.Sum64()
 		return o
 	}
 
@@ -87,6 +112,19 @@ func TestStallSleepCrossKernel(t *testing.T) {
 		label string
 		ncfg  noc.Config
 		tcfg  Config
+		hash  uint64
+	}
+	pinned := map[string]uint64{
+		"buf1-xy":        0x83f8a1340b668061,
+		"buf1-yx":        0x9ba9c74b49e9a368,
+		"buf1-westfirst": 0x46aee59ccb836d22,
+		"buf2-xy":        0xbd60d021cd7cea7c,
+		"buf2-yx":        0x4adbc9eed62e9704,
+		"buf2-westfirst": 0x78c2697b2381b2c5,
+		"buf4-xy":        0xcc8f792a2ac3d4c7,
+		"buf4-yx":        0xab603d1a621090e2,
+		"buf4-westfirst": 0xf5e6f01938520b9b,
+		"multicast-path": 0x208b064141f2aa2e,
 	}
 	var rows []row
 	for _, depth := range []int{1, 2, 4} {
@@ -96,13 +134,14 @@ func TestStallSleepCrossKernel(t *testing.T) {
 		}{{"xy", noc.RouteXY}, {"yx", noc.RouteYX}, {"westfirst", noc.RouteWestFirst}} {
 			ncfg := noc.Defaults(6, 6)
 			ncfg.BufDepth, ncfg.Routing = depth, r.fn
-			rows = append(rows, row{fmt.Sprintf("buf%d-%s", depth, r.name), ncfg, base})
+			label := fmt.Sprintf("buf%d-%s", depth, r.name)
+			rows = append(rows, row{label, ncfg, base, pinned[label]})
 		}
 	}
 	mc := base
 	mc.Spec = PatternSpec{Name: "multicast", Group: []noc.Addr{{X: 0, Y: 5}, {X: 2, Y: 1}, {X: 4, Y: 4}, {X: 5, Y: 0}}}
 	mc.QueueCap = 8
-	rows = append(rows, row{"multicast-path", noc.Defaults(6, 6), mc})
+	rows = append(rows, row{"multicast-path", noc.Defaults(6, 6), mc, pinned["multicast-path"]})
 
 	for _, rw := range rows {
 		rw := rw
@@ -112,6 +151,9 @@ func TestStallSleepCrossKernel(t *testing.T) {
 			ref := run(t, rw.ncfg, dcfg)
 			if len(ref.packets) == 0 || ref.res.MeasuredPackets == 0 {
 				t.Fatal("dense run delivered no measured packets; the differential is vacuous")
+			}
+			if ref.hash != rw.hash {
+				t.Errorf("dense: behaviour hash %#016x, pinned %#016x", ref.hash, rw.hash)
 			}
 			for _, k := range []sim.Kernel{"", "nowarp"} {
 				kcfg := rw.tcfg
@@ -129,10 +171,13 @@ func TestStallSleepCrossKernel(t *testing.T) {
 				if len(got.packets) != len(ref.packets) {
 					t.Errorf("kernel %q: %d packets delivered, dense %d", k, len(got.packets), len(ref.packets))
 				}
-				for p, want := range ref.packets {
-					if have := got.packets[p]; have != want {
-						t.Fatalf("kernel %q: packet %+v injected and ejected at %v, dense %v", k, p, have, want)
+				for id, want := range ref.packets {
+					if have := got.packets[id]; have != want {
+						t.Fatalf("kernel %q: packet %d is %+v, dense %+v", k, id, have, want)
 					}
+				}
+				if got.hash != rw.hash {
+					t.Errorf("kernel %q: behaviour hash %#016x, pinned %#016x", k, got.hash, rw.hash)
 				}
 				if k == "" && !got.stalled {
 					t.Error("no cycle had fewer active components than routers holding flits; no stall slept")
