@@ -345,14 +345,38 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 // tail) per wall-clock second.
 func BenchmarkMeshSaturated(b *testing.B) {
 	b.ReportAllocs()
-	tcfg := traffic.Config{Rate: 0.40, PayloadFlits: 32, Seed: 3, Warmup: 500, Measure: 2000, Drain: 30000}
-	cfg := noc.Defaults(16, 16)
 	for i := 0; i < b.N; i++ {
-		if _, err := traffic.Run(cfg, tcfg); err != nil {
-			b.Fatal(err)
-		}
+		runMeshSaturated(b)
 	}
-	b.ReportMetric(float64(tcfg.Warmup+tcfg.Measure)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")
+	b.ReportMetric(float64(meshSaturated.Warmup+meshSaturated.Measure)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")
+}
+
+// meshSaturated is the job of BenchmarkMeshSaturated and
+// TestMeshSaturatedAllocs.
+var meshSaturated = traffic.Config{Rate: 0.40, PayloadFlits: 32, Seed: 3, Warmup: 500, Measure: 2000, Drain: 30000}
+
+func runMeshSaturated(tb testing.TB) {
+	if _, err := traffic.Run(noc.Defaults(16, 16), meshSaturated); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestMeshSaturatedAllocs bounds the heap objects one
+// BenchmarkMeshSaturated job allocates: building the mesh, and every
+// packet's metadata, flits, payload copy and reassembly on its way
+// through. The count repeats within a few objects from run to run and
+// under any GOMAXPROCS, so unlike a timing it needs no baseline from
+// the machine that runs it. The bound is 15% over the 9,960 objects a
+// job allocated while each sent packet still built a flit slice; it
+// now allocates about 8,690.
+func TestMeshSaturatedAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a saturated 16x16 job takes about half a second")
+	}
+	const bound = 11_450
+	if got := testing.AllocsPerRun(1, func() { runMeshSaturated(t) }); got > bound {
+		t.Errorf("a saturated 16x16 job allocated %.0f objects, want at most %d", got, bound)
+	}
 }
 
 // BenchmarkAblTimeWarp measures the time-warp kernel on the workload it

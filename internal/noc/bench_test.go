@@ -69,9 +69,8 @@ func BenchmarkLoadedMeshCycle(b *testing.B) {
 // with the timer stopped, but packet delivery does not: every 514th
 // step or so Endpoint.complete copies a payload. allocs/op divides the
 // total by b.N and truncates, so those per-packet allocations read as
-// 0 allocs/op. cmd/benchgate (-lower) gates that figure at 0;
-// TestFlitPathAllocs is the exact check that the flit path itself
-// allocates nothing.
+// 0 allocs/op. TestFlitPathAllocs is the exact check that the flit
+// path itself allocates nothing.
 func BenchmarkFlitSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	ft := newFlitTrain(b)

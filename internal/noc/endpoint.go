@@ -80,22 +80,25 @@ func (e *Endpoint) checkSend(dst Addr, payload []uint16) error {
 	return nil
 }
 
-// stagePacket flattens an already-validated packet into the staged
-// injection queue. It is the shared tail of Send, SendMulti and the
-// path-multicast forwarding done in complete. Forwarded legs
-// (forward=true) are staged in a separate buffer that Commit merges
-// ahead of same-cycle Sends: the two stagers run in different
-// components' Eval phases, so without a fixed merge order the txq
-// order would depend on the kernel's evaluation order.
+// stagePacket appends an already-validated packet's wire-format flits
+// (header, size, payload) to the staged injection queue. It is the
+// shared tail of Send, SendMulti and the path-multicast forwarding done
+// in complete. Forwarded legs (forward=true) are staged in a separate
+// buffer that Commit merges ahead of same-cycle Sends: the two stagers
+// run in different components' Eval phases, so without a fixed merge
+// order the txq order would depend on the kernel's evaluation order.
 func (e *Endpoint) stagePacket(meta *PacketMeta, dst Addr, payload []uint16, forward bool) {
-	p := Packet{Src: e.addr, Dst: dst, Payload: payload, Meta: meta}
-	flits := p.flits(e.net.cfg.FlitBits)
 	q := &e.stSend
 	if forward {
 		q = &e.stFwd
 	}
-	for i, fl := range flits {
-		*q = append(*q, txFlit{f: fl, header: i == 0, tail: i == len(flits)-1})
+	mask := flitMask(e.net.cfg.FlitBits)
+	id := PacketID(meta.ID)
+	*q = append(*q,
+		txFlit{f: Flit{Data: dst.Encode() & mask, Pkt: id}, header: true},
+		txFlit{f: Flit{Data: uint16(len(payload)) & mask, Pkt: id}, tail: len(payload) == 0})
+	for i, v := range payload {
+		*q = append(*q, txFlit{f: Flit{Data: v & mask, Pkt: id}, tail: i == len(payload)-1})
 	}
 	// A sleeping endpoint must join the current edge so the staged
 	// flits commit to the injection queue this cycle, exactly as they

@@ -5,20 +5,12 @@
 // paper. The package also provides the nine packet services the NoC
 // offers to its IP cores.
 //
-// # One link model
+// # Link handshake
 //
 // Every link runs the stepped 2-cycle handshake: both sides evaluate
 // each cycle the link is busy, the sender drives tx and data, the
 // receiver raises ack for one cycle when it accepts, and the sender
-// observes the ack two cycles after driving. An event-per-flit
-// streaming fast path that moved steady-state flits on timer-paced
-// events used to sit beside it. It was bit-identical but never faster
-// at the paper's 2-flit buffers, so it was removed: with the stepped
-// handshake as the default, every perfbench workload ran as fast or
-// faster (median normalised jobs/s 1.57 -> 1.70 on the saturated 16x16
-// mesh, 3.99 -> 4.49 at low load, 617 -> 793 on the sweep batch, 3.02
-// -> 3.02 on the full system), and its own ablation ran 3,470
-// simulated cycles/s against 4,307 stepped on a 2-vCPU host.
+// observes the ack two cycles after driving.
 //
 // # Sleeping mid-wormhole
 //
@@ -207,19 +199,6 @@ func MaxPayload(flitBits int) int {
 		return 1<<16 - 1
 	}
 	return 1<<flitBits - 1
-}
-
-// flits flattens the packet into wire-format flits.
-func (p *Packet) flits(flitBits int) []Flit {
-	mask := flitMask(flitBits)
-	id := PacketID(p.Meta.ID)
-	fs := make([]Flit, 0, len(p.Payload)+2)
-	fs = append(fs, Flit{Data: p.Dst.Encode() & mask, Pkt: id})
-	fs = append(fs, Flit{Data: uint16(len(p.Payload)) & mask, Pkt: id})
-	for _, v := range p.Payload {
-		fs = append(fs, Flit{Data: v & mask, Pkt: id})
-	}
-	return fs
 }
 
 func flitMask(bits int) uint16 {

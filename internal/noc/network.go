@@ -98,7 +98,6 @@ type Network struct {
 	// long runs.
 	metas     []*PacketMeta
 	completed []*PacketMeta
-	delivered uint64
 	mcast     MulticastStats
 }
 
@@ -239,15 +238,7 @@ func (n *Network) Endpoint(a Addr) *Endpoint { return n.endpoints[a] }
 func (n *Network) Completed() []*PacketMeta { return n.completed }
 
 // Delivered reports how many packets have been fully delivered.
-func (n *Network) Delivered() uint64 { return n.delivered }
-
-// ResetStats clears the completed-packet log and the delivered counter,
-// so rates computed after a warmup reset start from zero (router
-// counters keep accumulating; they are snapshots, not rates).
-func (n *Network) ResetStats() {
-	n.completed = nil
-	n.delivered = 0
-}
+func (n *Network) Delivered() uint64 { return uint64(len(n.completed)) }
 
 // allocMeta stamps fresh packet metadata for a packet e sends. IDs
 // number the network's packets from 1 in allocation order: the order
@@ -283,7 +274,6 @@ func (n *Network) packetDelivered(e *Endpoint, m *PacketMeta) {
 	// flit references its ID any more.
 	n.metas[m.ID-1] = nil
 	n.completed = append(n.completed, m)
-	n.delivered++
 	if m.MC != nil {
 		n.mcast.Copies++
 	}

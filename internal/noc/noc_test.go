@@ -410,8 +410,8 @@ func TestRouterStatsAccounting(t *testing.T) {
 		t.Errorf("router 01 moved %d flits, want 0", got)
 	}
 	for _, a := range []Addr{{0, 0}, {1, 0}, {1, 1}} {
-		if g := net.Router(a).Stats().Grants; g != 1 {
-			t.Errorf("router %s grants = %d, want 1", a, g)
+		if g := net.Router(a).Stats().PacketsRouted; g != 1 {
+			t.Errorf("router %s routed %d packets, want 1", a, g)
 		}
 	}
 }

@@ -79,8 +79,6 @@ type RouterStats struct {
 	FlitsOut [numPorts]uint64
 	// PacketsRouted counts connections successfully established.
 	PacketsRouted uint64
-	// Grants counts control-logic grants (== PacketsRouted).
-	Grants uint64
 	// BlockedAttempts counts routing attempts that found the output
 	// port busy and had to be retried later.
 	BlockedAttempts uint64
@@ -307,7 +305,6 @@ func (r *Router) route() {
 	p.nRoute = o
 	r.out[o].nSrc = p.port
 	r.staged |= 1<<p.port | 1<<(numPorts+o)
-	r.stats.Grants++
 	r.stats.PacketsRouted++
 }
 

@@ -98,7 +98,9 @@ func TestStallSleepCrossKernel(t *testing.T) {
 		}
 		for _, s := range o.stats {
 			put(s.FlitsOut[:]...)
-			put(s.PacketsRouted, s.Grants, s.BlockedAttempts, s.WaitCycles, s.BufferedFlitCycles)
+			// PacketsRouted fills two slots: the pins were recorded
+			// with a grant counter, always equal to it, in the second.
+			put(s.PacketsRouted, s.PacketsRouted, s.BlockedAttempts, s.WaitCycles, s.BufferedFlitCycles)
 		}
 		o.hash = h.Sum64()
 		return o

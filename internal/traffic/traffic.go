@@ -483,9 +483,8 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	// Drain so measured packets complete. Quiescence means every
 	// in-flight flit has been delivered and the mesh is back to sleep,
 	// so this stops as soon as the drain is actually done; the Drain
-	// budget only bounds it (a timeout leaves late packets unmeasured,
-	// exactly as the old fixed-length drain did — but a cancelled or
-	// over-budget drain fails the run).
+	// budget only bounds it: a timeout leaves late packets unmeasured,
+	// but a cancelled or over-budget drain fails the run.
 	if err := clk.RunUntilQuiescent(uint64(tcfg.Drain)); errors.Is(err, sim.ErrCanceled) {
 		if berr := overBudget(); berr != nil {
 			return Result{}, nil, berr

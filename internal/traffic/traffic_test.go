@@ -372,38 +372,6 @@ func TestQuiescentMatchesDenseRunUntil(t *testing.T) {
 	}
 }
 
-// TestResetStatsClearsDelivered: ResetStats after a warmup must zero
-// both the completed log and the delivered counter, so post-reset rates
-// are not skewed by warmup deliveries.
-func TestResetStatsClearsDelivered(t *testing.T) {
-	cfg := noc.Defaults(3, 3)
-	clk := sim.NewClock()
-	net, err := noc.New(clk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := net.NewEndpoint(noc.Addr{X: 0, Y: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.NewEndpoint(noc.Addr{X: 2, Y: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.Send(noc.Addr{X: 2, Y: 2}, make([]uint16, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := clk.RunUntilQuiescent(100_000); err != nil {
-		t.Fatal(err)
-	}
-	if net.Delivered() != 1 || len(net.Completed()) != 1 {
-		t.Fatalf("warmup: delivered %d, completed %d", net.Delivered(), len(net.Completed()))
-	}
-	net.ResetStats()
-	if net.Delivered() != 0 || len(net.Completed()) != 0 {
-		t.Fatalf("after ResetStats: delivered %d, completed %d", net.Delivered(), len(net.Completed()))
-	}
-}
-
 // TestNegativeDrainRunsZeroDrainCycles: a negative Drain must behave
 // like the pre-quiescence harness (zero drain cycles), not wrap into an
 // unbounded uint64 budget.
