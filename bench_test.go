@@ -7,6 +7,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -341,8 +342,13 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 // handshakes 11%), Router.Commit 26% (latching the staged ports 9%,
 // computing the Idle answer 9%, the arbiter scan 3%), and the kernel's
 // step loop 12% flat, so it is the profile target for the NoC models.
-// The metric is simulated cycles (warmup + measure; the drain adds a
-// tail) per wall-clock second.
+// A job allocates about 2,005 objects and 1.80 MB, 620 objects and
+// 1.27 MB of them to build the mesh; the rest are the endpoints' word
+// rings and queues as they grow to their backlogs, the metadata chunks,
+// Completed's list and the latency histogram
+// (TestMeshSaturatedAllocs, TestMeshSaturatedSteadyAllocs). The metric
+// is simulated cycles (warmup + measure; the drain adds a tail) per
+// wall-clock second.
 func BenchmarkMeshSaturated(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -362,20 +368,59 @@ func runMeshSaturated(tb testing.TB) {
 }
 
 // TestMeshSaturatedAllocs bounds the heap objects one
-// BenchmarkMeshSaturated job allocates: building the mesh, and every
-// packet's metadata, flits, payload copy and reassembly on its way
-// through. The count repeats within a few objects from run to run and
-// under any GOMAXPROCS, so unlike a timing it needs no baseline from
-// the machine that runs it. The bound is 15% over the 9,960 objects a
-// job allocated while each sent packet still built a flit slice; it
-// now allocates about 8,690.
+// BenchmarkMeshSaturated job allocates: building the mesh (about 620),
+// each endpoint's word rings and queues as they grow to its backlog,
+// and the metadata chunks, Completed's list and the latency histogram
+// as they grow with the packets delivered. The count repeats within a
+// few objects from run to run and under any GOMAXPROCS, so unlike a
+// timing it needs no baseline from the machine that runs it. The bound
+// is 15% over the 2,005 objects a job allocates.
 func TestMeshSaturatedAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a saturated 16x16 job takes about half a second")
 	}
-	const bound = 11_450
+	const bound = 2_305
 	if got := testing.AllocsPerRun(1, func() { runMeshSaturated(t) }); got > bound {
 		t.Errorf("a saturated 16x16 job allocated %.0f objects, want at most %d", got, bound)
+	}
+}
+
+// TestMeshSaturatedSteadyAllocs bounds what BenchmarkMeshSaturated's
+// load allocates once every endpoint's word rings and queues have grown
+// to its backlog: a 20,000-cycle warmup, in which each endpoint sends
+// about ten packets, then at most one heap object per 20 packets
+// delivered over a 10,000-cycle measurement window. Sends and
+// deliveries allocate nothing then; what remains is the metadata
+// table's chunk per 128 packets and the growth of Completed's list and
+// of the latency histogram. A probe reads the runtime's malloc count at
+// the window's first and last cycle.
+func TestMeshSaturatedSteadyAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a saturated 16x16 job of 30,000 cycles takes about two seconds")
+	}
+	cfg := meshSaturated
+	cfg.Warmup, cfg.Measure = 20_000, 10_000
+	from, to := uint64(cfg.Warmup), uint64(cfg.Warmup+cfg.Measure)
+	var ms runtime.MemStats
+	var mallocs, delivered uint64
+	cfg.OnNetwork = func(n *noc.Network) {
+		n.Clock().Probe(func(cycle uint64) {
+			if cycle == from || cycle == to {
+				runtime.ReadMemStats(&ms)
+				mallocs, delivered = ms.Mallocs-mallocs, n.Delivered()-delivered
+			}
+		})
+	}
+	if _, err := traffic.Run(noc.Defaults(16, 16), cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d objects allocated, %d packets delivered", mallocs, delivered)
+	if delivered < 100 {
+		t.Fatalf("%d packets delivered in cycles %d-%d; the window is not saturated", delivered, from, to)
+	}
+	if mallocs*20 > delivered {
+		t.Errorf("%d objects allocated for %d packets delivered in cycles %d-%d, want at most 1 per 20",
+			mallocs, delivered, from, to)
 	}
 }
 

@@ -35,8 +35,12 @@
 // stepped cycle by cycle while the link is busy; a router's evaluation
 // stages on, and its clock edge latches, only the ports whose
 // handshake moved. Flits are two-word values — data plus a
-// noc.PacketID indexing a network-owned metadata table — so the
-// steady-state flit path allocates nothing.
+// noc.PacketID indexing a network-owned metadata table. An endpoint
+// queues whole packets and builds each flit as it presents it, and
+// reassembles deliveries into word rings of its own, so once those
+// have grown to its backlog, flits, sends and deliveries allocate
+// nothing. Traffic experiments take their latency statistics as
+// packets are delivered, through a delivery hook on noc.Network.
 //
 // One value, sim.Kernel, says how any run is scheduled: the default,
 // or one of the two oracles that each switch one optimisation off —

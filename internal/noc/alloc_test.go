@@ -10,8 +10,10 @@ import (
 // (3,0) across a 4x1 mesh, stepped one cycle per Step.
 type flitTrain struct {
 	clk      *sim.Clock
+	net      *Network
 	src, dst *Endpoint
 	payload  []uint16
+	sends    int // Send calls so far: the highest packet ID
 }
 
 // newFlitTrain builds the train, queues a deep backlog behind the head
@@ -34,7 +36,7 @@ func newFlitTrain(tb testing.TB) *flitTrain {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ft := &flitTrain{clk: clk, src: src, dst: dst, payload: make([]uint16, MaxPayload(cfg.FlitBits))}
+	ft := &flitTrain{clk: clk, net: net, src: src, dst: dst, payload: make([]uint16, MaxPayload(cfg.FlitBits))}
 	ft.refill(tb)
 	for i := 0; i < 2000; i++ {
 		clk.Step()
@@ -56,38 +58,55 @@ func (ft *flitTrain) refill(tb testing.TB) {
 		if _, err := ft.src.Send(Addr{3, 0}, ft.payload); err != nil {
 			tb.Fatal(err)
 		}
+		ft.sends++
 	}
 }
 
 // TestFlitPathAllocs holds the flit path at exactly zero heap
-// allocations. On the flit train, a window of steps in which no packet
-// is delivered or enqueued must allocate nothing, although flits keep
-// leaving the source queue, crossing three routers and filling the
-// sink's reassembly buffer. One AllocsPerRun run covers the whole
-// window, so no division hides an allocation.
+// allocations, sends and deliveries included. On the flit train, a
+// window of steps must allocate nothing although flits keep leaving
+// the source queue, crossing three routers and filling the sink's
+// reassembly storage, packets complete, and after each delivery the
+// sink pops it with Recv and the source is topped up with Sends. Only
+// two structures grow with the packets a network has carried: the
+// metadata table, one chunk per 128 packets, and Completed's list,
+// which doubles. So the window opens after the 17th delivery and must
+// close before the 32nd and before packet 128. One AllocsPerRun run
+// covers the whole window, so no division hides an allocation.
 func TestFlitPathAllocs(t *testing.T) {
 	ft := newFlitTrain(t)
-	// Open the window on the step after a delivery: the next one is a
-	// whole packet (257 flits at 2 cycles each) away.
-	for n := ft.dst.Received(); ft.dst.Received() == n; {
+	step := func() {
+		n := ft.dst.Received()
 		ft.clk.Step()
+		if ft.dst.Received() != n {
+			ft.refill(t)
+		}
 	}
-	received, queued := ft.dst.Received(), ft.src.QueuedFlits()
+	// Warm the rings and queues of both endpoints on the way.
+	for ft.net.Delivered() < 17 {
+		step()
+	}
+	received, sends := ft.dst.Received(), ft.sends
 	// AllocsPerRun calls the function once to warm up and once more to
-	// measure, so the window is 2x200 steps.
-	const steps = 200
+	// measure, so the window is 2x1200 steps: at 514 cycles a packet,
+	// two deliveries and two refills each.
+	const steps = 1200
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < steps; i++ {
-			ft.clk.Step()
+			step()
 		}
 	})
-	if got := ft.dst.Received(); got != received {
-		t.Fatalf("%d packets delivered inside the window; it must hold none", got-received)
+	if got := ft.dst.Received() - received; got < 4 {
+		t.Fatalf("%d packets delivered in %d steps; the window must hold at least 4", got, 2*steps)
 	}
-	if moved := queued - ft.src.QueuedFlits(); moved < steps/2 {
-		t.Fatalf("only %d flits left the source in %d steps; the train is not streaming", moved, 2*steps)
+	if ft.sends-sends < 4 {
+		t.Fatalf("%d packets sent in %d steps; the window must hold at least 4", ft.sends-sends, 2*steps)
+	}
+	if ft.net.Delivered() >= 32 || ft.sends >= 128 {
+		t.Fatalf("window ends at %d deliveries and packet %d; it must end before 32 and 128",
+			ft.net.Delivered(), ft.sends)
 	}
 	if allocs != 0 {
-		t.Errorf("flit path allocated %v objects in %d delivery-free steps, want 0", allocs, steps)
+		t.Errorf("flit path allocated %v objects in %d steps with sends and deliveries, want 0", allocs, steps)
 	}
 }

@@ -67,10 +67,10 @@ func BenchmarkLoadedMeshCycle(b *testing.B) {
 // stream of max-size packets crossing a 4x1 mesh on the 2-cycle
 // handshake. Refilling the source queue and draining the sink happen
 // with the timer stopped, but packet delivery does not: every 514th
-// step or so Endpoint.complete copies a payload. allocs/op divides the
-// total by b.N and truncates, so those per-packet allocations read as
-// 0 allocs/op. TestFlitPathAllocs is the exact check that the flit
-// path itself allocates nothing.
+// step or so a packet completes. allocs/op divides the total by b.N
+// and truncates, so it would hide a per-packet allocation;
+// TestFlitPathAllocs is the exact check that the flit path, sends and
+// deliveries allocate nothing.
 func BenchmarkFlitSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	ft := newFlitTrain(b)

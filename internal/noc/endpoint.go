@@ -8,9 +8,13 @@ import (
 )
 
 // Endpoint is the Local-port adapter through which an IP core exchanges
-// packets with the NoC. It owns the injection queue (flattening packets
-// into flits and driving the handshake towards the router) and packet
-// reassembly on the receive side.
+// packets with the NoC. It owns the injection queue, a queue of whole
+// packets that it serialises into header, size and payload flits one
+// at a time as the link takes them, as a Hermes local port does
+// (§2.1), and packet reassembly on the receive side. Payloads sit in
+// per-endpoint word rings in both directions, so once the rings have
+// grown to the endpoint's backlog, sending and receiving allocate
+// nothing.
 //
 // Send and Recv are safe to call from the owning IP core's Eval phase:
 // sends are staged and become visible to the endpoint on the next cycle;
@@ -25,26 +29,54 @@ type Endpoint struct {
 	rcv   receiver
 	owner sim.Component // woken when a packet completes; may be nil
 
-	txq    []txFlit // committed outgoing flit stream
-	stSend []txFlit // staged by Send, moved to txq at Commit
-	stFwd  []txFlit // staged by path-multicast forwarding (see Commit)
-	popped int      // flits of txq accepted this Eval (0 or 1)
+	// The injection queue: committed packets, oldest first. txHead
+	// counts the flits of the oldest that the router has accepted,
+	// txFlits the queue's flits it has not. Payloads sit in sendWords,
+	// or for path-multicast forwarding in fwdWords, which the first
+	// forward allocates; a flit is built only when the sender presents
+	// it.
+	txq       queue[txPacket]
+	txHead    int
+	txFlits   int
+	sendWords wordRing
+	fwdWords  *wordRing
+	staged    []txPacket // staged by Send and forwarding, moved to txq at Commit
+	popped    int        // flits of txq accepted this Eval (0 or 1)
 
+	// Reassembly writes the arriving payload into rxSpan, a span of
+	// rxWords at rxPos. Completed packets queue in rxq, whose first
+	// rxReady entries have committed and await Recv. rxLent ends the
+	// span of the packet Recv returned last; the next Recv frees it.
 	rxPhase     int
 	rxRemaining int
-	rxPayload   []uint16
 	rxMeta      *PacketMeta
-	rxDone      []Packet // completed packets awaiting Recv
-	stRxDone    []Packet // staged completions
+	rxPos       int
+	rxSpan      []uint16
+	rxWords     wordRing
+	rxq         queue[rxPacket]
+	rxReady     int
+	rxLent      int
 
 	sent     uint64
 	received uint64
 }
 
-type txFlit struct {
-	f      Flit
-	header bool
-	tail   bool
+// txPacket is one packet of the injection queue: the data of its
+// header and size flits and the position of its payload in the word
+// ring it was staged into.
+type txPacket struct {
+	id     PacketID
+	pos    int
+	header uint16 // the encoded destination
+	size   uint16 // the payload length
+	fwd    bool   // the payload is in fwdWords, not sendWords
+}
+
+// rxPacket is a reassembled packet awaiting Recv: n payload words at
+// position pos of rxWords.
+type rxPacket struct {
+	meta   *PacketMeta
+	pos, n int
 }
 
 // Addr reports the mesh address of the router this endpoint hangs off.
@@ -80,28 +112,36 @@ func (e *Endpoint) checkSend(dst Addr, payload []uint16) error {
 	return nil
 }
 
-// stagePacket appends an already-validated packet's wire-format flits
-// (header, size, payload) to the staged injection queue. It is the
-// shared tail of Send, SendMulti and the path-multicast forwarding done
-// in complete. Forwarded legs (forward=true) are staged in a separate
-// buffer that Commit merges ahead of same-cycle Sends: the two stagers
-// run in different components' Eval phases, so without a fixed merge
-// order the txq order would depend on the kernel's evaluation order.
+// stagePacket stages an already-validated packet for the injection
+// queue, copying its payload into a word ring. It is the shared tail of
+// Send, SendMulti and the path-multicast forwarding done in complete.
+// Commit enqueues forwarded legs (forward=true) ahead of same-cycle
+// Sends: the two stagers run in different components' Eval phases, so
+// without a fixed merge order the txq order would depend on the
+// kernel's evaluation order. Forwarded payloads have a ring of their
+// own because a ring frees its spans in the order it reserved them.
 func (e *Endpoint) stagePacket(meta *PacketMeta, dst Addr, payload []uint16, forward bool) {
-	q := &e.stSend
+	words := &e.sendWords
 	if forward {
-		q = &e.stFwd
+		if e.fwdWords == nil {
+			e.fwdWords = new(wordRing)
+		}
+		words = e.fwdWords
 	}
 	mask := flitMask(e.net.cfg.FlitBits)
-	id := PacketID(meta.ID)
-	*q = append(*q,
-		txFlit{f: Flit{Data: dst.Encode() & mask, Pkt: id}, header: true},
-		txFlit{f: Flit{Data: uint16(len(payload)) & mask, Pkt: id}, tail: len(payload) == 0})
+	pos, span := words.put(len(payload))
 	for i, v := range payload {
-		*q = append(*q, txFlit{f: Flit{Data: v & mask, Pkt: id}, tail: i == len(payload)-1})
+		span[i] = v & mask
 	}
+	e.staged = append(e.staged, txPacket{
+		id:     PacketID(meta.ID),
+		pos:    pos,
+		header: dst.Encode() & mask,
+		size:   uint16(len(payload)) & mask,
+		fwd:    forward,
+	})
 	// A sleeping endpoint must join the current edge so the staged
-	// flits commit to the injection queue this cycle, exactly as they
+	// packet commits to the injection queue this cycle, exactly as it
 	// would under dense evaluation.
 	e.self.Wake()
 }
@@ -133,7 +173,7 @@ func (e *Endpoint) SendMulti(dsts []Addr, payload []uint16) (*MulticastMeta, err
 		Path:         e.net.pathMcast,
 	}
 	for _, d := range MulticastPath(dsts) {
-		if e.net.endpoints[d] == nil {
+		if e.net.Endpoint(d) == nil {
 			g.Dropped++
 			continue
 		}
@@ -192,22 +232,38 @@ func MulticastPath(dsts []Addr) []Addr {
 func (e *Endpoint) Clock() *sim.Clock { return e.clk }
 
 // Recv pops the oldest fully received packet, reporting false when none
-// is pending.
+// is pending. The payload is the endpoint's reassembly storage, not a
+// copy: it stays valid until the next Recv on this endpoint, so a
+// caller that keeps it longer copies it.
 func (e *Endpoint) Recv() (Packet, bool) {
-	if len(e.rxDone) == 0 {
+	if e.rxReady == 0 {
 		return Packet{}, false
 	}
-	p := e.rxDone[0]
-	e.rxDone = e.rxDone[1:]
-	return p, true
+	return e.pop(), true
+}
+
+// pop takes the oldest committed packet off the receive queue and frees
+// the one Recv returned before it.
+func (e *Endpoint) pop() Packet {
+	r := *e.rxq.at(0)
+	e.rxq.pop()
+	e.rxReady--
+	e.rxWords.release(e.rxLent)
+	e.rxLent = r.pos + r.n
+	p := Packet{Dst: e.addr, Payload: e.rxWords.span(r.pos, r.n), Meta: r.meta}
+	if r.meta != nil {
+		p.Src = r.meta.Src
+	}
+	return p
 }
 
 // Pending reports how many received packets await Recv.
-func (e *Endpoint) Pending() int { return len(e.rxDone) }
+func (e *Endpoint) Pending() int { return e.rxReady }
 
-// QueuedFlits reports how many flits sit in the committed injection
-// queue (backpressure signal for traffic generators).
-func (e *Endpoint) QueuedFlits() int { return len(e.txq) }
+// QueuedFlits reports how many flits of the committed injection queue
+// the router has not yet accepted (backpressure signal for traffic
+// generators).
+func (e *Endpoint) QueuedFlits() int { return e.txFlits }
 
 // Sent and Received report completed packet counts.
 func (e *Endpoint) Sent() uint64     { return e.sent }
@@ -220,20 +276,11 @@ func (e *Endpoint) Name() string { return fmt.Sprintf("endpoint%s", e.addr) }
 func (e *Endpoint) Eval() {
 	accepted, free := e.snd.begin()
 	if accepted {
-		tf := e.txq[0]
-		if tf.header {
-			if m := e.net.Meta(tf.f.Pkt); m != nil {
-				m.InjectCycle = e.clk.Cycle()
-			}
-		}
-		if tf.tail {
-			e.sent++
-		}
 		e.popped = 1
 	}
 	if free {
-		if len(e.txq) > e.popped {
-			e.snd.offer(e.txq[e.popped].f)
+		if e.txFlits > e.popped {
+			e.snd.offer(e.txFlit(e.txHead + e.popped))
 		} else {
 			e.snd.drop()
 		}
@@ -244,20 +291,46 @@ func (e *Endpoint) Eval() {
 	}
 }
 
+// txFlit builds flit i of the injection queue, counting from the first
+// flit of its oldest packet: header, size, then payload. i runs at most
+// one flit past that packet, to the next packet's header.
+func (e *Endpoint) txFlit(i int) Flit {
+	p := e.txq.at(0)
+	if last := int(p.size) + 1; i > last {
+		p, i = e.txq.at(1), 0
+	}
+	d := p.header
+	switch {
+	case i == 1:
+		d = p.size
+	case i > 1:
+		d = e.words(p).at(p.pos + i - 2)
+	}
+	return Flit{Data: d, Pkt: p.id}
+}
+
+// words returns the ring holding p's payload.
+func (e *Endpoint) words(p *txPacket) *wordRing {
+	if p.fwd {
+		return e.fwdWords
+	}
+	return &e.sendWords
+}
+
 func (e *Endpoint) assemble(fl Flit) {
 	switch e.rxPhase {
 	case phaseHeader:
 		e.rxMeta = e.net.Meta(fl.Pkt)
-		e.rxPayload = e.rxPayload[:0]
 		e.rxPhase = phaseSize
 	case phaseSize:
 		e.rxRemaining = int(fl.Data)
+		e.rxPos, e.rxSpan = e.rxWords.put(e.rxRemaining)
 		e.rxPhase = phasePayload
 		if e.rxRemaining == 0 {
 			e.complete()
 		}
 	case phasePayload:
-		e.rxPayload = append(e.rxPayload, fl.Data)
+		e.rxSpan[len(e.rxSpan)-e.rxRemaining] = fl.Data
 		e.rxRemaining--
 		if e.rxRemaining == 0 {
 			e.complete()
@@ -266,22 +339,19 @@ func (e *Endpoint) assemble(fl Flit) {
 }
 
 func (e *Endpoint) complete() {
-	payload := make([]uint16, len(e.rxPayload))
-	copy(payload, e.rxPayload)
-	var src Addr
 	if m := e.rxMeta; m != nil {
-		src = m.Src
 		e.net.packetDelivered(e, m)
 		if g := m.MC; g != nil && g.Path && m.MCIndex+1 < len(g.Dsts) {
 			// Path-based multicast: this endpoint was an intermediate
-			// stop. Absorb the copy (staged below like any delivery) and
+			// stop. Absorb the copy (queued below like any delivery) and
 			// re-inject the payload towards the next destination on the
 			// path, under the next leg's pre-allocated metadata.
 			next := m.MCIndex + 1
-			e.stagePacket(g.Legs[next], g.Dsts[next], payload, true)
+			e.stagePacket(g.Legs[next], g.Dsts[next], e.rxSpan, true)
 		}
 	}
-	e.stRxDone = append(e.stRxDone, Packet{Src: src, Dst: e.addr, Payload: payload, Meta: e.rxMeta})
+	// The packet stays staged until Commit publishes it to Recv.
+	e.rxq.push(rxPacket{meta: e.rxMeta, pos: e.rxPos, n: len(e.rxSpan)})
 	e.rxPhase = phaseHeader
 	e.received++
 	e.clk.Wake(e.owner)
@@ -296,11 +366,11 @@ func (e *Endpoint) complete() {
 // router or by an ack change on the link to it (both watched in
 // NewEndpoint).
 func (e *Endpoint) Idle() bool {
-	if len(e.stSend) != 0 || len(e.stFwd) != 0 || e.rcv.ackHigh || e.rcv.link.Tx.Get() {
+	if len(e.staged) != 0 || e.rcv.ackHigh || e.rcv.link.Tx.Get() {
 		return false
 	}
 	l := e.snd.link
-	return !l.Ack.Get() && (e.snd.busy || len(e.txq) == 0 && !l.Tx.Get())
+	return !l.Ack.Get() && (e.snd.busy || e.txFlits == 0 && !l.Tx.Get())
 }
 
 // Commit implements sim.Component.
@@ -308,22 +378,41 @@ func (e *Endpoint) Commit() {
 	e.snd.commit()
 	e.rcv.commit()
 	if e.popped > 0 {
-		e.txq = e.txq[e.popped:]
+		// The router accepted the presented flit this cycle.
 		e.popped = 0
+		e.txFlits--
+		p := e.txq.at(0)
+		if e.txHead == 0 {
+			if m := e.net.Meta(p.id); m != nil {
+				m.InjectCycle = e.clk.Cycle()
+			}
+		}
+		if e.txHead++; e.txHead == int(p.size)+2 {
+			// The tail left: free the payload and retire the packet.
+			e.sent++
+			e.words(p).release(p.pos + int(p.size))
+			e.txq.pop()
+			e.txHead = 0
+		}
 	}
-	// Forwarded multicast legs enqueue ahead of same-cycle Sends: a
-	// fixed merge order, so the txq is independent of the order the
-	// kernel evaluated the endpoint and its owner this cycle.
-	if len(e.stFwd) > 0 {
-		e.txq = append(e.txq, e.stFwd...)
-		e.stFwd = e.stFwd[:0]
+	if len(e.staged) > 0 {
+		// Forwarded multicast legs enqueue ahead of same-cycle Sends: a
+		// fixed merge order, so the txq is independent of the order the
+		// kernel evaluated the endpoint and its owner this cycle.
+		e.enqueue(true)
+		e.enqueue(false)
+		e.staged = e.staged[:0]
 	}
-	if len(e.stSend) > 0 {
-		e.txq = append(e.txq, e.stSend...)
-		e.stSend = e.stSend[:0]
-	}
-	if len(e.stRxDone) > 0 {
-		e.rxDone = append(e.rxDone, e.stRxDone...)
-		e.stRxDone = e.stRxDone[:0]
+	e.rxReady = e.rxq.n
+}
+
+// enqueue moves the staged forwarded legs (fwd) or Sends (!fwd) to the
+// injection queue, in the order they were staged.
+func (e *Endpoint) enqueue(fwd bool) {
+	for _, p := range e.staged {
+		if p.fwd == fwd {
+			e.txq.push(p)
+			e.txFlits += int(p.size) + 2
+		}
 	}
 }

@@ -41,14 +41,17 @@
 //
 // A Flit carries only its data word and a PacketID. All per-packet
 // simulation metadata (source, destination, injection and ejection
-// cycles) lives in a metadata table owned by the Network — Network.Meta
-// resolves a PacketID to its *PacketMeta, and the table entry is
-// released when the packet is delivered. Flits are therefore plain
-// values on wires and in buffers, and the steady-state flit path
-// performs no heap allocation: TestFlitPathAllocs requires exactly 0
-// allocations over a window of a streaming wormhole in which no packet
-// is delivered or enqueued. (Delivery itself allocates, to copy the
-// payload out of the reassembly buffer.)
+// cycles) lives in a metadata table owned by the Network and allocated
+// in chunks: Network.Meta resolves a PacketID to its *PacketMeta.
+// Flits are therefore plain values on wires and in buffers. An endpoint
+// queues whole packets, builds each flit when it presents it, and
+// reassembles deliveries into storage of its own, so once its word
+// rings and queues have grown to its backlog, neither the flit path
+// nor a Send, a delivery or a Recv allocates: TestFlitPathAllocs
+// requires exactly 0 allocations over a window of a streaming wormhole
+// in which packets are delivered, popped and sent. What still grows
+// with the packets a network carries is the metadata table, one chunk
+// per 128 packets, and Completed's list.
 //
 // # Multicast
 //

@@ -50,7 +50,8 @@ func mcastDeliver(t testing.TB, clk *sim.Clock, net *Network, src Addr, dsts []A
 				break
 			}
 			if p.Meta != nil && p.Meta.MC == g {
-				got[d] = p.Payload
+				// The payload is valid until the next Recv: keep a copy.
+				got[d] = append([]uint16(nil), p.Payload...)
 			}
 		}
 	}

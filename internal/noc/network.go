@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -85,20 +86,40 @@ type Network struct {
 	// links is the slab every link of the mesh lives in: one per
 	// direction per adjacent router pair, then two per endpoint. Its
 	// length counts the links taken so far; its capacity never grows.
-	links     []Link
-	endpoints map[Addr]*Endpoint
+	links []Link
+	// endpoints is the slab of Local-port endpoints, endpoints[x*Height+y],
+	// allocated by the first NewEndpoint; an entry with a nil net has not
+	// been created.
+	endpoints []Endpoint
 	pathMcast bool // SendMulti mode: path-based vs unicast replication
 
 	nextPktID uint64
-	// metas is the network-owned packet-metadata table: metas[id-1]
-	// resolves PacketID id. Flits carry PacketIDs instead of *PacketMeta
+	// metas is the network-owned packet-metadata table, allocated in
+	// chunks (see metaSlot): PacketID id resolves to entry id-1 counted
+	// across the chunks. Flits carry PacketIDs instead of *PacketMeta
 	// pointers, so this table is the one place flit indices become
-	// metadata. A slot is nilled once its packet is delivered (no flit
-	// references it any more), keeping retired metadata collectable on
-	// long runs.
-	metas     []*PacketMeta
+	// metadata. An entry is never reused, and completed points at every
+	// delivered one, so a network keeps the metadata of every packet it
+	// was ever sent.
+	metas     [][]PacketMeta
 	completed []*PacketMeta
-	mcast     MulticastStats
+	// delivered and deliveredFlits count the packets and flits
+	// delivered so far; onDelivery are the delivery hooks.
+	delivered, deliveredFlits uint64
+	onDelivery                []func(*PacketMeta)
+	mcast                     MulticastStats
+}
+
+// metaSlot locates entry i of the metadata table: chunk c, offset off.
+// The chunks hold 8, 16, 32 and 64 entries, then 128 each, so a network
+// that carries a handful of packets allocates a small table and a busy
+// one a chunk per 128 packets.
+func metaSlot(i uint64) (c, off uint64) {
+	if i < 120 {
+		c = uint64(bits.Len64(i/8+1)) - 1
+		return c, i - 8*(1<<c-1)
+	}
+	return 4 + (i-120)/128, (i - 120) % 128
 }
 
 // New builds the mesh and registers every router with clk.
@@ -109,11 +130,11 @@ func New(clk *sim.Clock, cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:       cfg,
 		clk:       clk,
-		endpoints: make(map[Addr]*Endpoint),
 		pathMcast: true,
 	}
 	// The routers, their input buffers' slots and the links are three
-	// allocations, however large the mesh.
+	// allocations, however large the mesh; the endpoints are a fourth,
+	// made by the first NewEndpoint.
 	w, h := cfg.Width, cfg.Height
 	perRouter := int(numPorts) * cfg.BufDepth
 	slots := make([]Flit, w*h*perRouter)
@@ -209,13 +230,17 @@ func (n *Network) NewEndpoint(a Addr) (*Endpoint, error) {
 	if r == nil {
 		return nil, fmt.Errorf("noc: no router at %s", a)
 	}
-	if _, dup := n.endpoints[a]; dup {
+	if n.endpoints == nil {
+		n.endpoints = make([]Endpoint, len(n.routers))
+	}
+	ep := &n.endpoints[a.X*n.cfg.Height+a.Y]
+	if ep.net != nil {
 		return nil, fmt.Errorf("noc: endpoint at %s already exists", a)
 	}
 	toRouter, fromRouter := n.link(), n.link()
 	r.connectIn(Local, toRouter)
 	r.connectOut(Local, fromRouter)
-	ep := &Endpoint{
+	*ep = Endpoint{
 		net:  n,
 		addr: a,
 		clk:  n.clk,
@@ -224,29 +249,52 @@ func (n *Network) NewEndpoint(a Addr) (*Endpoint, error) {
 	}
 	sim.Watch(&fromRouter.Tx, ep)
 	sim.Watch(&toRouter.Ack, ep)
-	n.endpoints[a] = ep
 	n.clk.Register(ep)
 	ep.self = n.clk.Handle(ep)
 	return ep, nil
 }
 
 // Endpoint returns the endpoint at a, or nil if none was created.
-func (n *Network) Endpoint(a Addr) *Endpoint { return n.endpoints[a] }
+func (n *Network) Endpoint(a Addr) *Endpoint {
+	if n.Router(a) == nil || n.endpoints == nil {
+		return nil
+	}
+	if ep := &n.endpoints[a.X*n.cfg.Height+a.Y]; ep.net != nil {
+		return ep
+	}
+	return nil
+}
 
 // Completed returns the metadata of every packet fully delivered so
 // far, in delivery order.
 func (n *Network) Completed() []*PacketMeta { return n.completed }
 
 // Delivered reports how many packets have been fully delivered.
-func (n *Network) Delivered() uint64 { return uint64(len(n.completed)) }
+func (n *Network) Delivered() uint64 { return n.delivered }
+
+// DeliveredFlits reports how many flits the delivered packets carried,
+// header and size flits included.
+func (n *Network) DeliveredFlits() uint64 { return n.deliveredFlits }
+
+// OnDelivery registers fn to be called with each packet's metadata when
+// the packet is delivered, its EjectCycle stamped, in delivery order:
+// the order of Completed. Hooks run in the order they were registered,
+// inside the destination endpoint's Eval, so a hook may record what it
+// is given but must not send or step the clock.
+func (n *Network) OnDelivery(fn func(*PacketMeta)) { n.onDelivery = append(n.onDelivery, fn) }
 
 // allocMeta stamps fresh packet metadata for a packet e sends. IDs
 // number the network's packets from 1 in allocation order: the order
 // their senders evaluate, which every kernel keeps to registration
 // order, so a packet has the same ID under every kernel.
 func (n *Network) allocMeta(e *Endpoint, dst Addr, payload int) *PacketMeta {
+	c, off := metaSlot(n.nextPktID)
 	n.nextPktID++
-	m := &PacketMeta{
+	if off == 0 {
+		n.metas = append(n.metas, make([]PacketMeta, 8<<min(c, 4)))
+	}
+	m := &n.metas[c][off]
+	*m = PacketMeta{
 		ID:           n.nextPktID,
 		Src:          e.addr,
 		Dst:          dst,
@@ -254,27 +302,28 @@ func (n *Network) allocMeta(e *Endpoint, dst Addr, payload int) *PacketMeta {
 		CreatedCycle: e.clk.Cycle(),
 		Hops:         HopCount(e.addr, dst),
 	}
-	n.metas = append(n.metas, m)
 	return m
 }
 
 // Meta resolves a PacketID carried by a flit to the packet's metadata.
-// It returns nil for the zero PacketID and for packets already
-// delivered (their table slots are released on ejection).
+// It returns nil for the zero PacketID and for IDs not yet issued.
 func (n *Network) Meta(id PacketID) *PacketMeta {
-	if id == 0 || uint64(id) > uint64(len(n.metas)) {
+	if id == 0 || uint64(id) > n.nextPktID {
 		return nil
 	}
-	return n.metas[id-1]
+	c, off := metaSlot(uint64(id) - 1)
+	return &n.metas[c][off]
 }
 
 func (n *Network) packetDelivered(e *Endpoint, m *PacketMeta) {
 	m.EjectCycle = e.clk.Cycle()
-	// Release the table slot: the packet has left the network, so no
-	// flit references its ID any more.
-	n.metas[m.ID-1] = nil
 	n.completed = append(n.completed, m)
+	n.delivered++
+	n.deliveredFlits += uint64(m.Len)
 	if m.MC != nil {
 		n.mcast.Copies++
+	}
+	for _, fn := range n.onDelivery {
+		fn(m)
 	}
 }

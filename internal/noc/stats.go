@@ -17,7 +17,9 @@ type LatencyStats struct {
 }
 
 // Latencies computes latency statistics over metas, ignoring packets
-// not yet delivered.
+// not yet delivered. It keeps and sorts the latencies; a
+// LatencyHistogram fed the same packets as they are delivered gives
+// the same answer without keeping them.
 func Latencies(metas []*PacketMeta) LatencyStats {
 	var s LatencyStats
 	var lats []uint64
@@ -41,6 +43,58 @@ func Latencies(metas []*PacketMeta) LatencyStats {
 	s.P95Cycles = lats[(len(lats)*95)/100]
 	s.MeanCycles = float64(sum) / float64(s.Packets)
 	s.MeanTotalCycles = float64(sumTotal) / float64(s.Packets)
+	return s
+}
+
+// LatencyHistogram accumulates LatencyStats one delivered packet at a
+// time, without keeping the packets: it counts packets per network
+// latency, in a slice that doubles until it covers the largest latency
+// seen, and sums both latencies. Its Stats equal Latencies over the
+// same packets exactly, in any order of Add.
+type LatencyHistogram struct {
+	counts               []uint64 // counts[l]: packets of network latency l
+	packets, sum, sumTot uint64
+}
+
+// Add records one delivered packet.
+func (h *LatencyHistogram) Add(m *PacketMeta) {
+	l := m.NetworkLatency()
+	if l >= uint64(len(h.counts)) {
+		counts := make([]uint64, max(2*len(h.counts), int(l)+1, 256))
+		copy(counts, h.counts)
+		h.counts = counts
+	}
+	h.counts[l]++
+	h.packets++
+	h.sum += l
+	h.sumTot += m.TotalLatency()
+}
+
+// Stats summarizes the packets added so far.
+func (h *LatencyHistogram) Stats() LatencyStats {
+	s := LatencyStats{Packets: int(h.packets)}
+	if h.packets == 0 {
+		return s
+	}
+	// The p95 is the latency at index packets*95/100 of the sorted
+	// latencies, as in Latencies.
+	p95 := h.packets * 95 / 100
+	var below uint64 // packets of lower latency
+	for l, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		if below == 0 {
+			s.MinCycles = uint64(l)
+		}
+		if below <= p95 && p95 < below+c {
+			s.P95Cycles = uint64(l)
+		}
+		below += c
+		s.MaxCycles = uint64(l)
+	}
+	s.MeanCycles = float64(h.sum) / float64(s.Packets)
+	s.MeanTotalCycles = float64(h.sumTot) / float64(s.Packets)
 	return s
 }
 

@@ -52,11 +52,17 @@ func runSpecKernel(t *testing.T, ncfg noc.Config, tcfg Config) specObs {
 	return o
 }
 
-// TestPatternCrossKernelIdentical: every pattern of the library must
-// produce a bit-identical Result, identical per-router statistics and a
-// byte-identical router VCD dump on every kernel mode: dense and sparse
-// without time warp, against the default sparse time-warped kernel.
-func TestPatternCrossKernelIdentical(t *testing.T) {
+// patternRow is one workload of the pattern differentials.
+type patternRow struct {
+	label string
+	tcfg  Config
+}
+
+// patternRows returns the mesh and the workloads every pattern
+// differential runs: each pattern of the library, path and unicast
+// multicast, and the replay of a recorded uniform trace.
+func patternRows(t *testing.T) (noc.Config, []patternRow) {
+	t.Helper()
 	ncfg := noc.Defaults(4, 4) // power-of-two node count, so bitrev is legal
 	base := Config{
 		Rate: 0.05, PayloadFlits: 4, Seed: 42,
@@ -92,36 +98,105 @@ func TestPatternCrossKernelIdentical(t *testing.T) {
 		{"multicast-oracle", PatternSpec{Name: "multicast", Group: group, MulticastUnicast: true}, 0.02},
 		{"trace", PatternSpec{Name: "trace", Trace: rec}, 0.05},
 	}
-	kernels := []sim.Kernel{"dense", "nowarp"}
+	var rows []patternRow
 	for _, s := range specs {
-		s := s
-		t.Run(s.label, func(t *testing.T) {
-			tcfg := base
-			tcfg.Spec = s.spec
-			tcfg.Rate = s.rate
-			ref := runSpecKernel(t, ncfg, tcfg)
+		tcfg := base
+		tcfg.Spec = s.spec
+		tcfg.Rate = s.rate
+		rows = append(rows, patternRow{s.label, tcfg})
+	}
+	return ncfg, rows
+}
+
+// TestPatternCrossKernelIdentical: every pattern of the library must
+// produce a bit-identical Result, identical per-router statistics and a
+// byte-identical router VCD dump on every kernel mode: dense and sparse
+// without time warp, against the default sparse time-warped kernel.
+func TestPatternCrossKernelIdentical(t *testing.T) {
+	ncfg, rows := patternRows(t)
+	kernels := []sim.Kernel{"dense", "nowarp"}
+	for _, row := range rows {
+		row := row
+		t.Run(row.label, func(t *testing.T) {
+			ref := runSpecKernel(t, ncfg, row.tcfg)
 			if ref.res.MeasuredPackets == 0 {
-				t.Fatalf("%s: reference run measured no packets; differential is vacuous", s.label)
+				t.Fatalf("%s: reference run measured no packets; differential is vacuous", row.label)
 			}
 			for _, k := range kernels {
-				kcfg := tcfg
+				kcfg := row.tcfg
 				kcfg.Kernel = k
 				got := runSpecKernel(t, ncfg, kcfg)
 				if got.res != ref.res {
-					t.Errorf("%s/%s: results diverged:\n  ref %+v\n  got %+v", s.label, k, ref.res, got.res)
+					t.Errorf("%s/%s: results diverged:\n  ref %+v\n  got %+v", row.label, k, ref.res, got.res)
 				}
 				for i := range ref.stats {
 					if got.stats[i] != ref.stats[i] {
 						t.Errorf("%s/%s: router %d stats diverged:\n  ref %+v\n  got %+v",
-							s.label, k, i, ref.stats[i], got.stats[i])
+							row.label, k, i, ref.stats[i], got.stats[i])
 					}
 				}
 				if !bytes.Equal(got.vcd, ref.vcd) {
 					t.Errorf("%s/%s: VCD dump differs from reference (%d vs %d bytes)",
-						s.label, k, len(got.vcd), len(ref.vcd))
+						row.label, k, len(got.vcd), len(ref.vcd))
 				}
 			}
 		})
+	}
+}
+
+// TestDeliveryStatsMatchCompleted checks the statistics Run takes as
+// packets are delivered against the list of delivered packets, on every
+// row of the pattern differential under every kernel: the delivery
+// hook sees exactly Completed's packets in Completed's order, the
+// network's delivered packet and flit counts equal Completed's, and
+// Result.Latency equals noc.Latencies over the completed packets
+// created in the measurement window.
+func TestDeliveryStatsMatchCompleted(t *testing.T) {
+	ncfg, rows := patternRows(t)
+	for _, row := range rows {
+		for _, k := range []sim.Kernel{"", "nowarp", "dense"} {
+			row, k := row, k
+			t.Run(fmt.Sprintf("%s/%q", row.label, k), func(t *testing.T) {
+				var net *noc.Network
+				var hooked []*noc.PacketMeta
+				tcfg := row.tcfg
+				tcfg.Kernel = k
+				tcfg.OnNetwork = func(n *noc.Network) {
+					net = n
+					n.OnDelivery(func(m *noc.PacketMeta) { hooked = append(hooked, m) })
+				}
+				res, err := Run(ncfg, tcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := net.Completed()
+				if len(hooked) != len(done) {
+					t.Fatalf("hook saw %d deliveries, Completed lists %d", len(hooked), len(done))
+				}
+				var flits uint64
+				var window []*noc.PacketMeta
+				from, to := uint64(tcfg.Warmup), uint64(tcfg.Warmup+tcfg.Measure)
+				for i, m := range done {
+					if hooked[i] != m {
+						t.Fatalf("delivery %d: hook saw packet %d, Completed lists %d", i, hooked[i].ID, m.ID)
+					}
+					flits += uint64(m.Len)
+					if m.CreatedCycle >= from && m.CreatedCycle < to {
+						window = append(window, m)
+					}
+				}
+				if net.Delivered() != uint64(len(done)) || net.DeliveredFlits() != flits {
+					t.Errorf("network counts %d packets and %d flits delivered, Completed %d and %d",
+						net.Delivered(), net.DeliveredFlits(), len(done), flits)
+				}
+				if len(window) == 0 {
+					t.Fatal("no completed packet was created in the measurement window; the check is vacuous")
+				}
+				if want := noc.Latencies(window); res.Latency != want {
+					t.Errorf("Result.Latency %+v, Latencies over the window's completed packets %+v", res.Latency, want)
+				}
+			})
+		}
 	}
 }
 

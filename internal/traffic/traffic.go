@@ -201,6 +201,7 @@ type injector struct {
 	ncfg     noc.Config
 	prob     float64 // per-cycle packet probability (modeGap)
 	payload  int
+	zeros    []uint16 // the run's shared all-zero payload
 	queueCap int
 
 	mode injMode
@@ -230,10 +231,10 @@ type injector struct {
 
 	next uint64 // cycle of the next injection attempt; 0 = finished
 
-	// Per-injector tallies, aggregated by Run in node order so the
-	// result is independent of the active set's evaluation order.
+	// Per-injector tallies of the measurement window, aggregated by
+	// Run: flits and packets sent.
 	measuredInjected uint64
-	measured         []*noc.PacketMeta
+	measuredPackets  int
 }
 
 // Name implements sim.Component.
@@ -284,7 +285,7 @@ func (in *injector) tally(meta *noc.PacketMeta, now uint64, payload int) {
 	}
 	if now >= in.measureFrom && now <= in.measureTo {
 		in.measuredInjected += uint64(payload + 2)
-		in.measured = append(in.measured, meta)
+		in.measuredPackets++
 	}
 }
 
@@ -294,6 +295,7 @@ func (in *injector) Eval() {
 	if in.next == 0 || now < in.next {
 		return
 	}
+	discard(in.ep)
 	switch {
 	case in.mode == modeTrace:
 		// Replay bypasses the queue-cap check: the recorded run already
@@ -301,26 +303,37 @@ func (in *injector) Eval() {
 		for in.traceIdx < len(in.trace) && in.trace[in.traceIdx].Cycle == now {
 			e := in.trace[in.traceIdx]
 			in.traceIdx++
-			if meta, err := in.ep.Send(e.Dst, make([]uint16, e.Payload)); err == nil {
+			if meta, err := in.ep.Send(e.Dst, in.zeros[:e.Payload]); err == nil {
 				in.tally(meta, now, e.Payload)
 			}
 		}
 	case in.ep.QueuedFlits() > in.queueCap:
 		// Source-queue backpressure: skip this opportunity.
 	case in.group != nil:
-		if g, err := in.ep.SendMulti(in.group, make([]uint16, in.payload)); err == nil {
+		if g, err := in.ep.SendMulti(in.group, in.zeros[:in.payload]); err == nil {
 			if now >= in.measureFrom && now <= in.measureTo {
 				in.measuredInjected += uint64((in.payload + 2) * len(g.Legs))
-				in.measured = append(in.measured, g.Legs...)
+				in.measuredPackets += len(g.Legs)
 			}
 		}
 	default:
 		dst := in.pattern(in.ep.Addr(), in.rng, in.ncfg)
-		if meta, err := in.ep.Send(dst, make([]uint16, in.payload)); err == nil {
+		if meta, err := in.ep.Send(dst, in.zeros[:in.payload]); err == nil {
 			in.tally(meta, now, in.payload)
 		}
 	}
 	in.schedule(now)
+}
+
+// discard pops every packet delivered to ep. Run reads deliveries
+// through the network's delivery hook, so it never reads a packet, but
+// popping lets the endpoint reuse the packet's reassembly storage.
+func discard(ep *noc.Endpoint) {
+	for {
+		if _, ok := ep.Recv(); !ok {
+			return
+		}
+	}
 }
 
 // Commit implements sim.Component.
@@ -375,12 +388,16 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	}
 	var group []noc.Addr
 	var traceBySrc map[noc.Addr][]TraceEntry
+	// Every injector sends from one all-zero payload, as long as the
+	// largest packet of the run.
+	maxPayload := tcfg.PayloadFlits
 	switch s.Name {
 	case "trace":
 		mode = modeTrace
 		traceBySrc = make(map[noc.Addr][]TraceEntry)
 		for _, e := range s.Trace {
 			traceBySrc[e.Src] = append(traceBySrc[e.Src], e)
+			maxPayload = max(maxPayload, e.Payload)
 		}
 		for _, es := range traceBySrc {
 			sortTrace(es)
@@ -417,6 +434,7 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 		return nil
 	}
 	warmup, measure := uint64(tcfg.Warmup), uint64(tcfg.Measure)
+	zeros := make([]uint16, maxPayload)
 	var injectors []*injector
 	for x := 0; x < ncfg.Width; x++ {
 		for y := 0; y < ncfg.Height; y++ {
@@ -432,6 +450,7 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 				ncfg:      ncfg,
 				prob:      tcfg.Rate / float64(tcfg.PayloadFlits+2),
 				payload:   tcfg.PayloadFlits,
+				zeros:     zeros,
 				queueCap:  tcfg.QueueCap,
 				mode:      mode,
 				group:     group,
@@ -466,6 +485,24 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 		}
 	}
 
+	// Latency is recorded as packets are delivered. A measured packet
+	// is one an injector sent in the measurement window: its Eval for
+	// cycle c runs while the clock reads c-1, so the packet was created
+	// in [warmup, warmup+measure).
+	var lat noc.LatencyHistogram
+	net.OnDelivery(func(m *noc.PacketMeta) {
+		if m.CreatedCycle >= warmup && m.CreatedCycle < warmup+measure {
+			lat.Add(m)
+		}
+	})
+	// Injectors pop their endpoints' deliveries as they evaluate, and
+	// every endpoint is emptied after each phase.
+	discardAll := func() {
+		for _, in := range injectors {
+			discard(in.ep)
+		}
+	}
+
 	if tcfg.OnNetwork != nil {
 		tcfg.OnNetwork(net)
 	}
@@ -474,12 +511,14 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	if err := overBudget(); err != nil {
 		return Result{}, nil, err
 	}
-	startDelivered := deliveredFlits(net)
+	discardAll()
+	startDelivered := net.DeliveredFlits()
 	clk.Run(measure)
 	if err := overBudget(); err != nil {
 		return Result{}, nil, err
 	}
-	endDelivered := deliveredFlits(net)
+	discardAll()
+	endDelivered := net.DeliveredFlits()
 	// Drain so measured packets complete. Quiescence means every
 	// in-flight flit has been delivered and the mesh is back to sleep,
 	// so this stops as soon as the drain is actually done; the Drain
@@ -491,22 +530,21 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 		}
 		return Result{}, nil, err
 	}
+	discardAll()
 
-	// Aggregate per-injector tallies in node order, so the Result does
-	// not depend on the order the active set evaluated the injectors.
 	var measuredInjected uint64
-	var measured []*noc.PacketMeta
+	var measuredPackets int
 	for _, in := range injectors {
 		measuredInjected += in.measuredInjected
-		measured = append(measured, in.measured...)
+		measuredPackets += in.measuredPackets
 	}
 	nNodes := float64(len(injectors))
 	res := Result{
 		Offered:         tcfg.Rate,
 		Accepted:        float64(measuredInjected) / float64(tcfg.Measure) / nNodes,
 		Delivered:       float64(endDelivered-startDelivered) / float64(tcfg.Measure) / nNodes,
-		Latency:         noc.Latencies(measured),
-		MeasuredPackets: len(measured),
+		Latency:         lat.Stats(),
+		MeasuredPackets: measuredPackets,
 	}
 	var rec []TraceEntry
 	if record {
@@ -518,16 +556,6 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 		sortTrace(rec)
 	}
 	return res, rec, nil
-}
-
-// deliveredFlits approximates delivered flit volume from completed
-// packet metadata.
-func deliveredFlits(net *noc.Network) uint64 {
-	var t uint64
-	for _, m := range net.Completed() {
-		t += uint64(m.Len)
-	}
-	return t
 }
 
 // ProbeLatency measures one packet's network latency on an otherwise
@@ -610,9 +638,10 @@ func PeakThroughput(ncfg noc.Config, packets int) (PeakResult, error) {
 		payload = 255
 	}
 	want := uint64(len(flows) * packets)
+	zeros := make([]uint16, payload)
 	for _, f := range flows {
 		for p := 0; p < packets; p++ {
-			if _, err := eps[f[0]].Send(f[1], make([]uint16, payload)); err != nil {
+			if _, err := eps[f[0]].Send(f[1], zeros); err != nil {
 				return PeakResult{}, err
 			}
 		}
