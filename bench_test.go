@@ -336,14 +336,16 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 // addresses allow, driven into saturation: 16x16, uniform traffic at
 // 0.40 flits/cycle/node offered with 32-flit payloads (the load of
 // perfbench's mesh-saturated workload). Stalled routers and endpoints
-// sleep, and a router starts serving a waiting header on the clock
-// edge, so about 112 of its 768 components evaluate per cycle. In a CPU
-// profile Router.Eval takes 42% cumulative (its receiver and sender
-// handshakes 11%), Router.Commit 26% (latching the staged ports 9%,
-// computing the Idle answer 9%, the arbiter scan 3%), and the kernel's
-// step loop 12% flat, so it is the profile target for the NoC models.
-// A job allocates about 2,005 objects and 1.80 MB, 620 objects and
-// 1.27 MB of them to build the mesh; the rest are the endpoints' word
+// sleep, a router starts serving a waiting header on the clock edge,
+// and one whose waiting headers all face busy outputs sleeps through
+// their retries, so about 105 of its 768 components evaluate per
+// cycle. In a CPU profile of 30 jobs Router.Eval takes 47% cumulative
+// (its receiver and sender handshakes 15%), Router.Commit 25%
+// (latching the staged ports 11%, computing the Idle answer 10%), the
+// kernel's step loop 13% flat and its wakes and timers 2%, so it is
+// the profile target for the NoC models.
+// A job allocates about 2,005 objects and 1.81 MB, 620 objects and
+// 1.28 MB of them to build the mesh; the rest are the endpoints' word
 // rings and queues as they grow to their backlogs, the metadata chunks,
 // Completed's list and the latency histogram
 // (TestMeshSaturatedAllocs, TestMeshSaturatedSteadyAllocs). The metric

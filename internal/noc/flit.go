@@ -20,22 +20,38 @@
 // header inside its routing delay all stage nothing until the stall
 // ends. A header waiting for the control does not keep a router awake
 // either: the arbiter scan runs on the clock edge, in Commit, over the
-// state just latched, so the routing delay starts and its timer is
-// armed on the cycle the next Eval would have started them. Three
-// events end a stall, and each wakes the component on the cycle a
-// dense run would act on it: a tx change on an input link, an ack
-// change on an output link (both watched wires) and the routing-delay
-// timer. An endpoint is also woken by Send. Everything else that ends
-// a stall, such as a pop that frees buffer space, happens in the
-// component's own Eval while it is awake. A router's Commit computes
-// its Idle answer from the state it has just latched and the link
-// wires' Peek, which is what the coming latch publishes because link
-// wires are Set only during Eval. So every wake
-// comes from an awake component or an armed timer, and a mesh asleep
-// with flits inside and no timer armed can never move again; a dense
-// run would be stuck in the same state. That is a deadlock, which the
-// deadlock-free routing algorithms exclude, so quiescence still means
-// the mesh has drained.
+// state just latched, so the routing delay starts on the cycle the
+// next Eval would have started it. Three events end a stall, and each
+// wakes the component on the cycle a dense run would act on it: a tx
+// change on an input link, an ack change on an output link (both
+// watched wires) and the routing-delay timer. An endpoint is also
+// woken by Send. Everything else that ends a stall, such as a pop that
+// frees buffer space, happens in the component's own Eval while it is
+// awake. A router's Commit computes its Idle answer from the state it
+// has just latched and the link wires' Peek, which is what the coming
+// latch publishes because link wires are Set only during Eval.
+//
+// A router that falls asleep mid routing-delay arms the timer, unless
+// every waiting header wants an output connected to another input.
+// Then every attempt the control completes while the router sleeps is
+// blocked and retried later (§2.1), and none changes its state, so it
+// arms no timer: its next Eval applies the retries it slept through,
+// one per routeDelay+1 cycles, and Stats counts them. The output frees
+// only in the router's own Eval, woken by the ack of the connection's
+// tail flit. A misrouted header, or one whose output is free, keeps
+// its timer.
+//
+// So every wake comes from an awake component or an armed timer, and a
+// mesh asleep with flits inside and no timer armed can never move
+// again; a dense run would be stuck in the same state. That is a
+// deadlock, which the deadlock-free routing algorithms exclude, so
+// quiescence still means the mesh has drained. A blocked header does
+// not change that: the connection it waits for belongs to a packet
+// that is still moving, so some component is awake or holds a timer
+// while it waits. A routing function with a channel-dependency cycle
+// can deadlock the mesh, which then reports quiescence with flits
+// buffered. A misrouted header keeps its router retrying, so a mesh
+// holding one never reports quiescence.
 //
 // # Flit metadata
 //

@@ -64,10 +64,15 @@ func (s *sender) begin() (accepted, free bool) {
 	return false, !s.busy
 }
 
-// offer presents f on the link. Only a free sender may offer.
+// offer presents f on the link. Only a free sender may offer. Like
+// drop, it raises tx only on the transition: mid-packet tx is already
+// high, and re-staging it would put the link back on the kernel's
+// dirty-wire list for a latch that changes nothing.
 func (s *sender) offer(f Flit) {
 	s.link.Data.Set(f)
-	s.link.Tx.Set(true)
+	if !s.link.Tx.Peek() {
+		s.link.Tx.Set(true)
+	}
 	s.nBusy = true
 }
 

@@ -29,6 +29,10 @@ type inPort struct {
 	route     Port // output port currently connected, PortNone if idle
 	phase     int
 	remaining int // payload flits still to forward in phasePayload
+	// want is the output the routing function picks for the waiting
+	// header, computed once, when the header reaches the head of the
+	// buffer (see commitIn); it is stale while the port is not waiting.
+	want Port
 
 	// next-state, equal to the registered state outside Eval
 	nRoute     Port
@@ -53,23 +57,30 @@ type outPort struct {
 }
 
 // control is the router's single centralized control logic (§2.1): a
-// round-robin arbiter over the input ports and the XY routing engine.
+// round-robin arbiter over the input ports and the routing engine.
 // Serving one request takes routeDelay cycles, modelling the paper's
-// Ri >= 7 routing-algorithm time. The arbiter scans on the edge: when
-// Commit leaves the control free with a header waiting, it starts the
-// next request in round-robin order at once (see arbitrate), so a
-// pending request never keeps the router awake. The delay is kept as
-// an absolute completion cycle (with a WakeAt timer armed for it)
-// rather than a per-cycle countdown, so a router whose ports stage
-// nothing can sleep through the routing delay, open wormholes and all,
-// and the time-warp kernel can skip it when the whole mesh does. The
-// Eval of that cycle completes the request. The control has no
+// Ri >= 7 routing-algorithm time; a request whose output is busy is
+// retried in a later execution, so while headers wait the control
+// completes one attempt every routeDelay+1 cycles. The waiting headers
+// are a bit mask that commitIn keeps, with each one's output computed
+// when it reaches the head of its buffer. The arbiter scans on the
+// edge: when Commit leaves the control free with a header waiting, it
+// starts the next request in round-robin order at once (see
+// arbitrate), so a pending request never keeps the router awake. The
+// delay is kept as an absolute completion cycle rather than a per-cycle
+// countdown, so a router whose ports stage nothing can sleep through
+// it, open wormholes and all; the Eval of that cycle completes the
+// request. A router that falls asleep mid-delay arms a WakeAt timer for
+// that cycle, which the time-warp kernel can skip to, unless every
+// waiting header is blocked (see blocked); then its next Eval applies
+// the attempts it slept through (see catchUp). The control has no
 // next-state fields: Eval writes serving directly, because nothing
 // reads it again before Commit.
 type control struct {
 	serving    int // input port being served, -1 when idle
 	completeAt uint64
-	rr         int // round-robin scan start
+	rr         int   // round-robin scan start
+	waiting    uint8 // bit i: input port i's head is a waiting header
 }
 
 // RouterStats aggregates observable activity of one router.
@@ -117,10 +128,9 @@ type Router struct {
 	// already equals its registered state, so Commit latches only
 	// these.
 	staged uint16
-	// waiting counts the input ports whose head is a header waiting for
-	// the control, and buffered the flits in the input buffers. Commit
-	// keeps both as it latches.
-	waiting, buffered int
+	// buffered counts the flits in the input buffers. Commit keeps it,
+	// and the control's waiting mask, as it latches.
+	buffered int
 	// idle is Idle's answer, computed by Commit.
 	idle  bool
 	stats RouterStats
@@ -159,19 +169,23 @@ func (r *Router) Clock() *sim.Clock { return r.clk }
 // s. It is the one definition of those statistics, shared by Eval's
 // per-cycle (or post-sleep) accumulation and Stats' mid-sleep flush.
 func (r *Router) integrateStats(s *RouterStats, span uint64) {
-	s.WaitCycles += span * uint64(r.waiting)
+	s.WaitCycles += span * uint64(bits.OnesCount8(r.ctl.waiting))
 	s.BufferedFlitCycles += span * uint64(r.buffered)
 }
 
-// Stats returns a snapshot of the router's counters, with the per-cycle
-// integrals brought up to the current cycle (a sleeping router has not
+// Stats returns a snapshot of the router's counters brought up to the
+// current cycle: the per-cycle integrals and the blocked attempts a
+// router sleeping without a timer has made (a sleeping router has not
 // evaluated since it fell asleep; its registered state was frozen
-// throughout, so the pending span integrates exactly).
+// throughout, so the pending span integrates exactly and every attempt
+// in it was blocked).
 func (r *Router) Stats() RouterStats {
 	s := r.stats
-	if now := r.clk.Cycle(); now > r.statsAt {
+	now := r.clk.Cycle()
+	if now > r.statsAt {
 		r.integrateStats(&s, now-r.statsAt)
 	}
+	s.BlockedAttempts += r.sleptAttempts(now)
 	return s
 }
 
@@ -204,6 +218,11 @@ func (r *Router) Eval() {
 	// span x current value equals the dense per-cycle sum.
 	r.integrateStats(&r.stats, evalNow-r.statsAt)
 	r.statsAt = evalNow
+	// Likewise, apply the attempts the control completed, all blocked,
+	// while the router slept without a timer.
+	if n := r.sleptAttempts(evalNow - 1); n > 0 {
+		r.catchUp(n)
+	}
 
 	// Input side: accept flits from upstream. A port whose handshake is
 	// at rest (incoming tx low, ack low) is skipped: its eval would
@@ -290,9 +309,8 @@ func (r *Router) closeConnection(p *inPort, o *outPort) {
 func (r *Router) route() {
 	p := &r.in[r.ctl.serving]
 	r.ctl.serving = -1
-	dst := DecodeAddr(p.buf.Head().Data)
-	o := r.routing(r.addr, dst, p.port)
-	if o < 0 || o >= numPorts || r.out[o].snd.link == nil {
+	o := p.want
+	if r.misrouted(o) {
 		// Misroute towards a nonexistent port: drop the request to a
 		// detectable stuck state rather than corrupting the crossbar.
 		r.stats.BlockedAttempts++
@@ -308,27 +326,78 @@ func (r *Router) route() {
 	r.stats.PacketsRouted++
 }
 
+// misrouted reports whether o names no output with a link.
+func (r *Router) misrouted(o Port) bool {
+	return o < 0 || o >= numPorts || r.out[o].snd.link == nil
+}
+
 // arbitrate starts serving the first waiting header in round-robin
 // order. Commit runs it on the edge, over the state it has just
 // latched: exactly what the next Eval would read, so the routing delay
-// starts on the cycle that Eval would have started it and arms the same
-// timer.
+// starts on the cycle that Eval would have started it. Commit arms the
+// delay's timer if the router falls asleep and needs one.
 func (r *Router) arbitrate() {
 	c := &r.ctl
-	for k := 0; k < int(numPorts); k++ {
-		i := (c.rr + k) % int(numPorts)
-		if r.in[i].requestActive() {
-			c.serving = i
-			// Commit runs before the edge advances the cycle count, so
-			// the next Eval is in the step that ends at Cycle()+2.
-			c.completeAt = r.clk.Cycle() + 2 + uint64(r.routeDelay)
-			c.rr = (i + 1) % int(numPorts)
-			// The delay is a pure countdown: if every port goes quiet
-			// the router sleeps through it, so arm a timer for the
-			// completion cycle.
-			r.self.WakeAt(c.completeAt)
-			return
+	c.serving = r.nextWaiting(c.rr)
+	// Commit runs before the edge advances the cycle count, so the next
+	// Eval is in the step that ends at Cycle()+2.
+	c.completeAt = r.clk.Cycle() + 2 + uint64(r.routeDelay)
+	c.rr = (c.serving + 1) % int(numPorts)
+}
+
+// nextWaiting returns the first input port at or after from, in
+// round-robin order, whose head is a waiting header: the waiting mask
+// rotated to start at from, scanned for its lowest set bit. The mask
+// must not be empty.
+func (r *Router) nextWaiting(from int) int {
+	m := uint(r.ctl.waiting)
+	m = (m>>from | m<<(int(numPorts)-from)) & (1<<numPorts - 1)
+	return (from + bits.TrailingZeros(m)) % int(numPorts)
+}
+
+// blocked reports whether every waiting header wants an output that is
+// connected to another input. A router that sleeps in that state needs
+// no routing-delay timer: its registered state is frozen, so every
+// attempt the control completes before it wakes is blocked, and the
+// output a header waits for frees only in the router's own Eval, woken
+// by the ack that takes the connection's tail flit. That connection
+// belongs to a packet still moving (the routing is deadlock-free), so
+// the mesh is not quiescent meanwhile. A misrouted header, or one whose
+// output is free, is not blocked.
+func (r *Router) blocked() bool {
+	for m := r.ctl.waiting; m != 0; m &= m - 1 {
+		o := r.in[bits.TrailingZeros8(m)].want
+		if r.misrouted(o) || r.out[o].src == PortNone {
+			return false
 		}
+	}
+	return true
+}
+
+// sleptAttempts counts the routing attempts of the current request
+// that completed through cycle now: none unless the router slept past
+// the completion cycle without a timer, and then every one was blocked.
+func (r *Router) sleptAttempts(now uint64) uint64 {
+	c := &r.ctl
+	if c.serving < 0 || c.completeAt > now {
+		return 0
+	}
+	return (now-c.completeAt)/uint64(r.routeDelay+1) + 1
+}
+
+// catchUp applies n blocked attempts the router slept through, exactly
+// as the stepped control makes them: each counts as blocked, and
+// Commit's scan then hands the control to the next waiting header in
+// round-robin order, whose attempt completes routeDelay+1 cycles
+// later. The waiting mask did not change during the sleep, so the
+// scan cycles through it.
+func (r *Router) catchUp(n uint64) {
+	c := &r.ctl
+	r.stats.BlockedAttempts += n
+	c.completeAt += n * uint64(r.routeDelay+1)
+	for k := n % uint64(bits.OnesCount8(c.waiting)); k > 0; k-- {
+		c.serving = r.nextWaiting(c.rr)
+		c.rr = (c.serving + 1) % int(numPorts)
 	}
 }
 
@@ -346,14 +415,17 @@ func (r *Router) Idle() bool { return r.idle }
 //     connection or to drop tx.
 //
 // The control never keeps it awake: after Commit it is either mid
-// routing-delay, with a timer armed, or has no request to serve.
+// routing-delay, with a timer armed unless every waiting header is
+// blocked (see blocked), or has no request to serve.
 //
 // Each of these ends only through an event that wakes the router on
 // the cycle a dense run would act on it: a tx change on an input link
 // or an ack change on an output link (both watched, see connectIn and
 // connectOut), the routing-delay timer, or the router's own Eval (a pop
 // that frees buffer space, a push that raises a request), which runs
-// because the router is awake then anyway.
+// because the router is awake then anyway. A blocked header's attempts
+// end nothing, so the router sleeps through them and counts them when
+// it wakes.
 //
 // Commit calls it on the state it has just latched. It reads each link
 // wire through Peek, which is exactly what the coming latch publishes,
@@ -385,9 +457,10 @@ func (r *Router) settled() bool {
 }
 
 // Commit implements sim.Component. It latches the ports Eval staged
-// on, keeping the waiting and buffered counts, starts the next request
-// when the control is free and a header waits, then computes Idle's
-// answer.
+// on, keeping the waiting mask and the buffered count, starts the next
+// request when the control is free and a header waits, then computes
+// Idle's answer. A router that falls asleep mid routing-delay arms a
+// timer for its completion unless every waiting header is blocked.
 func (r *Router) Commit() {
 	for m := r.staged; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros16(m)
@@ -400,25 +473,29 @@ func (r *Router) Commit() {
 		}
 	}
 	r.staged = 0
-	if r.ctl.serving < 0 && r.waiting > 0 {
+	if r.ctl.serving < 0 && r.ctl.waiting != 0 {
 		r.arbitrate()
 	}
 	r.idle = r.settled()
+	if r.idle && r.ctl.serving >= 0 && !r.blocked() {
+		r.self.WakeAt(r.ctl.completeAt)
+	}
 }
 
-// commitIn latches input port p and updates the waiting and buffered
-// counts by its change.
+// commitIn latches input port p and updates the waiting mask and the
+// buffered count by its change. A header that has just reached the
+// head of the buffer is routed here, once: the routing function is
+// deterministic, and the head does not change while the header waits.
 func (r *Router) commitIn(p *inPort) {
-	was, n := p.requestActive(), p.buf.Len()
+	n := p.buf.Len()
 	p.buf.Commit()
 	p.rcv.commit()
 	p.route, p.phase, p.remaining = p.nRoute, p.nPhase, p.nRemaining
 	r.buffered += p.buf.Len() - n
-	if is := p.requestActive(); is != was {
-		if is {
-			r.waiting++
-		} else {
-			r.waiting--
+	if bit := uint8(1) << p.port; p.requestActive() != (r.ctl.waiting&bit != 0) {
+		r.ctl.waiting ^= bit
+		if r.ctl.waiting&bit != 0 {
+			p.want = r.routing(r.addr, DecodeAddr(p.buf.Head().Data), p.port)
 		}
 	}
 }

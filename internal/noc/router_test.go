@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -37,46 +38,89 @@ func refIdle(r *Router) bool {
 	return true
 }
 
-// TestRouterCounters: on a saturated 6x6 mesh, after every step, each
-// router's waiting and buffered counts equal a recount over its input
-// ports, and every router that evaluated in the step reports the Idle
-// answer of the ten-port reference walk. A sleeping router is skipped
-// for Idle: the kernel does not consult it, and a wake may be pending.
+// checkCounters fails unless r's waiting mask, each waiting header's
+// stored output and the buffered count equal a recount over its input
+// ports, and reports how many headers wait and flits are buffered.
+func checkCounters(t *testing.T, cycle uint64, r *Router) (waiting, buffered int) {
+	t.Helper()
+	var mask uint8
+	for j := range r.in {
+		p := &r.in[j]
+		buffered += p.buf.Len()
+		if !p.requestActive() {
+			continue
+		}
+		mask |= 1 << j
+		waiting++
+		if want := r.routing(r.addr, DecodeAddr(p.buf.Head().Data), p.port); p.want != want {
+			t.Fatalf("cycle %d: router %s port %s stores output %s, routing gives %s",
+				cycle, r.addr, p.port, p.want, want)
+		}
+	}
+	if r.ctl.waiting != mask || r.buffered != buffered {
+		t.Fatalf("cycle %d: router %s keeps waiting mask %05b, buffered %d; recount %05b, %d",
+			cycle, r.addr, r.ctl.waiting, r.buffered, mask, buffered)
+	}
+	return waiting, buffered
+}
+
+// TestRouterCounters runs a saturated 6x6 mesh under the default
+// kernel and a dense twin in lockstep on the same sends. After every
+// step, in both, each router's waiting mask, stored outputs and
+// buffered count equal a recount over its input ports, and every
+// router that evaluated in the step reports the Idle answer of the
+// ten-port reference walk (a sleeping router is skipped for Idle: the
+// kernel does not consult it, and a wake may be pending). Every
+// router's Stats, which count the blocked attempts a router sleeping
+// without a timer has made, equal its dense twin's after every step,
+// and a router that evaluated has its twin's control state, so the
+// attempts its Eval applied on waking left the round-robin scan where
+// the stepped control left it. Dense never applies an attempt late.
 func TestRouterCounters(t *testing.T) {
 	for _, depth := range []int{1, 2} {
-		for _, k := range []sim.Kernel{"", "dense"} {
-			name := fmt.Sprintf("buf%d-default", depth)
-			if k != "" {
-				name = fmt.Sprintf("buf%d-%s", depth, k)
+		t.Run(fmt.Sprintf("buf%d", depth), func(t *testing.T) {
+			cfg := Defaults(6, 6)
+			cfg.BufDepth = depth
+			clk := sim.NewClock()
+			dclk, err := sim.ParseKernel("dense")
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				clk, err := sim.ParseKernel(k)
-				if err != nil {
-					t.Fatal(err)
+			net, dnet := buildOn(t, clk, cfg), buildOn(t, dclk, cfg)
+			var waited, sleptHolding, sleptRetries, caughtUp int
+			slept := make([]bool, len(net.routers)) // pending attempts at the last check
+			check := func() {
+				cycle := clk.Cycle()
+				if dclk.Cycle() != cycle {
+					t.Fatalf("lockstep lost: cycle %d, dense at %d", cycle, dclk.Cycle())
 				}
-				cfg := Defaults(6, 6)
-				cfg.BufDepth = depth
-				net := buildOn(t, clk, cfg)
-				var waited, sleptHolding int
-				clk.Probe(func(cycle uint64) {
-					for i := range net.routers {
-						r := &net.routers[i]
-						waiting, buffered := 0, 0
-						for j := range r.in {
-							if r.in[j].requestActive() {
-								waiting++
-							}
-							buffered += r.in[j].buf.Len()
-						}
-						if r.waiting != waiting || r.buffered != buffered {
-							t.Fatalf("cycle %d: router %s counts waiting %d, buffered %d; recount %d, %d",
-								cycle, r.addr, r.waiting, r.buffered, waiting, buffered)
-						}
-						if r.statsAt != cycle {
-							continue
-						}
+				for i := range net.routers {
+					r, d := &net.routers[i], &dnet.routers[i]
+					waiting, buffered := checkCounters(t, cycle, r)
+					checkCounters(t, cycle, d)
+					if got, want := d.Idle(), refIdle(d); got != want {
+						t.Fatalf("cycle %d: dense router %s Idle %v, reference %v", cycle, d.addr, got, want)
+					}
+					s, ds := r.Stats(), d.Stats()
+					if s != ds {
+						t.Fatalf("cycle %d: router %s stats %+v, dense %+v", cycle, r.addr, s, ds)
+					}
+					if ds != d.stats {
+						t.Fatalf("cycle %d: dense router %s has pending attempts", cycle, d.addr)
+					}
+					pending := s.BlockedAttempts != r.stats.BlockedAttempts
+					if pending {
+						sleptRetries++
+					}
+					if r.statsAt == cycle {
 						if got, want := r.Idle(), refIdle(r); got != want {
 							t.Fatalf("cycle %d: router %s Idle %v, reference %v", cycle, r.addr, got, want)
+						}
+						if r.ctl != d.ctl {
+							t.Fatalf("cycle %d: router %s control %+v, dense %+v", cycle, r.addr, r.ctl, d.ctl)
+						}
+						if slept[i] {
+							caughtUp++
 						}
 						if waiting > 0 {
 							waited++
@@ -85,36 +129,148 @@ func TestRouterCounters(t *testing.T) {
 							sleptHolding++
 						}
 					}
-				})
-				rnd := sim.NewRand(7)
-				var sent uint64
-				for step := 0; step < 3000; step++ {
-					for x := 0; x < cfg.Width; x++ {
-						for y := 0; y < cfg.Height; y++ {
-							ep := net.Endpoint(Addr{x, y})
-							if ep.QueuedFlits() >= 4 {
-								continue
-							}
-							dst := Addr{rnd.Intn(cfg.Width), rnd.Intn(cfg.Height)}
-							if _, err := ep.Send(dst, make([]uint16, 1+rnd.Intn(16))); err != nil {
-								t.Fatal(err)
-							}
-							sent++
+					slept[i] = pending
+				}
+			}
+			step := func() {
+				clk.Run(1) // one cycle: a warp stops at the window's end
+				dclk.Step()
+				check()
+			}
+			rnd := sim.NewRand(7)
+			var sent uint64
+			for n := 0; n < 3000; n++ {
+				for x := 0; x < cfg.Width; x++ {
+					for y := 0; y < cfg.Height; y++ {
+						ep, dep := net.Endpoint(Addr{x, y}), dnet.Endpoint(Addr{x, y})
+						if ep.QueuedFlits() != dep.QueuedFlits() {
+							t.Fatalf("cycle %d: endpoint %s queues %d flits, dense %d",
+								clk.Cycle(), ep.addr, ep.QueuedFlits(), dep.QueuedFlits())
 						}
+						if ep.QueuedFlits() >= 4 {
+							continue
+						}
+						dst := Addr{rnd.Intn(cfg.Width), rnd.Intn(cfg.Height)}
+						payload := make([]uint16, 1+rnd.Intn(16))
+						if _, err := ep.Send(dst, payload); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := dep.Send(dst, payload); err != nil {
+							t.Fatal(err)
+						}
+						sent++
 					}
-					clk.Step()
 				}
-				if err := clk.RunUntilQuiescent(1_000_000); err != nil {
-					t.Fatal(err)
+				step()
+			}
+			for n := 0; !clk.Quiescent() || !dclk.Quiescent(); n++ {
+				if n == 1_000_000 {
+					t.Fatal("not quiescent after the drain budget")
 				}
-				if net.Delivered() != sent {
-					t.Fatalf("delivered %d of %d packets", net.Delivered(), sent)
+				step()
+			}
+			if net.Delivered() != sent || dnet.Delivered() != sent {
+				t.Fatalf("delivered %d and %d (dense) of %d packets", net.Delivered(), dnet.Delivered(), sent)
+			}
+			if waited == 0 || sleptHolding == 0 || sleptRetries == 0 || caughtUp == 0 {
+				t.Fatalf("vacuous: %d checks saw a waiting header, %d an idle router holding flits, "+
+					"%d a router asleep past a blocked retry, %d one waking to apply its retries",
+					waited, sleptHolding, sleptRetries, caughtUp)
+			}
+		})
+	}
+}
+
+// TestMisrouteStuck: a routing function that sends a header towards a
+// port with no link (West at x = 0) leaves the header at the head of
+// its buffer, the detectable stuck state route drops a misroute into.
+// Under every kernel nothing panics, the crossbar never connects the
+// header, its router keeps retrying it, one blocked attempt every
+// routeDelay+1 cycles, while it still routes the other packets through
+// it, and every router's stats are equal across kernels. The mesh
+// never reports quiescence: a misrouted header keeps its routing-delay
+// timer, unlike a header blocked by a busy output, so a run waiting
+// for the drain times out instead of falling asleep with it inside.
+func TestMisrouteStuck(t *testing.T) {
+	here, lost := Addr{0, 1}, Addr{2, 2}
+	cfg := Defaults(3, 3)
+	cfg.Routing = func(at, dst Addr, in Port) Port {
+		if at.X == 0 && dst == lost {
+			return West
+		}
+		return RouteXY(at, dst, in)
+	}
+	period := uint64(cfg.internalRouteDelay() + 1)
+	var ref []RouterStats
+	for _, k := range []sim.Kernel{"dense", "", "nowarp"} {
+		t.Run(fmt.Sprintf("kernel=%q", k), func(t *testing.T) {
+			clk, err := sim.ParseKernel(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := buildOn(t, clk, cfg)
+			r := net.Router(here)
+			clk.Probe(func(cycle uint64) {
+				if p := &r.in[Local]; p.route != PortNone {
+					t.Fatalf("cycle %d: the misrouted header is connected to %s", cycle, p.route)
 				}
-				if waited == 0 || sleptHolding == 0 {
-					t.Fatalf("vacuous: %d checks saw a waiting header, %d an idle router holding flits",
-						waited, sleptHolding)
+				for o := range r.out {
+					if r.out[o].src == Local {
+						t.Fatalf("cycle %d: output %s is connected to the misrouted header", cycle, Port(o))
+					}
 				}
 			})
-		}
+			// The misrouted packet, then packets through its router from
+			// each neighbour, to its endpoint and to its other side.
+			sends := [][2]Addr{{here, lost}, {{1, 1}, here}, {{0, 0}, {0, 2}}, {{0, 2}, {0, 0}}, {{1, 0}, {0, 2}}}
+			for _, s := range sends {
+				if _, err := net.Endpoint(s[0]).Send(s[1], make([]uint16, 8)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := clk.RunUntilQuiescent(5000); !errors.Is(err, sim.ErrTimeout) {
+				t.Fatalf("RunUntilQuiescent = %v, want ErrTimeout", err)
+			}
+			if got, want := net.Delivered(), uint64(len(sends)-1); got != want {
+				t.Fatalf("delivered %d packets, want %d", got, want)
+			}
+			if r.ctl.waiting != 1<<Local {
+				t.Fatalf("waiting mask %05b, want only the Local port", r.ctl.waiting)
+			}
+			// Nothing else waits now, so every attempt is the misrouted
+			// header's, one per period.
+			var grew []uint64
+			prev := r.Stats().BlockedAttempts
+			for end := clk.Cycle() + 4*period; clk.Cycle() < end; {
+				clk.Run(1)
+				b := r.Stats().BlockedAttempts
+				if b != prev && b != prev+1 {
+					t.Fatalf("cycle %d: blocked attempts jumped from %d to %d", clk.Cycle(), prev, b)
+				}
+				if b != prev {
+					grew = append(grew, clk.Cycle())
+				}
+				prev = b
+			}
+			spaced := len(grew) == 4
+			for i := 1; spaced && i < len(grew); i++ {
+				spaced = grew[i]-grew[i-1] == period
+			}
+			if !spaced {
+				t.Fatalf("blocked attempts grew at cycles %v, want 4 of them %d apart", grew, period)
+			}
+			var stats []RouterStats
+			for i := range net.routers {
+				stats = append(stats, net.routers[i].Stats())
+			}
+			if ref == nil {
+				ref = stats
+			}
+			for i := range stats {
+				if stats[i] != ref[i] {
+					t.Errorf("router %s stats %+v, dense %+v", net.routers[i].addr, stats[i], ref[i])
+				}
+			}
+		})
 	}
 }

@@ -25,7 +25,9 @@ func (p Port) String() string {
 
 // RoutingFunc decides the output port a packet takes at router `here`
 // towards destination dst, given the input port it arrived on. It must
-// be deterministic and deadlock-free on a mesh.
+// be deterministic, because a router calls it once per header, when
+// the header reaches the head of its buffer, and deadlock-free on a
+// mesh.
 type RoutingFunc func(here, dst Addr, in Port) Port
 
 // RouteXY is the deterministic XY algorithm the paper employs: correct
