@@ -2,7 +2,8 @@
 // over HTTP: submit a batch of simulation configurations, poll until
 // every job is terminal, read the aggregated latency/throughput
 // results. See internal/sweep for the robustness guarantees (panic
-// isolation, deadlines, retry, backpressure, crash-safe journal).
+// isolation, deadlines, backpressure, crash-safe journal). Each job is
+// attempted once and ends done, failed or timeout.
 //
 // Usage:
 //
@@ -48,19 +49,15 @@ func main() {
 	journal := flag.String("journal", "sweep.journal", "crash-safe result journal path (empty = in-memory)")
 	maxWall := flag.Duration("max-wall", 2*time.Minute, "default per-job wall-clock deadline")
 	maxCycles := flag.Uint64("max-cycles", 50_000_000, "default per-job simulated-cycle budget")
-	retries := flag.Int("retries", 2, "default transient-failure retries per job")
-	shedIdle := flag.Duration("shed-idle", 30*time.Second, "shed queued jobs of batches unpolled this long (negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	flag.Parse()
 
 	svc, err := sweep.NewService(sweep.Config{
-		Workers:           *workers,
-		QueueCap:          *queue,
-		JournalPath:       *journal,
-		DefaultMaxWall:    *maxWall,
-		DefaultMaxCycles:  *maxCycles,
-		DefaultMaxRetries: *retries,
-		ShedIdleAfter:     *shedIdle,
+		Workers:          *workers,
+		QueueCap:         *queue,
+		JournalPath:      *journal,
+		DefaultMaxWall:   *maxWall,
+		DefaultMaxCycles: *maxCycles,
 	})
 	if err != nil {
 		log.Fatalf("sweepd: %v", err)

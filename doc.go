@@ -76,11 +76,12 @@
 // journals every result. The service is built to survive its own
 // workload — a panicking model becomes a failed-job record with the
 // captured stack, runaway configs hit wall-clock and simulated-cycle
-// deadlines (enforced inside the kernel via Clock.SetCancel),
-// transient failures retry with backoff, a full queue sheds idle
-// batches or pushes back with 429, and a crash-safe journal lets a
+// deadlines (enforced inside the kernel via Clock.SetCancel), a full
+// queue pushes back with 429, and a crash-safe journal lets a
 // restarted server resume unfinished jobs while serving finished ones
 // from a dedupe cache keyed by (canonical config, seed, code version).
+// A job's result is a function of its config and seed, so each job is
+// attempted once.
 //
 // Each package under internal/ documents its own model. `go run
 // ./cmd/experiments` prints the paper-vs-measured report, one section

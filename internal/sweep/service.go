@@ -6,9 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,43 +19,25 @@ type Config struct {
 	// Workers is the number of concurrent job runners (default 4).
 	Workers int
 	// QueueCap bounds the number of queued (not yet running) jobs. A
-	// submission whose new jobs would push the backlog past the cap
-	// first sheds idle batches and otherwise gets a BacklogError; a
-	// single batch larger than the cap is never accepted (default 256).
+	// submission whose new jobs would push the backlog past the cap gets
+	// a BacklogError; a single batch larger than the cap is never
+	// accepted (default 256).
 	QueueCap int
 	// JournalPath is the crash-safe record store. Empty runs the
 	// service in-memory: no durability, no restart resume.
 	JournalPath string
 
-	// DefaultMaxWall bounds each attempt's wall-clock time when the
-	// spec doesn't (default 2m).
+	// DefaultMaxWall bounds each job's wall-clock time when the spec
+	// doesn't (default 2m).
 	DefaultMaxWall time.Duration
 	// DefaultMaxCycles bounds each job's simulated time when the spec
 	// doesn't (default 50M cycles).
 	DefaultMaxCycles uint64
-	// DefaultMaxRetries is the transient-failure retry bound when the
-	// spec doesn't set one (default 2).
-	DefaultMaxRetries int
 
-	// BackoffBase and BackoffMax shape the exponential retry backoff:
-	// base<<attempt, capped, with ±50% jitter (defaults 100ms / 5s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// ShedIdleAfter is how long a batch must go unpolled before its
-	// queued jobs become shedding candidates under queue pressure
-	// (default 30s; negative disables shedding).
-	ShedIdleAfter time.Duration
-
-	// Runner executes one job attempt. Nil selects the real simulator
+	// Runner executes one job. Nil selects the real simulator
 	// (spec.TrafficJob.Run); tests inject failures here. The spec
 	// arrives with MaxCycles already resolved against the default.
 	Runner func(ctx context.Context, spec JobSpec) (traffic.Result, error)
-
-	// Now and Sleep are test seams for the clock (defaults time.Now and
-	// a context-aware time.Sleep).
-	Now   func() time.Time
-	Sleep func(ctx context.Context, d time.Duration)
 }
 
 func (c Config) withDefaults() Config {
@@ -73,67 +53,38 @@ func (c Config) withDefaults() Config {
 	if c.DefaultMaxCycles == 0 {
 		c.DefaultMaxCycles = 50_000_000
 	}
-	if c.DefaultMaxRetries == 0 {
-		c.DefaultMaxRetries = 2
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.ShedIdleAfter == 0 {
-		c.ShedIdleAfter = 30 * time.Second
-	}
 	if c.Runner == nil {
 		c.Runner = func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
 			return spec.TrafficJob.Run(ctx, spec.MaxCycles)
 		}
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.Sleep == nil {
-		c.Sleep = func(ctx context.Context, d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-		}
-	}
 	return c
 }
 
-// job is the mutable server-side state of one deduplicated job. All
-// fields are guarded by the service mutex except during an attempt,
-// when the owning worker reads Spec/Attempts from its private copy.
-type job struct {
-	rec     JobRecord
-	batches map[string]*batch
-}
-
-// batch tracks one accepted submission: which jobs it references and
-// when a client last looked at it (the shedding signal).
+// batch is one accepted submission: the keys of the jobs it names.
 type batch struct {
-	id       string
-	keys     []string
-	lastSeen time.Time
+	id   string
+	keys []string
 }
 
 // Stats is a point-in-time snapshot of service health counters.
 type Stats struct {
-	Workers   int  `json:"workers"`
-	QueueLen  int  `json:"queueLen"`
-	InFlight  int  `json:"inFlight"`
-	Jobs      int  `json:"jobs"`
-	Batches   int  `json:"batches"`
-	Computed  int  `json:"computed"`
-	CacheHits int  `json:"cacheHits"`
-	Shed      int  `json:"shed"`
-	Respawns  int  `json:"respawns"`
-	Draining  bool `json:"draining"`
+	Workers   int `json:"workers"`
+	QueueLen  int `json:"queueLen"`
+	InFlight  int `json:"inFlight"`
+	Jobs      int `json:"jobs"`
+	Batches   int `json:"batches"`
+	Computed  int `json:"computed"`
+	CacheHits int `json:"cacheHits"`
+	// Shed reads 0: the service no longer sheds queued jobs.
+	//
+	// Deprecated: kept while perfbench reads it.
+	Shed int `json:"shed"`
+	// Respawns reads 0: the service no longer respawns workers.
+	//
+	// Deprecated: kept while perfbench reads it.
+	Respawns int  `json:"respawns"`
+	Draining bool `json:"draining"`
 	// JournalDropped is how many bytes of corrupt journal tail were
 	// discarded at startup (0 for a clean journal).
 	JournalDropped int64 `json:"journalDropped"`
@@ -153,21 +104,19 @@ type Service struct {
 	cfg     Config
 	journal *Journal // nil when running in-memory
 
+	// mu guards the fields below and every JobRecord in jobs.
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []*job
-	jobs     map[string]*job
+	queue    []*JobRecord
+	jobs     map[string]*JobRecord
 	batches  map[string]*batch
 	draining bool
 	closed   bool
 	inFlight int
 	avgDur   time.Duration // EWMA of job wall time, for Retry-After
-	rng      *mrand.Rand   // backoff jitter; seeded for reproducible tests
 
 	computed  int
 	cacheHits int
-	shed      int
-	respawns  int
 	dropped   int64
 
 	baseCtx    context.Context
@@ -181,9 +130,8 @@ func NewService(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:     cfg,
-		jobs:    make(map[string]*job),
+		jobs:    make(map[string]*JobRecord),
 		batches: make(map[string]*batch),
-		rng:     mrand.New(mrand.NewSource(1)),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -206,80 +154,50 @@ func NewService(cfg Config) (*Service, error) {
 }
 
 // replay rebuilds in-memory state from a journal: terminal job records
-// first (later records win — a shed job may have been resubmitted and
+// first (later records win: a failed job may have been resubmitted and
 // finished), then batches, requeuing every referenced job without a
 // terminal record. Runs before the workers start, so no locking.
 func (s *Service) replay(jn *Journal) {
-	for i := range jn.Jobs {
-		rec := jn.Jobs[i]
-		if rec.Status == StatusDone {
+	for _, rec := range jn.Jobs {
+		switch {
+		case rec.Status == StatusDone:
 			rec.Cached = true // anything served from here on is from the journal
+		case !rec.Status.Terminal():
+			// "shed", journaled by services that dropped queued jobs
+			// from a full queue: the job never ran, so forget it and
+			// let the batches that name it requeue it.
+			delete(s.jobs, rec.Key)
+			continue
 		}
-		if j, ok := s.jobs[rec.Key]; ok {
-			j.rec = rec
-		} else {
-			s.jobs[rec.Key] = &job{rec: rec, batches: make(map[string]*batch)}
-		}
+		s.jobs[rec.Key] = &rec
 	}
-	now := s.cfg.Now()
 	for _, be := range jn.Batches {
-		b := &batch{id: be.ID, lastSeen: now}
+		b := &batch{id: be.ID}
 		for i := range be.Specs {
 			key := be.Specs[i].Key()
 			b.keys = append(b.keys, key)
-			j, ok := s.jobs[key]
-			if !ok {
-				j = &job{
-					rec:     JobRecord{Key: key, Spec: be.Specs[i], Status: StatusQueued},
-					batches: make(map[string]*batch),
-				}
+			if _, ok := s.jobs[key]; !ok {
+				j := &JobRecord{Key: key, Spec: be.Specs[i], Status: StatusQueued}
 				s.jobs[key] = j
 				s.queue = append(s.queue, j)
 			}
-			j.batches[b.id] = b
 		}
 		s.batches[b.id] = b
 	}
 }
 
-// worker is one pool goroutine. The deferred exit handler tells a
-// normal return (drain) apart from a killed worker — a panic that
-// somehow escaped the per-attempt recover, or a runtime.Goexit from a
-// hostile model — and respawns a replacement so the pool never
-// shrinks. The in-flight job of a killed worker is retried or failed,
-// never lost.
+// worker is one pool goroutine: it runs queued jobs until the service
+// drains.
 func (s *Service) worker() {
-	var cur *job
-	normal := false
-	defer func() {
-		if normal {
-			s.wg.Done()
-			return
-		}
-		r := recover()
-		s.mu.Lock()
-		s.respawns++
-		if cur != nil {
-			s.workerDiedLocked(cur, r)
-		}
-		s.mu.Unlock()
-		go s.worker() // the replacement inherits this worker's WaitGroup slot
-	}()
-	for {
-		j := s.next()
-		if j == nil {
-			normal = true
-			return
-		}
-		cur = j
+	defer s.wg.Done()
+	for j := s.next(); j != nil; j = s.next() {
 		s.runJob(j)
-		cur = nil
 	}
 }
 
-// next blocks until a job is available, returning nil when the service
-// is draining.
-func (s *Service) next() *job {
+// next blocks until a job is available and marks it running, returning
+// nil when the service is draining.
+func (s *Service) next() *JobRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -289,7 +207,7 @@ func (s *Service) next() *job {
 		if len(s.queue) > 0 {
 			j := s.queue[0]
 			s.queue = s.queue[1:]
-			j.rec.Status = StatusRunning
+			j.Status = StatusRunning
 			s.inFlight++
 			return j
 		}
@@ -297,108 +215,52 @@ func (s *Service) next() *job {
 	}
 }
 
-// workerDiedLocked disposes of the job a killed worker was running:
-// one more transient attempt if the retry budget allows, a terminal
-// failure otherwise.
-func (s *Service) workerDiedLocked(j *job, panicked any) {
-	s.inFlight--
-	why := "worker killed during attempt"
-	if panicked != nil {
-		why = fmt.Sprintf("worker killed by escaped panic: %v", panicked)
-	}
-	if j.rec.Attempts <= s.retriesFor(j.rec.Spec) && !s.draining {
-		j.rec.Status = StatusQueued
-		s.queue = append(s.queue, j)
-	} else {
-		j.rec.Status = StatusFailed
-		j.rec.Error = why
-		s.finishLocked(j, 0)
-	}
-	s.cond.Broadcast()
-}
+// runJob attempts a job once and records how it ended: done, failed or
+// timeout, or queued again if the service is force-stopped mid-run.
+// A job's result is a function of its spec, so a second attempt could
+// only repeat the first.
+func (s *Service) runJob(j *JobRecord) {
+	start := time.Now()
+	res, err := s.attempt(j)
 
-// retriesFor resolves a spec's transient-retry budget.
-func (s *Service) retriesFor(spec JobSpec) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
-	case spec.MaxRetries > 0:
-		return spec.MaxRetries
-	case spec.MaxRetries < 0:
-		return 0
+	case err == nil:
+		j.Status = StatusDone
+		j.Result = &res
+		s.computed++
+
+	case s.baseCtx.Err() != nil && errors.Is(err, context.Canceled):
+		// Forced stop (drain deadline expired): the attempt was cut
+		// short through no fault of the job. Put it back in queued
+		// state — unjournaled, so a restart resumes it.
+		j.Status = StatusQueued
+		s.inFlight--
+		return
+
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, traffic.ErrCycleBudget):
+		j.Status = StatusTimeout
+		j.Error = err.Error()
+
 	default:
-		return s.cfg.DefaultMaxRetries
-	}
-}
-
-// runJob drives one job to a terminal state (or back to queued if the
-// service is force-stopped mid-run): attempt, classify, maybe back off
-// and retry.
-func (s *Service) runJob(j *job) {
-	start := s.cfg.Now()
-	for {
-		res, err := s.attempt(j)
-
-		s.mu.Lock()
-		switch {
-		case err == nil:
-			j.rec.Status = StatusDone
-			j.rec.Result = &res
-			j.rec.Error, j.rec.Stack = "", ""
-			s.computed++
-			s.finishLocked(j, s.cfg.Now().Sub(start))
-			s.mu.Unlock()
-			return
-
-		case s.baseCtx.Err() != nil && errors.Is(err, context.Canceled):
-			// Forced stop (drain deadline expired): the attempt was cut
-			// short through no fault of the job. Put it back in queued
-			// state — unjournaled, so a restart resumes it.
-			j.rec.Status = StatusQueued
-			j.rec.Error = ""
-			s.inFlight--
-			s.mu.Unlock()
-			return
-
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, traffic.ErrCycleBudget):
-			j.rec.Status = StatusTimeout
-			j.rec.Error = err.Error()
-			s.finishLocked(j, s.cfg.Now().Sub(start))
-			s.mu.Unlock()
-			return
-
-		case IsTransient(err) && j.rec.Attempts <= s.retriesFor(j.rec.Spec):
-			attempt := j.rec.Attempts
-			s.mu.Unlock()
-			s.cfg.Sleep(s.baseCtx, s.backoff(attempt))
-			if s.baseCtx.Err() != nil {
-				s.mu.Lock()
-				j.rec.Status = StatusQueued
-				s.inFlight--
-				s.mu.Unlock()
-				return
-			}
-			continue
-
-		default:
-			j.rec.Status = StatusFailed
-			j.rec.Error = err.Error()
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				j.rec.Stack = pe.Stack
-			}
-			s.finishLocked(j, s.cfg.Now().Sub(start))
-			s.mu.Unlock()
-			return
+		j.Status = StatusFailed
+		j.Error = err.Error()
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			j.Stack = pe.Stack
 		}
 	}
+	s.finishLocked(j, time.Since(start))
 }
 
 // attempt runs the Runner once under the per-job wall-clock deadline,
 // converting a panic into a PanicError instead of letting it unwind
 // the worker.
-func (s *Service) attempt(j *job) (res traffic.Result, err error) {
+func (s *Service) attempt(j *JobRecord) (res traffic.Result, err error) {
 	s.mu.Lock()
-	j.rec.Attempts++
-	spec := j.rec.Spec
+	j.Attempts++
+	spec := j.Spec
 	s.mu.Unlock()
 
 	if spec.MaxCycles == 0 {
@@ -419,40 +281,20 @@ func (s *Service) attempt(j *job) (res traffic.Result, err error) {
 	return s.cfg.Runner(ctx, spec)
 }
 
-// backoff computes the sleep before retry attempt+1: exponential in
-// the attempt number, capped, with ±50% jitter so colliding retries
-// spread out.
-func (s *Service) backoff(attempt int) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 1; i < attempt && d < s.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
-	s.mu.Lock()
-	jit := time.Duration(s.rng.Int63n(int64(d) + 1))
-	s.mu.Unlock()
-	return d/2 + jit
-}
-
 // finishLocked records a terminal transition: journal it, update the
-// latency estimate, wake pollers. dur==0 skips the estimate (the job
-// never ran).
-func (s *Service) finishLocked(j *job, dur time.Duration) {
+// latency estimate, wake pollers.
+func (s *Service) finishLocked(j *JobRecord, dur time.Duration) {
 	s.inFlight--
-	if dur > 0 {
-		if s.avgDur == 0 {
-			s.avgDur = dur
-		} else {
-			s.avgDur = (s.avgDur*4 + dur) / 5
-		}
+	if s.avgDur == 0 {
+		s.avgDur = dur
+	} else {
+		s.avgDur = (s.avgDur*4 + dur) / 5
 	}
 	if s.journal != nil && !s.closed {
-		if err := s.journal.AppendJob(j.rec); err != nil {
+		if err := s.journal.AppendJob(*j); err != nil {
 			// The record stays served from memory; durability is lost
 			// for this one record but the service keeps running.
-			j.rec.Error = appendErr(j.rec.Error, fmt.Sprintf("journal append failed: %v", err))
+			j.Error = appendErr(j.Error, fmt.Sprintf("journal append failed: %v", err))
 		}
 	}
 	s.cond.Broadcast()
@@ -469,7 +311,7 @@ func appendErr(base, extra string) string {
 // one; resubmitting an existing ID with the same jobs is idempotent
 // (it returns the current snapshot), with different jobs it is
 // ErrBatchMismatch. Errors: ValidationError (a spec is malformed),
-// BacklogError (queue full even after shedding), ErrDraining.
+// BacklogError (queue full), ErrDraining.
 func (s *Service) Submit(batchID string, specs []JobSpec) (BatchSnapshot, error) {
 	if len(specs) == 0 {
 		return BatchSnapshot{}, &ValidationError{Index: 0, Err: errors.New("empty batch")}
@@ -494,7 +336,6 @@ func (s *Service) Submit(batchID string, specs []JobSpec) (BatchSnapshot, error)
 		if !equalKeys(b.keys, keys) {
 			return BatchSnapshot{}, ErrBatchMismatch
 		}
-		b.lastSeen = s.cfg.Now()
 		return s.snapshotLocked(b), nil
 	}
 
@@ -508,15 +349,12 @@ func (s *Service) Submit(batchID string, specs []JobSpec) (BatchSnapshot, error)
 		}
 		seen[k] = true
 		j, ok := s.jobs[k]
-		if !ok || (j.rec.Status.Terminal() && j.rec.Status != StatusDone) {
+		if !ok || (j.Status.Terminal() && j.Status != StatusDone) {
 			need++
 		}
 	}
 	if len(s.queue)+need > s.cfg.QueueCap {
-		s.shedLocked(len(s.queue)+need-s.cfg.QueueCap, batchID)
-		if len(s.queue)+need > s.cfg.QueueCap {
-			return BatchSnapshot{}, &BacklogError{RetryAfter: s.retryAfterLocked(need)}
-		}
+		return BatchSnapshot{}, &BacklogError{RetryAfter: s.retryAfterLocked(need)}
 	}
 
 	// Journal the acceptance before exposing any state: a batch the
@@ -527,87 +365,26 @@ func (s *Service) Submit(batchID string, specs []JobSpec) (BatchSnapshot, error)
 		}
 	}
 
-	b := &batch{id: batchID, keys: keys, lastSeen: s.cfg.Now()}
+	b := &batch{id: batchID, keys: keys}
 	s.batches[batchID] = b
 	for i, k := range keys {
 		j, ok := s.jobs[k]
 		switch {
 		case !ok:
-			j = &job{
-				rec:     JobRecord{Key: k, Spec: specs[i], Status: StatusQueued},
-				batches: make(map[string]*batch),
-			}
+			j = &JobRecord{Key: k, Spec: specs[i], Status: StatusQueued}
 			s.jobs[k] = j
 			s.queue = append(s.queue, j)
-		case j.rec.Status == StatusDone:
+		case j.Status == StatusDone:
 			s.cacheHits++
-			j.rec.Cached = true
-		case j.rec.Status.Terminal():
-			// failed / timeout / shed: a fresh submission asks again.
-			j.rec = JobRecord{Key: k, Spec: specs[i], Status: StatusQueued}
+			j.Cached = true
+		case j.Status.Terminal():
+			// failed or timeout: a fresh submission asks again.
+			*j = JobRecord{Key: k, Spec: specs[i], Status: StatusQueued}
 			s.queue = append(s.queue, j)
 		}
-		j.batches[b.id] = b
 	}
 	s.cond.Broadcast()
 	return s.snapshotLocked(b), nil
-}
-
-// shedLocked frees up to want queue slots by shedding queued jobs
-// whose every referencing batch has gone unpolled for ShedIdleAfter,
-// idlest batches first. Shed is a journaled terminal state; a
-// resubmission of the same spec requeues it.
-func (s *Service) shedLocked(want int, requester string) {
-	if s.cfg.ShedIdleAfter < 0 || want <= 0 {
-		return
-	}
-	cutoff := s.cfg.Now().Add(-s.cfg.ShedIdleAfter)
-	idle := func(j *job) (time.Time, bool) {
-		var latest time.Time
-		for id, b := range j.batches {
-			if id == requester || b.lastSeen.After(cutoff) {
-				return time.Time{}, false
-			}
-			if b.lastSeen.After(latest) {
-				latest = b.lastSeen
-			}
-		}
-		return latest, len(j.batches) > 0
-	}
-	type cand struct {
-		j    *job
-		seen time.Time
-	}
-	var cands []cand
-	for _, j := range s.queue {
-		if seen, ok := idle(j); ok {
-			cands = append(cands, cand{j, seen})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].seen.Before(cands[b].seen) })
-	if len(cands) > want {
-		cands = cands[:want]
-	}
-	if len(cands) == 0 {
-		return
-	}
-	doomed := make(map[*job]bool, len(cands))
-	for _, c := range cands {
-		doomed[c.j] = true
-	}
-	kept := s.queue[:0]
-	for _, j := range s.queue {
-		if doomed[j] {
-			j.rec.Status = StatusShed
-			j.rec.Error = "shed under queue pressure (batch idle)"
-			s.shed++
-			s.inFlight++ // finishLocked undoes this; shed jobs never ran
-			s.finishLocked(j, 0)
-			continue
-		}
-		kept = append(kept, j)
-	}
-	s.queue = kept
 }
 
 // retryAfterLocked estimates when a rejected submitter should try
@@ -632,7 +409,7 @@ func (s *Service) retryAfterLocked(need int) time.Duration {
 func (s *Service) snapshotLocked(b *batch) BatchSnapshot {
 	snap := BatchSnapshot{ID: b.id, Done: true}
 	for _, k := range b.keys {
-		rec := s.jobs[k].rec
+		rec := *s.jobs[k]
 		if !rec.Status.Terminal() {
 			snap.Done = false
 		}
@@ -641,8 +418,7 @@ func (s *Service) snapshotLocked(b *batch) BatchSnapshot {
 	return snap
 }
 
-// BatchStatus returns the batch's snapshot and refreshes its activity
-// stamp (a polled batch is never shed).
+// BatchStatus returns the batch's snapshot.
 func (s *Service) BatchStatus(id string) (BatchSnapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -650,14 +426,19 @@ func (s *Service) BatchStatus(id string) (BatchSnapshot, bool) {
 	if !ok {
 		return BatchSnapshot{}, false
 	}
-	b.lastSeen = s.cfg.Now()
 	return s.snapshotLocked(b), true
 }
 
 // WaitBatch blocks until every job in the batch is terminal or ctx
 // expires, returning the final snapshot either way.
 func (s *Service) WaitBatch(ctx context.Context, id string) (BatchSnapshot, error) {
-	stop := context.AfterFunc(ctx, func() { s.cond.Broadcast() })
+	stop := context.AfterFunc(ctx, func() {
+		// Under the lock, so the wakeup cannot land between the loop's
+		// ctx.Err check and its Wait, where no waiter would see it.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.cond.Broadcast()
+	})
 	defer stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -666,7 +447,6 @@ func (s *Service) WaitBatch(ctx context.Context, id string) (BatchSnapshot, erro
 		if !ok {
 			return BatchSnapshot{}, fmt.Errorf("sweep: unknown batch %q", id)
 		}
-		b.lastSeen = s.cfg.Now()
 		snap := s.snapshotLocked(b)
 		if snap.Done {
 			return snap, nil
@@ -689,7 +469,7 @@ func (s *Service) Job(key string) (JobRecord, bool) {
 	if !ok {
 		return JobRecord{}, false
 	}
-	return j.rec, true
+	return *j, true
 }
 
 // Stats returns current health counters.
@@ -704,8 +484,6 @@ func (s *Service) Stats() Stats {
 		Batches:        len(s.batches),
 		Computed:       s.computed,
 		CacheHits:      s.cacheHits,
-		Shed:           s.shed,
-		Respawns:       s.respawns,
 		Draining:       s.draining,
 		JournalDropped: s.dropped,
 	}

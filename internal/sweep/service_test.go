@@ -2,10 +2,10 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,9 +92,6 @@ func TestPanicBecomesFailedRecordWithStack(t *testing.T) {
 	if good.Status != StatusDone {
 		t.Errorf("job after the panic = %s, want done (worker survived)", good.Status)
 	}
-	if st := s.Stats(); st.Respawns != 0 {
-		t.Errorf("respawns = %d, want 0 (panic was recovered in place)", st.Respawns)
-	}
 }
 
 func TestHungJobHitsWallClockDeadline(t *testing.T) {
@@ -142,158 +139,6 @@ func TestCycleBudgetBecomesTimeout(t *testing.T) {
 	}
 }
 
-func TestTransientErrorsRetryWithBackoffThenSucceed(t *testing.T) {
-	var calls atomic.Int32
-	var mu sync.Mutex
-	var sleeps []time.Duration
-	s, err := NewService(Config{
-		Workers:           1,
-		DefaultMaxRetries: 3,
-		BackoffBase:       100 * time.Millisecond,
-		BackoffMax:        time.Second,
-		Sleep: func(ctx context.Context, d time.Duration) {
-			mu.Lock()
-			sleeps = append(sleeps, d)
-			mu.Unlock()
-		},
-		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
-			if calls.Add(1) <= 2 {
-				return traffic.Result{}, Transient(errors.New("spurious allocator hiccup"))
-			}
-			return instantRunner(ctx, spec)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drain(t, s)
-	snap, err := s.Submit("", []JobSpec{testSpec(0.02, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitDone(t, s, snap.ID)
-	rec := final.Jobs[0]
-	if rec.Status != StatusDone || rec.Attempts != 3 {
-		t.Fatalf("flaky job = %+v, want done in 3 attempts", rec)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sleeps) != 2 {
-		t.Fatalf("backoff slept %d times, want 2 (%v)", len(sleeps), sleeps)
-	}
-	for i, d := range sleeps {
-		// attempt n backs off in [base<<(n-1)/2, base<<(n-1)*1.5]
-		base := 100 * time.Millisecond << i
-		if d < base/2 || d > base+base/2 {
-			t.Errorf("backoff %d = %v, want within ±50%% of %v", i, d, base)
-		}
-	}
-}
-
-func TestTransientErrorsExhaustRetriesThenFail(t *testing.T) {
-	var calls atomic.Int32
-	s, err := NewService(Config{
-		Workers: 1,
-		Sleep:   func(context.Context, time.Duration) {},
-		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
-			calls.Add(1)
-			return traffic.Result{}, Transient(errors.New("never better"))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drain(t, s)
-	spec := testSpec(0.02, 1)
-	spec.MaxRetries = 1
-	snap, err := s.Submit("", []JobSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitDone(t, s, snap.ID)
-	rec := final.Jobs[0]
-	if rec.Status != StatusFailed || rec.Attempts != 2 {
-		t.Fatalf("exhausted job = %+v, want failed after 2 attempts", rec)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("runner called %d times, want 2", got)
-	}
-	// MaxRetries -1 disables retries entirely.
-	calls.Store(0)
-	spec.MaxRetries = -1
-	spec.Seed = 2
-	snap2, err := s.Submit("", []JobSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final2 := waitDone(t, s, snap2.ID)
-	if final2.Jobs[0].Attempts != 1 || calls.Load() != 1 {
-		t.Fatalf("no-retry job attempted %d times (runner %d), want 1", final2.Jobs[0].Attempts, calls.Load())
-	}
-}
-
-func TestKilledWorkerIsRespawnedAndJobRetried(t *testing.T) {
-	// runtime.Goexit kills the worker goroutine outright — no panic to
-	// recover. The pool must respawn a replacement and the in-flight
-	// job must still reach a terminal state.
-	var calls atomic.Int32
-	s, err := NewService(Config{
-		Workers: 1,
-		Sleep:   func(context.Context, time.Duration) {},
-		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
-			if calls.Add(1) == 1 {
-				runtime.Goexit()
-			}
-			return instantRunner(ctx, spec)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drain(t, s)
-	snap, err := s.Submit("", []JobSpec{testSpec(0.02, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitDone(t, s, snap.ID)
-	rec := final.Jobs[0]
-	if rec.Status != StatusDone || rec.Attempts != 2 {
-		t.Fatalf("job of killed worker = %+v, want done on attempt 2", rec)
-	}
-	if st := s.Stats(); st.Respawns != 1 {
-		t.Errorf("respawns = %d, want 1", st.Respawns)
-	}
-}
-
-func TestKilledWorkerExhaustsRetriesToFailure(t *testing.T) {
-	s, err := NewService(Config{
-		Workers: 1,
-		Sleep:   func(context.Context, time.Duration) {},
-		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
-			runtime.Goexit() // every attempt kills its worker
-			return traffic.Result{}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drain(t, s)
-	spec := testSpec(0.02, 1)
-	spec.MaxRetries = 1
-	snap, err := s.Submit("", []JobSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitDone(t, s, snap.ID)
-	rec := final.Jobs[0]
-	if rec.Status != StatusFailed || !strings.Contains(rec.Error, "worker killed") {
-		t.Fatalf("job = %+v, want failed with worker-killed error", rec)
-	}
-	if st := s.Stats(); st.Respawns != 2 {
-		t.Errorf("respawns = %d, want 2", st.Respawns)
-	}
-}
-
 func TestDedupeAcrossBatches(t *testing.T) {
 	var calls atomic.Int32
 	s, err := NewService(Config{
@@ -314,10 +159,10 @@ func TestDedupeAcrossBatches(t *testing.T) {
 	}
 	waitDone(t, s, snap1.ID)
 
-	// Same config in a new batch (even with different robustness knobs
-	// and execution strategy): served from cache, not recomputed.
+	// Same config in a new batch (even with a different deadline and
+	// execution strategy): served from cache, not recomputed.
 	again := spec
-	again.MaxRetries = 5
+	again.MaxWallMS = 5000
 	again.Kernel = "dense"
 	snap2, err := s.Submit("", []JobSpec{again, testSpec(0.04, 2)})
 	if err != nil {
@@ -364,10 +209,6 @@ func TestBackpressureRejectsWithRetryAfter(t *testing.T) {
 	if _, err := s.Submit("busy2", []JobSpec{testSpec(0.02, 2)}); err != nil {
 		t.Fatalf("Submit 2: %v", err)
 	}
-	// Poll the batches so they are active: shedding must not touch them.
-	if _, ok := s.BatchStatus("busy2"); !ok {
-		t.Fatal("batch lost")
-	}
 	_, err = s.Submit("over", []JobSpec{testSpec(0.02, 3)})
 	var be *BacklogError
 	if !errors.As(err, &be) {
@@ -381,17 +222,60 @@ func TestBackpressureRejectsWithRetryAfter(t *testing.T) {
 	}
 }
 
-func TestQueuePressureShedsIdleBatch(t *testing.T) {
+// TestFailedJobRunsOnceUntilResubmitted: a job's result is a function
+// of its spec, so a Runner error ends it failed on its first attempt
+// even when a second call would succeed. Only a fresh submission of the
+// same spec runs it again.
+func TestFailedJobRunsOnceUntilResubmitted(t *testing.T) {
+	var calls atomic.Int32
+	s, err := NewService(Config{
+		Workers: 1,
+		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
+			if calls.Add(1) == 1 {
+				return traffic.Result{}, errors.New("allocator hiccup")
+			}
+			return instantRunner(ctx, spec)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	spec := testSpec(0.02, 1)
+	snap, err := s.Submit("first", []JobSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := waitDone(t, s, snap.ID).Jobs[0]
+	if rec.Status != StatusFailed || rec.Attempts != 1 || !strings.Contains(rec.Error, "allocator hiccup") {
+		t.Fatalf("erroring job = %+v, want failed in 1 attempt with the runner's error", rec)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("runner ran %d times for one failed job, want 1", got)
+	}
+
+	snap, err = s.Submit("again", []JobSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = waitDone(t, s, snap.ID).Jobs[0]
+	if rec.Status != StatusDone || rec.Cached || rec.Attempts != 1 || rec.Error != "" {
+		t.Fatalf("resubmitted job = %+v, want run afresh to done in 1 attempt", rec)
+	}
+	if st := s.Stats(); calls.Load() != 2 || st.Computed != 1 || st.Respawns != 0 {
+		t.Errorf("runner ran %d times, stats %+v, want 2 runs, 1 computed, 0 respawns", calls.Load(), st)
+	}
+}
+
+// TestFullQueueKeepsQueuedJobsOfIdleBatch: a submission that finds the
+// queue full is rejected, and the queued job of a batch nobody polls
+// stays queued and runs; accepted work is never dropped to make room.
+func TestFullQueueKeepsQueuedJobsOfIdleBatch(t *testing.T) {
 	started := make(chan struct{}, 2)
 	gate := make(chan struct{})
-	now := time.Unix(1000, 0)
-	var nowMu sync.Mutex
-	clock := func() time.Time { nowMu.Lock(); defer nowMu.Unlock(); return now }
 	s, err := NewService(Config{
-		Workers:       1,
-		QueueCap:      2,
-		ShedIdleAfter: time.Minute,
-		Now:           clock,
+		Workers:  1,
+		QueueCap: 2,
 		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
 			started <- struct{}{}
 			<-gate
@@ -401,34 +285,34 @@ func TestQueuePressureShedsIdleBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { close(gate); drain(t, s) }()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer func() { release(); drain(t, s) }()
 
 	snap, err := s.Submit("idle", []JobSpec{testSpec(0.02, 1), testSpec(0.02, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queuedKey := snap.Jobs[1].Key
-	<-started // job 1 in flight; only job 2 still occupies the queue
+	<-started // job 1 in flight; job 2 holds one of the two slots
 
-	// The batch goes unpolled past the idle threshold...
-	nowMu.Lock()
-	now = now.Add(2 * time.Minute)
-	nowMu.Unlock()
+	_, err = s.Submit("fresh", []JobSpec{testSpec(0.02, 3), testSpec(0.02, 4)})
+	var be *BacklogError
+	if !errors.As(err, &be) {
+		t.Fatalf("Submit to a full queue = %v, want BacklogError", err)
+	}
+	if rec, ok := s.Job(queuedKey); !ok || rec.Status != StatusQueued {
+		t.Fatalf("idle batch's queued job after a rejected submission = %+v, want queued", rec)
+	}
 
-	// ...so a new submission under queue pressure sheds its queued job.
-	snap2, err := s.Submit("fresh", []JobSpec{testSpec(0.02, 3), testSpec(0.02, 4)})
-	if err != nil {
-		t.Fatalf("Submit after idle = %v, want shed to make room", err)
+	release()
+	for _, rec := range waitDone(t, s, "idle").Jobs {
+		if rec.Status != StatusDone || rec.Attempts != 1 {
+			t.Errorf("job %s = %+v, want done in 1 attempt", rec.Key, rec)
+		}
 	}
-	rec, ok := s.Job(queuedKey)
-	if !ok || rec.Status != StatusShed {
-		t.Fatalf("idle batch's queued job = %+v, want shed", rec)
+	if st := s.Stats(); st.Shed != 0 || st.Computed != 2 {
+		t.Errorf("stats %+v, want 2 computed and 0 shed", st)
 	}
-	if st := s.Stats(); st.Shed != 1 {
-		t.Errorf("shed = %d, want 1", st.Shed)
-	}
-	// The shed record is terminal, so the idle batch still completes.
-	_ = snap2
 }
 
 func TestDrainFinishesInFlightAndKeepsQueuedPending(t *testing.T) {
@@ -647,6 +531,70 @@ func TestReplayOldJournalWithRemovedKernel(t *testing.T) {
 	}
 }
 
+// TestReplayOldJournalWithRetriesAndShed: a journal written while the
+// service retried and shed jobs holds specs with a retry bound, done
+// records after several attempts and "shed" records for queued jobs
+// dropped from a full queue. Replay must serve the done record from the
+// cache with its attempts, and requeue a job whose last record is
+// "shed", even after an earlier failed record, so its batches complete.
+func TestReplayOldJournalWithRetriesAndShed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	jn, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, shed := testSpec(0.05, 1), testSpec(0.03, 2)
+	res := traffic.Result{Offered: 0.05, Delivered: 0.05, MeasuredPackets: 9}
+	const (
+		doneJSON = `{"width":4,"height":4,"rate":0.05,"payloadFlits":4,"seed":1,"warmup":50,"measure":200,"drain":2000,"maxRetries":3}`
+		shedJSON = `{"width":4,"height":4,"rate":0.03,"payloadFlits":4,"seed":2,"warmup":50,"measure":200,"drain":2000,"maxRetries":-1}`
+	)
+	for _, r := range []struct {
+		typ     string
+		payload any
+	}{
+		{"batch", json.RawMessage(`{"id":"old","specs":[` + doneJSON + `,` + shedJSON + `]}`)},
+		{"job", JobRecord{Key: done.Key(), Spec: done, Status: StatusDone, Attempts: 3, Result: &res}},
+		{"job", JobRecord{Key: shed.Key(), Spec: shed, Status: StatusFailed, Attempts: 1, Error: "panic: flaky"}},
+		{"batch", json.RawMessage(`{"id":"again","specs":[` + shedJSON + `]}`)},
+		{"job", JobRecord{Key: shed.Key(), Spec: shed, Status: Status("shed"), Error: "shed under queue pressure (batch idle)"}},
+	} {
+		if err := jn.append(r.typ, r.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var calls atomic.Int32
+	s, err := NewService(Config{
+		Workers:     1,
+		JournalPath: path,
+		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
+			calls.Add(1)
+			return instantRunner(ctx, spec)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	old, again := waitDone(t, s, "old"), waitDone(t, s, "again")
+	if got := old.Jobs[0]; got.Key != done.Key() || got.Status != StatusDone || !got.Cached ||
+		got.Attempts != 3 || got.Result == nil || *got.Result != res {
+		t.Errorf("done record = %+v, want the journal's result served from the cache after 3 attempts", got)
+	}
+	for _, got := range []JobRecord{old.Jobs[1], again.Jobs[0]} {
+		if got.Key != shed.Key() || got.Status != StatusDone || got.Cached || got.Attempts != 1 {
+			t.Errorf("shed job = %+v, want requeued and run to done in one attempt", got)
+		}
+	}
+	if st := s.Stats(); calls.Load() != 1 || st.Computed != 1 {
+		t.Errorf("runner ran %d times, computed %d, want 1: only the shed job runs", calls.Load(), st.Computed)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s, err := NewService(Config{Workers: 1, Runner: instantRunner})
 	if err != nil {
@@ -665,6 +613,68 @@ func TestSubmitValidation(t *testing.T) {
 	// A rejected batch leaves no partial state behind.
 	if st := s.Stats(); st.Jobs != 0 || st.QueueLen != 0 {
 		t.Errorf("rejected submissions leaked state: %+v", st)
+	}
+	// A wall-clock deadline must fit a time.Duration: one past that
+	// would wrap to a deadline already expired.
+	for _, tc := range []struct {
+		maxWallMS int64
+		ok        bool
+	}{
+		{-1, false},
+		{9_223_372_036_854, true},
+		{9_223_372_036_855, false},
+	} {
+		spec := testSpec(0.02, 2)
+		spec.MaxWallMS = tc.maxWallMS
+		_, err := s.Submit("", []JobSpec{spec})
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("maxWallMS %d: Submit = %v, want accepted %v", tc.maxWallMS, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "outside [0, 9223372036854]ms") {
+			t.Errorf("maxWallMS %d: error %q does not name the range", tc.maxWallMS, err)
+		}
+	}
+}
+
+// TestWaitBatchReturnsAtDeadline: a long-poll on a batch that never
+// finishes returns when its context expires, wherever the deadline
+// lands. The deadlines are spread so that some land between
+// WaitBatch's ctx.Err check and its Wait; a wakeup lost there would
+// block the call until a job finishes, which here is never.
+func TestWaitBatchReturnsAtDeadline(t *testing.T) {
+	gate := make(chan struct{})
+	s, err := NewService(Config{
+		Workers: 1,
+		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
+			<-gate
+			return instantRunner(ctx, spec)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { close(gate); drain(t, s) }()
+	snap, err := s.Submit("", []JobSpec{testSpec(0.02, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		d := time.Duration(i) * 2 * time.Microsecond // 0 to 600µs
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.WaitBatch(ctx, snap.ID)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("WaitBatch with a %v deadline = %v, want DeadlineExceeded", d, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("WaitBatch with a %v deadline still blocked after 1s", d)
+		}
+		cancel()
 	}
 }
 

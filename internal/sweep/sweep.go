@@ -5,25 +5,19 @@
 // and aggregates latency/throughput results. It is the repo's
 // "millions of users" workload: the simulator as a server.
 //
-// Robustness is the design center, because a 10k-job batch is only as
-// useful as its worst job:
+// A job's result is a function of its configuration and seed, so the
+// service attempts each job once: a second attempt could only repeat
+// the first. What it guards against is a job that breaks or hangs, a
+// client that submits faster than the pool runs, and a crash:
 //
 //   - Panic isolation: a panicking model becomes a failed-job record
-//     carrying the captured stack, never a dead worker. A worker killed
-//     outright (runtime.Goexit, a panic escaping the per-attempt
-//     recover) is respawned and its job retried or failed — the pool
-//     never shrinks.
+//     carrying the captured stack, never a dead worker.
 //   - Deadlines: every job runs under a wall-clock deadline (context)
 //     and a simulated-cycle budget, both enforced inside the kernel via
 //     sim.Clock's cancellation hook, so a runaway configuration ends as
 //     a recorded timeout instead of a hung worker.
-//   - Retry: transient failures (sweep.Transient, worker kills) are
-//     retried with exponential backoff and jitter, up to a bounded
-//     attempt count; everything else fails fast.
-//   - Backpressure: the queue is bounded. When it is full the service
-//     first sheds queued jobs of batches no client has polled recently
-//     (oldest first, journaled as "shed"), and otherwise rejects the
-//     submission with a retry-after hint (HTTP 429).
+//   - Backpressure: the queue is bounded. A submission that would
+//     overflow it is rejected with a retry-after hint (HTTP 429).
 //   - Durability: accepted batches and every terminal job record are
 //     appended to a crash-safe journal; a restarted service resumes
 //     unfinished jobs and serves finished ones from the journal-backed
@@ -31,8 +25,9 @@
 //     without recomputing them. Graceful drain (SIGTERM) finishes
 //     in-flight jobs and leaves the rest journaled for the next run.
 //
-// Every job reaches exactly one terminal state: done, failed, timeout
-// or shed.
+// Every job reaches exactly one terminal state: done, failed or
+// timeout. A failed or timed-out job runs again only when a new
+// submission names it.
 package sweep
 
 import (
@@ -41,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/experiments"
@@ -54,29 +50,26 @@ import (
 const CodeVersion = "multinoc-sim-8"
 
 // JobSpec is one sweep job: a design-space point plus per-job
-// robustness knobs. The embedded TrafficJob is the job's identity (see
-// Key); the knobs only shape how hard the service tries to compute it.
+// deadlines. The embedded TrafficJob is the job's identity (see Key);
+// the deadlines only bound how long the service spends computing it.
 type JobSpec struct {
 	experiments.TrafficJob
-	// MaxWallMS bounds the job's wall-clock time per attempt in
-	// milliseconds (0 → the service default). Exceeding it is a
-	// terminal timeout.
+	// MaxWallMS bounds the job's wall-clock time in milliseconds (0 →
+	// the service default). Exceeding it is a terminal timeout.
 	MaxWallMS int64 `json:"maxWallMS,omitempty"`
 	// MaxCycles bounds the job's simulated time (0 → the service
 	// default). Exceeding it is a terminal timeout.
 	MaxCycles uint64 `json:"maxCycles,omitempty"`
-	// MaxRetries bounds retries after transient failures (0 → the
-	// service default, -1 → no retries).
-	MaxRetries int `json:"maxRetries,omitempty"`
 }
+
+// maxWallMS is the largest MaxWallMS whose deadline a time.Duration
+// holds; a larger one overflows the conversion and wraps around.
+const maxWallMS = math.MaxInt64 / int64(time.Millisecond)
 
 // Validate reports why the spec cannot be accepted, nil when it can.
 func (s JobSpec) Validate() error {
-	if s.MaxWallMS < 0 {
-		return fmt.Errorf("sweep: negative wall-clock deadline %dms", s.MaxWallMS)
-	}
-	if s.MaxRetries < -1 {
-		return fmt.Errorf("sweep: invalid retry bound %d", s.MaxRetries)
+	if s.MaxWallMS < 0 || s.MaxWallMS > maxWallMS {
+		return fmt.Errorf("sweep: wall-clock deadline %dms outside [0, %d]ms", s.MaxWallMS, maxWallMS)
 	}
 	return s.TrafficJob.Validate()
 }
@@ -106,22 +99,17 @@ const (
 	StatusRunning Status = "running"
 	// StatusDone is terminal: the job computed a Result.
 	StatusDone Status = "done"
-	// StatusFailed is terminal: the job panicked, returned a permanent
-	// error, or exhausted its retries.
+	// StatusFailed is terminal: the job panicked or returned an error.
 	StatusFailed Status = "failed"
 	// StatusTimeout is terminal: the job exceeded its wall-clock
 	// deadline or simulated-cycle budget.
 	StatusTimeout Status = "timeout"
-	// StatusShed is terminal: the job was load-shed from a full queue
-	// before running (its batch had gone idle). Resubmitting the same
-	// spec requeues it.
-	StatusShed Status = "shed"
 )
 
 // Terminal reports whether the status is an end state.
 func (s Status) Terminal() bool {
 	switch s {
-	case StatusDone, StatusFailed, StatusTimeout, StatusShed:
+	case StatusDone, StatusFailed, StatusTimeout:
 		return true
 	}
 	return false
@@ -152,28 +140,6 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return "panic: " + e.Value }
 
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the worker pool retries the job (with
-// exponential backoff and jitter, up to its retry bound) instead of
-// failing it permanently.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
-
 // ValidationError rejects a submission: job Index of the batch failed
 // validation. The HTTP layer maps it to 400.
 type ValidationError struct {
@@ -186,8 +152,8 @@ func (e *ValidationError) Error() string {
 }
 func (e *ValidationError) Unwrap() error { return e.Err }
 
-// BacklogError rejects a submission because the queue is full even
-// after shedding. The HTTP layer maps it to 429 with a Retry-After.
+// BacklogError rejects a submission because the queue is full. The
+// HTTP layer maps it to 429 with a Retry-After.
 type BacklogError struct {
 	RetryAfter time.Duration
 }
