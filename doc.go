@@ -48,7 +48,7 @@
 // cycle. A run has exactly one Clock: sim.ParseKernel, the value's only
 // parser, returns it configured, and the run builds its mesh and IP
 // cores on it. Models need nothing extra: anything built on registered
-// wires, Watch, and WakeAt timers is warpable as-is. Every kernel
+// wires, Watch, and Handle.WakeAt timers is warpable as-is. Every kernel
 // visits its awake components in registration order and reproduces
 // the default's traffic results, packet numbering, router statistics,
 // VCD dumps and boot transcripts bit for bit.

@@ -86,11 +86,13 @@ func A6KernelSchedule(w io.Writer) error {
 // kernel's active-set size over the steady-state window.
 func meanActive(rate float64) (mean, total int, err error) {
 	ncfg := noc.Defaults(16, 16)
-	clk := sim.NewClock()
 	// This harness injects from outside the clock once per step, so a
 	// step must stay exactly one cycle: time warping would jump the
 	// router-delay gaps and change the offered process.
-	clk.SetTimeWarp(false)
+	clk, err := sim.ParseKernel("nowarp")
+	if err != nil {
+		return 0, 0, err
+	}
 	net, err := noc.New(clk, ncfg)
 	if err != nil {
 		return 0, 0, err

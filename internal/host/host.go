@@ -27,9 +27,10 @@ type PrintfEvent struct {
 // blocking helpers (which pump the simulation clock) to drive the
 // Figure 8 flow.
 type Host struct {
-	clk *sim.Clock
-	utx *serial.TX
-	urx *serial.RX
+	clk  *sim.Clock
+	self sim.Handle
+	utx  *serial.TX
+	urx  *serial.RX
 
 	parser parserState
 
@@ -66,11 +67,12 @@ func New(clk *sim.Clock, toNoC, fromNoC *serial.Line, div int) *Host {
 		urx:         serial.NewRX(fromNoC, div),
 		printfBySrc: make(map[uint16][]byte),
 	}
+	h.self = clk.Register(h)
 	// Bound UARTs pace the host with bit-edge timers, so it sleeps
 	// through the dead cycles inside every bit (and the time-warp
 	// kernel skips them).
-	h.utx.Bind(h)
-	h.urx.Bind(h)
+	h.utx.Bind(h.self)
+	h.urx.Bind(h.self)
 	up := serial.NewUpParser()
 	h.parser.feed = up.Feed
 	h.urx.Recv = func(b byte) {
@@ -82,8 +84,7 @@ func New(clk *sim.Clock, toNoC, fromNoC *serial.Line, div int) *Host {
 	// A start bit from the Serial IP must wake the host out of idle
 	// sleep so the monitor receives frames sent while it has nothing to
 	// transmit.
-	sim.Watch(fromNoC, h)
-	clk.Register(h)
+	sim.Watch(fromNoC, h.self)
 	return h
 }
 
@@ -116,11 +117,8 @@ func (h *Host) sendFrame(tgt noc.Addr, m *noc.Message) {
 	h.utx.Queue(bs...)
 	// Queueing happens outside Eval (the public helpers run between
 	// steps); wake the host so the transmitter starts on the next cycle.
-	h.clk.Wake(h)
+	h.self.Wake()
 }
-
-// Name implements sim.Component.
-func (h *Host) Name() string { return "host" }
 
 // Eval implements sim.Component.
 func (h *Host) Eval() {
@@ -144,7 +142,7 @@ func (h *Host) Idle() bool { return h.utx.Dormant() && h.urx.Dormant() }
 func (h *Host) Sync() error {
 	h.utx.Gap = 4 * h.utx.Div()
 	h.utx.Queue(serial.SyncByte)
-	h.clk.Wake(h)
+	h.self.Wake()
 	if err := h.drain(); err != nil {
 		return fmt.Errorf("host: sync: %w", err)
 	}
@@ -244,9 +242,6 @@ func (h *Host) LoadProgram(tgt noc.Addr, p *r8asm.Program) error {
 	}
 	return nil
 }
-
-// Run pumps the simulation n cycles (letting programs execute).
-func (h *Host) Run(n uint64) { h.clk.Run(n) }
 
 // RunUntil pumps the simulation until pred holds.
 func (h *Host) RunUntil(pred func() bool, max uint64) error {

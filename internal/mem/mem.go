@@ -40,9 +40,6 @@ func NewBanks(words int) *Banks {
 	return b
 }
 
-// Words reports the capacity in 16-bit words.
-func (b *Banks) Words() int { return b.words }
-
 // Read assembles a 16-bit word from the four banks. Addresses wrap
 // modulo the capacity, matching address decoding that ignores high bits.
 func (b *Banks) Read(addr uint16) uint16 {
@@ -215,8 +212,7 @@ func NewIP(net *noc.Network, addr noc.Addr, words int) (*IP, error) {
 		_, err := ep.SendMessage(dst, m)
 		return err
 	})
-	ep.SetOwner(ip)
-	net.Clock().Register(ip)
+	ep.SetOwner(net.Clock().Register(ip))
 	return ip, nil
 }
 
@@ -225,9 +221,6 @@ func (ip *IP) Banks() *Banks { return ip.banks }
 
 // Engine exposes the control logic's counters.
 func (ip *IP) Engine() *Engine { return ip.eng }
-
-// Name implements sim.Component.
-func (ip *IP) Name() string { return fmt.Sprintf("memip%s", ip.ep.Addr()) }
 
 // Eval implements sim.Component.
 func (ip *IP) Eval() {

@@ -20,9 +20,8 @@ type flitTrain struct {
 // and steps 2000 cycles so the wormhole is open end to end.
 func newFlitTrain(tb testing.TB) *flitTrain {
 	tb.Helper()
-	clk := sim.NewClock()
 	// Every Step must be one cycle, so dead-cycle skipping is disabled.
-	clk.SetTimeWarp(false)
+	clk := kernelClock(tb, "nowarp")
 	cfg := Defaults(4, 1)
 	net, err := New(clk, cfg)
 	if err != nil {

@@ -25,10 +25,9 @@ func BenchmarkSimulationRate(b *testing.B) {
 // BenchmarkLoadedMeshCycle measures cycle cost with traffic in flight.
 func BenchmarkLoadedMeshCycle(b *testing.B) {
 	b.ReportAllocs()
-	clk := sim.NewClock()
 	// Per-cycle cost benchmark: each iteration must be one cycle, so
 	// dead-cycle skipping is disabled.
-	clk.SetTimeWarp(false)
+	clk := kernelClock(b, "nowarp")
 	net, err := New(clk, Defaults(4, 4))
 	if err != nil {
 		b.Fatal(err)
@@ -103,22 +102,21 @@ func BenchmarkKernelActivity(b *testing.B) {
 		{"inj0.5pct", 0.005},
 		{"inj1pct", 0.01},
 	}
+	// Per-cycle cost benchmark: one iteration = one cycle, so the
+	// activity kernel runs without time warp.
 	kernels := []struct {
-		name  string
-		dense bool
+		name   string
+		kernel sim.Kernel
 	}{
-		{"activity", false},
-		{"dense", true},
+		{"activity", "nowarp"},
+		{"dense", "dense"},
 	}
 	for _, load := range loads {
 		for _, k := range kernels {
 			b.Run(load.name+"/"+k.name, func(b *testing.B) {
 				b.ReportAllocs()
 				cfg := Defaults(16, 16)
-				clk := sim.NewClock()
-				clk.SetActivityScheduling(!k.dense)
-				// Per-cycle cost benchmark: one iteration = one cycle.
-				clk.SetTimeWarp(false)
+				clk := kernelClock(b, k.kernel)
 				net, err := New(clk, cfg)
 				if err != nil {
 					b.Fatal(err)

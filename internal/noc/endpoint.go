@@ -24,10 +24,10 @@ type Endpoint struct {
 	net   *Network
 	addr  Addr
 	clk   *sim.Clock // the network's clock, shared with the owner
-	self  sim.Handle // pre-resolved wake token, set at registration
+	self  sim.Handle // wakes this endpoint
 	snd   sender
 	rcv   receiver
-	owner sim.Component // woken when a packet completes; may be nil
+	owner sim.Handle // wakes the owning IP when a packet completes; may be zero
 
 	// The injection queue: committed packets, oldest first. txHead
 	// counts the flits of the oldest that the router has accepted,
@@ -82,10 +82,11 @@ type rxPacket struct {
 // Addr reports the mesh address of the router this endpoint hangs off.
 func (e *Endpoint) Addr() Addr { return e.addr }
 
-// SetOwner names the component that consumes this endpoint's received
-// packets. The owner is woken whenever a packet completes reassembly,
-// which lets it implement sim.Idler and sleep between packets.
-func (e *Endpoint) SetOwner(c sim.Component) { e.owner = c }
+// SetOwner names, by the Handle its Register returned, the component
+// that consumes this endpoint's received packets. The owner is woken
+// whenever a packet completes reassembly, which lets it implement
+// sim.Idler and sleep between packets.
+func (e *Endpoint) SetOwner(h sim.Handle) { e.owner = h }
 
 // Send stages a packet for injection. The destination must be a router
 // of the mesh and the payload length must not exceed MaxPayload for the
@@ -269,9 +270,6 @@ func (e *Endpoint) QueuedFlits() int { return e.txFlits }
 func (e *Endpoint) Sent() uint64     { return e.sent }
 func (e *Endpoint) Received() uint64 { return e.received }
 
-// Name implements sim.Component.
-func (e *Endpoint) Name() string { return fmt.Sprintf("endpoint%s", e.addr) }
-
 // Eval implements sim.Component.
 func (e *Endpoint) Eval() {
 	accepted, free := e.snd.begin()
@@ -354,7 +352,7 @@ func (e *Endpoint) complete() {
 	e.rxq.push(rxPacket{meta: e.rxMeta, pos: e.rxPos, n: len(e.rxSpan)})
 	e.rxPhase = phaseHeader
 	e.received++
-	e.clk.Wake(e.owner)
+	e.owner.Wake()
 }
 
 // Idle implements sim.Idler: it reports whether the next Eval would

@@ -11,10 +11,7 @@ import (
 // kernel, with the given multicast mode.
 func mcastNet(t testing.TB, w, h int, kernel sim.Kernel, pathMode bool) (*sim.Clock, *Network) {
 	t.Helper()
-	clk, err := sim.ParseKernel(kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clk := kernelClock(t, kernel)
 	net, err := New(clk, Defaults(w, h))
 	if err != nil {
 		t.Fatal(err)

@@ -144,8 +144,7 @@ func New(clk *sim.Clock, cfg Config) (*Network, error) {
 			k := x*h + y
 			r := &n.routers[k]
 			r.init(Addr{X: x, Y: y}, cfg, clk, slots[k*perRouter:(k+1)*perRouter])
-			clk.Register(r)
-			r.self = clk.Handle(r)
+			r.self = clk.Register(r)
 		}
 	}
 	n.links = make([]Link, 0, 2*((w-1)*h+w*(h-1))+2*w*h)
@@ -247,10 +246,9 @@ func (n *Network) NewEndpoint(a Addr) (*Endpoint, error) {
 		snd:  sender{link: toRouter},
 		rcv:  receiver{link: fromRouter},
 	}
-	sim.Watch(&fromRouter.Tx, ep)
-	sim.Watch(&toRouter.Ack, ep)
-	n.clk.Register(ep)
-	ep.self = n.clk.Handle(ep)
+	ep.self = n.clk.Register(ep)
+	sim.Watch(&fromRouter.Tx, ep.self)
+	sim.Watch(&toRouter.Ack, ep.self)
 	return ep, nil
 }
 

@@ -19,6 +19,16 @@ func build(t testing.TB, cfg Config) (*sim.Clock, *Network) {
 	return clk, buildOn(t, clk, cfg)
 }
 
+// kernelClock returns an empty clock scheduled by kernel k.
+func kernelClock(t testing.TB, k sim.Kernel) *sim.Clock {
+	t.Helper()
+	clk, err := sim.ParseKernel(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clk
+}
+
 // buildOn is build on a caller-configured clock.
 func buildOn(t testing.TB, clk *sim.Clock, cfg Config) *Network {
 	t.Helper()
@@ -758,11 +768,9 @@ func TestVCDTraceCapturesHandshake(t *testing.T) {
 // sleeps through its routing delay) must equal the dense per-cycle
 // accumulation exactly, with and without time warping.
 func TestRouterStatsMatchAcrossKernels(t *testing.T) {
-	run := func(dense, warp bool) []RouterStats {
+	run := func(k sim.Kernel) []RouterStats {
 		cfg := Defaults(4, 1)
-		clk := sim.NewClock()
-		clk.SetActivityScheduling(!dense)
-		clk.SetTimeWarp(warp)
+		clk := kernelClock(t, k)
 		net, err := New(clk, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -795,15 +803,12 @@ func TestRouterStatsMatchAcrossKernels(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(true, false)
-	for _, tc := range []struct {
-		name        string
-		dense, warp bool
-	}{{"sparse-nowarp", false, false}, {"sparse-warp", false, true}} {
-		got := run(tc.dense, tc.warp)
+	ref := run("dense")
+	for _, k := range []sim.Kernel{"nowarp", ""} {
+		got := run(k)
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Errorf("%s: router %d stats diverge:\n  dense %+v\n  got   %+v", tc.name, i, ref[i], got[i])
+				t.Errorf("kernel %q: router %d stats diverge:\n  dense %+v\n  got   %+v", k, i, ref[i], got[i])
 			}
 		}
 	}
@@ -824,12 +829,10 @@ func TestFullBufferAcrossKernels(t *testing.T) {
 		stats  []RouterStats
 		ledger []uint64 // (ID, inject, eject) per packet, by ID
 	}
-	run := func(dense, warp bool) obs {
+	run := func(k sim.Kernel) obs {
 		cfg := Defaults(1, 4)
 		cfg.BufDepth = 1
-		clk := sim.NewClock()
-		clk.SetActivityScheduling(!dense)
-		clk.SetTimeWarp(warp)
+		clk := kernelClock(t, k)
 		net := buildOn(t, clk, cfg)
 		payload := seq(40)
 		for k := 0; k < 3; k++ {
@@ -843,7 +846,7 @@ func TestFullBufferAcrossKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		if net.Delivered() != 9 {
-			t.Fatalf("dense=%v warp=%v: delivered %d/9", dense, warp, net.Delivered())
+			t.Fatalf("kernel %q: delivered %d/9", k, net.Delivered())
 		}
 		o := obs{end: clk.Cycle()}
 		for y := 0; y < 4; y++ {
@@ -856,22 +859,19 @@ func TestFullBufferAcrossKernels(t *testing.T) {
 		}
 		return o
 	}
-	ref := run(false, true)
-	for _, tc := range []struct {
-		name        string
-		dense, warp bool
-	}{{"dense", true, false}, {"sparse-nowarp", false, false}} {
-		got := run(tc.dense, tc.warp)
-		if !tc.dense && got.end != ref.end {
-			t.Errorf("%s: quiescent at cycle %d, sparse reference %d", tc.name, got.end, ref.end)
+	ref := run("")
+	for _, k := range []sim.Kernel{"dense", "nowarp"} {
+		got := run(k)
+		if k != "dense" && got.end != ref.end {
+			t.Errorf("kernel %q: quiescent at cycle %d, sparse reference %d", k, got.end, ref.end)
 		}
 		for i := range ref.stats {
 			if got.stats[i] != ref.stats[i] {
-				t.Errorf("%s: router %d stats diverge:\n  sparse %+v\n  got    %+v", tc.name, i, ref.stats[i], got.stats[i])
+				t.Errorf("kernel %q: router %d stats diverge:\n  sparse %+v\n  got    %+v", k, i, ref.stats[i], got.stats[i])
 			}
 		}
 		if !slices.Equal(got.ledger, ref.ledger) {
-			t.Errorf("%s: packet (ID, inject, eject) ledger diverges:\n  sparse %v\n  got    %v", tc.name, ref.ledger, got.ledger)
+			t.Errorf("kernel %q: packet (ID, inject, eject) ledger diverges:\n  sparse %v\n  got    %v", k, ref.ledger, got.ledger)
 		}
 	}
 }
@@ -880,9 +880,8 @@ func TestFullBufferAcrossKernels(t *testing.T) {
 // change the waveform dump — no wire can change during a skipped span,
 // so the VCD output is byte-identical with warping on and off.
 func TestVCDTraceIdenticalUnderTimeWarp(t *testing.T) {
-	run := func(warp bool) string {
-		clk := sim.NewClock()
-		clk.SetTimeWarp(warp)
+	run := func(k sim.Kernel) string {
+		clk := kernelClock(t, k)
 		net, err := New(clk, Defaults(2, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -911,7 +910,7 @@ func TestVCDTraceIdenticalUnderTimeWarp(t *testing.T) {
 		}
 		return sb.String()
 	}
-	warped, stepped := run(true), run(false)
+	warped, stepped := run(""), run("nowarp")
 	if warped != stepped {
 		t.Fatalf("VCD dumps diverge under time warp:\nwarped:\n%s\nstepped:\n%s", warped, stepped)
 	}

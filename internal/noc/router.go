@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -117,7 +116,7 @@ func (s RouterStats) TotalFlits() uint64 {
 type Router struct {
 	addr       Addr
 	clk        *sim.Clock
-	self       sim.Handle // pre-resolved wake token, set at registration
+	self       sim.Handle // wakes this router
 	routing    RoutingFunc
 	routeDelay int // internal cycles per routing-algorithm execution
 	in         [numPorts]inPort
@@ -193,7 +192,7 @@ func (r *Router) Stats() RouterStats {
 // watches the link's tx so an arriving flit wakes it.
 func (r *Router) connectIn(p Port, l *Link) {
 	r.in[p].rcv.link = l
-	sim.Watch(&l.Tx, r)
+	sim.Watch(&l.Tx, r.self)
 }
 
 // connectOut attaches the downstream link leaving port p. The router
@@ -201,11 +200,8 @@ func (r *Router) connectIn(p Port, l *Link) {
 // it.
 func (r *Router) connectOut(p Port, l *Link) {
 	r.out[p].snd.link = l
-	sim.Watch(&l.Ack, r)
+	sim.Watch(&l.Ack, r.self)
 }
-
-// Name implements sim.Component.
-func (r *Router) Name() string { return fmt.Sprintf("router%s", r.addr) }
 
 // Eval implements sim.Component. All reads observe registered state; all
 // mutations are staged for Commit, and each port staged on is marked in

@@ -81,11 +81,7 @@ func TestRouterCounters(t *testing.T) {
 		t.Run(fmt.Sprintf("buf%d", depth), func(t *testing.T) {
 			cfg := Defaults(6, 6)
 			cfg.BufDepth = depth
-			clk := sim.NewClock()
-			dclk, err := sim.ParseKernel("dense")
-			if err != nil {
-				t.Fatal(err)
-			}
+			clk, dclk := sim.NewClock(), kernelClock(t, "dense")
 			net, dnet := buildOn(t, clk, cfg), buildOn(t, dclk, cfg)
 			var waited, sleptHolding, sleptRetries, caughtUp int
 			slept := make([]bool, len(net.routers)) // pending attempts at the last check
@@ -204,10 +200,7 @@ func TestMisrouteStuck(t *testing.T) {
 	var ref []RouterStats
 	for _, k := range []sim.Kernel{"dense", "", "nowarp"} {
 		t.Run(fmt.Sprintf("kernel=%q", k), func(t *testing.T) {
-			clk, err := sim.ParseKernel(k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			clk := kernelClock(t, k)
 			net := buildOn(t, clk, cfg)
 			r := net.Router(here)
 			clk.Probe(func(cycle uint64) {

@@ -30,8 +30,6 @@
 package procip
 
 import (
-	"fmt"
-
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/r8"
@@ -99,6 +97,7 @@ type Stats struct {
 type IP struct {
 	cfg   Config
 	clk   *sim.Clock
+	self  sim.Handle
 	cpu   *r8.CPU
 	banks *mem.Banks
 	eng   *mem.Engine
@@ -161,8 +160,8 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 		_, err := ep.SendMessage(dst, m)
 		return err
 	})
-	ep.SetOwner(ip)
-	ip.clk.Register(ip)
+	ip.self = ip.clk.Register(ip)
+	ep.SetOwner(ip.self)
 	return ip, nil
 }
 
@@ -180,7 +179,7 @@ func (ip *IP) CPU() *r8.CPU {
 func (ip *IP) Banks() *mem.Banks {
 	ip.catchUp()
 	ip.drop()
-	ip.clk.Wake(ip)
+	ip.self.Wake()
 	return ip.banks
 }
 
@@ -198,12 +197,6 @@ func (ip *IP) Waiting() bool { return ip.waiting }
 
 // Addr returns the IP's mesh address.
 func (ip *IP) Addr() noc.Addr { return ip.cfg.Addr }
-
-// ID returns the processor number.
-func (ip *IP) ID() uint16 { return ip.cfg.ID }
-
-// Name implements sim.Component.
-func (ip *IP) Name() string { return fmt.Sprintf("procip%s", ip.cfg.Addr) }
 
 // Eval implements sim.Component: catch up a core that slept, dispatch
 // incoming packets, give the R8 its cycle, then let the memory engine

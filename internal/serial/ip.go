@@ -1,8 +1,6 @@
 package serial
 
 import (
-	"fmt"
-
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -63,14 +61,13 @@ func NewIP(net *noc.Network, addr noc.Addr, rxd, txd *Line) (*IP, error) {
 		abState: abWait,
 	}
 	ip.urx.Recv = ip.feed
-	ip.utx.Bind(ip)
-	ip.urx.Bind(ip)
-	ep.SetOwner(ip)
+	ip.self = ip.clk.Register(ip)
+	ip.utx.Bind(ip.self)
+	ip.urx.Bind(ip.self)
+	ep.SetOwner(ip.self)
 	// A start bit on the host line must wake the IP out of idle sleep,
 	// both for auto-baud edge measurement and for frame reception.
-	sim.Watch(rxd, ip)
-	net.Clock().Register(ip)
-	ip.self = ip.clk.Handle(ip)
+	sim.Watch(rxd, ip.self)
 	return ip, nil
 }
 
@@ -82,9 +79,6 @@ func (ip *IP) Synchronized() bool { return ip.abState == abDone }
 
 // Addr returns the IP's mesh address.
 func (ip *IP) Addr() noc.Addr { return ip.ep.Addr() }
-
-// Name implements sim.Component.
-func (ip *IP) Name() string { return fmt.Sprintf("serialip%s", ip.ep.Addr()) }
 
 // feed handles one received host byte.
 func (ip *IP) feed(b byte) {

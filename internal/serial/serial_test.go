@@ -26,9 +26,8 @@ type uartDriver struct {
 	rx *RX
 }
 
-func (d *uartDriver) Name() string { return "uart" }
-func (d *uartDriver) Eval()        { d.tx.Tick(); d.rx.Tick() }
-func (d *uartDriver) Commit()      {}
+func (d *uartDriver) Eval()   { d.tx.Tick(); d.rx.Tick() }
+func (d *uartDriver) Commit() {}
 
 func TestUARTByteTransfer(t *testing.T) {
 	for _, div := range []int{4, 8, 16, 33} {
@@ -324,7 +323,6 @@ type glitchDriver struct {
 	glitchAt, glitchLen int
 }
 
-func (d *glitchDriver) Name() string { return "glitch" }
 func (d *glitchDriver) Eval() {
 	d.cycle++
 	if d.cycle >= d.glitchAt && d.cycle < d.glitchAt+d.glitchLen {
@@ -366,10 +364,9 @@ type sleepyRX struct {
 	rx *RX
 }
 
-func (d *sleepyRX) Name() string { return "sleepyrx" }
-func (d *sleepyRX) Eval()        { d.rx.Tick() }
-func (d *sleepyRX) Commit()      {}
-func (d *sleepyRX) Idle() bool   { return d.rx.Dormant() }
+func (d *sleepyRX) Eval()      { d.rx.Tick() }
+func (d *sleepyRX) Commit()    {}
+func (d *sleepyRX) Idle() bool { return d.rx.Dormant() }
 
 // TestBoundRXGlitchMatchesReference: a glitched start bit whose frame
 // error is only discovered by a deferred catch-up sample must not eat
@@ -400,10 +397,10 @@ func TestBoundRXGlitchMatchesReference(t *testing.T) {
 			// separate sleeping component woken only by the line and
 			// its timers.
 			d.rx = NewRX(line, 0)
-			s := &sleepyRX{rx: rx}
+			clk.Register(d)
+			s := clk.Register(&sleepyRX{rx: rx})
 			rx.Bind(s)
 			sim.Watch(line, s)
-			clk.Register(d, s)
 		} else {
 			clk.Register(d)
 		}

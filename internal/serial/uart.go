@@ -7,12 +7,12 @@
 // The UART models are event-paced: the line only changes at bit edges,
 // so between edges a transmitter or receiver has nothing to do. Both
 // therefore schedule their next edge (or mid-bit sample) at an absolute
-// cycle and, when bound to an owning component with Bind, arm a
-// sim.Clock.WakeAt timer for it — letting the owner sleep through the
-// divisor-many dead cycles inside every bit and the time-warp kernel
-// skip them outright. Ticking every cycle (an unbound owner that never
-// idles) exercises exactly the same state machine and produces a
-// bit-identical line waveform.
+// cycle and, when bound with Bind to the Handle of an owning component,
+// arm a sim.Handle.WakeAt timer for it — letting the owner sleep
+// through the divisor-many dead cycles inside every bit and the
+// time-warp kernel skip them outright. Ticking every cycle (an unbound
+// owner that never idles) exercises exactly the same state machine and
+// produces a bit-identical line waveform.
 package serial
 
 import "repro/internal/sim"
@@ -34,8 +34,7 @@ func NewLine(clk *sim.Clock) *Line {
 type TX struct {
 	line  *Line
 	clk   *sim.Clock
-	owner sim.Component // woken at bit edges; nil = owner must tick every cycle
-	self  sim.Handle    // owner's wake token, resolved on first use
+	owner sim.Handle // woken at bit edges; zero = owner must tick every cycle
 	div   int
 
 	queue []byte
@@ -58,12 +57,11 @@ func NewTX(line *Line, div int) *TX {
 	return &TX{line: line, clk: line.Clock(), div: div}
 }
 
-// Bind names the component that owns (ticks) this transmitter. A bound
-// transmitter arms a WakeAt timer for the owner at every scheduled bit
-// edge, so the owner may report Idle between edges (see Dormant).
-// Bind may precede the owner's Clock registration; the wake handle is
-// resolved lazily on the first edge.
-func (t *TX) Bind(owner sim.Component) { t.owner, t.self = owner, sim.Handle{} }
+// Bind names, by the Handle its Register returned, the component that
+// owns (ticks) this transmitter. A bound transmitter arms a WakeAt
+// timer for the owner at every scheduled bit edge, so the owner may
+// report Idle between edges (see Dormant).
+func (t *TX) Bind(owner sim.Handle) { t.owner = owner }
 
 // Queue appends bytes for transmission.
 func (t *TX) Queue(bs ...byte) { t.queue = append(t.queue, bs...) }
@@ -80,7 +78,7 @@ func (t *TX) Idle() bool {
 // only dormant when Idle, since nothing would wake its owner at the
 // next edge.
 func (t *TX) Dormant() bool {
-	if t.owner == nil {
+	if !t.owner.Valid() {
 		return t.Idle()
 	}
 	if t.active || t.clk.Cycle()+1 < t.gapEnd {
@@ -103,16 +101,6 @@ func (t *TX) setLine(v bool) {
 	}
 }
 
-func (t *TX) wake(at uint64) {
-	if t.owner == nil {
-		return
-	}
-	if !t.self.Valid() {
-		t.self = t.clk.Handle(t.owner)
-	}
-	t.self.WakeAt(at)
-}
-
 // drive stages the level of bit t.bitIdx, extends t.bitIdx through the
 // run of equal bits that follows (the line does not move inside a run,
 // so the next wake can land directly on the transition — or the frame
@@ -126,7 +114,7 @@ func (t *TX) drive(now uint64) {
 		run++
 	}
 	t.edgeAt = now + uint64(run*t.div)
-	t.wake(t.edgeAt)
+	t.owner.WakeAt(t.edgeAt)
 }
 
 // Tick advances the transmitter. Call once per cycle the owner is
@@ -150,13 +138,13 @@ func (t *TX) Tick() {
 	if now < t.gapEnd {
 		t.setLine(true)
 		if len(t.queue) > 0 {
-			t.wake(t.gapEnd) // start the next byte the moment the gap ends
+			t.owner.WakeAt(t.gapEnd) // start the next byte the moment the gap ends
 		} else if now < t.gapEnd-1 {
 			// Nothing to transmit at the gap's end, but Idle() flips
 			// after cycle gapEnd-1 and drain loops poll it between
 			// steps: wake the owner there so a warped run observes the
 			// flip on exactly the cycle a stepped run does.
-			t.wake(t.gapEnd - 1)
+			t.owner.WakeAt(t.gapEnd - 1)
 		}
 		return
 	}
@@ -180,8 +168,7 @@ func (t *TX) Tick() {
 type RX struct {
 	line  *Line
 	clk   *sim.Clock
-	owner sim.Component
-	self  sim.Handle // owner's wake token, resolved on first use
+	owner sim.Handle // woken at mid-bit samples; zero = owner must tick every cycle
 	div   int
 
 	state    int // 0 idle, 1 receiving
@@ -203,10 +190,10 @@ func NewRX(line *Line, div int) *RX {
 	return &RX{line: line, clk: line.Clock(), div: div}
 }
 
-// Bind names the component that owns (ticks) this receiver, enabling
-// mid-frame sleep between bit samples. Bind may precede the owner's
-// Clock registration; the wake handle is resolved lazily.
-func (r *RX) Bind(owner sim.Component) { r.owner, r.self = owner, sim.Handle{} }
+// Bind names, by the Handle its Register returned, the component that
+// owns (ticks) this receiver, enabling mid-frame sleep between bit
+// samples.
+func (r *RX) Bind(owner sim.Handle) { r.owner = owner }
 
 // SetDiv sets the divisor, typically from auto-baud measurement.
 func (r *RX) SetDiv(div int) { r.div = div }
@@ -227,21 +214,11 @@ func (r *RX) Dormant() bool {
 	if r.state == 0 {
 		return r.line.Get()
 	}
-	return r.owner != nil // sample timer armed
+	return r.owner.Valid() // sample timer armed
 }
 
 // Div reports the current divisor (0 when undetected).
 func (r *RX) Div() int { return r.div }
-
-func (r *RX) wake(at uint64) {
-	if r.owner == nil {
-		return
-	}
-	if !r.self.Valid() {
-		r.self = r.clk.Handle(r.owner)
-	}
-	r.self.WakeAt(at)
-}
 
 // sample consumes one mid-bit sample with the given line level,
 // advancing the frame state exactly as a per-cycle receiver would at
@@ -307,7 +284,7 @@ func (r *RX) Tick() {
 			// receiving state, only sees this edge on the next cycle —
 			// wake the owner there so the bound receiver detects the
 			// start bit on exactly the same cycle.
-			r.wake(now + 1)
+			r.owner.WakeAt(now + 1)
 		} else {
 			// Either plain idle-line detection, or the edge that ended
 			// a deferred catch-up: the reference closed the frame
@@ -318,7 +295,7 @@ func (r *RX) Tick() {
 			r.sampleAt = now + uint64(r.div/2) // sample mid-bit
 			// One timer per frame: the stop-bit sample, where the byte
 			// completes even if the line never moves again.
-			r.wake(r.sampleAt + uint64(9*r.div))
+			r.owner.WakeAt(r.sampleAt + uint64(9*r.div))
 		}
 	}
 	r.lastBit = bit

@@ -7,16 +7,14 @@ import "testing"
 // the per-component cost.
 type benchIdler struct{ evals uint64 }
 
-func (c *benchIdler) Name() string { return "idler" }
-func (c *benchIdler) Eval()        { c.evals++ }
-func (c *benchIdler) Commit()      {}
-func (c *benchIdler) Idle() bool   { return true }
+func (c *benchIdler) Eval()      { c.evals++ }
+func (c *benchIdler) Commit()    {}
+func (c *benchIdler) Idle() bool { return true }
 
 type benchSpinner struct{ evals uint64 }
 
-func (c *benchSpinner) Name() string { return "spinner" }
-func (c *benchSpinner) Eval()        { c.evals++ }
-func (c *benchSpinner) Commit()      {}
+func (c *benchSpinner) Eval()   { c.evals++ }
+func (c *benchSpinner) Commit() {}
 
 // BenchmarkStepOverhead isolates the kernel's Step cost: "idle" is a
 // domain of 256 sleeping components (the fixed dispatch overhead the
@@ -53,8 +51,7 @@ func BenchmarkStepOverhead(b *testing.B) {
 	b.Run("warp", func(b *testing.B) {
 		b.ReportAllocs()
 		clk := NewClock()
-		idler := &benchIdler{}
-		clk.Register(idler)
+		h := clk.Register(&benchIdler{})
 		for i := 0; i < n-1; i++ {
 			clk.Register(&benchIdler{})
 		}
@@ -62,7 +59,7 @@ func BenchmarkStepOverhead(b *testing.B) {
 		const span = 1_000_000
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			clk.WakeAt(clk.Cycle()+span, idler)
+			h.WakeAt(clk.Cycle() + span)
 			clk.Run(span) // one warped jump plus one executed step
 		}
 		b.ReportMetric(span*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")

@@ -10,22 +10,21 @@ import (
 // run loops execute every cycle.
 type ticker struct{ evals int }
 
-func (t *ticker) Name() string { return "ticker" }
-func (t *ticker) Eval()        { t.evals++ }
-func (t *ticker) Commit()      {}
+func (t *ticker) Eval()   { t.evals++ }
+func (t *ticker) Commit() {}
 
 // napper sleeps forever on a far-future timer, so its clock is dead
 // and every run warps.
 type napper struct {
 	clk   *Clock
+	self  Handle
 	armed bool
 }
 
-func (n *napper) Name() string { return "napper" }
 func (n *napper) Eval() {
 	if !n.armed {
 		n.armed = true
-		n.clk.WakeAt(n.clk.Cycle()+1_000_000_000, n)
+		n.self.WakeAt(n.clk.Cycle() + 1_000_000_000)
 	}
 }
 func (n *napper) Commit()    {}
@@ -98,7 +97,7 @@ func TestCancelCycleBudgetHookWithWarp(t *testing.T) {
 	// observes the budget exceeded.
 	clk := NewClock()
 	n := &napper{clk: clk}
-	clk.Register(n)
+	n.self = clk.Register(n)
 	const budget = 10_000
 	clk.SetCancel(func() bool { return clk.Cycle() >= budget })
 	err := clk.RunUntil(func() bool { return false }, 1_000_000_000_000)

@@ -14,17 +14,12 @@ import "fmt"
 type Kernel string
 
 // ParseKernel validates k and returns an empty Clock scheduled the way
-// k names. It is the only parser of Kernel values.
+// k names. It is the only parser of Kernel values and the only way to
+// schedule a Clock other than the default.
 func ParseKernel(k Kernel) (*Clock, error) {
-	c := NewClock()
 	switch k {
-	case "":
-	case "nowarp":
-		c.SetTimeWarp(false)
-	case "dense":
-		c.SetActivityScheduling(false)
-	default:
-		return nil, fmt.Errorf("sim: unknown kernel %q (want \"\", nowarp or dense)", k)
+	case "", "nowarp", "dense":
+		return &Clock{noWarp: k == "nowarp", dense: k == "dense"}, nil
 	}
-	return c, nil
+	return nil, fmt.Errorf("sim: unknown kernel %q (want \"\", nowarp or dense)", k)
 }

@@ -20,7 +20,8 @@
 // to sleep at the end of any cycle in which Idle() reports true, and is
 // skipped entirely — no Eval, no Commit — until something wakes it.
 //
-// A sleeping component may be woken three ways:
+// Register returns a component's Handle, and that Handle is the only
+// way to wake it. A sleeping component may be woken three ways:
 //
 //   - sim.Watch — a clock edge that changes a watched wire's value
 //     wakes the watchers for the next cycle. This is how a router
@@ -30,7 +31,7 @@
 //     and the watcher evaluates in cycle k+1 — exactly the cycle in
 //     which a dense simulation would first observe the new value.
 //     Wake-on-change therefore preserves bit-identical results.
-//   - Clock.Wake — an explicit wake, used when state is handed to a
+//   - Handle.Wake — an explicit wake, used when state is handed to a
 //     sleeping component outside the wire protocol (e.g. a packet
 //     staged on an endpoint's injection queue, or a received packet
 //     completing for the endpoint's owning IP). A Wake issued during
@@ -44,13 +45,13 @@
 //     quiescent combinational outputs, so its skipped Eval was a
 //     no-op. A Wake issued at any other time takes effect at the next
 //     Step.
-//   - Clock.WakeAt — a timer: the component is woken so that it is
+//   - Handle.WakeAt — a timer: the component is woken so that it is
 //     active during the step that ends at the given cycle count.
 //
 // A component may therefore report Idle() exactly when (a) its Eval
 // would stage no state change and drive no wire to a new value, and (b)
 // every event that could change that fact also wakes it (via a watched
-// wire, an explicit Wake from whoever hands it work, or a timer).
+// wire, a Handle.Wake from whoever hands it work, or a timer).
 // Components that never satisfy this — or that predate the protocol —
 // simply do not implement Idler and run every cycle, which is always
 // correct, only slower — and, since they never retire from the active
@@ -66,11 +67,11 @@
 // Activity scheduling makes an idle cycle cheap; time warping makes it
 // free. When a cycle about to execute is provably dead — the active set
 // is empty, no wakes are pending and no wire has a staged value — the
-// only thing that can ever re-start activity is the earliest armed
-// WakeAt timer. Step, Run, RunUntil and RunUntilQuiescent therefore
-// jump the cycle counter directly to that timer's cycle (bounded by the
-// caller's cycle budget) instead of executing the dead span one no-op
-// step at a time. A serial transfer that sleeps between bit edges, or a
+// only thing that can ever re-start activity is the earliest timer
+// armed by Handle.WakeAt. Step, Run, RunUntil and RunUntilQuiescent
+// therefore jump the cycle counter directly to that timer's cycle
+// (bounded by the caller's cycle budget) instead of executing the dead
+// span one no-op step at a time. A serial transfer that sleeps between bit edges, or a
 // low-rate traffic sweep whose injectors sleep between packets, then
 // costs executed steps proportional to its *events*, not to simulated
 // time.
@@ -89,8 +90,8 @@
 //     next executed step, so the accumulator can integrate the frozen
 //     state over the span and stay bit-identical to dense evaluation.
 //
-// SetTimeWarp(false) — the "nowarp" Kernel — disables the jump (every
-// cycle is stepped) for differential testing; dense mode never warps.
+// The "nowarp" Kernel disables the jump (every cycle is stepped) for
+// differential testing; the "dense" Kernel never warps.
 //
 // Models extend the same idea below whole-clock granularity by
 // *run-batching* their own periodic protocols: instead of stepping a
@@ -117,10 +118,10 @@
 // anything a model numbers in evaluation order, such as packet IDs,
 // comes out the same under every kernel. The same seed therefore
 // yields bit-identical results under all three Kernel modes: the
-// default (activity scheduling with time warp), "nowarp"
-// (SetTimeWarp(false), the time-warp oracle) and "dense"
-// (SetActivityScheduling(false), the activity-scheduling oracle).
-// ParseKernel turns a Kernel into a Clock configured for it.
+// default (activity scheduling with time warp), "nowarp" (the
+// time-warp oracle) and "dense" (the activity-scheduling oracle). A
+// Kernel value is the only way to choose one: ParseKernel turns it
+// into a Clock scheduled that way, and NewClock returns the default.
 package sim
 
 import (
@@ -134,8 +135,6 @@ import (
 // Commit latches internal registers. Components must not communicate
 // outside of Wires.
 type Component interface {
-	// Name identifies the component in traces and error messages.
-	Name() string
 	// Eval performs the combinational phase for the current cycle.
 	Eval()
 	// Commit performs the clock-edge phase, latching state computed by
@@ -145,9 +144,9 @@ type Component interface {
 
 // Idler is optionally implemented by components that can sleep. Idle is
 // consulted after every clock edge; a true result removes the component
-// from the active set until a watched wire changes, Clock.Wake is
-// called, or a Clock.WakeAt timer fires. See the package comment for
-// the exact contract.
+// from the active set until a watched wire changes, its Handle's Wake
+// is called, or a timer armed by its Handle's WakeAt fires. See the
+// package comment for the exact contract.
 type Idler interface {
 	Component
 	// Idle reports whether the component's next Eval would be a
@@ -171,7 +170,6 @@ type wakeTimer struct {
 type Clock struct {
 	comps  []Component
 	idlers []Idler // parallel to comps; nil entries never sleep
-	index  map[Component]int
 
 	// awake is the active set, a bitmap over registration indices (bit
 	// i%64 of word i/64 is component i), and nAwake counts its members.
@@ -213,26 +211,24 @@ type Clock struct {
 // NewClock returns an empty clock with the default scheduling.
 func NewClock() *Clock { return &Clock{} }
 
-// Register adds components to the clock. Registering the same
-// component twice double-clocks it; callers must not do that. Newly
-// registered components start active.
-func (c *Clock) Register(comps ...Component) {
-	if c.index == nil {
-		c.index = make(map[Component]int)
+// Register adds comp to the clock, active, and returns its Handle, the
+// only way to wake it: a constructor registers its component before it
+// hands the Handle to Watch, an Endpoint's SetOwner or a UART's Bind.
+// Registration order is evaluation order, so it fixes anything numbered
+// in that order (packet IDs). Registering the same component twice
+// double-clocks it; callers must not do that.
+func (c *Clock) Register(comp Component) Handle {
+	i := len(c.comps)
+	c.comps = append(c.comps, comp)
+	id, _ := comp.(Idler)
+	c.idlers = append(c.idlers, id)
+	c.wakePending = append(c.wakePending, false)
+	c.lastArmed = append(c.lastArmed, 0)
+	if i%64 == 0 {
+		c.awake = append(c.awake, 0)
 	}
-	for _, comp := range comps {
-		i := len(c.comps)
-		c.index[comp] = i
-		c.comps = append(c.comps, comp)
-		id, _ := comp.(Idler)
-		c.idlers = append(c.idlers, id)
-		c.wakePending = append(c.wakePending, false)
-		c.lastArmed = append(c.lastArmed, 0)
-		if i%64 == 0 {
-			c.awake = append(c.awake, 0)
-		}
-		c.activate(i)
-	}
+	c.activate(i)
+	return Handle{clk: c, idx: i}
 }
 
 // Probe registers a function invoked after every executed cycle
@@ -274,69 +270,44 @@ func (c *Clock) ActiveCount() int {
 	return c.nAwake
 }
 
-// SetTimeWarp enables (the default) or disables dead-cycle skipping.
-// With it off, Step/Run/RunUntil* execute every cycle one at a time even
-// when the clock is provably dead — the PR 1 reference behaviour, kept
-// for differential testing and speedup benchmarks. Both modes produce
-// bit-identical simulations. Dense mode never warps regardless of this
-// setting.
-func (c *Clock) SetTimeWarp(on bool) { c.noWarp = !on }
-
-// SetActivityScheduling enables (the default) or disables the active-set
-// optimization. Disabling it evaluates every component every cycle — the
-// dense reference kernel, useful for differential testing and
-// benchmarking. Both modes produce bit-identical simulations.
-func (c *Clock) SetActivityScheduling(on bool) {
-	c.dense = !on
-	// Reset the active set to everything: correct for entering dense
-	// mode, and the safe starting point when re-entering sparse mode
-	// (idle components retire again on the next edges).
-	for i := range c.comps {
-		c.activate(i)
-	}
+// Handle is the wake token Register returns for one component. The
+// zero Handle names no component and all its methods are no-ops.
+type Handle struct {
+	clk *Clock
+	idx int
 }
 
-// Wake puts comp back into the active set. Called during the Eval phase
-// it joins the current cycle (its Commit runs on this edge); called at
-// any other time — from a wire watcher, a probe, or code outside Step —
-// it takes effect at the next Step. Waking an active, nil, or unknown
+// Valid reports whether the handle names a registered component.
+func (h Handle) Valid() bool { return h.clk != nil }
+
+// Wake puts the component back into the active set. Called during the
+// Eval phase it joins the current cycle (its Commit runs on this edge);
+// called at any other time — from a wire watcher, a probe, or code
+// outside Step — it takes effect at the next Step. Waking an active
 // component is a no-op, so callers need not track sleep state.
-func (c *Clock) Wake(comp Component) {
-	if c.dense || comp == nil {
-		return
+func (h Handle) Wake() {
+	if h.clk != nil {
+		h.clk.wakeIndex(h.idx)
 	}
-	i, ok := c.index[comp]
-	if !ok {
-		return
-	}
-	c.wakeIndex(i)
 }
 
-// WakeAt schedules comp to be active during the step that ends at the
-// given cycle count (i.e. it evaluates the transition to that cycle). A
-// cycle not in the future degenerates to Wake at the next Step.
-// Repeated WakeAt calls for the same component and cycle are coalesced
-// into one timer, so a component may safely re-arm its deadline on
-// every Eval without growing the timer heap.
+// WakeAt schedules the component to be active during the step that ends
+// at the given cycle count (i.e. it evaluates the transition to that
+// cycle). A cycle not in the future degenerates to Wake at the next
+// Step. Repeated WakeAt calls for the same component and cycle are
+// coalesced into one timer, so a component may safely re-arm its
+// deadline on every Eval without growing the timer heap.
 //
 // Timers are recorded in dense mode too: activation is moot (everything
 // already runs every cycle) but an armed timer marks in-flight work —
 // a UART mid-bit, a router mid routing-delay — and must hold off
 // Quiescent until it fires, exactly as it does under activity
 // scheduling.
-func (c *Clock) WakeAt(cycle uint64, comp Component) {
-	if comp == nil {
+func (h Handle) WakeAt(cycle uint64) {
+	c, i := h.clk, h.idx
+	if c == nil {
 		return
 	}
-	i, ok := c.index[comp]
-	if !ok {
-		return
-	}
-	c.wakeAtIndex(cycle, i)
-}
-
-// wakeAtIndex is WakeAt for a pre-resolved component index.
-func (c *Clock) wakeAtIndex(cycle uint64, i int) {
 	if cycle <= c.cycle+1 {
 		c.wakeIndex(i)
 		return
@@ -357,46 +328,6 @@ func (c *Clock) wakeAtIndex(cycle uint64, i int) {
 	}
 }
 
-// Handle is a pre-resolved wake token for one registered component: the
-// result of the Clock's map lookup, captured once so hot paths (a
-// router arming its routing-delay deadline, a UART arming a bit edge, a
-// traffic injector arming its next packet) wake without a per-event map
-// lookup. The zero Handle is invalid and all its methods are no-ops.
-type Handle struct {
-	clk *Clock
-	idx int
-}
-
-// Handle resolves comp to a wake token. An unregistered or nil
-// component yields the invalid zero Handle.
-func (c *Clock) Handle(comp Component) Handle {
-	if comp == nil {
-		return Handle{}
-	}
-	i, ok := c.index[comp]
-	if !ok {
-		return Handle{}
-	}
-	return Handle{clk: c, idx: i}
-}
-
-// Valid reports whether the handle names a registered component.
-func (h Handle) Valid() bool { return h.clk != nil }
-
-// Wake is Clock.Wake without the map lookup.
-func (h Handle) Wake() {
-	if h.clk != nil {
-		h.clk.wakeIndex(h.idx)
-	}
-}
-
-// WakeAt is Clock.WakeAt without the map lookup.
-func (h Handle) WakeAt(cycle uint64) {
-	if h.clk != nil {
-		h.clk.wakeAtIndex(cycle, h.idx)
-	}
-}
-
 func (c *Clock) activate(i int) {
 	if w, b := &c.awake[i>>6], uint64(1)<<(i&63); *w&b == 0 {
 		*w |= b
@@ -404,9 +335,8 @@ func (c *Clock) activate(i int) {
 	}
 }
 
-// wakeIndex is Wake for a pre-resolved component index — the wire
-// latch fast path, which would otherwise pay a map lookup per watcher
-// per edge.
+// wakeIndex wakes component i: Handle.Wake and the wire latch's wake
+// of a watcher.
 func (c *Clock) wakeIndex(i int) {
 	if c.dense {
 		return
@@ -550,7 +480,7 @@ func (c *Clock) warp(limit uint64) {
 // components, no pending wakes, no staged wires — the cycle counter
 // first jumps so that this step executes the earliest armed WakeAt
 // timer, skipping the dead cycles in between; otherwise (and always
-// with SetTimeWarp(false)) exactly one cycle executes: wake, Eval the
+// under the nowarp and dense kernels) exactly one cycle executes: wake, Eval the
 // active set, Commit it, latch staged wires, then retire idle
 // components.
 func (c *Clock) Step() {

@@ -14,9 +14,8 @@ type counter struct {
 	out *Wire[uint64]
 }
 
-func (c *counter) Name() string { return "counter" }
-func (c *counter) Eval()        { c.out.Set(c.n + 1) }
-func (c *counter) Commit()      { c.n++ }
+func (c *counter) Eval()   { c.out.Set(c.n + 1) }
+func (c *counter) Commit() { c.n++ }
 
 // follower copies its input wire into a register.
 type follower struct {
@@ -25,16 +24,26 @@ type follower struct {
 	next uint64
 }
 
-func (f *follower) Name() string { return "follower" }
-func (f *follower) Eval()        { f.next = f.in.Get() }
-func (f *follower) Commit()      { f.seen = append(f.seen, f.next) }
+func (f *follower) Eval()   { f.next = f.in.Get() }
+func (f *follower) Commit() { f.seen = append(f.seen, f.next) }
+
+// kernelClock returns an empty clock scheduled by kernel k.
+func kernelClock(t *testing.T, k Kernel) *Clock {
+	t.Helper()
+	clk, err := ParseKernel(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clk
+}
 
 func TestWireRegistersOneCycle(t *testing.T) {
 	clk := NewClock()
 	w := NewWire(clk, uint64(0))
 	c := &counter{out: w}
 	f := &follower{in: w}
-	clk.Register(c, f)
+	clk.Register(c)
+	clk.Register(f)
 
 	clk.Run(4)
 	// The follower must see each counter value exactly one cycle late:
@@ -60,9 +69,11 @@ func TestOrderIndependence(t *testing.T) {
 		c := &counter{out: w}
 		f := &follower{in: w}
 		if swap {
-			clk.Register(f, c)
+			clk.Register(f)
+			clk.Register(c)
 		} else {
-			clk.Register(c, f)
+			clk.Register(c)
+			clk.Register(f)
 		}
 		clk.Run(16)
 		return f.seen
@@ -186,7 +197,6 @@ type pulser struct {
 	evals []uint64
 }
 
-func (p *pulser) Name() string { return "pulser" }
 func (p *pulser) Eval() {
 	p.evals = append(p.evals, p.clk.Cycle()+1)
 	if p.work > 0 {
@@ -224,10 +234,10 @@ func TestIdlerSleepsAndQuiesces(t *testing.T) {
 func TestWakeReactivates(t *testing.T) {
 	clk := NewClock()
 	p := &pulser{clk: clk, work: 1}
-	clk.Register(p)
+	h := clk.Register(p)
 	clk.Run(5) // evaluates at cycle 1, then sleeps
 	p.work = 2
-	clk.Wake(p)
+	h.Wake()
 	clk.Run(5)
 	want := []uint64{1, 6, 7}
 	if len(p.evals) != len(want) {
@@ -247,14 +257,13 @@ type logger struct {
 	id    int
 	clk   *Clock
 	log   *[]string
-	wakes []Component
+	wakes []Handle
 }
 
-func (l *logger) Name() string { return "logger" }
 func (l *logger) Eval() {
 	*l.log = append(*l.log, fmt.Sprintf("E%d", l.id))
-	for _, c := range l.wakes {
-		l.clk.Wake(c)
+	for _, h := range l.wakes {
+		h.Wake()
 	}
 	l.wakes = nil
 }
@@ -269,17 +278,18 @@ func TestActiveSetRegistrationOrder(t *testing.T) {
 	clk := NewClock()
 	var log []string
 	ls := make([]*logger, 130)
+	hs := make([]Handle, len(ls))
 	for i := range ls {
 		ls[i] = &logger{id: i, clk: clk, log: &log}
-		clk.Register(ls[i])
+		hs[i] = clk.Register(ls[i])
 	}
 	clk.Step() // everything evaluates once, then sleeps
 	if clk.ActiveCount() != 0 {
 		t.Fatalf("%d components awake after the first step", clk.ActiveCount())
 	}
-	ls[70].wakes = []Component{ls[5], ls[90], ls[71]}
+	ls[70].wakes = []Handle{hs[5], hs[90], hs[71]}
 	for _, i := range []int{100, 3, 70} {
-		clk.Wake(ls[i])
+		hs[i].Wake()
 	}
 	log = log[:0]
 	clk.Step()
@@ -295,10 +305,10 @@ func TestActiveSetRegistrationOrder(t *testing.T) {
 func TestWakeAtTimer(t *testing.T) {
 	clk := NewClock()
 	p := &pulser{clk: clk, work: 1}
-	clk.Register(p)
+	h := clk.Register(p)
 	clk.Run(3) // evaluates at cycle 1, sleeps from cycle 1 on
 	p.work = 1
-	clk.WakeAt(10, p)
+	h.WakeAt(10)
 	if clk.Quiescent() {
 		t.Error("armed timer should not be quiescent")
 	}
@@ -332,10 +342,9 @@ type watcherComp struct {
 	seen map[uint64]uint64 // cycle -> value observed
 }
 
-func (w *watcherComp) Name() string { return "watcher" }
-func (w *watcherComp) Eval()        { w.seen[w.clk.Cycle()+1] = w.in.Get() }
-func (w *watcherComp) Commit()      {}
-func (w *watcherComp) Idle() bool   { return true }
+func (w *watcherComp) Eval()      { w.seen[w.clk.Cycle()+1] = w.in.Get() }
+func (w *watcherComp) Commit()    {}
+func (w *watcherComp) Idle() bool { return true }
 
 // stepDriver drives a wire to a new value at chosen cycles.
 type stepDriver struct {
@@ -344,7 +353,6 @@ type stepDriver struct {
 	values map[uint64]uint64 // set out to v during the eval of this cycle
 }
 
-func (d *stepDriver) Name() string { return "driver" }
 func (d *stepDriver) Eval() {
 	if v, ok := d.values[d.clk.Cycle()+1]; ok {
 		d.out.Set(v)
@@ -356,19 +364,18 @@ func (d *stepDriver) Commit() {}
 // wire on exactly the cycle a dense simulation would have, and must not
 // be woken by latches that do not change the value.
 func TestWatchWakeMatchesDense(t *testing.T) {
-	run := func(sparse bool) map[uint64]uint64 {
-		clk := NewClock()
-		clk.SetActivityScheduling(sparse)
+	run := func(k Kernel) map[uint64]uint64 {
+		clk := kernelClock(t, k)
 		w := NewWire(clk, uint64(0))
 		d := &stepDriver{out: w, clk: clk, values: map[uint64]uint64{3: 7, 5: 7, 9: 8}}
 		wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
-		Watch(w, wc)
-		clk.Register(d, wc)
+		clk.Register(d)
+		Watch(w, clk.Register(wc))
 		clk.Run(15)
 		return wc.seen
 	}
-	dense := run(false)
-	sparse := run(true)
+	dense := run("dense")
+	sparse := run("")
 	// Dense observes every cycle; keep only the cycles sparse ran and
 	// require the observed values to agree there.
 	for cyc, v := range sparse {
@@ -396,10 +403,10 @@ func TestWatchWakeMatchesDense(t *testing.T) {
 func TestTimeWarpJumpsToTimer(t *testing.T) {
 	clk := NewClock()
 	p := &pulser{clk: clk, work: 1}
-	clk.Register(p)
+	h := clk.Register(p)
 	clk.Step() // evaluates at cycle 1, then sleeps
 	p.work = 1
-	clk.WakeAt(1000, p)
+	h.WakeAt(1000)
 	clk.Step() // dead domain: must warp straight to the timer
 	if clk.Cycle() != 1000 {
 		t.Fatalf("cycle after warped step = %d, want 1000", clk.Cycle())
@@ -416,14 +423,11 @@ func TestTimeWarpJumpsToTimer(t *testing.T) {
 // Later steps still warp.
 func TestRunUntilFirstStepNeverWarps(t *testing.T) {
 	for _, k := range []Kernel{"", "nowarp", "dense"} {
-		clk, err := ParseKernel(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		clk := kernelClock(t, k)
 		p := &pulser{clk: clk, work: 1}
-		clk.Register(p)
+		h := clk.Register(p)
 		clk.Step() // evaluates at cycle 1, then sleeps
-		clk.WakeAt(1000, p)
+		h.WakeAt(1000)
 		calls := 0
 		if err := clk.RunUntil(func() bool { calls++; return true }, 5000); err != nil {
 			t.Fatal(err)
@@ -445,16 +449,15 @@ func TestRunUntilFirstStepNeverWarps(t *testing.T) {
 	}
 }
 
-// TestTimeWarpOffStepsEveryCycle: SetTimeWarp(false) restores the
+// TestTimeWarpOffStepsEveryCycle: the nowarp kernel keeps the
 // one-cycle-per-Step reference behaviour on a dead domain.
 func TestTimeWarpOffStepsEveryCycle(t *testing.T) {
-	clk := NewClock()
-	clk.SetTimeWarp(false)
+	clk := kernelClock(t, "nowarp")
 	p := &pulser{clk: clk, work: 1}
-	clk.Register(p)
+	h := clk.Register(p)
 	clk.Step()
 	p.work = 1
-	clk.WakeAt(10, p)
+	h.WakeAt(10)
 	for i := 0; i < 5; i++ {
 		clk.Step()
 	}
@@ -477,7 +480,7 @@ func TestTimeWarpOffStepsEveryCycle(t *testing.T) {
 func TestProbeRangeTilesSkippedSpans(t *testing.T) {
 	clk := NewClock()
 	p := &pulser{clk: clk, work: 2}
-	clk.Register(p)
+	h := clk.Register(p)
 	covered := make(map[uint64]int)
 	clk.Probe(func(cycle uint64) { covered[cycle]++ })
 	clk.ProbeRange(func(from, to uint64) {
@@ -488,8 +491,8 @@ func TestProbeRangeTilesSkippedSpans(t *testing.T) {
 			covered[c]++
 		}
 	})
-	clk.WakeAt(40, p) // fires mid-run
-	clk.Run(100)      // sleeps after cycle 2, warps 3..39 and 41..100
+	h.WakeAt(40) // fires mid-run
+	clk.Run(100) // sleeps after cycle 2, warps 3..39 and 41..100
 	if clk.Cycle() != 100 {
 		t.Fatalf("cycle = %d, want 100", clk.Cycle())
 	}
@@ -505,10 +508,10 @@ func TestProbeRangeTilesSkippedSpans(t *testing.T) {
 func TestRunWarpNeverOvershoots(t *testing.T) {
 	clk := NewClock()
 	p := &pulser{clk: clk, work: 1}
-	clk.Register(p)
+	h := clk.Register(p)
 	clk.Step()
 	p.work = 1
-	clk.WakeAt(1000, p)
+	h.WakeAt(1000)
 	clk.Run(50)
 	if clk.Cycle() != 51 {
 		t.Fatalf("cycle = %d, want 51 (budget-capped)", clk.Cycle())
@@ -531,10 +534,10 @@ func TestRunWarpNeverOvershoots(t *testing.T) {
 func TestWakeAtCoalescesDuplicates(t *testing.T) {
 	clk := NewClock()
 	p := &pulser{clk: clk, work: 1}
-	clk.Register(p)
+	h := clk.Register(p)
 	clk.Step()
 	for i := 0; i < 100; i++ {
-		clk.WakeAt(50, p)
+		h.WakeAt(50)
 	}
 	if got := clk.PendingTimers(); got != 1 {
 		t.Fatalf("PendingTimers = %d after 100 duplicate arms, want 1", got)
@@ -548,8 +551,8 @@ func TestWakeAtCoalescesDuplicates(t *testing.T) {
 	}
 	// After the timer fired, the same deadline cycle must be armable
 	// again (for a new simulation phase at a later cycle).
-	clk.WakeAt(200, p)
-	clk.WakeAt(200, p)
+	h.WakeAt(200)
+	h.WakeAt(200)
 	if got := clk.PendingTimers(); got != 1 {
 		t.Fatalf("PendingTimers = %d after re-arm, want 1", got)
 	}
@@ -560,11 +563,11 @@ func TestWakeAtCoalescesDuplicates(t *testing.T) {
 func TestWakeAtDistinctCyclesAllFire(t *testing.T) {
 	clk := NewClock()
 	p := &pulser{clk: clk, work: 1}
-	clk.Register(p)
+	h := clk.Register(p)
 	clk.Step()
-	clk.WakeAt(10, p)
-	clk.WakeAt(30, p)
-	clk.WakeAt(20, p)
+	h.WakeAt(10)
+	h.WakeAt(30)
+	h.WakeAt(20)
 	if got := clk.PendingTimers(); got != 3 {
 		t.Fatalf("PendingTimers = %d, want 3", got)
 	}
@@ -590,8 +593,8 @@ func TestWatchMultipleWatchers(t *testing.T) {
 	d := &stepDriver{out: w, clk: clk, values: map[uint64]uint64{5: 9}}
 	a := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
 	b := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
-	Watch(w, a, b)
-	clk.Register(d, a, b)
+	clk.Register(d)
+	Watch(w, clk.Register(a), clk.Register(b))
 	clk.Run(10)
 	for name, wc := range map[string]*watcherComp{"a": a, "b": b} {
 		if v, ok := wc.seen[6]; !ok || v != 9 {
@@ -605,14 +608,14 @@ func TestWatchMultipleWatchers(t *testing.T) {
 // cost only the slab they live in.
 func TestWatchInPlaceAllocatesNothing(t *testing.T) {
 	clk := NewClock()
-	wc := &watcherComp{clk: clk, seen: make(map[uint64]uint64)}
+	h := clk.Register(&watcherComp{clk: clk, seen: make(map[uint64]uint64)})
 	wires := make([]Wire[uint64], 64)
 	clk.allWires = make([]latcher, 0, len(wires))
 	next := 0
 	allocs := testing.AllocsPerRun(1, func() {
 		for k := next; k < next+len(wires)/2; k++ {
 			wires[k].Init(clk, 0)
-			Watch(&wires[k], wc)
+			Watch(&wires[k], h)
 		}
 		next += len(wires) / 2
 	})
@@ -627,10 +630,10 @@ func TestWatchAfterStagedSet(t *testing.T) {
 	clk := NewClock()
 	w := NewWire(clk, uint64(0))
 	wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
-	clk.Register(wc)
+	h := clk.Register(wc)
 	clk.Run(3) // watcher asleep from cycle 1 on
 	w.Set(7)   // staged outside Eval, awaiting the next edge
-	Watch(w, wc)
+	Watch(w, h)
 	clk.Run(3)
 	if v, ok := wc.seen[5]; !ok || v != 7 {
 		t.Fatalf("watcher after late registration: seen %v, want 7 at cycle 5", wc.seen)
@@ -641,18 +644,17 @@ func TestWatchAfterStagedSet(t *testing.T) {
 // machinery must be inert but harmless — the watcher (evaluated every
 // cycle anyway) observes exactly what the sparse run's wakes showed it.
 func TestWatchDenseMode(t *testing.T) {
-	run := func(sparse bool) map[uint64]uint64 {
-		clk := NewClock()
-		clk.SetActivityScheduling(sparse)
+	run := func(k Kernel) map[uint64]uint64 {
+		clk := kernelClock(t, k)
 		w := NewWire(clk, uint64(0))
 		d := &stepDriver{out: w, clk: clk, values: map[uint64]uint64{4: 3, 8: 11}}
 		wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
-		Watch(w, wc)
-		clk.Register(d, wc)
+		clk.Register(d)
+		Watch(w, clk.Register(wc))
 		clk.Run(12)
 		return wc.seen
 	}
-	dense, sparse := run(false), run(true)
+	dense, sparse := run("dense"), run("")
 	for cyc, v := range sparse {
 		if dense[cyc] != v {
 			t.Errorf("cycle %d: sparse saw %d, dense saw %d", cyc, v, dense[cyc])
@@ -669,17 +671,16 @@ func TestWatchDenseMode(t *testing.T) {
 // TestDenseKernelEquivalence runs the counter/follower pair under both
 // kernels and requires identical traces.
 func TestDenseKernelEquivalence(t *testing.T) {
-	run := func(sparse bool) []uint64 {
-		clk := NewClock()
-		clk.SetActivityScheduling(sparse)
+	run := func(k Kernel) []uint64 {
+		clk := kernelClock(t, k)
 		w := NewWire(clk, uint64(0))
-		c := &counter{out: w}
 		f := &follower{in: w}
-		clk.Register(c, f)
+		clk.Register(&counter{out: w})
+		clk.Register(f)
 		clk.Run(20)
 		return f.seen
 	}
-	a, b := run(true), run(false)
+	a, b := run(""), run("dense")
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("cycle %d: sparse %d, dense %d", i, a[i], b[i])
@@ -687,11 +688,13 @@ func TestDenseKernelEquivalence(t *testing.T) {
 	}
 }
 
-func TestHandleMatchesClockCalls(t *testing.T) {
+// TestHandleWakes: the Handle Register returns wakes its component for
+// the next cycle (Wake) or for a given one (WakeAt); the zero Handle is
+// invalid, and waking or watching through it wakes nothing.
+func TestHandleWakes(t *testing.T) {
 	clk := NewClock()
 	p := &pulser{clk: clk}
-	clk.Register(p)
-	h := clk.Handle(p)
+	h := clk.Register(p)
 	if !h.Valid() {
 		t.Fatal("handle for registered component invalid")
 	}
@@ -701,26 +704,29 @@ func TestHandleMatchesClockCalls(t *testing.T) {
 	}
 	h.Wake()
 	clk.Step()
-	// A woken pulser with no work retires again after one step.
-	if clk.ActiveCount() != 0 {
-		t.Fatal("handle Wake did not behave like Clock.Wake")
-	}
 	h.WakeAt(clk.Cycle() + 50)
 	if clk.PendingTimers() != 1 {
-		t.Fatal("handle WakeAt did not arm a timer")
+		t.Fatal("WakeAt did not arm a timer")
 	}
 	clk.Run(60)
 	if clk.PendingTimers() != 0 {
-		t.Fatal("handle timer never fired")
+		t.Fatal("WakeAt timer never fired")
+	}
+	if want := []uint64{1, 2, 52}; !slices.Equal(p.evals, want) {
+		t.Fatalf("eval cycles %v, want %v", p.evals, want)
 	}
 
 	var zero Handle
 	if zero.Valid() {
 		t.Fatal("zero handle claims validity")
 	}
-	zero.Wake()          // must not panic
-	zero.WakeAt(1 << 20) // must not panic
-	if got := clk.Handle(nil); got.Valid() {
-		t.Fatal("Handle(nil) should be invalid")
+	zero.Wake()
+	zero.WakeAt(1 << 20)
+	w := NewWire(clk, uint64(0))
+	Watch(w, zero)
+	w.Set(1)
+	clk.Run(3)
+	if len(p.evals) != 3 || clk.PendingTimers() != 0 {
+		t.Fatalf("zero handle woke the pulser: eval cycles %v, %d timers", p.evals, clk.PendingTimers())
 	}
 }

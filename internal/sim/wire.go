@@ -20,19 +20,12 @@ type Wire[T comparable] struct {
 	clk       *Clock
 	dirty     bool
 
-	// watchers is the sensitivity list. It starts out backed by first,
-	// so a wire with a single reader (every link wire) watches without
-	// a heap allocation; more watchers move it to the heap.
-	watchers []watcher
-	first    [1]watcher
-}
-
-// watcher is one component woken by a wire change. idx caches the
-// component's clock index, resolved lazily (Watch may run before
-// Register) so the latch-time wake avoids a map lookup per edge.
-type watcher struct {
-	comp Component
-	idx  int
+	// watchers is the sensitivity list, the clock indices of the
+	// components a change wakes. It starts out backed by first, so a
+	// wire with a single reader (every link wire) watches without a heap
+	// allocation; more watchers move it to the heap.
+	watchers []int
+	first    [1]int
 }
 
 // NewWire creates a wire on clk, carrying v both as the current and
@@ -74,32 +67,27 @@ func (w *Wire[T]) Peek() T { return w.next }
 
 func (w *Wire[T]) latch() {
 	if len(w.watchers) != 0 && w.cur != w.next {
-		for k := range w.watchers {
-			wt := &w.watchers[k]
-			if wt.idx < 0 {
-				i, ok := w.clk.index[wt.comp]
-				if !ok {
-					continue
-				}
-				wt.idx = i
-			}
-			w.clk.wakeIndex(wt.idx)
+		for _, i := range w.watchers {
+			w.clk.wakeIndex(i)
 		}
 	}
 	w.cur = w.next
 	w.dirty = false
 }
 
-// Watch registers comps to be woken by the wire's clock whenever a
-// clock edge changes the wire's latched value. The wake takes effect on
-// the cycle in which the watcher first observes the new value through
-// Get, so a sleeping watcher sees exactly what it would have seen
-// evaluating densely.
-func Watch[T comparable](w *Wire[T], comps ...Component) {
+// Watch makes every clock edge that changes the wire's latched value
+// wake the components of hs, Handles that Register returned on the
+// wire's clock. The wake takes effect on the cycle in which the watcher
+// first observes the new value through Get, so a sleeping watcher sees
+// exactly what it would have seen evaluating densely. Zero Handles are
+// ignored.
+func Watch[T comparable](w *Wire[T], hs ...Handle) {
 	if w.watchers == nil {
 		w.watchers = w.first[:0]
 	}
-	for _, c := range comps {
-		w.watchers = append(w.watchers, watcher{comp: c, idx: -1})
+	for _, h := range hs {
+		if h.clk != nil {
+			w.watchers = append(w.watchers, h.idx)
+		}
 	}
 }

@@ -156,7 +156,10 @@ func NewService(cfg Config) (*Service, error) {
 // replay rebuilds in-memory state from a journal: terminal job records
 // first (later records win: a failed job may have been resubmitted and
 // finished), then batches, requeuing every referenced job without a
-// terminal record. Runs before the workers start, so no locking.
+// terminal record. A spec that Submit would now reject, which a journal
+// written before its check may hold, ends failed with the validation
+// error instead, never reaching the Runner. Runs before the workers
+// start, so no locking.
 func (s *Service) replay(jn *Journal) {
 	for _, rec := range jn.Jobs {
 		switch {
@@ -179,7 +182,11 @@ func (s *Service) replay(jn *Journal) {
 			if _, ok := s.jobs[key]; !ok {
 				j := &JobRecord{Key: key, Spec: be.Specs[i], Status: StatusQueued}
 				s.jobs[key] = j
-				s.queue = append(s.queue, j)
+				if err := j.Spec.Validate(); err != nil {
+					j.Status, j.Error = StatusFailed, err.Error()
+				} else {
+					s.queue = append(s.queue, j)
+				}
 			}
 		}
 		s.batches[b.id] = b

@@ -510,7 +510,8 @@ func TestReplayOldJournalWithRemovedKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The real runner: the pending job meets the kernel parser.
+	// The default runner, which the pending job never reaches: replay
+	// validates it, and the kernel parser rejects parallel2.
 	s, err := NewService(Config{Workers: 1, JournalPath: path})
 	if err != nil {
 		t.Fatal(err)
@@ -528,6 +529,41 @@ func TestReplayOldJournalWithRemovedKernel(t *testing.T) {
 	}
 	if st := s.Stats(); st.Computed != 0 {
 		t.Errorf("computed = %d, want 0: the done record is cached and the other job fails", st.Computed)
+	}
+}
+
+// TestReplayFailsSpecThatNoLongerValidates: a journal written before
+// Submit bounded the wall-clock deadline may hold a pending spec whose
+// maxWallMS overflows a time.Duration. Replay must end that job failed
+// with the validation error after 0 attempts, without calling the
+// Runner, and the batch must complete.
+func TestReplayFailsSpecThatNoLongerValidates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	jn, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(0.05, 1)
+	spec.MaxWallMS = 9_223_372_036_855
+	if err := jn.AppendBatch(BatchEntry{ID: "old", Specs: []JobSpec{spec}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewService(Config{Workers: 1, JournalPath: path,
+		Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
+			t.Errorf("Runner called for replayed spec %+v", spec)
+			return traffic.Result{}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	got := waitDone(t, s, "old").Jobs[0]
+	if got.Status != StatusFailed || got.Attempts != 0 || !strings.Contains(got.Error, "wall-clock deadline") {
+		t.Errorf("replayed job = %+v, want failed after 0 attempts with the wall-clock validation error", got)
 	}
 }
 

@@ -194,7 +194,7 @@ const (
 // Results bit-identical across all kernel modes.
 type injector struct {
 	clk      *sim.Clock
-	self     sim.Handle // pre-resolved wake token for timer re-arming
+	self     sim.Handle // wakes this injector
 	ep       *noc.Endpoint
 	rng      *sim.Rand
 	pattern  Pattern
@@ -236,9 +236,6 @@ type injector struct {
 	measuredInjected uint64
 	measuredPackets  int
 }
-
-// Name implements sim.Component.
-func (in *injector) Name() string { return "inj" + in.ep.Addr().String() }
 
 // schedule draws the gap to the next injection attempt after now.
 func (in *injector) schedule(now uint64) {
@@ -478,8 +475,7 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 			if mode == modeTrace {
 				in.trace = traceBySrc[noc.Addr{X: x, Y: y}]
 			}
-			in.clk.Register(in)
-			in.self = in.clk.Handle(in)
+			in.self = in.clk.Register(in)
 			in.schedule(0)
 			injectors = append(injectors, in)
 		}

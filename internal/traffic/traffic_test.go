@@ -308,10 +308,12 @@ func TestTimeWarpMatchesNoWarp(t *testing.T) {
 // RunUntil delivers.
 func TestQuiescentMatchesDenseRunUntil(t *testing.T) {
 	const packets = 40
-	run := func(dense bool) (uint64, []uint64) {
+	run := func(k sim.Kernel) (uint64, []uint64) {
 		cfg := noc.Defaults(4, 4)
-		clk := sim.NewClock()
-		clk.SetActivityScheduling(!dense)
+		clk, err := sim.ParseKernel(k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		net, err := noc.New(clk, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -341,7 +343,7 @@ func TestQuiescentMatchesDenseRunUntil(t *testing.T) {
 			metas = append(metas, m)
 			clk.Run(uint64(rng.Intn(30)))
 		}
-		if dense {
+		if k == "dense" {
 			want := uint64(len(metas))
 			if err := clk.RunUntil(func() bool { return net.Delivered() == want }, 1_000_000); err != nil {
 				t.Fatal(err)
@@ -354,14 +356,14 @@ func TestQuiescentMatchesDenseRunUntil(t *testing.T) {
 		var lats []uint64
 		for _, m := range metas {
 			if m.EjectCycle == 0 {
-				t.Fatalf("dense=%v: packet %d undelivered", dense, m.ID)
+				t.Fatalf("kernel %q: packet %d undelivered", k, m.ID)
 			}
 			lats = append(lats, m.NetworkLatency())
 		}
 		return net.Delivered(), lats
 	}
-	dDel, dLats := run(true)
-	sDel, sLats := run(false)
+	dDel, dLats := run("dense")
+	sDel, sLats := run("")
 	if dDel != sDel {
 		t.Fatalf("delivered: dense %d, quiescent %d", dDel, sDel)
 	}
