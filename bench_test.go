@@ -339,13 +339,13 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 // sleep, a router starts serving a waiting header on the clock edge,
 // and one whose waiting headers all face busy outputs sleeps through
 // their retries, so about 105 of its 768 components evaluate per
-// cycle. In a CPU profile of 30 jobs Router.Eval takes 47% cumulative
-// (its receiver and sender handshakes 15%), Router.Commit 25%
-// (latching the staged ports 11%, computing the Idle answer 10%), the
-// kernel's step loop 13% flat and its wakes and timers 2%, so it is
+// cycle. In a CPU profile of 30 jobs Router.Eval takes 43% cumulative
+// (its receiver and sender handshakes 11%), Router.Commit 29%
+// (latching the staged ports 11%, computing the Idle answer 13%), the
+// kernel's step loop 12% flat and its wakes and timers 3%, so it is
 // the profile target for the NoC models.
-// A job allocates about 2,005 objects and 1.81 MB, 620 objects and
-// 1.28 MB of them to build the mesh; the rest are the endpoints' word
+// A job allocates about 1,732 objects and 1.65 MB, 606 objects and
+// 1.00 MB of them to build the mesh; the rest are the endpoints' word
 // rings and queues as they grow to their backlogs, the metadata chunks,
 // Completed's list and the latency histogram
 // (TestMeshSaturatedAllocs, TestMeshSaturatedSteadyAllocs). The metric
@@ -376,12 +376,12 @@ func runMeshSaturated(tb testing.TB) {
 // as they grow with the packets delivered. The count repeats within a
 // few objects from run to run and under any GOMAXPROCS, so unlike a
 // timing it needs no baseline from the machine that runs it. The bound
-// is 15% over the 1,986 objects a job allocates.
+// is 15% over the 1,732 objects a job allocates.
 func TestMeshSaturatedAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a saturated 16x16 job takes about half a second")
 	}
-	const bound = 2_284
+	const bound = 1_992
 	if got := testing.AllocsPerRun(1, func() { runMeshSaturated(t) }); got > bound {
 		t.Errorf("a saturated 16x16 job allocated %.0f objects, want at most %d", got, bound)
 	}

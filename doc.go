@@ -32,11 +32,12 @@
 // core.System.DrainIO) instead of stepping a guessed cycle count.
 //
 // Every NoC link runs the paper's 2-cycle asynchronous handshake,
-// stepped cycle by cycle while the link is busy; a router's evaluation
-// stages on, and its clock edge latches, only the ports whose
-// handshake moved. Flits are two-word values — data plus a
-// noc.PacketID indexing a network-owned metadata table. An endpoint
-// queues whole packets and builds each flit as it presents it, and
+// stepped cycle by cycle while the link is busy, and keeps it on its
+// tx and ack wires alone; a router's clock edge latches only the ports
+// whose buffer, wormhole or crossbar state moved. Flits are two-word
+// values — data plus a noc.PacketID indexing a network-owned metadata
+// table. An endpoint queues whole packets, in one injection queue in
+// evaluation order, and builds each flit as it presents it, and
 // reassembles deliveries into word rings of its own, so once those
 // have grown to its backlog, flits, sends and deliveries allocate
 // nothing. Traffic experiments take their latency statistics as

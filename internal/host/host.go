@@ -63,16 +63,14 @@ type parserState struct {
 func New(clk *sim.Clock, toNoC, fromNoC *serial.Line, div int) *Host {
 	h := &Host{
 		clk:         clk,
-		utx:         serial.NewTX(toNoC, div),
-		urx:         serial.NewRX(fromNoC, div),
 		printfBySrc: make(map[uint16][]byte),
 	}
 	h.self = clk.Register(h)
-	// Bound UARTs pace the host with bit-edge timers, so it sleeps
+	// The UARTs pace the host with bit-edge timers, so it sleeps
 	// through the dead cycles inside every bit (and the time-warp
 	// kernel skips them).
-	h.utx.Bind(h.self)
-	h.urx.Bind(h.self)
+	h.utx = serial.NewTX(toNoC, div, h.self)
+	h.urx = serial.NewRX(fromNoC, div, h.self)
 	up := serial.NewUpParser()
 	h.parser.feed = up.Feed
 	h.urx.Recv = func(b byte) {
@@ -151,15 +149,17 @@ func (h *Host) Sync() error {
 	return nil
 }
 
-// drain pumps the clock until the transmitter queue is empty.
+// drain pumps the clock until the transmitter queue is empty, failing
+// once the cycles it took exceed a generous budget: 11 bit periods per
+// queued byte plus slack. It compares cycles, not steps, because under
+// time warp one step can cross a whole bit period.
 func (h *Host) drain() error {
-	budget := uint64((h.utx.QueueLen()+4)*11*h.utx.Div() + 1000)
+	deadline := h.clk.Cycle() + uint64((h.utx.QueueLen()+4)*11*h.utx.Div()+1000)
 	for !h.utx.Idle() {
-		if budget == 0 {
+		if h.clk.Cycle() >= deadline {
 			return fmt.Errorf("transmitter did not drain")
 		}
 		h.clk.Step()
-		budget--
 	}
 	return nil
 }

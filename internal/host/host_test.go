@@ -158,3 +158,17 @@ func TestPrintfEventLog(t *testing.T) {
 		t.Errorf("events = %d", n)
 	}
 }
+
+// TestDrainDeadlineCountsCycles: drain's budget is in cycles. A gap far
+// longer than the budget holds the second byte back; time warp crosses
+// the gap in one step, so a budget counted in steps would let drain
+// finish past its deadline instead of failing.
+func TestDrainDeadlineCountsCycles(t *testing.T) {
+	h, _, _ := rig(t)
+	h.utx.Gap = 1 << 30
+	h.utx.Queue(serial.SyncByte, serial.SyncByte)
+	h.self.Wake()
+	if err := h.drain(); err == nil {
+		t.Fatalf("drain returned at cycle %d, past its budget", h.clk.Cycle())
+	}
+}

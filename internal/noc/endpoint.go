@@ -16,10 +16,12 @@ import (
 // grown to the endpoint's backlog, sending and receiving allocate
 // nothing.
 //
-// Send and Recv are safe to call from the owning IP core's Eval phase:
-// sends are staged and become visible to the endpoint on the next cycle;
-// Recv pops packets that completed on earlier cycles. One endpoint must
-// have exactly one owning component.
+// Send and Recv are safe to call from the owning IP core's Eval phase.
+// A Send joins the injection queue at once but commits on the clock
+// edge, so the link sees its first flit on the next cycle whether the
+// owner evaluates before or after the endpoint; Recv pops packets that
+// completed on earlier cycles. One endpoint must have exactly one
+// owning component.
 type Endpoint struct {
 	net   *Network
 	addr  Addr
@@ -29,19 +31,19 @@ type Endpoint struct {
 	rcv   receiver
 	owner sim.Handle // wakes the owning IP when a packet completes; may be zero
 
-	// The injection queue: committed packets, oldest first. txHead
-	// counts the flits of the oldest that the router has accepted,
-	// txFlits the queue's flits it has not. Payloads sit in sendWords,
-	// or for path-multicast forwarding in fwdWords, which the first
-	// forward allocates; a flit is built only when the sender presents
-	// it.
+	// The injection queue: packets oldest first, in the order Send,
+	// SendMulti and path-multicast forwarding pushed them, with their
+	// payloads in sendWords; a flit is built only when the sender
+	// presents it. txHead counts the flits of the oldest packet that
+	// the router has accepted, txFlits the committed flits it has not.
+	// staged counts the flits pushed since the last edge, which join
+	// txFlits at Commit, so Eval presents only committed flits.
 	txq       queue[txPacket]
 	txHead    int
 	txFlits   int
+	staged    int
 	sendWords wordRing
-	fwdWords  *wordRing
-	staged    []txPacket // staged by Send and forwarding, moved to txq at Commit
-	popped    int        // flits of txq accepted this Eval (0 or 1)
+	popped    int // flits of txq accepted this Eval (0 or 1)
 
 	// Reassembly writes the arriving payload into rxSpan, a span of
 	// rxWords at rxPos. Completed packets queue in rxq, whose first
@@ -62,14 +64,12 @@ type Endpoint struct {
 }
 
 // txPacket is one packet of the injection queue: the data of its
-// header and size flits and the position of its payload in the word
-// ring it was staged into.
+// header and size flits and the position of its payload in sendWords.
 type txPacket struct {
 	id     PacketID
 	pos    int
 	header uint16 // the encoded destination
 	size   uint16 // the payload length
-	fwd    bool   // the payload is in fwdWords, not sendWords
 }
 
 // rxPacket is a reassembled packet awaiting Recv: n payload words at
@@ -96,7 +96,7 @@ func (e *Endpoint) Send(dst Addr, payload []uint16) (*PacketMeta, error) {
 		return nil, err
 	}
 	meta := e.net.allocMeta(e, dst, len(payload))
-	e.stagePacket(meta, dst, payload, false)
+	e.stagePacket(meta, dst, payload)
 	return meta, nil
 }
 
@@ -113,37 +113,29 @@ func (e *Endpoint) checkSend(dst Addr, payload []uint16) error {
 	return nil
 }
 
-// stagePacket stages an already-validated packet for the injection
-// queue, copying its payload into a word ring. It is the shared tail of
-// Send, SendMulti and the path-multicast forwarding done in complete.
-// Commit enqueues forwarded legs (forward=true) ahead of same-cycle
-// Sends: the two stagers run in different components' Eval phases, so
-// without a fixed merge order the txq order would depend on the
-// kernel's evaluation order. Forwarded payloads have a ring of their
-// own because a ring frees its spans in the order it reserved them.
-func (e *Endpoint) stagePacket(meta *PacketMeta, dst Addr, payload []uint16, forward bool) {
-	words := &e.sendWords
-	if forward {
-		if e.fwdWords == nil {
-			e.fwdWords = new(wordRing)
-		}
-		words = e.fwdWords
-	}
+// stagePacket pushes an already-validated packet onto the injection
+// queue, copying its payload into sendWords, and counts its flits as
+// staged until Commit. It is the shared tail of Send, SendMulti and
+// the path-multicast forwarding done in complete. The queue takes
+// packets in the order their stagers evaluate, which every kernel
+// keeps to registration order, so it is the same under every kernel.
+func (e *Endpoint) stagePacket(meta *PacketMeta, dst Addr, payload []uint16) {
 	mask := flitMask(e.net.cfg.FlitBits)
-	pos, span := words.put(len(payload))
+	pos, span := e.sendWords.put(len(payload))
 	for i, v := range payload {
 		span[i] = v & mask
 	}
-	e.staged = append(e.staged, txPacket{
+	p := txPacket{
 		id:     PacketID(meta.ID),
 		pos:    pos,
 		header: dst.Encode() & mask,
 		size:   uint16(len(payload)) & mask,
-		fwd:    forward,
-	})
+	}
+	e.txq.push(p)
+	e.staged += int(p.size) + 2
 	// A sleeping endpoint must join the current edge so the staged
-	// packet commits to the injection queue this cycle, exactly as it
-	// would under dense evaluation.
+	// flits commit this cycle, exactly as they would under dense
+	// evaluation.
 	e.self.Wake()
 }
 
@@ -197,11 +189,11 @@ func (e *Endpoint) SendMulti(dsts []Addr, payload []uint16) (*MulticastMeta, err
 	e.net.mcast.Dropped += uint64(g.Dropped)
 	if g.Path {
 		if len(g.Legs) > 0 {
-			e.stagePacket(g.Legs[0], g.Dsts[0], payload, false)
+			e.stagePacket(g.Legs[0], g.Dsts[0], payload)
 		}
 	} else {
 		for i := range g.Legs {
-			e.stagePacket(g.Legs[i], g.Dsts[i], payload, false)
+			e.stagePacket(g.Legs[i], g.Dsts[i], payload)
 		}
 	}
 	return g, nil
@@ -302,17 +294,9 @@ func (e *Endpoint) txFlit(i int) Flit {
 	case i == 1:
 		d = p.size
 	case i > 1:
-		d = e.words(p).at(p.pos + i - 2)
+		d = e.sendWords.at(p.pos + i - 2)
 	}
 	return Flit{Data: d, Pkt: p.id}
-}
-
-// words returns the ring holding p's payload.
-func (e *Endpoint) words(p *txPacket) *wordRing {
-	if p.fwd {
-		return e.fwdWords
-	}
-	return &e.sendWords
 }
 
 func (e *Endpoint) assemble(fl Flit) {
@@ -345,7 +329,7 @@ func (e *Endpoint) complete() {
 			// re-inject the payload towards the next destination on the
 			// path, under the next leg's pre-allocated metadata.
 			next := m.MCIndex + 1
-			e.stagePacket(g.Legs[next], g.Dsts[next], e.rxSpan, true)
+			e.stagePacket(g.Legs[next], g.Dsts[next], e.rxSpan)
 		}
 	}
 	// The packet stays staged until Commit publishes it to Recv.
@@ -358,23 +342,21 @@ func (e *Endpoint) complete() {
 // Idle implements sim.Idler: it reports whether the next Eval would
 // stage nothing. An endpoint may sleep mid-reassembly and with flits
 // queued behind a presented one, provided that no Send is staged, the
-// link from its router has tx low and no ack outstanding, and its
-// sender waits for an ack or has nothing to present and tx low. It is
-// woken by Send (staged work), by a tx change on the link from its
-// router or by an ack change on the link to it (both watched in
-// NewEndpoint).
+// link from its router has tx and ack low, and the link to its router
+// has ack low and either tx high (a flit waits for its ack) or no
+// committed flit to present. It is woken by Send (staged work), by a tx
+// change on the link from its router or by an ack change on the link
+// to it (both watched in NewEndpoint).
 func (e *Endpoint) Idle() bool {
-	if len(e.staged) != 0 || e.rcv.ackHigh || e.rcv.link.Tx.Get() {
+	if in := e.rcv.link; e.staged != 0 || in.Ack.Get() || in.Tx.Get() {
 		return false
 	}
 	l := e.snd.link
-	return !l.Ack.Get() && (e.snd.busy || e.txFlits == 0 && !l.Tx.Get())
+	return !l.Ack.Get() && (l.Tx.Get() || e.txFlits == 0)
 }
 
 // Commit implements sim.Component.
 func (e *Endpoint) Commit() {
-	e.snd.commit()
-	e.rcv.commit()
 	if e.popped > 0 {
 		// The router accepted the presented flit this cycle.
 		e.popped = 0
@@ -388,29 +370,12 @@ func (e *Endpoint) Commit() {
 		if e.txHead++; e.txHead == int(p.size)+2 {
 			// The tail left: free the payload and retire the packet.
 			e.sent++
-			e.words(p).release(p.pos + int(p.size))
+			e.sendWords.release(p.pos + int(p.size))
 			e.txq.pop()
 			e.txHead = 0
 		}
 	}
-	if len(e.staged) > 0 {
-		// Forwarded multicast legs enqueue ahead of same-cycle Sends: a
-		// fixed merge order, so the txq is independent of the order the
-		// kernel evaluated the endpoint and its owner this cycle.
-		e.enqueue(true)
-		e.enqueue(false)
-		e.staged = e.staged[:0]
-	}
+	e.txFlits += e.staged
+	e.staged = 0
 	e.rxReady = e.rxq.n
-}
-
-// enqueue moves the staged forwarded legs (fwd) or Sends (!fwd) to the
-// injection queue, in the order they were staged.
-func (e *Endpoint) enqueue(fwd bool) {
-	for _, p := range e.staged {
-		if p.fwd == fwd {
-			e.txq.push(p)
-			e.txFlits += int(p.size) + 2
-		}
-	}
 }

@@ -10,7 +10,10 @@
 // Every link runs the stepped 2-cycle handshake: both sides evaluate
 // each cycle the link is busy, the sender drives tx and data, the
 // receiver raises ack for one cycle when it accepts, and the sender
-// observes the ack two cycles after driving.
+// observes the ack two cycles after driving. The link's wires are the
+// handshake's only state: a sender is busy exactly while its latched
+// tx is high, and a receiver holds ack exactly while its latched ack
+// is high, so neither side keeps a register of its own.
 //
 // # Sleeping mid-wormhole
 //
@@ -29,7 +32,8 @@
 // frees buffer space, happens in the component's own Eval while it is
 // awake. A router's Commit computes its Idle answer from the state it
 // has just latched and the link wires' Peek, which is what the coming
-// latch publishes because link wires are Set only during Eval.
+// latch publishes because link wires are Set only during Eval; an
+// endpoint's Idle reads the wires as latched.
 //
 // A router that falls asleep mid routing-delay arms the timer, unless
 // every waiting header wants an output connected to another input.
@@ -77,7 +81,9 @@
 // the mesh, one wormhole travels to the first member, and each member's
 // endpoint absorbs the packet and re-injects it toward the next — so a
 // k-member group costs k unicast legs laid end to end rather than k
-// independent source-rooted wormholes. SetPathMulticast(false) switches
+// independent source-rooted wormholes. A forwarded leg joins the
+// member's injection queue as a Send does, in evaluation order.
+// SetPathMulticast(false) switches
 // to unicast replication, which serves as the differential oracle: both
 // mechanisms deliver payload-identical copies to the same members
 // (TestMulticastPathMatchesUnicastOracle), and each is itself

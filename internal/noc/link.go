@@ -37,18 +37,15 @@ func (l *Link) init(clk *sim.Clock) {
 //	if accepted { /* stage the pop of the presented flit */ }
 //	if free { /* offer the next flit, or drop tx */ }
 //
-// Its next-state field equals the registered one outside Eval, so a
-// router whose sender stages nothing leaves that output unlatched. It
-// Sets tx and data only there, in its owner's Eval: the reading
-// router's Commit takes its Idle answer from tx through Peek. The
-// sender's ack is one of a router's wake sources; a header waiting for
-// the router's control is not, because the control's scan starts on
-// the edge.
+// It keeps no state but its link. A free owner always offers or drops,
+// so the sender is busy, with a flit presented and waiting for its ack,
+// exactly while its latched tx is high. It Sets tx and data only in its
+// owner's Eval: the reading router's Commit takes its Idle answer from
+// tx through Peek. The sender's ack is one of a router's wake sources;
+// a header waiting for the router's control is not, because the
+// control's scan starts on the edge.
 type sender struct {
 	link *Link
-	busy bool // flit presented, waiting for ack
-
-	nBusy bool
 }
 
 // begin starts the cycle. accepted reports that the presented flit's
@@ -57,11 +54,11 @@ type sender struct {
 // present a flit this cycle: at once after an accept, preserving the
 // 2-cycle cadence.
 func (s *sender) begin() (accepted, free bool) {
-	if s.busy && s.link.Ack.Get() {
-		s.nBusy = false
-		return true, true
+	if !s.link.Tx.Get() {
+		return false, true
 	}
-	return false, !s.busy
+	accepted = s.link.Ack.Get()
+	return accepted, accepted
 }
 
 // offer presents f on the link. Only a free sender may offer. Like
@@ -73,7 +70,6 @@ func (s *sender) offer(f Flit) {
 	if !s.link.Tx.Peek() {
 		s.link.Tx.Set(true)
 	}
-	s.nBusy = true
 }
 
 // drop deasserts tx when a free sender has nothing to present.
@@ -86,17 +82,14 @@ func (s *sender) drop() {
 	}
 }
 
-func (s *sender) commit() { s.busy = s.nBusy }
-
-// receiver drives the downstream side of a Link. Its next-state field
-// equals the registered one outside Eval, and it Sets ack only in its
-// owner's Eval: the sending router's Commit takes its Idle answer from
-// ack through Peek. Its tx is the other link wake source of a router.
+// receiver drives the downstream side of a Link. It keeps no state but
+// its link: its latched ack is high exactly on the cycle after it
+// accepted, while the data on the link is stale. It Sets ack only in
+// its owner's Eval: the sending router's Commit takes its Idle answer
+// from ack through Peek. Its tx is the other link wake source of a
+// router.
 type receiver struct {
-	link    *Link
-	ackHigh bool // we accepted last cycle; data on the wire is stale
-
-	nAckHigh bool
+	link *Link
 }
 
 // eval runs the receiver handshake for one cycle: with tx high, no ack
@@ -104,15 +97,13 @@ type receiver struct {
 // the link and raises ack for one cycle. It returns the accepted flit,
 // which the owner stages.
 func (r *receiver) eval(space bool) (f Flit, accepted bool) {
-	accepted = r.link.Tx.Get() && !r.ackHigh && space
-	if accepted != r.link.Ack.Peek() {
+	ack := r.link.Ack.Get()
+	accepted = r.link.Tx.Get() && !ack && space
+	if accepted != ack {
 		r.link.Ack.Set(accepted)
 	}
-	r.nAckHigh = accepted
 	if accepted {
 		f = r.link.Data.Get()
 	}
 	return f, accepted
 }
-
-func (r *receiver) commit() { r.ackHigh = r.nAckHigh }

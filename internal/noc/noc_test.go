@@ -876,6 +876,71 @@ func TestFullBufferAcrossKernels(t *testing.T) {
 	}
 }
 
+// sendAt is an endpoint's owner that sends one packet to (1,0) in its
+// Eval of cycle at, woken for it by a timer, and sleeps otherwise.
+type sendAt struct {
+	ep   *Endpoint
+	at   uint64
+	meta *PacketMeta
+	err  error
+}
+
+func (s *sendAt) Eval() {
+	if s.ep.Clock().Cycle() == s.at {
+		s.meta, s.err = s.ep.Send(Addr{1, 0}, []uint16{7})
+	}
+}
+func (s *sendAt) Commit()    {}
+func (s *sendAt) Idle() bool { return true }
+
+// TestSendCommitsOnTheEdge: a Send lands in the injection queue at
+// once, but its flits commit on the clock edge, so the endpoint
+// presents the header in the step after the Send whichever of it and
+// the sender evaluates first. A packet sent from outside the clock
+// before the step of cycle c, or during that step by an owner
+// registered after or before its endpoint, is injected (its header
+// accepted) at cycle c+3 under every kernel.
+func TestSendCommitsOnTheEdge(t *testing.T) {
+	const c = 100
+	for _, k := range []sim.Kernel{"", "nowarp", "dense"} {
+		for _, how := range []string{"outside the clock", "owner after endpoint", "owner before endpoint"} {
+			clk := kernelClock(t, k)
+			net, err := New(clk, Defaults(2, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &sendAt{at: c}
+			register := func() { clk.Register(s).WakeAt(c + 1) }
+			if how == "owner before endpoint" {
+				register()
+			}
+			if s.ep, err = net.NewEndpoint(Addr{0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := net.NewEndpoint(Addr{1, 0}); err != nil {
+				t.Fatal(err)
+			}
+			if how == "owner after endpoint" {
+				register()
+			}
+			if how == "outside the clock" {
+				clk.Run(c)
+				s.meta, s.err = s.ep.Send(Addr{1, 0}, []uint16{7})
+			}
+			if err := clk.RunUntilQuiescent(10_000); err != nil {
+				t.Fatal(err)
+			}
+			if s.err != nil || s.meta == nil || net.Delivered() != 1 {
+				t.Fatalf("kernel %q, sent from %s: send %v, %d delivered", k, how, s.err, net.Delivered())
+			}
+			if got := s.meta.InjectCycle; got != c+3 {
+				t.Errorf("kernel %q, sent from %s in cycle %d: injected at cycle %d, want %d",
+					k, how, c, got, c+3)
+			}
+		}
+	}
+}
+
 // TestVCDTraceIdenticalUnderTimeWarp: warping over dead spans must not
 // change the waveform dump — no wire can change during a skipped span,
 // so the VCD output is byte-identical with warping on and off.

@@ -122,10 +122,12 @@ type Router struct {
 	in         [numPorts]inPort
 	out        [numPorts]outPort
 	ctl        control
-	// staged marks the ports Eval staged on: bit i for input port i,
-	// bit numPorts+i for output port i. Every other port's next state
-	// already equals its registered state, so Commit latches only
-	// these.
+	// staged marks the ports whose state Eval changed: bit i for input
+	// port i (a push, a pop or a new route), bit numPorts+i for output
+	// port i (route or closeConnection changed its source). The
+	// handshake lives on the link wires, which latch themselves, and
+	// every other port's next state already equals its registered
+	// state, so Commit latches only these.
 	staged uint16
 	// buffered counts the flits in the input buffers. Commit keeps it,
 	// and the control's waiting mask, as it latches.
@@ -225,12 +227,9 @@ func (r *Router) Eval() {
 	// stage nothing.
 	for i := range r.in {
 		p := &r.in[i]
-		if l := p.rcv.link; l != nil && (l.Tx.Get() || p.rcv.ackHigh) {
-			f, ok := p.rcv.eval(p.buf.Free() > 0)
-			if ok {
+		if l := p.rcv.link; l != nil && (l.Tx.Get() || l.Ack.Get()) {
+			if f, ok := p.rcv.eval(p.buf.Free() > 0); ok {
 				p.buf.StagePush(f)
-			}
-			if ok || p.rcv.ackHigh {
 				r.staged |= 1 << i
 			}
 		}
@@ -250,7 +249,7 @@ func (r *Router) Eval() {
 			popped = 1
 			r.stats.FlitsOut[i]++
 			r.forwarded(p, o, fl)
-			r.staged |= 1<<o.src | 1<<(numPorts+o.port)
+			r.staged |= 1 << o.src
 		}
 		if free {
 			// An accepted tail closed the connection this cycle; the
@@ -258,7 +257,6 @@ func (r *Router) Eval() {
 			// and must not leak.
 			if p.nRoute == o.port && p.buf.Len() > popped {
 				o.snd.offer(p.buf.At(popped))
-				r.staged |= 1 << (numPorts + o.port)
 			} else {
 				o.snd.drop()
 			}
@@ -296,6 +294,7 @@ func (r *Router) closeConnection(p *inPort, o *outPort) {
 	p.nRoute = PortNone
 	p.nPhase = phaseHeader
 	o.nSrc = PortNone
+	r.staged |= 1 << (numPorts + o.port)
 }
 
 // route runs the routing algorithm for the header of the input port
@@ -404,11 +403,12 @@ func (r *Router) catchUp(n uint64) {
 func (r *Router) Idle() bool { return r.idle }
 
 // settled reports whether the next Eval would stage nothing. A router
-// may sleep with open wormholes, buffered flits, busy senders and
-// headers waiting for the control, provided that
+// may sleep with open wormholes, buffered flits, flits presented and
+// waiting for their ack, and headers waiting for the control, provided
+// that
 //   - no input holds ack, or sees tx high with buffer space to accept;
-//   - no output sees an ack, or is free to present a flit of its
-//     connection or to drop tx.
+//   - no output sees an ack, or has tx low with a flit of its
+//     connection buffered to present.
 //
 // The control never keeps it awake: after Commit it is either mid
 // routing-delay, with a timer armed unless every waiting header is
@@ -423,16 +423,13 @@ func (r *Router) Idle() bool { return r.idle }
 // end nothing, so the router sleeps through them and counts them when
 // it wakes.
 //
-// Commit calls it on the state it has just latched. It reads each link
-// wire through Peek, which is exactly what the coming latch publishes,
-// because link wires are Set only during Eval.
+// Commit calls it on the state it has just latched. It reads the
+// handshake from each link wire through Peek, which is exactly what the
+// coming latch publishes, because link wires are Set only during Eval.
 func (r *Router) settled() bool {
 	for i := range r.in {
 		p := &r.in[i]
-		if p.rcv.ackHigh {
-			return false
-		}
-		if l := p.rcv.link; l != nil && l.Tx.Peek() && p.buf.Free() > 0 {
+		if l := p.rcv.link; l != nil && (l.Ack.Peek() || l.Tx.Peek() && p.buf.Free() > 0) {
 			return false
 		}
 	}
@@ -442,10 +439,7 @@ func (r *Router) settled() bool {
 		if l == nil {
 			continue
 		}
-		if l.Ack.Peek() {
-			return false
-		}
-		if !o.snd.busy && (l.Tx.Peek() || o.src != PortNone && r.in[o.src].buf.Len() > 0) {
+		if l.Ack.Peek() || !l.Tx.Peek() && o.src != PortNone && r.in[o.src].buf.Len() > 0 {
 			return false
 		}
 	}
@@ -464,7 +458,6 @@ func (r *Router) Commit() {
 			r.commitIn(&r.in[i])
 		} else {
 			o := &r.out[i-int(numPorts)]
-			o.snd.commit()
 			o.src = o.nSrc
 		}
 	}
@@ -485,7 +478,6 @@ func (r *Router) Commit() {
 func (r *Router) commitIn(p *inPort) {
 	n := p.buf.Len()
 	p.buf.Commit()
-	p.rcv.commit()
 	p.route, p.phase, p.remaining = p.nRoute, p.nPhase, p.nRemaining
 	r.buffered += p.buf.Len() - n
 	if bit := uint8(1) << p.port; p.requestActive() != (r.ctl.waiting&bit != 0) {

@@ -10,15 +10,20 @@ import (
 
 // refIdle is the reference for Router.Idle: the predicate walked from
 // scratch over all ten ports, reading the router's registered state
-// and its link wires after the edge.
+// and its link wires after the edge. An input's receiver holds ack
+// exactly while its latched ack is high, and an output's sender is
+// busy, a flit presented and waiting for its ack, exactly while its
+// latched tx is high.
 func refIdle(r *Router) bool {
 	serving := r.ctl.serving >= 0
 	for i := range r.in {
 		p := &r.in[i]
-		if p.rcv.ackHigh || !serving && p.requestActive() {
+		l := p.rcv.link
+		ackHigh := l != nil && l.Ack.Get()
+		if ackHigh || !serving && p.requestActive() {
 			return false
 		}
-		if l := p.rcv.link; l != nil && l.Tx.Get() && p.buf.Free() > 0 {
+		if l != nil && l.Tx.Get() && p.buf.Free() > 0 {
 			return false
 		}
 	}
@@ -31,7 +36,8 @@ func refIdle(r *Router) bool {
 		if l.Ack.Get() {
 			return false
 		}
-		if !o.snd.busy && (l.Tx.Get() || o.src != PortNone && r.in[o.src].buf.Len() > 0) {
+		busy := l.Tx.Get()
+		if !busy && (l.Tx.Get() || o.src != PortNone && r.in[o.src].buf.Len() > 0) {
 			return false
 		}
 	}

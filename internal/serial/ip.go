@@ -56,14 +56,12 @@ func NewIP(net *noc.Network, addr noc.Addr, rxd, txd *Line) (*IP, error) {
 	ip := &IP{
 		ep:      ep,
 		clk:     net.Clock(),
-		utx:     NewTX(txd, 0),
-		urx:     NewRX(rxd, 0),
 		abState: abWait,
 	}
-	ip.urx.Recv = ip.feed
 	ip.self = ip.clk.Register(ip)
-	ip.utx.Bind(ip.self)
-	ip.urx.Bind(ip.self)
+	ip.utx = NewTX(txd, 0, ip.self)
+	ip.urx = NewRX(rxd, 0, ip.self)
+	ip.urx.Recv = ip.feed
 	ep.SetOwner(ip.self)
 	// A start bit on the host line must wake the IP out of idle sleep,
 	// both for auto-baud edge measurement and for frame reception.

@@ -12,18 +12,26 @@ import (
 func uartPair(div int) (*sim.Clock, *TX, *RX, *[]byte) {
 	clk := sim.NewClock()
 	line := NewLine(clk)
-	tx := NewTX(line, div)
-	rx := NewRX(line, div)
+	d := newUARTDriver(clk, line, div, line, div)
 	got := &[]byte{}
-	rx.Recv = func(b byte) { *got = append(*got, b) }
-	clk.Register(&uartDriver{tx: tx, rx: rx})
-	return clk, tx, rx, got
+	d.rx.Recv = func(b byte) { *got = append(*got, b) }
+	return clk, d.tx, d.rx, got
 }
 
-// uartDriver ticks the UART pair as one component.
+// uartDriver ticks a TX and an RX as one component that owns both and
+// never sleeps, so they step every cycle.
 type uartDriver struct {
 	tx *TX
 	rx *RX
+}
+
+// newUARTDriver registers a driver on clk for a TX on txLine and an RX
+// on rxLine, at the given divisors.
+func newUARTDriver(clk *sim.Clock, txLine *Line, txDiv int, rxLine *Line, rxDiv int) *uartDriver {
+	d := &uartDriver{}
+	h := clk.Register(d)
+	d.tx, d.rx = NewTX(txLine, txDiv, h), NewRX(rxLine, rxDiv, h)
+	return d
 }
 
 func (d *uartDriver) Eval()   { d.tx.Tick(); d.rx.Tick() }
@@ -73,12 +81,10 @@ func TestUARTGapKeepsLineIdle(t *testing.T) {
 func TestRXIgnoresTrafficWithoutDivisor(t *testing.T) {
 	clk := sim.NewClock()
 	line := NewLine(clk)
-	tx := NewTX(line, 8)
-	rx := NewRX(line, 0) // divisor unknown
+	d := newUARTDriver(clk, line, 8, line, 0) // receiver's divisor unknown
 	n := 0
-	rx.Recv = func(byte) { n++ }
-	clk.Register(&uartDriver{tx: tx, rx: rx})
-	tx.Queue(0xAA)
+	d.rx.Recv = func(byte) { n++ }
+	d.tx.Queue(0xAA)
 	clk.Run(8 * 10 * 2)
 	if n != 0 {
 		t.Error("RX decoded without a divisor")
@@ -209,9 +215,8 @@ func TestSerialIPAutobaudAndFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	const div = 12
-	hostTx := NewTX(rxd, div)
+	hostTx := newUARTDriver(clk, rxd, div, txd, div).tx
 	hostTx.Gap = 4 * div
-	clk.Register(&uartDriver{tx: hostTx, rx: NewRX(txd, div)})
 
 	hostTx.Queue(SyncByte)
 	if err := clk.RunUntil(ip.Synchronized, 10*div*20); err != nil {
@@ -264,9 +269,8 @@ func TestSerialIPSplitsLargeWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	const div = 8
-	hostTx := NewTX(rxd, div)
+	hostTx := newUARTDriver(clk, rxd, div, txd, div).tx
 	hostTx.Gap = 4 * div
-	clk.Register(&uartDriver{tx: hostTx, rx: NewRX(txd, div)})
 	hostTx.Queue(SyncByte)
 	if err := clk.RunUntil(ip.Synchronized, 10*div*20); err != nil {
 		t.Fatal(err)
@@ -315,12 +319,22 @@ func TestSerialIPSplitsLargeWrites(t *testing.T) {
 }
 
 // glitchDriver injects a short low pulse on the line, then transmits.
+// It owns its TX and RX and never sleeps.
 type glitchDriver struct {
 	line                *Line
 	rx                  *RX
 	tx                  *TX
 	cycle               int
 	glitchAt, glitchLen int
+}
+
+// newGlitchDriver registers a driver whose pulse spans cycles 5 to 7,
+// with a TX and an RX on line at div cycles per bit.
+func newGlitchDriver(clk *sim.Clock, line *Line, div int) *glitchDriver {
+	d := &glitchDriver{line: line, glitchAt: 5, glitchLen: 3}
+	h := clk.Register(d)
+	d.tx, d.rx = NewTX(line, div, h), NewRX(line, div, h)
+	return d
 }
 
 func (d *glitchDriver) Eval() {
@@ -340,26 +354,23 @@ func TestRXRecoversFromLineGlitch(t *testing.T) {
 	// still decode.
 	clk := sim.NewClock()
 	line := NewLine(clk)
-	tx := NewTX(line, 16)
-	rx := NewRX(line, 16)
+	d := newGlitchDriver(clk, line, 16)
 	var got []byte
-	rx.Recv = func(b byte) { got = append(got, b) }
-	d := &glitchDriver{line: line, rx: rx, tx: tx, glitchAt: 5, glitchLen: 3}
-	clk.Register(d)
+	d.rx.Recv = func(b byte) { got = append(got, b) }
 	clk.Run(200) // glitch happens with an idle transmitter
-	if rx.FrameError == 0 {
+	if d.rx.FrameError == 0 {
 		t.Error("glitch not detected as frame error")
 	}
-	tx.Queue(0xA5)
+	d.tx.Queue(0xA5)
 	clk.Run(16 * 10 * 2)
 	if len(got) != 1 || got[0] != 0xA5 {
 		t.Fatalf("post-glitch byte = %v", got)
 	}
 }
 
-// sleepyRX is a bound, activity-scheduled RX owner: it ticks its
-// receiver only when woken (by the watched line or the RX's own
-// timers) and sleeps whenever the receiver is dormant.
+// sleepyRX is an activity-scheduled RX owner: it ticks its receiver
+// only when woken (by the watched line or the RX's own timers) and
+// sleeps whenever the receiver is dormant.
 type sleepyRX struct {
 	rx *RX
 }
@@ -370,9 +381,9 @@ func (d *sleepyRX) Idle() bool { return d.rx.Dormant() }
 
 // TestBoundRXGlitchMatchesReference: a glitched start bit whose frame
 // error is only discovered by a deferred catch-up sample must not eat
-// the genuine start edge that triggered the catch-up — the bound,
-// sleeping receiver must decode exactly what the per-cycle reference
-// decodes, at the same cycles.
+// the genuine start edge that triggered the catch-up — a receiver whose
+// owner sleeps must decode exactly what the reference, owned by the
+// glitch driver that ticks it every cycle, decodes, at the same cycles.
 func TestBoundRXGlitchMatchesReference(t *testing.T) {
 	const div = 16
 	type result struct {
@@ -380,36 +391,34 @@ func TestBoundRXGlitchMatchesReference(t *testing.T) {
 		cycles []uint64
 		errs   uint64
 	}
-	run := func(bound bool) result {
+	run := func(sleepy bool) result {
 		clk := sim.NewClock()
 		line := NewLine(clk)
-		tx := NewTX(line, div)
-		rx := NewRX(line, div)
-		var res result
-		rx.Recv = func(b byte) {
-			res.bytes = append(res.bytes, b)
-			res.cycles = append(res.cycles, clk.Cycle()+1)
-		}
-		d := &glitchDriver{line: line, rx: rx, tx: tx, glitchAt: 5, glitchLen: 3}
-		if bound {
+		d := newGlitchDriver(clk, line, div)
+		rx := d.rx
+		if sleepy {
 			// Split roles: the glitch/TX side stays per-cycle (with an
 			// inert receiver of its own), the RX under test is a
 			// separate sleeping component woken only by the line and
 			// its timers.
-			d.rx = NewRX(line, 0)
-			clk.Register(d)
-			s := clk.Register(&sleepyRX{rx: rx})
-			rx.Bind(s)
-			sim.Watch(line, s)
-		} else {
-			clk.Register(d)
+			d.rx.SetDiv(0)
+			s := &sleepyRX{}
+			h := clk.Register(s)
+			rx = NewRX(line, div, h)
+			s.rx = rx
+			sim.Watch(line, h)
+		}
+		var res result
+		rx.Recv = func(b byte) {
+			res.bytes = append(res.bytes, b)
+			res.cycles = append(res.cycles, clk.Cycle()+1)
 		}
 		// Glitch with an idle transmitter, then — before the stale
 		// stop-bit deadline of the aborted frame has passed — transmit
 		// a byte with no mid-frame transitions (0x00), so the receiver
 		// must recover the real start edge from the catch-up path.
 		clk.Run(20)
-		tx.Queue(0x00, 0xA5)
+		d.tx.Queue(0x00, 0xA5)
 		clk.Run(div*10*3 + 100)
 		res.errs = rx.FrameError
 		return res
@@ -423,14 +432,14 @@ func TestBoundRXGlitchMatchesReference(t *testing.T) {
 		t.Fatalf("reference decoded %v, want [0x00 0xA5]", ref.bytes)
 	}
 	if got.errs != ref.errs {
-		t.Errorf("frame errors: bound %d, reference %d", got.errs, ref.errs)
+		t.Errorf("frame errors: sleeping %d, reference %d", got.errs, ref.errs)
 	}
 	if len(got.bytes) != len(ref.bytes) {
-		t.Fatalf("bound receiver decoded %v, reference %v", got.bytes, ref.bytes)
+		t.Fatalf("sleeping receiver decoded %v, reference %v", got.bytes, ref.bytes)
 	}
 	for i := range ref.bytes {
 		if got.bytes[i] != ref.bytes[i] || got.cycles[i] != ref.cycles[i] {
-			t.Errorf("byte %d: bound (%#02x at %d), reference (%#02x at %d)",
+			t.Errorf("byte %d: sleeping (%#02x at %d), reference (%#02x at %d)",
 				i, got.bytes[i], got.cycles[i], ref.bytes[i], ref.cycles[i])
 		}
 	}

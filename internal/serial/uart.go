@@ -6,12 +6,12 @@
 //
 // The UART models are event-paced: the line only changes at bit edges,
 // so between edges a transmitter or receiver has nothing to do. Both
-// therefore schedule their next edge (or mid-bit sample) at an absolute
-// cycle and, when bound with Bind to the Handle of an owning component,
-// arm a sim.Handle.WakeAt timer for it — letting the owner sleep
-// through the divisor-many dead cycles inside every bit and the
-// time-warp kernel skip them outright. Ticking every cycle (an unbound
-// owner that never idles) exercises exactly the same state machine and
+// take the Handle of their owning component at construction, schedule
+// their next edge (or mid-bit sample) at an absolute cycle and arm a
+// sim.Handle.WakeAt timer for it on the owner — letting the owner
+// sleep through the divisor-many dead cycles inside every bit and the
+// time-warp kernel skip them outright. An owner that never sleeps and
+// ticks them every cycle drives exactly the same state machine and
 // produces a bit-identical line waveform.
 package serial
 
@@ -29,12 +29,12 @@ func NewLine(clk *sim.Clock) *Line {
 // TX serializes bytes onto a line at a fixed divisor (clock cycles per
 // bit). The owning component calls Tick once per cycle it is awake and
 // Queue to append bytes; Queue is safe during the owner's Eval. Tick
-// only acts at bit edges (scheduled at absolute cycles), so a bound
-// owner sleeps between edges and is woken by the WakeAt timer TX arms.
+// only acts at bit edges (scheduled at absolute cycles), so the owner
+// sleeps between edges and is woken by the WakeAt timer TX arms.
 type TX struct {
 	line  *Line
 	clk   *sim.Clock
-	owner sim.Handle // woken at bit edges; zero = owner must tick every cycle
+	owner sim.Handle // woken at bit edges
 	div   int
 
 	queue []byte
@@ -52,16 +52,13 @@ type TX struct {
 	Sent uint64
 }
 
-// NewTX returns a transmitter for line at div clock cycles per bit.
-func NewTX(line *Line, div int) *TX {
-	return &TX{line: line, clk: line.Clock(), div: div}
+// NewTX returns a transmitter for line at div clock cycles per bit,
+// owned (ticked) by the component whose Register returned owner. It
+// arms a WakeAt timer for the owner at every scheduled bit edge, so the
+// owner may report Idle between edges (see Dormant).
+func NewTX(line *Line, div int, owner sim.Handle) *TX {
+	return &TX{line: line, clk: line.Clock(), div: div, owner: owner}
 }
-
-// Bind names, by the Handle its Register returned, the component that
-// owns (ticks) this transmitter. A bound transmitter arms a WakeAt
-// timer for the owner at every scheduled bit edge, so the owner may
-// report Idle between edges (see Dormant).
-func (t *TX) Bind(owner sim.Handle) { t.owner = owner }
 
 // Queue appends bytes for transmission.
 func (t *TX) Queue(bs ...byte) { t.queue = append(t.queue, bs...) }
@@ -73,14 +70,9 @@ func (t *TX) Idle() bool {
 }
 
 // Dormant reports whether the transmitter needs no Evals until an
-// already-armed timer fires (mid-bit, mid-gap) or it is fully idle. A
-// bound owner may sleep whenever Dormant; an unbound transmitter is
-// only dormant when Idle, since nothing would wake its owner at the
-// next edge.
+// already-armed timer fires (mid-bit, mid-gap) or it is fully idle:
+// its owner may sleep whenever it is Dormant.
 func (t *TX) Dormant() bool {
-	if !t.owner.Valid() {
-		return t.Idle()
-	}
 	if t.active || t.clk.Cycle()+1 < t.gapEnd {
 		return true // edge or gap timer armed
 	}
@@ -163,12 +155,12 @@ func (t *TX) Tick() {
 
 // RX deserializes bytes from a line. SetDiv configures the divisor
 // (possibly discovered by auto-baud); bytes appear via the Recv hook.
-// Within a frame the receiver samples at absolute mid-bit cycles and,
-// when bound, arms a WakeAt timer for its owner at each next sample.
+// Within a frame the receiver samples at absolute mid-bit cycles and
+// arms a WakeAt timer for its owner where a sample is due.
 type RX struct {
 	line  *Line
 	clk   *sim.Clock
-	owner sim.Handle // woken at mid-bit samples; zero = owner must tick every cycle
+	owner sim.Handle // woken at mid-bit samples
 	div   int
 
 	state    int // 0 idle, 1 receiving
@@ -185,15 +177,12 @@ type RX struct {
 }
 
 // NewRX returns a receiver for line at div cycles per bit (0 = not yet
-// known; Tick ignores traffic until SetDiv).
-func NewRX(line *Line, div int) *RX {
-	return &RX{line: line, clk: line.Clock(), div: div}
-}
-
-// Bind names, by the Handle its Register returned, the component that
-// owns (ticks) this receiver, enabling mid-frame sleep between bit
+// known; Tick ignores traffic until SetDiv), owned (ticked) by the
+// component whose Register returned owner, which may sleep between bit
 // samples.
-func (r *RX) Bind(owner sim.Handle) { r.owner = owner }
+func NewRX(line *Line, div int, owner sim.Handle) *RX {
+	return &RX{line: line, clk: line.Clock(), div: div, owner: owner}
+}
 
 // SetDiv sets the divisor, typically from auto-baud measurement.
 func (r *RX) SetDiv(div int) { r.div = div }
@@ -214,7 +203,7 @@ func (r *RX) Dormant() bool {
 	if r.state == 0 {
 		return r.line.Get()
 	}
-	return r.owner.Valid() // sample timer armed
+	return true // sample timer armed
 }
 
 // Div reports the current divisor (0 when undetected).
@@ -254,11 +243,11 @@ func (r *RX) sample(bit bool) {
 
 // Tick advances the receiver. Call once per cycle the owner is awake.
 // The line can only move while its driver is awake to stage the change,
-// and every change reaches the owner (a bound owner watches the line,
-// an unbound owner ticks every cycle), so the level across the cycles
-// since the previous Tick is exactly the level that Tick observed: all
-// mid-bit samples that fell due in between are reconstructed from it,
-// and the only timer a frame needs is its stop-bit sample.
+// and every change reaches the owner (it watches the line, or ticks
+// every cycle), so the level across the cycles since the previous Tick
+// is exactly the level that Tick observed: all mid-bit samples that
+// fell due in between are reconstructed from it, and the only timer a
+// frame needs is its stop-bit sample.
 func (r *RX) Tick() {
 	if r.div <= 0 {
 		return
@@ -282,8 +271,8 @@ func (r *RX) Tick() {
 			// The previous frame closed on a sample of this very cycle.
 			// The per-cycle reference, already dispatched into its
 			// receiving state, only sees this edge on the next cycle —
-			// wake the owner there so the bound receiver detects the
-			// start bit on exactly the same cycle.
+			// wake the owner there so a receiver whose owner sleeps
+			// detects the start bit on exactly the same cycle.
 			r.owner.WakeAt(now + 1)
 		} else {
 			// Either plain idle-line detection, or the edge that ended

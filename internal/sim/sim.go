@@ -24,13 +24,14 @@
 // way to wake it. A sleeping component may be woken three ways:
 //
 //   - sim.Watch — a clock edge that changes a watched wire's value
-//     wakes the watchers for the next cycle. This is how a router
-//     stalled mid-wormhole is woken by the one signal that ends its
-//     stall, the tx of an incoming link or the ack of an outgoing one:
-//     the neighbour stages the signal in cycle k, the edge latches it,
-//     and the watcher evaluates in cycle k+1 — exactly the cycle in
-//     which a dense simulation would first observe the new value.
-//     Wake-on-change therefore preserves bit-identical results.
+//     wakes its watcher, the wire's one reader, for the next cycle.
+//     This is how a router stalled mid-wormhole is woken by the one
+//     signal that ends its stall, the tx of an incoming link or the
+//     ack of an outgoing one: the neighbour stages the signal in cycle
+//     k, the edge latches it, and the watcher evaluates in cycle k+1 —
+//     exactly the cycle in which a dense simulation would first
+//     observe the new value. Wake-on-change therefore preserves
+//     bit-identical results.
 //   - Handle.Wake — an explicit wake, used when state is handed to a
 //     sleeping component outside the wire protocol (e.g. a packet
 //     staged on an endpoint's injection queue, or a received packet
@@ -213,7 +214,8 @@ func NewClock() *Clock { return &Clock{} }
 
 // Register adds comp to the clock, active, and returns its Handle, the
 // only way to wake it: a constructor registers its component before it
-// hands the Handle to Watch, an Endpoint's SetOwner or a UART's Bind.
+// hands the Handle to Watch, an Endpoint's SetOwner or a UART's
+// constructor.
 // Registration order is evaluation order, so it fixes anything numbered
 // in that order (packet IDs). Registering the same component twice
 // double-clocks it; callers must not do that.
@@ -276,9 +278,6 @@ type Handle struct {
 	clk *Clock
 	idx int
 }
-
-// Valid reports whether the handle names a registered component.
-func (h Handle) Valid() bool { return h.clk != nil }
 
 // Wake puts the component back into the active set. Called during the
 // Eval phase it joins the current cycle (its Commit runs on this edge);
@@ -532,7 +531,7 @@ func (c *Clock) step() {
 			}
 		}
 		// Only wires whose driver staged a value this cycle need
-		// latching; watchers of wires whose latched value changes are
+		// latching; the watcher of a wire whose latched value changes is
 		// woken here.
 		for _, w := range c.dirty {
 			w.latch()

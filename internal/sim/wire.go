@@ -7,25 +7,21 @@ package sim
 //
 // Wires cooperate with the activity scheduler: a wire only needs
 // latching on edges following a Set (an undriven wire holds its value by
-// definition), and watchers registered through Watch are woken whenever
-// an edge changes the latched value — the sensitivity-list mechanism
-// that lets a wire's reader sleep. T is comparable so the latch can
+// definition), and the watcher registered through Watch is woken
+// whenever an edge changes the latched value — the sensitivity-list
+// mechanism that lets a wire's reader sleep. Every wire has one reader,
+// so it has at most one watcher. T is comparable so the latch can
 // detect that change.
 //
 // A Wire is either made by NewWire or embedded in a larger value and
 // readied in place by Init, so a model holding many signals (a mesh's
-// links) allocates them in one block. It must not be copied after Init.
+// links) allocates them in one block. It must not be copied after
+// Init: the clock latches it through its address.
 type Wire[T comparable] struct {
 	cur, next T
-	clk       *Clock
 	dirty     bool
-
-	// watchers is the sensitivity list, the clock indices of the
-	// components a change wakes. It starts out backed by first, so a
-	// wire with a single reader (every link wire) watches without a heap
-	// allocation; more watchers move it to the heap.
-	watchers []int
-	first    [1]int
+	clk       *Clock
+	watcher   int // the clock index of the component a change wakes, plus one; 0 for none
 }
 
 // NewWire creates a wire on clk, carrying v both as the current and
@@ -66,28 +62,25 @@ func (w *Wire[T]) Set(v T) {
 func (w *Wire[T]) Peek() T { return w.next }
 
 func (w *Wire[T]) latch() {
-	if len(w.watchers) != 0 && w.cur != w.next {
-		for _, i := range w.watchers {
-			w.clk.wakeIndex(i)
-		}
+	if w.watcher != 0 && w.cur != w.next {
+		w.clk.wakeIndex(w.watcher - 1)
 	}
 	w.cur = w.next
 	w.dirty = false
 }
 
 // Watch makes every clock edge that changes the wire's latched value
-// wake the components of hs, Handles that Register returned on the
-// wire's clock. The wake takes effect on the cycle in which the watcher
-// first observes the new value through Get, so a sleeping watcher sees
-// exactly what it would have seen evaluating densely. Zero Handles are
-// ignored.
-func Watch[T comparable](w *Wire[T], hs ...Handle) {
-	if w.watchers == nil {
-		w.watchers = w.first[:0]
+// wake the component of h, a Handle that Register returned on the
+// wire's clock: the wire's one reader. The wake takes effect on the
+// cycle in which the watcher first observes the new value through Get,
+// so a sleeping watcher sees exactly what it would have seen evaluating
+// densely. A zero Handle is ignored; a second watcher panics.
+func Watch[T comparable](w *Wire[T], h Handle) {
+	if h.clk == nil {
+		return
 	}
-	for _, h := range hs {
-		if h.clk != nil {
-			w.watchers = append(w.watchers, h.idx)
-		}
+	if w.watcher != 0 {
+		panic("sim: Watch on a wire that already has a watcher")
 	}
+	w.watcher = h.idx + 1
 }
