@@ -156,6 +156,68 @@ func BenchmarkE8EdgeDetect(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemEdge runs one job of perfbench's system-edge workload
+// per iteration: the Figure 1 system at 115200 baud (SerialDiv 434)
+// boots, downloads the Sobel kernel to both processors over RS-232 and
+// feeds a 16x6 image through them. It is the profile target for the
+// processor layer; process-steps is what TestSystemEdgeSteps bounds.
+func BenchmarkSystemEdge(b *testing.B) {
+	b.ReportAllocs()
+	var steps uint64
+	for i := 0; i < b.N; i++ {
+		steps = runSystemEdge(b)
+	}
+	b.ReportMetric(float64(steps), "process-steps")
+}
+
+// runSystemEdge runs BenchmarkSystemEdge's job under the default
+// kernel, checks the edge map and returns the steps the clock executed
+// in Driver.Process.
+func runSystemEdge(tb testing.TB) uint64 {
+	img := edge.NewImage(16, 6)
+	r := sim.NewRand(7)
+	for y := range img {
+		for x := range img[y] {
+			img[y][x] = uint8(r.Intn(256))
+		}
+	}
+	cfg := core.Default()
+	cfg.SerialDiv = 434
+	sys, err := core.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.Boot(); err != nil {
+		tb.Fatal(err)
+	}
+	d := edge.NewDriver(sys, edge.Serial, img.W())
+	if err := d.LoadKernels(1, 2); err != nil {
+		tb.Fatal(err)
+	}
+	var steps uint64
+	sys.Clk.Probe(func(uint64) { steps++ })
+	out, _, err := d.Process(img, 1, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !out.Equal(edge.Sobel(img)) {
+		tb.Fatal("the edge map differs from the golden Sobel")
+	}
+	return steps
+}
+
+// TestSystemEdgeSteps bounds the steps the default kernel executes in
+// BenchmarkSystemEdge's Driver.Process: 15% over the 7,782 it executes
+// while a computing core sleeps through its plans. The count is exact
+// and needs no baseline from the machine that runs it, so a lost fast
+// path fails here without timing noise.
+func TestSystemEdgeSteps(t *testing.T) {
+	const bound = 8_950
+	if got := runSystemEdge(t); got > bound {
+		t.Errorf("Driver.Process executed %d steps, want at most %d", got, bound)
+	}
+}
+
 // BenchmarkE9WaitNotify measures the synchronization round trip.
 func BenchmarkE9WaitNotify(b *testing.B) {
 	b.ReportAllocs()

@@ -13,7 +13,8 @@
 // clock edge, so a header never keeps it awake), links with tx low,
 // halted processors, processors
 // at a fixed point (a pure poll loop over local memory, or a stalled
-// access whose retry changes nothing), quiet UARTs — are skipped
+// access whose retry changes nothing) or computing locally between two
+// accesses outside their memory, quiet UARTs — are skipped
 // entirely and woken by link activity, explicit wakes or timers; and
 // when nothing at all is switching, the kernel jumps the clock
 // straight to the earliest armed timer instead of stepping the dead
@@ -21,8 +22,10 @@
 // UARTs sleep between line transitions on bit-edge timers, routers
 // sleep through their routing delay on a completion timer, traffic
 // injectors precompute their next injection cycle and sleep until it,
-// and a processor polling a flag sleeps until a packet arrives, then
-// adds the loop periods it slept through to its counters — so
+// a processor polling a flag sleeps until a packet arrives, then
+// adds the loop periods it slept through to its counters, and a
+// computing processor dry-runs its core to its next access outside
+// local memory and sleeps on a timer until then — so
 // executed steps are proportional to events, not to simulated time (a
 // host round trip at a realistic RS-232 rate costs the same wall
 // clock as at a compressed one, and so does the paper's

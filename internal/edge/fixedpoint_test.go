@@ -23,8 +23,8 @@ type procState struct {
 type flowState struct {
 	Loaded  []r8.CPU // the cores right after LoadKernels, asleep in their poll loops
 	Out     Image
-	Process uint64 // Driver.Process cycles
-	Cycle   uint64
+	Process uint64   // Driver.Process cycles
+	Calls   []uint64 // Clock.Cycle after Boot, LoadKernels, Process and StopKernels
 	Procs   []procState
 }
 
@@ -50,6 +50,8 @@ func sobelFlow(t *testing.T, cfg core.Config, tr Transport, img Image, k sim.Ker
 	if err := sys.Boot(); err != nil {
 		t.Fatal(err)
 	}
+	var st flowState
+	st.Calls = append(st.Calls, sys.Clk.Cycle())
 	var procs []int
 	for id := 1; id <= len(sys.Procs); id++ {
 		procs = append(procs, id)
@@ -58,20 +60,21 @@ func sobelFlow(t *testing.T, cfg core.Config, tr Transport, img Image, k sim.Ker
 	if err := d.LoadKernels(procs...); err != nil {
 		t.Fatal(err)
 	}
-	var st flowState
+	st.Calls = append(st.Calls, sys.Clk.Cycle())
 	for _, id := range procs {
 		st.Loaded = append(st.Loaded, *sys.Proc(id).CPU())
 	}
 	if st.Out, st.Process, err = d.Process(img, procs...); err != nil {
 		t.Fatal(err)
 	}
+	st.Calls = append(st.Calls, sys.Clk.Cycle())
 	if !st.Out.Equal(Sobel(img)) {
 		t.Fatalf("kernel %q: edge map differs from the golden Sobel", k)
 	}
 	if err := d.StopKernels(procs...); err != nil {
 		t.Fatal(err)
 	}
-	st.Cycle = sys.Clk.Cycle()
+	st.Calls = append(st.Calls, sys.Clk.Cycle())
 	for _, id := range procs {
 		p := sys.Proc(id)
 		cpu := *p.CPU()
@@ -111,6 +114,41 @@ func TestFixedPointSobelFlowMatchesDense(t *testing.T) {
 				if k == "" && sleeps == 0 {
 					t.Errorf("%s/%s: no processor slept under the default kernel", sys.name, tr.name)
 				}
+			}
+		}
+	}
+}
+
+// TestProcessCrossKernel runs the two flows whose processors compute
+// between polls, on the Figure 1 system under every kernel: perfbench's
+// system-edge job (the kernel downloaded to both processors over
+// RS-232, then a 16x6 image over it, at SerialDiv 16 to stay short) and
+// E8's (the kernel loaded through the memory backdoor, then a 16x10
+// image over the Direct transport). Each must reproduce the dense
+// kernel's cores, bank counters, image and the clock cycle after each
+// call, and those cycles must be the ones recorded before cores slept
+// on plans, so no call's stop cycle moved.
+func TestProcessCrossKernel(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tr    Transport
+		img   Image
+		calls []uint64 // Clock.Cycle after Boot, LoadKernels, Process and StopKernels
+	}{
+		{"system-edge", Serial, testImage(16, 6), []uint64{224, 65_268, 174_426, 176_752}},
+		{"e8-direct", Direct, testImage(16, 10), []uint64{224, 2_866, 10_660, 10_689}},
+	} {
+		want, _ := sobelFlow(t, core.Default(), tc.tr, tc.img, "dense")
+		if !reflect.DeepEqual(want.Calls, tc.calls) {
+			t.Errorf("%s: dense calls ended at cycles %v, want %v", tc.name, want.Calls, tc.calls)
+		}
+		for _, k := range []sim.Kernel{"nowarp", ""} {
+			got, sleeps := sobelFlow(t, core.Default(), tc.tr, tc.img, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: kernel %q diverges from dense:\n  dense %+v\n  got   %+v", tc.name, k, want, got)
+			}
+			if k == "" && sleeps == 0 {
+				t.Errorf("%s: no processor slept under the default kernel", tc.name)
 			}
 		}
 	}

@@ -40,11 +40,18 @@ func NewBanks(words int) *Banks {
 	return b
 }
 
-// Read assembles a 16-bit word from the four banks. Addresses wrap
-// modulo the capacity, matching address decoding that ignores high bits.
+// Read assembles a 16-bit word from the four banks and counts the
+// access. Addresses wrap modulo the capacity, matching address decoding
+// that ignores high bits.
 func (b *Banks) Read(addr uint16) uint16 {
-	i := int(addr) % b.words
 	b.Reads++
+	return b.Peek(addr)
+}
+
+// Peek is Read without counting the access: what a model that looks
+// ahead of the hardware (procip's dry run) reads.
+func (b *Banks) Peek(addr uint16) uint16 {
+	i := int(addr) % b.words
 	var v uint16
 	for k := BankCount - 1; k >= 0; k-- {
 		v = v<<4 | uint16(b.bank[k][i]&0xF)

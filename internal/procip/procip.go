@@ -9,8 +9,12 @@
 // the waitR8 mechanism — here the Bus returning "not ready" — until the
 // NoC transaction completes.
 //
-// A running core sleeps whenever it sits at a fixed point, where the
-// next cycles change nothing but its counters, in a way that repeats:
+// A running core sleeps in two ways. Only the IP sees which bus
+// accesses are local, ready and free of side effects, so both live
+// here.
+//
+// It sleeps without a timer at a fixed point, where the next cycles
+// change nothing but its counters, in a way that repeats:
 //
 //   - a pure poll loop: one iteration from a backward-jump target back to
 //     that target that reads only local memory, stores nothing, never
@@ -18,15 +22,38 @@
 //   - a repeated stall: a remote read, scanf or wait whose retry changes
 //     nothing.
 //
-// Only the IP sees which bus accesses are local, ready and free of side
-// effects, so the detector lives here. A bus write, a non-local or
-// stalled access, a dispatched packet, a busy memory engine or a Banks
-// call ends a fixed point. A sleeping core is brought up to date
-// exactly when it next evaluates, or when CPU or Banks reads it: whole
+// A bus write, a non-local or stalled access, a dispatched packet, a
+// busy memory engine or a Banks call ends a fixed point.
+//
+// It sleeps on a plan through plain local execution. When the core runs
+// off a fixed point, with the memory engine idle and no remote or I/O
+// access under way, Eval dry-runs a copy of the core, at most planSpan
+// cycles, on a bus that reads the banks uncounted and keeps its own
+// stores, to the first cycle that must run in a real Eval: one that
+// touches an address outside local memory (I/O, wait, notify, a remote
+// window or an unmapped one), halts, or is the backward jump that
+// declares a fixed point. So Halted, Waiting, Stats, printf output and
+// Idle change on the same cycles as under dense stepping. A plan of
+// minSleep cycles or more arms a timer for that cycle and sleeps; a
+// shorter one is only remembered, so no cycle is dry-run twice. A
+// dispatched packet cancels the plan, and so does a backdoor write:
+// the next Eval compares the banks' Writes with their count at the
+// first Banks call since the last Eval. The Eval after a Banks call plans
+// nothing, so a caller that polls the banks every cycle costs no dry
+// runs. A cancelled plan's timer stays armed, since the kernel cannot
+// cancel one, and holds off quiescence until it fires, under every
+// kernel alike.
+//
+// A sleeping core is brought up to date exactly when it next
+// evaluates, or when CPU or Banks reads it. At a fixed point whole
 // periods are added to its Cycles and Retired counters and to the
 // banks' Reads, and the rest of the gap is stepped against memory that
-// has not changed. The dense kernel evaluates every component every
-// cycle, so it never sees a gap and stays the oracle.
+// has not changed; on a plan every cycle of the gap is stepped. So
+// under time warp a core's registers and counters change lazily: read
+// through CPU they are exact, but a RunUntil predicate over them sees
+// them only on the cycles the clock executes, where Halted, Waiting and
+// printf output stay exact. The dense kernel evaluates every component
+// every cycle, so it never sees a gap and stays the oracle.
 package procip
 
 import (
@@ -131,10 +158,42 @@ type IP struct {
 	headReads uint64
 	headOK    bool
 	instPC    uint16 // address of the instruction in flight
+
+	// Plan sleep (see the package comment). The plan holds while synced
+	// < stop, the first cycle that must run in a real Eval; armed
+	// reports that its timer is set. peeked marks a Banks call since the
+	// last Eval, and peekWrites the banks' Writes at the first such call.
+	stop       uint64
+	armed      bool
+	peeked     bool
+	peekWrites uint64
+	dry        dryBus
 }
 
 // orbit is one period of a fixed point.
 type orbit struct{ cycles, retired, reads uint64 }
+
+const (
+	// planSpan bounds how far a plan looks ahead, and so the dry run a
+	// cancelled plan wastes.
+	planSpan = 1 << 12
+	// minSleep is the shortest plan worth a timer; a shorter one is
+	// stepped awake.
+	minSleep = 4
+)
+
+// dryBus is the bus a plan's dry run steps a copy of the core against.
+// Local reads see the banks, uncounted, under the dry run's own stores,
+// which shadow keeps stamped with the plan number gen; any other
+// address marks the cycle as outside and ends the run.
+type dryBus struct {
+	banks           *mem.Banks
+	local           int
+	gen             uint64
+	shadow          []uint64 // gen<<16 | word, per local address
+	outside, stored bool
+	cpu, head       r8.CPU
+}
 
 // New creates the Processor IP on the network and registers it with the
 // network's clock. The processor stays inactive until an "activate
@@ -156,6 +215,7 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 		ep:              ep,
 		pendingNotifies: make(map[uint16]int),
 	}
+	ip.dry = dryBus{banks: banks, local: cfg.LocalWords}
 	ip.eng = mem.NewEngine(banks, func(dst noc.Addr, m *noc.Message) error {
 		_, err := ep.SendMessage(dst, m)
 		return err
@@ -175,10 +235,15 @@ func (ip *IP) CPU() *r8.CPU {
 
 // Banks exposes the local memory. The core is brought up to date, loses
 // its fixed point and is woken, so a backdoor write lands on a core
-// that sees it on its next cycle.
+// that sees it on its next cycle. A plan survives a backdoor read: the
+// next Eval cancels it only if the banks' Writes changed, and plans
+// nothing new itself.
 func (ip *IP) Banks() *mem.Banks {
 	ip.catchUp()
 	ip.drop()
+	if !ip.peeked { // the first call since the last Eval
+		ip.peeked, ip.peekWrites = true, ip.banks.Writes
+	}
 	ip.self.Wake()
 	return ip.banks
 }
@@ -200,12 +265,20 @@ func (ip *IP) Addr() noc.Addr { return ip.cfg.Addr }
 
 // Eval implements sim.Component: catch up a core that slept, dispatch
 // incoming packets, give the R8 its cycle, then let the memory engine
-// use whatever the processor left free.
+// use whatever the processor left free, and plan the cycles ahead.
 func (ip *IP) Eval() {
 	ip.catchUp()
+	peeked := ip.peeked
+	if peeked {
+		ip.peeked = false
+		if ip.banks.Writes != ip.peekWrites {
+			ip.stop = 0 // a backdoor write under the plan
+		}
+	}
 	ip.dispatch()
 	ip.banksUsed = false
-	if ip.active && !ip.cpu.Halted() {
+	running := ip.active && !ip.cpu.Halted()
+	if running {
 		ip.step()
 	}
 	if ip.eng.Busy() {
@@ -213,20 +286,25 @@ func (ip *IP) Eval() {
 	}
 	ip.eng.Tick(!ip.banksUsed, ip.rstate == rIdle)
 	ip.synced = ip.clk.Cycle() + 1
+	if running && !peeked {
+		ip.plan()
+	}
 }
 
 // Commit implements sim.Component.
 func (ip *IP) Commit() {}
 
 // Idle implements sim.Idler: a Processor IP sleeps while not yet
-// activated, after HALT, or while its core sits at a fixed point,
-// provided its memory engine is drained and no packet awaits dispatch.
-// The endpoint wakes it (via SetOwner) when a packet — activate, read,
-// write, notify, a remote read's or scanf's return — arrives. A core
-// that slept is caught up before anything else touches it, so its
-// counters and the waitR8 retry timing match the dense kernel's.
+// activated, after HALT, while its core sits at a fixed point, or
+// through an armed plan, provided its memory engine is drained and no
+// packet awaits dispatch. The endpoint wakes it (via SetOwner) when a
+// packet — activate, read, write, notify, a remote read's or scanf's
+// return — arrives, and a plan's timer at its stop cycle. A core that
+// slept is caught up before anything else touches it, so its counters
+// and the waitR8 retry timing match the dense kernel's.
 func (ip *IP) Idle() bool {
-	return (!ip.active || ip.cpu.Halted() || ip.fixed) && !ip.eng.Busy() && ip.ep.Pending() == 0
+	return (!ip.active || ip.cpu.Halted() || ip.fixed || ip.armed && ip.synced < ip.stop) &&
+		!ip.eng.Busy() && ip.ep.Pending() == 0
 }
 
 // step gives the core one cycle and looks for a pure poll loop: a
@@ -269,26 +347,102 @@ func (ip *IP) drop() { ip.fixed, ip.headOK = false, false }
 // point one cycle long that retires nothing and reads no bank.
 func (ip *IP) retry() { ip.fixed, ip.orbit = true, orbit{cycles: 1} }
 
-// catchUp brings a core that slept at a fixed point up to the current
-// cycle: whole periods in one addition, then the rest of the gap
-// stepped against memory that has not changed.
+// catchUp brings a core that slept up to the current cycle. At a fixed
+// point it adds whole periods in one addition, then steps the rest of
+// the gap against memory that has not changed; on a plan it steps every
+// cycle of the gap, none of which is the plan's stop cycle.
 func (ip *IP) catchUp() {
 	now := ip.clk.Cycle()
 	if now <= ip.synced {
 		return
 	}
 	gap := now - ip.synced
+	planned := ip.synced < ip.stop
 	ip.synced = now
-	if !ip.fixed {
+	if ip.fixed {
+		n := gap / ip.orbit.cycles
+		ip.cpu.Cycles += n * ip.orbit.cycles
+		ip.cpu.Retired += n * ip.orbit.retired
+		ip.banks.Reads += n * ip.orbit.reads
+		gap %= ip.orbit.cycles
+	} else if !planned {
 		return
 	}
-	n := gap / ip.orbit.cycles
-	ip.cpu.Cycles += n * ip.orbit.cycles
-	ip.cpu.Retired += n * ip.orbit.retired
-	ip.banks.Reads += n * ip.orbit.reads
-	for r := gap % ip.orbit.cycles; r > 0; r-- {
+	for ; gap > 0; gap-- {
 		ip.step()
 	}
+}
+
+// plan dry-runs a copy of the core from cycle synced to the first cycle
+// that must run in a real Eval, at most planSpan cycles ahead, mirroring
+// step's fixed-point detector (a store clears its head), and sleeps
+// until that cycle if the plan is long enough.
+func (ip *IP) plan() {
+	if ip.synced < ip.stop || ip.fixed || ip.cpu.Halted() || ip.eng.Busy() || ip.rstate != rIdle {
+		return // a plan holds, or the next cycle is not plain local execution
+	}
+	d := &ip.dry
+	d.gen++
+	d.cpu = *ip.cpu
+	d.head = ip.head
+	headOK, instPC := ip.headOK, ip.instPC
+	n := uint64(0)
+	for ; n < planSpan; n++ {
+		d.outside, d.stored = false, false
+		retired := d.cpu.Retired
+		d.cpu.Step(d)
+		if d.outside || d.cpu.Halted() {
+			break
+		}
+		if d.stored {
+			headOK = false
+		}
+		if d.cpu.Retired == retired {
+			continue
+		}
+		back := d.cpu.PC <= instPC
+		instPC = d.cpu.PC
+		if !back {
+			continue
+		}
+		if headOK && sameState(d.head, d.cpu) {
+			break // the cycle that declares the fixed point
+		}
+		d.head, headOK = d.cpu, true
+	}
+	ip.stop = ip.synced + n
+	ip.armed = n >= minSleep
+	if ip.armed {
+		ip.self.WakeAt(ip.stop + 1) // evaluate cycle stop
+	}
+}
+
+// Read implements r8.Bus for the dry run.
+func (d *dryBus) Read(addr uint16) (uint16, bool) {
+	if int(addr) >= d.local {
+		d.outside = true
+		return 0, true
+	}
+	if d.shadow != nil {
+		if e := d.shadow[addr]; e>>16 == d.gen {
+			return uint16(e), true
+		}
+	}
+	return d.banks.Peek(addr), true
+}
+
+// Write implements r8.Bus for the dry run.
+func (d *dryBus) Write(addr, v uint16) bool {
+	if int(addr) >= d.local {
+		d.outside = true
+		return true
+	}
+	if d.shadow == nil {
+		d.shadow = make([]uint64, d.local)
+	}
+	d.shadow[addr] = d.gen<<16 | uint64(v)
+	d.stored = true
+	return true
 }
 
 func (ip *IP) dispatch() {
@@ -298,6 +452,7 @@ func (ip *IP) dispatch() {
 			return
 		}
 		ip.drop()
+		ip.stop = 0 // cancel the plan
 		if err != nil {
 			ip.stats.PacketErrors++
 			continue

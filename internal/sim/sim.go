@@ -100,16 +100,24 @@
 // cycles of the protocol are predetermined schedules WakeAt timers for
 // the cycles on which state actually changes and sleeps in between. The
 // UARTs batch a serial run this way (one timer per bit edge rather than
-// per clock). The Processor IP (internal/procip) batches a core at a
-// fixed point, a poll loop over local memory or a stalled access that
-// repeats, without any timer: it sleeps until a packet or a backdoor
-// access wakes it, then adds the whole periods it slept through to its
-// counters and steps the rest. The contract is the one Idle() already
+// per clock). The Processor IP (internal/procip) batches its core two
+// ways. At a fixed point, a poll loop over local memory or a stalled
+// access that repeats, it sleeps without any timer until a packet or a
+// backdoor access wakes it, then adds the whole periods it slept
+// through to its counters and steps the rest. Through plain local
+// execution it dry-runs a copy of the core to the first cycle with an
+// effect outside the core and its local memory, sleeps on a timer for
+// that cycle, and steps the cycles in between when it next evaluates
+// or is read. The contract is the one Idle() already
 // imposes: every latch, counter update, and wire change the batched span
 // produces must land on exactly the cycle the stepped model would
 // produce it, or, for state only the model's own accessors expose, be
 // brought up to date before any of them returns it, so batching is
-// invisible to differential comparison.
+// invisible to differential comparison. Such state changes lazily under
+// warp, so a RunUntil predicate sees it exact only through the model's
+// accessors, and only on executed cycles. A timer stays armed when the
+// model's plan changes (the kernel cannot cancel one) and holds off
+// Quiescent until it fires, under every kernel alike.
 //
 // Determinism is unaffected by any of this: the active set only ever
 // skips Evals that stage nothing and Commits that latch nothing, wakes

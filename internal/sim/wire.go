@@ -57,8 +57,13 @@ func (w *Wire[T]) Set(v T) {
 	}
 }
 
-// Peek returns the currently staged (pre-edge) value. It exists for
-// tests and tracing only; synthesizable component logic must use Get.
+// Peek returns the staged value: what the coming edge latches. Logic
+// reads its inputs through Get. Peek serves two kinds of model code: a
+// driver that checks what its own wire already carries before staging
+// it again (the NoC link sender's offer and drop), and Commit code that
+// must know what the edge will latch (a router's settled, which
+// computes Idle from its link wires). The second holds only while
+// wires are Set during Eval alone. Tests and tracers use Peek too.
 func (w *Wire[T]) Peek() T { return w.next }
 
 func (w *Wire[T]) latch() {
