@@ -160,7 +160,8 @@ func BenchmarkE8EdgeDetect(b *testing.B) {
 // per iteration: the Figure 1 system at 115200 baud (SerialDiv 434)
 // boots, downloads the Sobel kernel to both processors over RS-232 and
 // feeds a 16x6 image through them. It is the profile target for the
-// processor layer; process-steps is what TestSystemEdgeSteps bounds.
+// processor and serial layers; process-steps is what TestSystemEdgeSteps
+// bounds.
 func BenchmarkSystemEdge(b *testing.B) {
 	b.ReportAllocs()
 	var steps uint64
@@ -207,12 +208,13 @@ func runSystemEdge(tb testing.TB) uint64 {
 }
 
 // TestSystemEdgeSteps bounds the steps the default kernel executes in
-// BenchmarkSystemEdge's Driver.Process: 15% over the 7,782 it executes
-// while a computing core sleeps through its plans. The count is exact
-// and needs no baseline from the machine that runs it, so a lost fast
-// path fails here without timing noise.
+// BenchmarkSystemEdge's Driver.Process: 15% over the 3,410 it executes
+// while a computing core sleeps through its plans and a serial line
+// carries whole frames. The count is exact and needs no baseline from
+// the machine that runs it, so a lost fast path fails here without
+// timing noise.
 func TestSystemEdgeSteps(t *testing.T) {
-	const bound = 8_950
+	const bound = 3_920
 	if got := runSystemEdge(t); got > bound {
 		t.Errorf("Driver.Process executed %d steps, want at most %d", got, bound)
 	}

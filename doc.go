@@ -19,10 +19,11 @@
 // when nothing at all is switching, the kernel jumps the clock
 // straight to the earliest armed timer instead of stepping the dead
 // cycles one by one. The models produce warpable gaps on purpose:
-// UARTs sleep between line transitions on bit-edge timers, routers
-// sleep through their routing delay on a completion timer, traffic
-// injectors precompute their next injection cycle and sleep until it,
-// a processor polling a flag sleeps until a packet arrives, then
+// a UART transmitter stages up to six frames at once and sleeps until
+// the burst ends, a receiver sleeps until the cycle a byte completes,
+// routers sleep through their routing delay on a completion timer,
+// traffic injectors precompute their next injection cycle and sleep
+// until it, a processor polling a flag sleeps until a packet arrives, then
 // adds the loop periods it slept through to its counters, and a
 // computing processor dry-runs its core to its next access outside
 // local memory and sleeps on a timer until then — so

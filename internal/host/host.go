@@ -66,9 +66,9 @@ func New(clk *sim.Clock, toNoC, fromNoC *serial.Line, div int) *Host {
 		printfBySrc: make(map[uint16][]byte),
 	}
 	h.self = clk.Register(h)
-	// The UARTs pace the host with bit-edge timers, so it sleeps
-	// through the dead cycles inside every bit (and the time-warp
-	// kernel skips them).
+	// The UARTs pace the host with burst-end and byte timers, so it
+	// sleeps through the cycles in between (and the time-warp kernel
+	// skips them).
 	h.utx = serial.NewTX(toNoC, div, h.self)
 	h.urx = serial.NewRX(fromNoC, div, h.self)
 	up := serial.NewUpParser()
@@ -79,9 +79,9 @@ func New(clk *sim.Clock, toNoC, fromNoC *serial.Line, div int) *Host {
 			h.handle(m)
 		}
 	}
-	// A start bit from the Serial IP must wake the host out of idle
-	// sleep so the monitor receives frames sent while it has nothing to
-	// transmit.
+	// A burst from the Serial IP must wake the host out of idle sleep
+	// so the monitor receives frames sent while it has nothing to
+	// transmit; the receiver relies on this wake to read the line.
 	sim.Watch(fromNoC, h.self)
 	return h
 }
@@ -127,12 +127,12 @@ func (h *Host) Eval() {
 // Commit implements sim.Component.
 func (h *Host) Commit() {}
 
-// Idle implements sim.Idler: the host sleeps whenever both UART
-// directions are dormant — fully drained, or mid-bit with the next
-// edge/sample timer armed. It is woken by sendFrame/Sync (new bytes
-// queued), by its UARTs' WakeAt timers, or by the watched rx line (the
-// Serial IP starting a frame).
-func (h *Host) Idle() bool { return h.utx.Dormant() && h.urx.Dormant() }
+// Idle implements sim.Idler: the host sleeps whenever its transmitter
+// is dormant — fully drained, or mid-burst with the burst's end timer
+// armed; its receiver never keeps it awake. It is woken by sendFrame/Sync
+// (new bytes queued), by its UARTs' WakeAt timers, or by the watched rx
+// line (the Serial IP starting a burst).
+func (h *Host) Idle() bool { return h.utx.Dormant() }
 
 // Sync transmits the 0x55 synchronization byte and waits until the
 // line has been idle long enough for the Serial IP to lock its baud

@@ -19,11 +19,12 @@ const (
 // from the 0x55 synchronization byte (§4).
 //
 // Auto-baud is edge-stamped rather than cycle-counted: the watched rxd
-// line wakes the IP at every transition, so the low span of the sync
-// byte's start bit is measured as the difference of two cycle stamps
-// and the settle window as an absolute deadline (armed as a WakeAt
-// timer) — letting the IP sleep through the constant spans in between,
-// which the time-warp kernel then skips outright.
+// line wakes the IP for each new wave, and a WakeAt timer the cycle
+// after each edge inside it, so the low span of the sync byte's start
+// bit is measured as the difference of two cycle stamps and the settle
+// window as an absolute deadline (armed as a WakeAt timer) — letting the
+// IP sleep through the constant spans in between, which the time-warp
+// kernel then skips outright.
 type IP struct {
 	ep   *noc.Endpoint
 	clk  *sim.Clock
@@ -63,8 +64,8 @@ func NewIP(net *noc.Network, addr noc.Addr, rxd, txd *Line) (*IP, error) {
 	ip.urx = NewRX(rxd, 0, ip.self)
 	ip.urx.Recv = ip.feed
 	ep.SetOwner(ip.self)
-	// A start bit on the host line must wake the IP out of idle sleep,
-	// both for auto-baud edge measurement and for frame reception.
+	// A burst on the host line must wake the IP out of idle sleep, both
+	// for auto-baud edge measurement and for frame reception.
 	sim.Watch(rxd, ip.self)
 	return ip, nil
 }
@@ -147,16 +148,17 @@ func (ip *IP) tickAutobaud() {
 		return
 	}
 	now := ip.clk.Cycle() + 1
-	low := !ip.urx.line.Get()
+	w := ip.urx.line.Get()
+	high := w.level(now - 1)
 	switch ip.abState {
 	case abWait:
-		if low {
+		if !high {
 			ip.abState = abMeasure
 			ip.abLowStart = now
 		}
 	case abMeasure:
-		if low {
-			return // constant span; the rising edge wakes us
+		if !high {
+			break // constant span; the rising edge's timer wakes us
 		}
 		// The 0x55 sync byte's start bit is exactly one bit period: the
 		// low span we just measured is the divisor.
@@ -170,20 +172,24 @@ func (ip *IP) tickAutobaud() {
 	case abSettle:
 		// Wait for the rest of the sync byte to pass: three bit periods
 		// of continuous idle-high only occur after the stop bit.
-		if low {
+		switch {
+		case !high:
 			ip.abHighStart = 0
-			return
-		}
-		if ip.abHighStart == 0 {
+		case ip.abHighStart == 0:
 			ip.abHighStart = now
 			ip.armSettle()
-			return
-		}
-		if now >= ip.abHighStart+uint64(3*ip.abDiv)-1 {
+		case now >= ip.abHighStart+uint64(3*ip.abDiv)-1:
 			ip.urx.SetDiv(ip.abDiv)
 			ip.utx.div = ip.abDiv
 			ip.abState = abDone
+			return
 		}
+	}
+	// The watch wakes the IP for a new wave only: wake it the cycle
+	// after each edge inside the wave too, where a line that changed
+	// level on its own would have woken it.
+	if e, ok := w.find(now, !high); ok {
+		ip.self.WakeAt(e + 1)
 	}
 }
 
@@ -197,14 +203,15 @@ func (ip *IP) armSettle() {
 // Commit implements sim.Component.
 func (ip *IP) Commit() {}
 
-// Idle implements sim.Idler. The Serial IP sleeps whenever both UART
-// directions are dormant (fully at rest, or paced by an armed bit/
-// sample timer) and no NoC packet awaits disassembly. Auto-baud never
-// keeps it awake: the measured and settled spans are constant line
-// levels, so every event that advances the state machine is either a
-// transition of the watched host line or the armed settle deadline.
-// Wake sources: the watched host line, UART WakeAt timers, and the
-// endpoint owner hook (NoC packets).
+// Idle implements sim.Idler. The Serial IP sleeps whenever its
+// transmitter is dormant (fully at rest, or paced by an armed burst or
+// gap timer) and no NoC packet awaits disassembly; its receiver never
+// keeps it awake. Neither does auto-baud: the measured and settled spans
+// are constant line levels, so every event that advances the state
+// machine is a new wave on the watched host line, an edge inside it
+// (armed as a timer) or the armed settle deadline. Wake sources: the
+// watched host line, UART and auto-baud WakeAt timers, and the endpoint
+// owner hook (NoC packets).
 func (ip *IP) Idle() bool {
-	return ip.utx.Dormant() && ip.urx.Dormant() && ip.ep.Pending() == 0
+	return ip.utx.Dormant() && ip.ep.Pending() == 0
 }

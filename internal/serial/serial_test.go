@@ -340,7 +340,7 @@ func newGlitchDriver(clk *sim.Clock, line *Line, div int) *glitchDriver {
 func (d *glitchDriver) Eval() {
 	d.cycle++
 	if d.cycle >= d.glitchAt && d.cycle < d.glitchAt+d.glitchLen {
-		d.line.Set(false) // noise pulse
+		d.line.Set(Wave{N: 1}) // noise pulse
 	} else {
 		d.tx.Tick()
 	}
@@ -370,14 +370,14 @@ func TestRXRecoversFromLineGlitch(t *testing.T) {
 
 // sleepyRX is an activity-scheduled RX owner: it ticks its receiver
 // only when woken (by the watched line or the RX's own timers) and
-// sleeps whenever the receiver is dormant.
+// sleeps after every Eval.
 type sleepyRX struct {
 	rx *RX
 }
 
 func (d *sleepyRX) Eval()      { d.rx.Tick() }
 func (d *sleepyRX) Commit()    {}
-func (d *sleepyRX) Idle() bool { return d.rx.Dormant() }
+func (d *sleepyRX) Idle() bool { return true }
 
 // TestBoundRXGlitchMatchesReference: a glitched start bit whose frame
 // error is only discovered by a deferred catch-up sample must not eat

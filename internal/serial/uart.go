@@ -1,61 +1,110 @@
 // Package serial implements the MultiNoC Serial IP core (§2.2) and the
-// RS-232 machinery under it: a bit-level UART line model (start bit,
-// eight data bits LSB-first, stop bit), auto-baud detection from the
-// 0x55 synchronization byte (§4), and the framing that turns host
-// command bytes into NoC service packets and back.
+// RS-232 machinery under it: a UART line model (start bit, eight data
+// bits LSB-first, stop bit), auto-baud detection from the 0x55
+// synchronization byte (§4), and the framing that turns host command
+// bytes into NoC service packets and back.
 //
-// The UART models are event-paced: the line only changes at bit edges,
-// so between edges a transmitter or receiver has nothing to do. Both
-// take the Handle of their owning component at construction, schedule
-// their next edge (or mid-bit sample) at an absolute cycle and arm a
-// sim.Handle.WakeAt timer for it on the owner — letting the owner
-// sleep through the divisor-many dead cycles inside every bit and the
-// time-warp kernel skip them outright. An owner that never sleeps and
-// ticks them every cycle drives exactly the same state machine and
-// produces a bit-identical line waveform.
+// A line carries whole frames. A transmitter stages a Wave, the levels
+// of up to six back-to-back frames, in one Set and sleeps until the
+// burst ends. A receiver is the per-cycle receiver run lazily: each
+// Tick replays it over the cycles since the previous Tick from the
+// waves the line showed, and it arms a WakeAt timer for its owner only
+// where a byte completes. Its owner watches the line, so each new wave
+// wakes it. Between those events both owners sleep and the time-warp
+// kernel skips the cycles outright. An owner that never sleeps and
+// ticks them every cycle drives the same state machines, and the
+// receiver then delivers the same bytes on the same cycles.
 package serial
 
-import "repro/internal/sim"
+import (
+	"math/bits"
+
+	"repro/internal/sim"
+)
+
+// A Wave is what a Line shows from cycle At on: the N bits of Bits,
+// least significant first, Div cycles each, then the last bit's level
+// for good. A constant level is a one-bit wave from cycle 0, so staging
+// it again is no change.
+type Wave struct {
+	At, Div uint64
+	Bits    uint64
+	N       uint8
+}
+
+// rest is the line at rest: idle high.
+var rest = Wave{Bits: 1, N: 1}
+
+// bit returns the index of the bit w shows at cycle c >= w.At.
+func (w Wave) bit(c uint64) uint {
+	if c-w.At >= uint64(w.N-1)*w.Div {
+		return uint(w.N - 1)
+	}
+	return uint((c - w.At) / w.Div)
+}
+
+// level reports the level w shows at cycle c >= w.At (true is high).
+func (w Wave) level(c uint64) bool { return w.Bits>>w.bit(c)&1 != 0 }
+
+// find returns the first cycle from c >= w.At on at which w shows
+// level v, and false if it never does.
+func (w Wave) find(c uint64, v bool) (uint64, bool) {
+	m := w.Bits
+	if !v {
+		m = ^m
+	}
+	i := w.bit(c)
+	if m &= (1<<w.N - 1) >> i << i; m == 0 {
+		return 0, false
+	}
+	if j := uint(bits.TrailingZeros64(m)); j != i {
+		return w.At + uint64(j)*w.Div, true
+	}
+	return c, true
+}
 
 // Line is one RS-232 signal (idle high). The paper's tx/rx pair is two
 // Lines, one per direction.
-type Line = sim.Wire[bool]
+type Line = sim.Wire[Wave]
 
 // NewLine creates an idle-high line in clk's domain.
 func NewLine(clk *sim.Clock) *Line {
-	return sim.NewWire(clk, true)
+	return sim.NewWire(clk, rest)
 }
+
+// maxBurst is the most frames one Wave holds: 60 of its 64 bits.
+const maxBurst = 6
 
 // TX serializes bytes onto a line at a fixed divisor (clock cycles per
 // bit). The owning component calls Tick once per cycle it is awake and
 // Queue to append bytes; Queue is safe during the owner's Eval. Tick
-// only acts at bit edges (scheduled at absolute cycles), so the owner
-// sleeps between edges and is woken by the WakeAt timer TX arms.
+// stages up to six queued frames back to back in one Wave, or one while
+// Gap is positive, and arms a WakeAt timer for the owner at the burst's
+// end, so the owner sleeps through the burst.
 type TX struct {
 	line  *Line
 	clk   *sim.Clock
-	owner sim.Handle // woken at bit edges
+	owner sim.Handle // woken at the end of each burst
 	div   int
 
-	queue []byte
-	// shift register state: 1 start + 8 data + 1 stop.
-	bits   uint16
-	bitIdx int
-	active bool
-	edgeAt uint64 // cycle at which the current bit period ends
+	queue  []byte
+	frames int    // frames of the burst on the line; 0 between bursts
+	end    uint64 // cycle at which that burst ends
 	gapEnd uint64 // cycle before which no new byte may start
 
 	// Gap inserts idle cycles after each byte (used by the host to
 	// separate the auto-baud byte from the first frame).
 	Gap int
 
+	// Sent counts the frames sent, brought up to date at each burst's
+	// end.
 	Sent uint64
 }
 
 // NewTX returns a transmitter for line at div clock cycles per bit,
 // owned (ticked) by the component whose Register returned owner. It
-// arms a WakeAt timer for the owner at every scheduled bit edge, so the
-// owner may report Idle between edges (see Dormant).
+// arms a WakeAt timer for the owner at the end of every burst, so the
+// owner may report Idle in between (see Dormant).
 func NewTX(line *Line, div int, owner sim.Handle) *TX {
 	return &TX{line: line, clk: line.Clock(), div: div, owner: owner}
 }
@@ -64,17 +113,17 @@ func NewTX(line *Line, div int, owner sim.Handle) *TX {
 func (t *TX) Queue(bs ...byte) { t.queue = append(t.queue, bs...) }
 
 // Idle reports whether the transmitter has fully drained: nothing
-// queued, no byte in flight and any post-byte gap elapsed.
+// queued, no burst on the line and any post-byte gap elapsed.
 func (t *TX) Idle() bool {
-	return !t.active && len(t.queue) == 0 && t.clk.Cycle()+1 >= t.gapEnd
+	return t.frames == 0 && len(t.queue) == 0 && t.clk.Cycle()+1 >= t.gapEnd
 }
 
 // Dormant reports whether the transmitter needs no Evals until an
-// already-armed timer fires (mid-bit, mid-gap) or it is fully idle:
+// already-armed timer fires (mid-burst, mid-gap) or it is fully idle:
 // its owner may sleep whenever it is Dormant.
 func (t *TX) Dormant() bool {
-	if t.active || t.clk.Cycle()+1 < t.gapEnd {
-		return true // edge or gap timer armed
+	if t.frames > 0 || t.clk.Cycle()+1 < t.gapEnd {
+		return true // burst or gap timer armed
 	}
 	return len(t.queue) == 0
 }
@@ -85,50 +134,29 @@ func (t *TX) QueueLen() int { return len(t.queue) }
 // Div reports the configured divisor.
 func (t *TX) Div() int { return t.div }
 
-// setLine stages v only on change, so an idle transmitter does not keep
-// its line on the kernel's dirty list.
-func (t *TX) setLine(v bool) {
-	if t.line.Peek() != v {
-		t.line.Set(v)
+// restLine stages the line at rest unless the staged wave already ends
+// high, so an idle transmitter does not keep its line on the kernel's
+// dirty list.
+func (t *TX) restLine() {
+	if w := t.line.Peek(); w.Bits>>(w.N-1)&1 == 0 {
+		t.line.Set(rest)
 	}
-}
-
-// drive stages the level of bit t.bitIdx, extends t.bitIdx through the
-// run of equal bits that follows (the line does not move inside a run,
-// so the next wake can land directly on the transition — or the frame
-// end) and schedules the edge that ends the run.
-func (t *TX) drive(now uint64) {
-	v := t.bits>>t.bitIdx&1 != 0
-	t.setLine(v)
-	run := 1
-	for t.bitIdx+1 < 10 && (t.bits>>(t.bitIdx+1)&1 != 0) == v {
-		t.bitIdx++
-		run++
-	}
-	t.edgeAt = now + uint64(run*t.div)
-	t.owner.WakeAt(t.edgeAt)
 }
 
 // Tick advances the transmitter. Call once per cycle the owner is
-// awake; mid-bit calls return immediately.
+// awake; mid-burst calls return immediately.
 func (t *TX) Tick() {
 	now := t.clk.Cycle() + 1 // the cycle this Eval's edge completes
-	if t.active {
-		if now < t.edgeAt {
+	if t.frames > 0 {
+		if now < t.end {
 			return
 		}
-		t.bitIdx++
-		if t.bitIdx < 10 {
-			t.drive(now)
-			return
-		}
-		// Stop bit completed.
-		t.active = false
-		t.Sent++
+		t.Sent += uint64(t.frames)
+		t.frames = 0
 		t.gapEnd = now + uint64(t.Gap)
 	}
 	if now < t.gapEnd {
-		t.setLine(true)
+		t.restLine()
 		if len(t.queue) > 0 {
 			t.owner.WakeAt(t.gapEnd) // start the next byte the moment the gap ends
 		} else if now < t.gapEnd-1 {
@@ -141,151 +169,176 @@ func (t *TX) Tick() {
 		return
 	}
 	if len(t.queue) == 0 {
-		t.setLine(true)
+		t.restLine()
 		return
 	}
-	b := t.queue[0]
-	t.queue = t.queue[1:]
-	// LSB first, framed by start (0) and stop (1).
-	t.bits = uint16(b)<<1 | 1<<9
-	t.bitIdx = 0
-	t.active = true
-	t.drive(now) // start bit (and the zero bits run-sharing its level)
+	n := min(len(t.queue), maxBurst)
+	if t.Gap > 0 {
+		n = 1
+	}
+	w := Wave{At: now, Div: uint64(t.div), N: uint8(10 * n)}
+	for i, b := range t.queue[:n] {
+		// LSB first, framed by start (0) and stop (1).
+		w.Bits |= (uint64(b)<<1 | 1<<9) << (10 * i)
+	}
+	t.queue = t.queue[n:]
+	t.frames, t.end = n, now+uint64(10*n*t.div)
+	t.line.Set(w)
+	t.owner.WakeAt(t.end)
 }
 
 // RX deserializes bytes from a line. SetDiv configures the divisor
 // (possibly discovered by auto-baud); bytes appear via the Recv hook.
-// Within a frame the receiver samples at absolute mid-bit cycles and
-// arms a WakeAt timer for its owner where a sample is due.
+//
+// RX is the per-cycle receiver, run lazily. At each tick n the
+// per-cycle receiver reads the level the line showed at cycle n-1.
+// Idle, it starts a frame on a low level, unless a frame closed at that
+// tick. A frame samples at n+div/2+k*div for k = 0..9: the start bit
+// (high: a frame error, back to idle), eight data bits, LSB first, and
+// the stop bit (high: a byte, low: a frame error). Tick replays it over
+// the ticks since the previous Tick from the waves the line showed, and
+// arms a WakeAt timer for the owner at the stop-bit sample of the next
+// byte the line's wave holds, where Recv must run. The owner watches
+// the line, so a new wave wakes it and the wave each Tick reads is
+// exact; it need not stay awake for the receiver.
 type RX struct {
 	line  *Line
 	clk   *sim.Clock
-	owner sim.Handle // woken at mid-bit samples
+	owner sim.Handle // woken where a byte completes
 	div   int
 
-	state    int // 0 idle, 1 receiving
-	bitIdx   int
-	cur      uint16
-	sampleAt uint64 // cycle of the next mid-bit sample
-	lastBit  bool   // line level observed by the previous Tick
+	shown Wave    // the line's wave at the previous Tick
+	f     rxFrame // the per-cycle receiver, replayed through the previous Tick
+
+	// The byte armed at the previous Tick: the tick it completes in, 0
+	// for none, the receiver just after it and the frame errors before
+	// it, had the line kept its wave.
+	due   uint64
+	ahead rxFrame
+	errs  uint64
 
 	// Recv is called for every received byte during Tick.
 	Recv func(b byte)
 
-	Received   uint64
+	// FrameError counts frame errors, brought up to date at the
+	// receiver's next Tick.
 	FrameError uint64
 }
 
 // NewRX returns a receiver for line at div cycles per bit (0 = not yet
 // known; Tick ignores traffic until SetDiv), owned (ticked) by the
-// component whose Register returned owner, which may sleep between bit
-// samples.
+// component whose Register returned owner, which must watch line.
 func NewRX(line *Line, div int, owner sim.Handle) *RX {
-	return &RX{line: line, clk: line.Clock(), div: div, owner: owner}
+	r := &RX{line: line, clk: line.Clock(), owner: owner, shown: line.Get()}
+	r.SetDiv(div)
+	return r
 }
 
-// SetDiv sets the divisor, typically from auto-baud measurement.
-func (r *RX) SetDiv(div int) { r.div = div }
-
-// Idle reports that the receiver is between frames with the line at
-// rest (idle high): Tick would be a no-op. The owning component may
-// sleep in this state if it watches the line for the next start bit.
-func (r *RX) Idle() bool { return r.state == 0 && r.line.Get() }
-
-// Dormant reports whether the receiver needs no Evals until the line
-// changes (watched by the owner) or the armed sample timer fires. A
-// receiver with no divisor ignores the line entirely and is always
-// dormant.
-func (r *RX) Dormant() bool {
-	if r.div <= 0 {
-		return true
-	}
-	if r.state == 0 {
-		return r.line.Get()
-	}
-	return true // sample timer armed
+// SetDiv sets the divisor, typically from auto-baud measurement. The
+// receiver starts idle at the coming tick.
+func (r *RX) SetDiv(div int) {
+	r.div = div
+	r.f, r.due = rxFrame{at: r.clk.Cycle() + 1}, 0
 }
 
 // Div reports the current divisor (0 when undetected).
 func (r *RX) Div() int { return r.div }
 
-// sample consumes one mid-bit sample with the given line level,
-// advancing the frame state exactly as a per-cycle receiver would at
-// that sample's cycle.
-func (r *RX) sample(bit bool) {
-	switch {
-	case r.bitIdx == -1:
-		if bit { // start bit vanished: glitch
-			r.state = 0
-			r.FrameError++
-			return
-		}
-		r.bitIdx = 0
-	case r.bitIdx < 8:
-		if bit {
-			r.cur |= 1 << r.bitIdx
-		}
-		r.bitIdx++
-	default: // stop bit
-		if bit {
-			r.Received++
-			if r.Recv != nil {
-				r.Recv(byte(r.cur))
-			}
-		} else {
-			r.FrameError++
-		}
-		r.state = 0
-		return
-	}
-	r.sampleAt += uint64(r.div)
-}
-
 // Tick advances the receiver. Call once per cycle the owner is awake.
-// The line can only move while its driver is awake to stage the change,
-// and every change reaches the owner (it watches the line, or ticks
-// every cycle), so the level across the cycles since the previous Tick
-// is exactly the level that Tick observed: all mid-bit samples that
-// fell due in between are reconstructed from it, and the only timer a
-// frame needs is its stop-bit sample.
 func (r *RX) Tick() {
+	now := r.clk.Cycle() + 1
+	// The watch woke the owner for the first tick after a change, so a
+	// new wave was on the line from the previous cycle on: the ticks
+	// before this one read the wave the previous Tick saw.
+	was, w := r.shown, r.line.Get()
+	r.shown = w
 	if r.div <= 0 {
 		return
 	}
-	now := r.clk.Cycle() + 1
-	bit := r.line.Get()
-	closedOnTime := false
-	for r.state == 1 && r.sampleAt <= now {
-		onTime := r.sampleAt == now
-		if onTime {
-			r.sample(bit) // a sample on this cycle sees the new level
-		} else {
-			r.sample(r.lastBit)
+	if now == r.due && was == w {
+		// The armed byte, on the wave it was armed on: the previous
+		// Tick's look-ahead has replayed the ticks up to it.
+		r.f = r.ahead
+		r.FrameError += r.errs
+		if r.Recv != nil {
+			r.Recv(r.f.data)
 		}
-		if r.state == 0 {
-			closedOnTime = onTime
+	} else {
+		r.replay(was, now-1)
+		r.replay(w, now)
+	}
+	// Arm the stop-bit sample of the next byte the wave holds. A frame
+	// that starts after the wave's last edge reads one level throughout,
+	// so it cannot complete a byte.
+	f, errs := r.f, uint64(0)
+	r.due = 0
+	until := max(now, w.At+uint64(w.N-1)*w.Div) + uint64(10*r.div)
+	for ev := f.step(w, r.div, until); ev != rxNone; ev = f.step(w, r.div, until) {
+		if ev == rxError {
+			errs++
+			continue
+		}
+		r.due, r.ahead, r.errs = f.at-1, f, errs
+		r.owner.WakeAt(r.due)
+		return
+	}
+}
+
+// replay advances the receiver through tick until, reading w, and
+// counts or delivers what it receives.
+func (r *RX) replay(w Wave, until uint64) {
+	for ev := r.f.step(w, r.div, until); ev != rxNone; ev = r.f.step(w, r.div, until) {
+		if ev == rxError {
+			r.FrameError++
+		} else if r.Recv != nil {
+			r.Recv(r.f.data)
 		}
 	}
-	if r.state == 0 && !bit { // start bit edge
-		if closedOnTime {
-			// The previous frame closed on a sample of this very cycle.
-			// The per-cycle reference, already dispatched into its
-			// receiving state, only sees this edge on the next cycle —
-			// wake the owner there so a receiver whose owner sleeps
-			// detects the start bit on exactly the same cycle.
-			r.owner.WakeAt(now + 1)
-		} else {
-			// Either plain idle-line detection, or the edge that ended
-			// a deferred catch-up: the reference closed the frame
-			// cycles ago and would detect this very edge now.
-			r.state = 1
-			r.bitIdx = -1 // -1 = verifying start bit
-			r.cur = 0
-			r.sampleAt = now + uint64(r.div/2) // sample mid-bit
-			// One timer per frame: the stop-bit sample, where the byte
-			// completes even if the line never moves again.
-			r.owner.WakeAt(r.sampleAt + uint64(9*r.div))
+}
+
+// rxFrame is the per-cycle receiver's state between two ticks.
+type rxFrame struct {
+	busy bool
+	k    int    // busy: the next sample: 0 the start bit's, 1-8 the data bits', 9 the stop bit's
+	data byte   // the data bits sampled so far
+	at   uint64 // busy: the tick of sample k; idle: the first tick that may start a frame
+}
+
+// How a step ends.
+const (
+	rxNone  = iota // the receiver reached its until tick
+	rxByte         // a frame closed with a byte
+	rxError        // a frame closed with a frame error
+)
+
+// step advances the receiver through tick until, reading the levels of
+// w, and stops early after the first frame that closes.
+func (f *rxFrame) step(w Wave, div int, until uint64) int {
+	for {
+		if !f.busy {
+			c, ok := w.find(f.at-1, false)
+			if !ok || c+1 > until {
+				f.at = until + 1
+				return rxNone
+			}
+			*f = rxFrame{busy: true, at: c + 1 + uint64(div/2)}
 		}
+		if f.at > until {
+			return rxNone
+		}
+		high := w.level(f.at - 1)
+		if f.k == 0 && high || f.k == 9 {
+			f.busy = false
+			f.at++ // no frame starts at the tick one closed in
+			if f.k == 9 && high {
+				return rxByte
+			}
+			return rxError
+		}
+		if f.k > 0 && high {
+			f.data |= 1 << (f.k - 1)
+		}
+		f.k++
+		f.at += uint64(div)
 	}
-	r.lastBit = bit
 }

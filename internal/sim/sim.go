@@ -72,10 +72,10 @@
 // armed by Handle.WakeAt. Step, Run, RunUntil and RunUntilQuiescent
 // therefore jump the cycle counter directly to that timer's cycle
 // (bounded by the caller's cycle budget) instead of executing the dead
-// span one no-op step at a time. A serial transfer that sleeps between bit edges, or a
-// low-rate traffic sweep whose injectors sleep between packets, then
-// costs executed steps proportional to its *events*, not to simulated
-// time.
+// span one no-op step at a time. A serial transfer that sleeps between
+// bursts and received bytes, or a low-rate traffic sweep whose injectors
+// sleep between packets, then costs executed steps proportional to its
+// *events*, not to simulated time.
 //
 // Skipping is invisible to the simulation itself: during a dead span no
 // component evaluates, no wire latches and no state can change, so the
@@ -99,8 +99,11 @@
 // multi-cycle exchange wire by wire, a model that can prove the next n
 // cycles of the protocol are predetermined schedules WakeAt timers for
 // the cycles on which state actually changes and sleeps in between. The
-// UARTs batch a serial run this way (one timer per bit edge rather than
-// per clock). The Processor IP (internal/procip) batches its core two
+// UARTs batch a serial run this way: a transmitter stages up to six
+// frames as one wire value and arms one timer at the burst's end, and a
+// receiver replays the per-cycle receiver from that value and arms one
+// timer per byte, where the byte completes. The Processor IP
+// (internal/procip) batches its core two
 // ways. At a fixed point, a poll loop over local memory or a stalled
 // access that repeats, it sleeps without any timer until a packet or a
 // backdoor access wakes it, then adds the whole periods it slept
