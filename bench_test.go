@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/edge"
@@ -161,20 +162,25 @@ func BenchmarkE8EdgeDetect(b *testing.B) {
 // boots, downloads the Sobel kernel to both processors over RS-232 and
 // feeds a 16x6 image through them. It is the profile target for the
 // processor and serial layers; process-steps is what TestSystemEdgeSteps
-// bounds.
+// bounds, and process-ns/job the wall time of Driver.Process, the phase
+// perfbench's system-edge norm_jobs_per_s times.
 func BenchmarkSystemEdge(b *testing.B) {
 	b.ReportAllocs()
 	var steps uint64
+	var process time.Duration
 	for i := 0; i < b.N; i++ {
-		steps = runSystemEdge(b)
+		var d time.Duration
+		steps, d = runSystemEdge(b)
+		process += d
 	}
 	b.ReportMetric(float64(steps), "process-steps")
+	b.ReportMetric(float64(process.Nanoseconds())/float64(b.N), "process-ns/job")
 }
 
 // runSystemEdge runs BenchmarkSystemEdge's job under the default
 // kernel, checks the edge map and returns the steps the clock executed
-// in Driver.Process.
-func runSystemEdge(tb testing.TB) uint64 {
+// in Driver.Process and its wall time.
+func runSystemEdge(tb testing.TB) (uint64, time.Duration) {
 	img := edge.NewImage(16, 6)
 	r := sim.NewRand(7)
 	for y := range img {
@@ -197,14 +203,16 @@ func runSystemEdge(tb testing.TB) uint64 {
 	}
 	var steps uint64
 	sys.Clk.Probe(func(uint64) { steps++ })
+	start := time.Now()
 	out, _, err := d.Process(img, 1, 2)
+	elapsed := time.Since(start)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if !out.Equal(edge.Sobel(img)) {
 		tb.Fatal("the edge map differs from the golden Sobel")
 	}
-	return steps
+	return steps, elapsed
 }
 
 // TestSystemEdgeSteps bounds the steps the default kernel executes in
@@ -215,7 +223,7 @@ func runSystemEdge(tb testing.TB) uint64 {
 // timing noise.
 func TestSystemEdgeSteps(t *testing.T) {
 	const bound = 3_920
-	if got := runSystemEdge(t); got > bound {
+	if got, _ := runSystemEdge(t); got > bound {
 		t.Errorf("Driver.Process executed %d steps, want at most %d", got, bound)
 	}
 }

@@ -26,7 +26,8 @@
 // until it, a processor polling a flag sleeps until a packet arrives, then
 // adds the loop periods it slept through to its counters, and a
 // computing processor dry-runs its core to its next access outside
-// local memory and sleeps on a timer until then — so
+// local memory, sleeps on a timer until then and commits the dry run
+// there, so that each planned cycle executes once — so
 // executed steps are proportional to events, not to simulated time (a
 // host round trip at a realistic RS-232 rate costs the same wall
 // clock as at a compressed one, and so does the paper's

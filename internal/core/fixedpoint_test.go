@@ -147,6 +147,82 @@ func TestFixedPointWaitStallsPingPong(t *testing.T) {
 	})
 }
 
+// TestSeaOfProcessorsCrossKernel runs E12's reduction (internal/
+// experiments) on the 4x4 mesh of 14 processors, with 1 and with all 14
+// active, under every kernel. Every processor's core and bank counters
+// and the elapsed cycles must equal dense's, and dense's elapsed cycles
+// the pinned report's E12 rows. Here plans commit on 14 cores at once,
+// at the planSpan bound and at HALT.
+func TestSeaOfProcessorsCrossKernel(t *testing.T) {
+	const totalWork = 840
+	for _, tc := range []struct {
+		procs   int
+		elapsed uint64
+	}{{1, 12_969}, {14, 5_498}} {
+		chunk := totalWork / tc.procs
+		src := fmt.Sprintf(`
+			.equ N, %d
+			CLR R0
+			CLR R1           ; sum
+			LDI R2, data
+			CLR R3           ; i
+		loop:	LD R4, R2, R3
+			ADD R1, R1, R4
+			INC R3
+			LDI R5, N
+			SUB R6, R3, R5
+			JMPNZ loop
+			LDI R7, 0x0100
+			ST R1, R7, R0
+			HALT
+		data:	.space %d`, chunk, chunk)
+		var dense uint64
+		matchDense(t, func(t *testing.T, k sim.Kernel) (sysState, int) {
+			cfg, err := Scaled(4, 4, 14, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, sleeps := buildCounting(t, cfg, k)
+			ids := make([]int, tc.procs)
+			for i := range ids {
+				ids[i] = i + 1
+				prog, err := s.LoadProgramDirect(ids[i], src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < chunk; j++ {
+					s.Proc(ids[i]).Banks().Write(prog.Symbols["data"]+uint16(j), 1)
+				}
+			}
+			start := s.Clk.Cycle()
+			for _, id := range ids {
+				if err := s.Activate(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.RunUntilHalted(50_000_000, ids...); err != nil {
+				t.Fatal(err)
+			}
+			elapsed := s.Clk.Cycle() - start
+			if k == "dense" {
+				dense = elapsed
+				if elapsed != tc.elapsed {
+					t.Errorf("%d processors: dense ran %d cycles, the report pins %d", tc.procs, elapsed, tc.elapsed)
+				}
+			} else if elapsed != dense {
+				t.Errorf("%d processors: kernel %q ran %d cycles, dense %d", tc.procs, k, elapsed, dense)
+			}
+			st := stateOf(s)
+			for _, id := range ids {
+				if got := s.Proc(id).Banks().Read(0x0100); got != uint16(chunk) {
+					t.Fatalf("%d processors, kernel %q: P%d sum = %d, want %d", tc.procs, k, id, got, chunk)
+				}
+			}
+			return st, *sleeps
+		})
+	}
+}
+
 // TestFixedPointLateScanfAndRemoteRead stalls P1 on a scanf the host
 // answers 50k cycles late, then on a read through the remote-memory
 // window.

@@ -149,6 +149,23 @@ func TestReadReturnGoesToRequester(t *testing.T) {
 	}
 }
 
+// TestZeroWordReadRejected sends a read of 0 words, which Encode
+// refuses, as a raw packet. The memory must reject it and settle, not
+// read its banks forever for a reply that never fills.
+func TestZeroWordReadRejected(t *testing.T) {
+	clk, _, ip, host := harness(t)
+	read := []uint16{uint16(noc.SvcReadMem), host.Addr().Encode(), 0x00, 0x10, 0}
+	if _, err := host.Send(noc.Addr{X: 1, Y: 1}, read); err != nil {
+		t.Fatal(err)
+	}
+	if err := clk.RunUntilQuiescent(200_000); err != nil {
+		t.Fatal(err)
+	}
+	if e := ip.Engine(); e.Rejected != 1 || e.ReadsServed != 0 || ip.Banks().Reads != 0 {
+		t.Errorf("Rejected %d, ReadsServed %d, bank reads %d; want 1, 0, 0", e.Rejected, e.ReadsServed, ip.Banks().Reads)
+	}
+}
+
 func TestNonMemoryServiceRejected(t *testing.T) {
 	clk, _, ip, host := harness(t)
 	if _, err := host.SendMessage(noc.Addr{X: 1, Y: 1}, &noc.Message{Svc: noc.SvcActivate}); err != nil {

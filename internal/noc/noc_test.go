@@ -495,7 +495,9 @@ func TestDecodeMessageErrors(t *testing.T) {
 		{1},
 		{uint16(SvcReadMem), 0x00},
 		{uint16(SvcReadMem), 0x00, 0x00},
-		{uint16(SvcWriteMem), 0x00, 0x00, 0x01, 0x02}, // odd data length
+		{uint16(SvcReadMem), 0x00, 0x00, 0x10, 0},                   // a 0-word read
+		{uint16(SvcReadMem), 0x00, 0x00, 0x10, MaxServiceWords + 1}, // past what Encode sends
+		{uint16(SvcWriteMem), 0x00, 0x00, 0x01, 0x02},               // odd data length
 		{uint16(SvcPrintf), 0x00, 5, 'a'},
 		{99, 0},
 	}

@@ -130,6 +130,9 @@ func DecodeMessage(payload []uint16) (*Message, error) {
 		}
 		m.Addr = rest[0]<<8 | rest[1]&0xFF
 		m.Count = int(rest[2])
+		if m.Count < 1 || m.Count > maxWordsPerPacket {
+			return nil, fmt.Errorf("noc: read count %d out of range [1,%d]", m.Count, maxWordsPerPacket)
+		}
 	case SvcReadReturn, SvcWriteMem:
 		if err := need(4); err != nil {
 			return nil, err

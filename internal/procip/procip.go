@@ -48,12 +48,18 @@
 // evaluates, or when CPU or Banks reads it. At a fixed point whole
 // periods are added to its Cycles and Retired counters and to the
 // banks' Reads, and the rest of the gap is stepped against memory that
-// has not changed; on a plan every cycle of the gap is stepped. So
-// under time warp a core's registers and counters change lazily: read
-// through CPU they are exact, but a RunUntil predicate over them sees
-// them only on the cycles the clock executes, where Halted, Waiting and
-// printf output stay exact. The dense kernel evaluates every component
-// every cycle, so it never sees a gap and stays the oracle.
+// has not changed. A plan reached untouched, from its first cycle to
+// its stop, is committed from its dry run: the core, the fixed-point
+// detector, the stored words and the banks' counters take the dry run's
+// values, so each planned cycle executes once. A plan observed mid-way,
+// by CPU or Banks, is stepped cycle by cycle from where the core
+// stands. So under time warp a core's registers and counters change
+// lazily: read through CPU they are exact, but a RunUntil predicate
+// over them sees them only on the cycles the clock executes, where
+// Halted, Waiting and printf output stay exact. CPU is for reading: a
+// commit overwrites the core. The dense kernel evaluates every
+// component every cycle, so it never sees a gap, never commits and
+// stays the oracle.
 package procip
 
 import (
@@ -151,23 +157,29 @@ type IP struct {
 	synced uint64
 	fixed  bool
 	orbit  orbit
-	// head is the core at the last backward-jump target, when headReads
-	// were the banks' Reads; headOK holds while nothing has broken the
-	// loop since.
-	head      r8.CPU
-	headReads uint64
-	headOK    bool
-	instPC    uint16 // address of the instruction in flight
+	loop   loop
 
 	// Plan sleep (see the package comment). The plan holds while synced
-	// < stop, the first cycle that must run in a real Eval; armed
-	// reports that its timer is set. peeked marks a Banks call since the
-	// last Eval, and peekWrites the banks' Writes at the first such call.
-	stop       uint64
-	armed      bool
-	peeked     bool
-	peekWrites uint64
-	dry        dryBus
+	// < stop, the first cycle that must run in a real Eval, and starts
+	// at cycle start; armed reports that its timer is set. peeked marks
+	// a Banks call since the last Eval, and peekWrites the banks' Writes
+	// at the first such call.
+	start, stop uint64
+	armed       bool
+	peeked      bool
+	peekWrites  uint64
+	dry         dryRun
+}
+
+// loop is the fixed-point detector: head is the core at the last
+// backward-jump target, when the banks had served reads reads; ok holds
+// while nothing has broken the loop since; pc is the address of the
+// instruction in flight.
+type loop struct {
+	head  r8.CPU
+	reads uint64
+	ok    bool
+	pc    uint16
 }
 
 // orbit is one period of a fixed point.
@@ -182,17 +194,23 @@ const (
 	minSleep = 4
 )
 
-// dryBus is the bus a plan's dry run steps a copy of the core against.
-// Local reads see the banks, uncounted, under the dry run's own stores,
-// which shadow keeps stamped with the plan number gen; any other
-// address marks the cycle as outside and ends the run.
-type dryBus struct {
+// dryRun is a plan's dry run and the bus it steps a copy of the core
+// against. Local reads see the banks, uncounted, under the dry run's
+// own stores, which shadow keeps stamped with the plan number gen; any
+// other address is not ready and marks the cycle as outside. At the
+// stop it holds what commit takes: the core, the detector (reads as an
+// offset from the banks' Reads), the local reads and stores, and each
+// address stored to, once, in addrs. stored marks a store since mark.
+type dryRun struct {
 	banks           *mem.Banks
 	local           int
 	gen             uint64
 	shadow          []uint64 // gen<<16 | word, per local address
 	outside, stored bool
-	cpu, head       r8.CPU
+	cpu             r8.CPU
+	loop            loop
+	reads, stores   uint64
+	addrs           []uint16
 }
 
 // New creates the Processor IP on the network and registers it with the
@@ -215,7 +233,7 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 		ep:              ep,
 		pendingNotifies: make(map[uint16]int),
 	}
-	ip.dry = dryBus{banks: banks, local: cfg.LocalWords}
+	ip.dry = dryRun{banks: banks, local: cfg.LocalWords}
 	ip.eng = mem.NewEngine(banks, func(dst noc.Addr, m *noc.Message) error {
 		_, err := ep.SendMessage(dst, m)
 		return err
@@ -225,9 +243,10 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 	return ip, nil
 }
 
-// CPU exposes the core for inspection, brought up to the current cycle
+// CPU exposes the core for reading, brought up to the current cycle
 // first. A core that sleeps later does not advance in the returned
-// value until the next call.
+// value until the next call, and a write through it is lost when a
+// plan commits its dry run over the core.
 func (ip *IP) CPU() *r8.CPU {
 	ip.catchUp()
 	return ip.cpu
@@ -316,22 +335,32 @@ func (ip *IP) step() {
 	if ip.cpu.Retired == retired || ip.cpu.Halted() {
 		return
 	}
-	// An instruction retired, so the next cycle fetches at PC.
-	back := ip.cpu.PC <= ip.instPC
-	ip.instPC = ip.cpu.PC
-	if !back || ip.fixed {
-		return
-	}
-	if ip.headOK && sameState(ip.head, *ip.cpu) {
-		ip.fixed = true
+	if ip.fixed {
+		ip.loop.pc = ip.cpu.PC
+	} else if _, fixed := ip.loop.retire(ip.cpu, ip.banks.Reads); fixed {
+		ip.fixed, ip.loop.pc = true, ip.cpu.PC
 		ip.orbit = orbit{
-			cycles:  ip.cpu.Cycles - ip.head.Cycles,
-			retired: ip.cpu.Retired - ip.head.Retired,
-			reads:   ip.banks.Reads - ip.headReads,
+			cycles:  ip.cpu.Cycles - ip.loop.head.Cycles,
+			retired: ip.cpu.Retired - ip.loop.head.Retired,
+			reads:   ip.banks.Reads - ip.loop.reads,
 		}
-		return
 	}
-	ip.head, ip.headReads, ip.headOK = *ip.cpu, ip.banks.Reads, true
+}
+
+// retire moves the detector past an instruction c has just retired,
+// reads being the banks' reads so far; the next cycle fetches at c.PC.
+// It reports a backward jump, and one back to head's state, a fixed
+// point, which changes nothing.
+func (l *loop) retire(c *r8.CPU, reads uint64) (back, fixed bool) {
+	back = c.PC <= l.pc
+	if back && l.ok && sameState(l.head, *c) {
+		return true, true
+	}
+	l.pc = c.PC
+	if back {
+		l.head, l.reads, l.ok = *c, reads, true
+	}
+	return back, false
 }
 
 // sameState compares two cores on everything but their counters.
@@ -341,7 +370,7 @@ func sameState(a, b r8.CPU) bool {
 }
 
 // drop ends the fixed point and any loop under watch.
-func (ip *IP) drop() { ip.fixed, ip.headOK = false, false }
+func (ip *IP) drop() { ip.fixed, ip.loop.ok = false, false }
 
 // retry marks a stalled access whose retry changed nothing: a fixed
 // point one cycle long that retires nothing and reads no bank.
@@ -349,16 +378,22 @@ func (ip *IP) retry() { ip.fixed, ip.orbit = true, orbit{cycles: 1} }
 
 // catchUp brings a core that slept up to the current cycle. At a fixed
 // point it adds whole periods in one addition, then steps the rest of
-// the gap against memory that has not changed; on a plan it steps every
-// cycle of the gap, none of which is the plan's stop cycle.
+// the gap against memory that has not changed. On a plan it commits the
+// dry run if the gap runs from the plan's first cycle to its stop, and
+// otherwise (CPU or Banks read the core mid-plan) steps every cycle of
+// the gap, none of which is the stop cycle.
 func (ip *IP) catchUp() {
 	now := ip.clk.Cycle()
 	if now <= ip.synced {
 		return
 	}
 	gap := now - ip.synced
-	planned := ip.synced < ip.stop
+	planned, whole := ip.synced < ip.stop, ip.synced == ip.start && now == ip.stop
 	ip.synced = now
+	if whole {
+		ip.commit()
+		return
+	}
 	if ip.fixed {
 		n := gap / ip.orbit.cycles
 		ip.cpu.Cycles += n * ip.orbit.cycles
@@ -373,44 +408,70 @@ func (ip *IP) catchUp() {
 	}
 }
 
+// commit makes the dry run the execution: it takes the dry run's core
+// and detector, writes each stored word's final value into the banks
+// and counts the dry run's reads and stores there. It overwrites the
+// core, so a write through CPU would be lost.
+func (ip *IP) commit() {
+	d := &ip.dry
+	*ip.cpu, ip.loop = d.cpu, d.loop
+	ip.loop.reads += ip.banks.Reads
+	for _, a := range d.addrs {
+		ip.banks.Write(a, uint16(d.shadow[a]))
+	}
+	ip.banks.Reads += d.reads
+	ip.banks.Writes += d.stores - uint64(len(d.addrs))
+}
+
 // plan dry-runs a copy of the core from cycle synced to the first cycle
-// that must run in a real Eval, at most planSpan cycles ahead, mirroring
+// that must run in a real Eval, at most planSpan cycles ahead, with
 // step's fixed-point detector (a store clears its head), and sleeps
-// until that cycle if the plan is long enough.
+// until that cycle if the plan is long enough. For catchUp to commit
+// the dry run, it undoes the core's step that ended the run (the
+// detector moved on none): an outside access was not ready and moved
+// only Cycles, and a halt or fixed point is stepped again from mark,
+// the last backward jump or store, so no store changes what it reads.
 func (ip *IP) plan() {
 	if ip.synced < ip.stop || ip.fixed || ip.cpu.Halted() || ip.eng.Busy() || ip.rstate != rIdle {
 		return // a plan holds, or the next cycle is not plain local execution
 	}
 	d := &ip.dry
 	d.gen++
-	d.cpu = *ip.cpu
-	d.head = ip.head
-	headOK, instPC := ip.headOK, ip.instPC
+	d.cpu, d.loop = *ip.cpu, ip.loop
+	d.loop.reads -= ip.banks.Reads
+	d.reads, d.stores, d.addrs, d.stored = 0, 0, d.addrs[:0], false
+	mark, markReads := d.cpu, d.reads
 	n := uint64(0)
 	for ; n < planSpan; n++ {
-		d.outside, d.stored = false, false
+		d.outside = false
 		retired := d.cpu.Retired
 		d.cpu.Step(d)
 		if d.outside || d.cpu.Halted() {
 			break
 		}
-		if d.stored {
-			headOK = false
-		}
 		if d.cpu.Retired == retired {
 			continue
 		}
-		back := d.cpu.PC <= instPC
-		instPC = d.cpu.PC
-		if !back {
-			continue
-		}
-		if headOK && sameState(d.head, d.cpu) {
+		back, fixed := d.loop.retire(&d.cpu, d.reads)
+		if fixed {
 			break // the cycle that declares the fixed point
 		}
-		d.head, headOK = d.cpu, true
+		if back || d.stored {
+			mark, markReads, d.stored = d.cpu, d.reads, false
+		}
 	}
-	ip.stop = ip.synced + n
+	switch {
+	case n == planSpan:
+	case d.outside:
+		d.cpu.Cycles-- // the access was not ready, so only Cycles moved
+	default: // a halt or a fixed point
+		redo := d.cpu.Cycles - mark.Cycles - 1
+		d.cpu, d.reads = mark, markReads
+		for ; redo > 0; redo-- {
+			d.cpu.Step(d)
+		}
+	}
+	ip.start, ip.stop = ip.synced, ip.synced+n
 	ip.armed = n >= minSleep
 	if ip.armed {
 		ip.self.WakeAt(ip.stop + 1) // evaluate cycle stop
@@ -418,11 +479,12 @@ func (ip *IP) plan() {
 }
 
 // Read implements r8.Bus for the dry run.
-func (d *dryBus) Read(addr uint16) (uint16, bool) {
+func (d *dryRun) Read(addr uint16) (uint16, bool) {
 	if int(addr) >= d.local {
 		d.outside = true
-		return 0, true
+		return 0, false
 	}
+	d.reads++
 	if d.shadow != nil {
 		if e := d.shadow[addr]; e>>16 == d.gen {
 			return uint16(e), true
@@ -432,16 +494,20 @@ func (d *dryBus) Read(addr uint16) (uint16, bool) {
 }
 
 // Write implements r8.Bus for the dry run.
-func (d *dryBus) Write(addr, v uint16) bool {
+func (d *dryRun) Write(addr, v uint16) bool {
 	if int(addr) >= d.local {
 		d.outside = true
-		return true
+		return false
 	}
 	if d.shadow == nil {
 		d.shadow = make([]uint64, d.local)
 	}
+	if d.shadow[addr]>>16 != d.gen {
+		d.addrs = append(d.addrs, addr)
+	}
 	d.shadow[addr] = d.gen<<16 | uint64(v)
-	d.stored = true
+	d.loop.ok, d.stored = false, true
+	d.stores++
 	return true
 }
 
