@@ -375,7 +375,11 @@ func BenchmarkE12SeaOfProcessors(b *testing.B) {
 // activity scheduling stepping every cycle, and the dense reference.
 // The reported metric is simulated cycles per wall-clock second; all
 // three produce bit-identical Results (TestSparseKernelMatchesDense,
-// TestTimeWarpMatchesNoWarp).
+// TestTimeWarpMatchesNoWarp). About 19 components evaluate per step,
+// and an awake router usually carries one wormhole, so it reads only
+// the ports that wormhole uses. In a CPU profile of 400 activity jobs
+// the kernel's step loop takes 23% flat, Router.Eval 29% cumulative,
+// Router.Commit 18% (settled 4%) and Router.Idle 5%.
 func BenchmarkAblKernelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	const simCycles = 500 + 3000 // warmup + measure (drain adds a tail)
@@ -389,18 +393,47 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := noc.Defaults(16, 16)
+			cfg := meshLowload
+			cfg.Kernel = tc.kernel
 			for i := 0; i < b.N; i++ {
-				if _, err := traffic.Run(cfg, traffic.Config{
-					Rate: 0.002, PayloadFlits: 8, Seed: 3,
-					Warmup: 500, Measure: 3000, Drain: 20000,
-					Kernel: tc.kernel,
-				}); err != nil {
+				if _, err := traffic.Run(noc.Defaults(16, 16), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(simCycles)*float64(b.N)/b.Elapsed().Seconds(), "simcycles/sec")
 		})
+	}
+}
+
+// meshLowload is the job of BenchmarkAblKernelSchedule and
+// TestMeshLowloadEvals, on the default 16x16 mesh.
+var meshLowload = traffic.Config{Rate: 0.002, PayloadFlits: 8, Seed: 3, Warmup: 500, Measure: 3000, Drain: 20000}
+
+// TestMeshLowloadEvals bounds what the default kernel executes in
+// BenchmarkAblKernelSchedule/activity's job, counted as perfbench
+// counts them: the executed steps, and the evaluations, ActiveCount
+// summed over those steps. Each bound is 15% over today's count, 3,790
+// steps and 70,810 evaluations: about 19 of the 768 components awake
+// per step, the routers and endpoints a few wormholes cross and the
+// injectors' timers. The counts are exact, so a change that keeps
+// routers or endpoints awake longer, or steps dead cycles, fails here
+// without timing noise.
+func TestMeshLowloadEvals(t *testing.T) {
+	const maxSteps, maxEvals = 4_358, 81_431
+	var steps, evals uint64
+	cfg := meshLowload
+	cfg.OnNetwork = func(n *noc.Network) {
+		clk := n.Clock()
+		clk.Probe(func(uint64) {
+			steps++
+			evals += uint64(clk.ActiveCount())
+		})
+	}
+	if _, err := traffic.Run(noc.Defaults(16, 16), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if steps > maxSteps || evals > maxEvals {
+		t.Errorf("executed %d steps and %d evaluations, want at most %d and %d", steps, evals, maxSteps, maxEvals)
 	}
 }
 
@@ -411,10 +444,10 @@ func BenchmarkAblKernelSchedule(b *testing.B) {
 // sleep, a router starts serving a waiting header on the clock edge,
 // and one whose waiting headers all face busy outputs sleeps through
 // their retries, so about 105 of its 768 components evaluate per
-// cycle. In a CPU profile of 30 jobs Router.Eval takes 43% cumulative
-// (its receiver and sender handshakes 11%), Router.Commit 29%
-// (latching the staged ports 11%, computing the Idle answer 13%), the
-// kernel's step loop 12% flat and its wakes and timers 3%, so it is
+// cycle. In a CPU profile of 30 jobs Router.Eval takes 44% cumulative
+// (its receiver and sender handshakes 14%), Router.Commit 19%
+// (latching the staged ports 9%, settled 5%), Router.Idle 7%, the
+// kernel's step loop 12% flat and its wakes and timers 4%, so it is
 // the profile target for the NoC models.
 // A job allocates about 1,732 objects and 1.65 MB, 606 objects and
 // 1.00 MB of them to build the mesh; the rest are the endpoints' word

@@ -39,7 +39,11 @@
 // Every NoC link runs the paper's 2-cycle asynchronous handshake,
 // stepped cycle by cycle while the link is busy, and keeps it on its
 // tx and ack wires alone; a router's clock edge latches only the ports
-// whose buffer, wormhole or crossbar state moved. Flits are two-word
+// whose buffer, wormhole or crossbar state moved, and a router reads
+// only its live ports: the inputs whose tx it last read high or whose
+// ack it holds, the outputs with a connection, and the inputs whose tx
+// the edge changed, which the kernel's latch marks in the router's
+// change mask (sim.Watch names each wire's port bit). Flits are two-word
 // values — data plus a noc.PacketID indexing a network-owned metadata
 // table. An endpoint queues whole packets, in one injection queue in
 // evaluation order, and builds each flit as it presents it, and
@@ -54,7 +58,8 @@
 // cycle. A run has exactly one Clock: sim.ParseKernel, the value's only
 // parser, returns it configured, and the run builds its mesh and IP
 // cores on it. Models need nothing extra: anything built on registered
-// wires, Watch, and Handle.WakeAt timers is warpable as-is. Every kernel
+// wires, Watch, and Handle.WakeAt timers is warpable as-is, and every
+// kernel marks a watched wire's change alike. Every kernel
 // visits its awake components in registration order and reproduces
 // the default's traffic results, packet numbering, router statistics,
 // VCD dumps and boot transcripts bit for bit.

@@ -82,7 +82,7 @@ func New(clk *sim.Clock, toNoC, fromNoC *serial.Line, div int) *Host {
 	// A burst from the Serial IP must wake the host out of idle sleep
 	// so the monitor receives frames sent while it has nothing to
 	// transmit; the receiver relies on this wake to read the line.
-	sim.Watch(fromNoC, h.self)
+	sim.Watch(fromNoC, h.self, 0)
 	return h
 }
 

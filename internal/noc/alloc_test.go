@@ -2,9 +2,24 @@ package noc
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
+
+// TestLinkSize pins a Link at 104 bytes on 64-bit platforms: three
+// wires, each carrying its two values, its dirty flag and its watcher's
+// port mark (which fits in the flag's padding), its clock and its
+// watcher. So marking a watcher's port costs the mesh's link slab
+// nothing.
+func TestLinkSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned size is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Link{}); got != 104 {
+		t.Errorf("a Link takes %d bytes, want 104", got)
+	}
+}
 
 // flitTrain is a continuous train of max-size packets from (0,0) to
 // (3,0) across a 4x1 mesh, stepped one cycle per Step.

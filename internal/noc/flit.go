@@ -31,9 +31,11 @@
 // woken by Send. Everything else that ends a stall, such as a pop that
 // frees buffer space, happens in the component's own Eval while it is
 // awake. A router's Commit computes its Idle answer from the state it
-// has just latched and the link wires' Peek, which is what the coming
-// latch publishes because link wires are Set only during Eval; an
-// endpoint's Idle reads the wires as latched.
+// has just latched and its connected outputs' link wires through Peek,
+// which is what the coming latch publishes because link wires are Set
+// only during Eval; its Idle adds the inputs' tx after the edge, reading
+// again only the inputs whose tx the edge changed. An endpoint's Idle
+// reads the wires as latched.
 //
 // A router that falls asleep mid routing-delay arms the timer, unless
 // every waiting header wants an output connected to another input.

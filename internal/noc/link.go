@@ -39,11 +39,13 @@ func (l *Link) init(clk *sim.Clock) {
 //
 // It keeps no state but its link. A free owner always offers or drops,
 // so the sender is busy, with a flit presented and waiting for its ack,
-// exactly while its latched tx is high. It Sets tx and data only in its
-// owner's Eval: the reading router's Commit takes its Idle answer from
-// tx through Peek. The sender's ack is one of a router's wake sources;
-// a header waiting for the router's control is not, because the
-// control's scan starts on the edge.
+// exactly while its latched tx is high, and changes tx only in the
+// cycle it sees an ack or while tx is low. A reading router learns of
+// that change from its change mask after the edge: the latch marks the
+// input's port, and the router's Idle reads tx again through Get. The
+// sender's ack is one of a router's wake sources; a header waiting for
+// the router's control is not, because the control's scan starts on
+// the edge.
 type sender struct {
 	link *Link
 }
@@ -84,10 +86,12 @@ func (s *sender) drop() {
 
 // receiver drives the downstream side of a Link. It keeps no state but
 // its link: its latched ack is high exactly on the cycle after it
-// accepted, while the data on the link is stale. It Sets ack only in
-// its owner's Eval: the sending router's Commit takes its Idle answer
-// from ack through Peek. Its tx is the other link wake source of a
-// router.
+// accepted, while the data on the link is stale. A router keeps that
+// as its acking mask, so it visits an input whose tx and ack are low
+// only when the edge marks a tx change. The receiver Sets ack only in
+// its owner's Eval: the sending router's Commit reads a connected
+// output's ack through Peek for its Idle answer. Its tx is the other
+// link wake source of a router.
 type receiver struct {
 	link *Link
 }

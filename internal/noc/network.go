@@ -54,6 +54,12 @@ func (c Config) internalRouteDelay() int {
 	return d
 }
 
+// maxBufDepth bounds Config.BufDepth. New allocates every input
+// buffer's slots up front, so an unbounded depth from a submitted job
+// would be an allocation the Go runtime cannot survive, not an error;
+// 1,024 flits is 64 times E3's deepest buffer.
+const maxBufDepth = 1024
+
 // Validate reports the first invalid field of the configuration, nil
 // when it is usable. Constructors call it themselves; services that
 // accept configurations from the network call it up front to turn a
@@ -66,8 +72,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("noc: mesh %dx%d exceeds the 16x16 addressing limit", c.Width, c.Height)
 	case c.FlitBits != 8 && c.FlitBits != 16 && c.FlitBits != 32:
 		return fmt.Errorf("noc: unsupported flit width %d", c.FlitBits)
-	case c.BufDepth < 1:
-		return fmt.Errorf("noc: buffer depth %d < 1", c.BufDepth)
+	case c.BufDepth < 1 || c.BufDepth > maxBufDepth:
+		return fmt.Errorf("noc: buffer depth %d outside 1..%d flits", c.BufDepth, maxBufDepth)
 	case c.RouteCycles < 4:
 		return fmt.Errorf("noc: RouteCycles %d below pipeline minimum 4", c.RouteCycles)
 	case c.Routing == nil:
@@ -247,8 +253,8 @@ func (n *Network) NewEndpoint(a Addr) (*Endpoint, error) {
 		rcv:  receiver{link: fromRouter},
 	}
 	ep.self = n.clk.Register(ep)
-	sim.Watch(&fromRouter.Tx, ep.self)
-	sim.Watch(&toRouter.Ack, ep.self)
+	sim.Watch(&fromRouter.Tx, ep.self, 0)
+	sim.Watch(&toRouter.Ack, ep.self, 0)
 	return ep, nil
 }
 

@@ -132,7 +132,16 @@ type Router struct {
 	// buffered counts the flits in the input buffers. Commit keeps it,
 	// and the control's waiting mask, as it latches.
 	buffered int
-	// idle is Idle's answer, computed by Commit.
+	// The live ports, bit i for port i: txHigh the inputs whose tx
+	// Eval last read high, acking the inputs whose ack the router holds
+	// high (Eval stages it, the edge latches it) and conn the outputs
+	// with a connection (Commit keeps it as it latches). An input in
+	// neither mask and unmarked in the change mask (the edge that
+	// changes an input's tx marks its bit, see connectIn) has tx and
+	// ack low, so Eval and Idle skip it.
+	txHigh, acking, conn uint8
+	// idle is Commit's part of Idle's answer: every term but the
+	// inputs' tx (see settled).
 	idle  bool
 	stats RouterStats
 	// statsAt is the cycle through which the per-cycle stats integrals
@@ -191,10 +200,11 @@ func (r *Router) Stats() RouterStats {
 }
 
 // connectIn attaches the upstream link arriving at port p. The router
-// watches the link's tx so an arriving flit wakes it.
+// watches the link's tx so an arriving flit wakes it, and a change
+// marks bit p of its change mask.
 func (r *Router) connectIn(p Port, l *Link) {
 	r.in[p].rcv.link = l
-	sim.Watch(&l.Tx, r.self)
+	sim.Watch(&l.Tx, r.self, 1<<p)
 }
 
 // connectOut attaches the downstream link leaving port p. The router
@@ -202,7 +212,7 @@ func (r *Router) connectIn(p Port, l *Link) {
 // it.
 func (r *Router) connectOut(p Port, l *Link) {
 	r.out[p].snd.link = l
-	sim.Watch(&l.Ack, r.self)
+	sim.Watch(&l.Ack, r.self, 0)
 }
 
 // Eval implements sim.Component. All reads observe registered state; all
@@ -222,24 +232,31 @@ func (r *Router) Eval() {
 		r.catchUp(n)
 	}
 
-	// Input side: accept flits from upstream. A port whose handshake is
-	// at rest (incoming tx low, ack low) is skipped: its eval would
-	// stage nothing.
-	for i := range r.in {
-		p := &r.in[i]
-		if l := p.rcv.link; l != nil && (l.Tx.Get() || l.Ack.Get()) {
-			if f, ok := p.rcv.eval(p.buf.Free() > 0); ok {
-				p.buf.StagePush(f)
-				r.staged |= 1 << i
-			}
+	// Input side: accept flits from upstream. Only the live inputs are
+	// visited: those whose tx was high at the last read, those holding
+	// ack, and those whose tx has changed since. Any other input's
+	// handshake is at rest (tx low, ack low), and its eval would stage
+	// nothing.
+	for m := r.txHigh | r.acking | r.self.TakeChanged(); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		p, bit := &r.in[i], uint8(1)<<i
+		if p.rcv.link.Tx.Get() {
+			r.txHigh |= bit
+		} else {
+			r.txHigh &^= bit
+		}
+		if f, ok := p.rcv.eval(p.buf.Free() > 0); ok {
+			p.buf.StagePush(f)
+			r.staged |= 1 << i
+			r.acking |= bit
+		} else {
+			r.acking &^= bit
 		}
 	}
 	// Output side: stream flits of established connections downstream.
-	for i := range r.out {
+	for m := r.conn; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
 		o := &r.out[i]
-		if o.src == PortNone {
-			continue
-		}
 		p := &r.in[o.src]
 		popped := 0
 		accepted, free := o.snd.begin()
@@ -397,16 +414,36 @@ func (r *Router) catchUp(n uint64) {
 }
 
 // Idle implements sim.Idler: it reports whether the next Eval would
-// stage nothing. Commit computes the answer (see settled), after
-// starting any waiting header's routing delay, so a header waiting for
-// the control never keeps the router awake.
-func (r *Router) Idle() bool { return r.idle }
+// stage nothing. Commit computes every term but the inputs' tx (see
+// settled), after starting any waiting header's routing delay, so a
+// header waiting for the control never keeps the router awake. Idle
+// adds the inputs' tx after the edge, from the masks: an input's tx is
+// high now if Eval read it high and it did not change at this edge, and
+// only the inputs whose tx changed at this edge are read again. That is
+// the exact answer under every kernel, after every edge, which dense's
+// Quiescent needs too: Eval takes the change mask, so it holds this
+// edge's changes alone.
+func (r *Router) Idle() bool {
+	if !r.idle {
+		return false
+	}
+	changed := r.self.Changed()
+	for m := r.txHigh | changed; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		p := &r.in[i]
+		if p.buf.Free() > 0 && (changed&(1<<i) == 0 || p.rcv.link.Tx.Get()) {
+			return false
+		}
+	}
+	return true
+}
 
-// settled reports whether the next Eval would stage nothing. A router
-// may sleep with open wormholes, buffered flits, flits presented and
-// waiting for their ack, and headers waiting for the control, provided
-// that
-//   - no input holds ack, or sees tx high with buffer space to accept;
+// settled reports whether the next Eval would stage nothing as far as
+// the router's own state and its outputs tell. A router may sleep with
+// open wormholes, buffered flits, flits presented and waiting for their
+// ack, and headers waiting for the control, provided that
+//   - no input holds ack, or sees tx high with buffer space to accept
+//     (the second term is Idle's, after the edge);
 //   - no output sees an ack, or has tx low with a flit of its
 //     connection buffered to present.
 //
@@ -423,23 +460,21 @@ func (r *Router) Idle() bool { return r.idle }
 // end nothing, so the router sleeps through them and counts them when
 // it wakes.
 //
-// Commit calls it on the state it has just latched. It reads the
-// handshake from each link wire through Peek, which is exactly what the
-// coming latch publishes, because link wires are Set only during Eval.
+// Commit calls it on the state it has just latched. The inputs' ack is
+// the acking mask, which the router drives itself. An output without a
+// connection has tx and ack low: its tail's ack, which closed the
+// connection, fell on the edge the close latches on. Only the connected
+// outputs' handshake is read, from the link wires through Peek, which
+// is exactly what the coming latch publishes, because link wires are
+// Set only during Eval.
 func (r *Router) settled() bool {
-	for i := range r.in {
-		p := &r.in[i]
-		if l := p.rcv.link; l != nil && (l.Ack.Peek() || l.Tx.Peek() && p.buf.Free() > 0) {
-			return false
-		}
+	if r.acking != 0 {
+		return false
 	}
-	for i := range r.out {
-		o := &r.out[i]
+	for m := r.conn; m != 0; m &= m - 1 {
+		o := &r.out[bits.TrailingZeros8(m)]
 		l := o.snd.link
-		if l == nil {
-			continue
-		}
-		if l.Ack.Peek() || !l.Tx.Peek() && o.src != PortNone && r.in[o.src].buf.Len() > 0 {
+		if l.Ack.Peek() || !l.Tx.Peek() && r.in[o.src].buf.Len() > 0 {
 			return false
 		}
 	}
@@ -447,10 +482,17 @@ func (r *Router) settled() bool {
 }
 
 // Commit implements sim.Component. It latches the ports Eval staged
-// on, keeping the waiting mask and the buffered count, starts the next
-// request when the control is free and a header waits, then computes
-// Idle's answer. A router that falls asleep mid routing-delay arms a
-// timer for its completion unless every waiting header is blocked.
+// on, keeping the waiting mask, the buffered count and the connected
+// outputs, starts the next request when the control is free and a
+// header waits, then computes its part of Idle's answer. A router that
+// may fall asleep mid routing-delay arms a timer for its completion
+// unless every waiting header is blocked. It arms it on its own part
+// of the answer, before Idle adds the inputs' tx, so also when an input
+// keeps the router awake. That changes no evaluation: until the timer
+// fires no header is routed, so the request, its completion cycle and a
+// header that is not blocked all stay as they are, and the router is
+// either still awake when the timer fires or fell asleep since and
+// armed the same timer.
 func (r *Router) Commit() {
 	for m := r.staged; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros16(m)
@@ -459,6 +501,11 @@ func (r *Router) Commit() {
 		} else {
 			o := &r.out[i-int(numPorts)]
 			o.src = o.nSrc
+			if bit := uint8(1) << o.port; o.src != PortNone {
+				r.conn |= bit
+			} else {
+				r.conn &^= bit
+			}
 		}
 	}
 	r.staged = 0

@@ -70,10 +70,48 @@ func checkCounters(t *testing.T, cycle uint64, r *Router) (waiting, buffered int
 	return waiting, buffered
 }
 
-// TestRouterCounters runs a saturated 6x6 mesh under the default
-// kernel and a dense twin in lockstep on the same sends. After every
-// step, in both, each router's waiting mask, stored outputs and
-// buffered count equal a recount over its input ports, and every
+// checkPorts fails unless r's live-port masks equal a recount from its
+// latched link wires and its crossbar: acking the inputs whose ack is
+// high, conn the outputs with a connection, and txHigh, with the
+// inputs marked in the change mask flipped, the inputs whose tx is
+// high. A router takes the change mask in Eval and wakes on the first
+// change, so the mask holds at most one flip of each input's tx: the
+// edge's since the router evaluated this step, the one that woke it if
+// it sleeps.
+func checkPorts(t *testing.T, cycle uint64, r *Router) {
+	t.Helper()
+	var tx, ack, conn uint8
+	for i := range r.in {
+		if l := r.in[i].rcv.link; l != nil {
+			if l.Tx.Get() {
+				tx |= 1 << i
+			}
+			if l.Ack.Get() {
+				ack |= 1 << i
+			}
+		}
+		if r.out[i].src != PortNone {
+			conn |= 1 << i
+		}
+	}
+	if got := r.txHigh ^ r.self.Changed(); got != tx || r.acking != ack || r.conn != conn {
+		t.Fatalf("cycle %d: router %s keeps tx %05b (read %05b, changed %05b), acking %05b, conn %05b; recount %05b, %05b, %05b",
+			cycle, r.addr, got, r.txHigh, r.self.Changed(), r.acking, r.conn, tx, ack, conn)
+	}
+}
+
+// lockstepSeen counts the states a lockstep run checked: a waiting
+// header, an idle router holding flits, a router asleep past a blocked
+// retry and one waking to apply its retries.
+type lockstepSeen struct{ waited, sleptHolding, sleptRetries, caughtUp int }
+
+// routerLockstep runs cfg's mesh under the default kernel and a dense
+// twin in lockstep on the same sends: for sendCycles cycles every
+// endpoint with fewer than 4 flits queued sends a packet of 1 to 16
+// words to a destination drawn from seed, then the mesh drains. After
+// every step, in both, each router's waiting mask, stored outputs and
+// buffered count equal a recount over its input ports, its live-port
+// masks equal a recount from its link wires and crossbar, and every
 // router that evaluated in the step reports the Idle answer of the
 // ten-port reference walk (a sleeping router is skipped for Idle: the
 // kernel does not consult it, and a wake may be pending). Every
@@ -82,105 +120,152 @@ func checkCounters(t *testing.T, cycle uint64, r *Router) (waiting, buffered int
 // and a router that evaluated has its twin's control state, so the
 // attempts its Eval applied on waking left the round-robin scan where
 // the stepped control left it. Dense never applies an attempt late.
+func routerLockstep(t *testing.T, cfg Config, seed uint64, sendCycles int) lockstepSeen {
+	t.Helper()
+	clk, dclk := sim.NewClock(), kernelClock(t, "dense")
+	net, dnet := buildOn(t, clk, cfg), buildOn(t, dclk, cfg)
+	var seen lockstepSeen
+	slept := make([]bool, len(net.routers)) // pending attempts at the last check
+	check := func() {
+		cycle := clk.Cycle()
+		if dclk.Cycle() != cycle {
+			t.Fatalf("lockstep lost: cycle %d, dense at %d", cycle, dclk.Cycle())
+		}
+		for i := range net.routers {
+			r, d := &net.routers[i], &dnet.routers[i]
+			waiting, buffered := checkCounters(t, cycle, r)
+			checkCounters(t, cycle, d)
+			checkPorts(t, cycle, r)
+			checkPorts(t, cycle, d)
+			if got, want := d.Idle(), refIdle(d); got != want {
+				t.Fatalf("cycle %d: dense router %s Idle %v, reference %v", cycle, d.addr, got, want)
+			}
+			s, ds := r.Stats(), d.Stats()
+			if s != ds {
+				t.Fatalf("cycle %d: router %s stats %+v, dense %+v", cycle, r.addr, s, ds)
+			}
+			if ds != d.stats {
+				t.Fatalf("cycle %d: dense router %s has pending attempts", cycle, d.addr)
+			}
+			pending := s.BlockedAttempts != r.stats.BlockedAttempts
+			if pending {
+				seen.sleptRetries++
+			}
+			if r.statsAt == cycle {
+				if got, want := r.Idle(), refIdle(r); got != want {
+					t.Fatalf("cycle %d: router %s Idle %v, reference %v", cycle, r.addr, got, want)
+				}
+				if r.ctl != d.ctl {
+					t.Fatalf("cycle %d: router %s control %+v, dense %+v", cycle, r.addr, r.ctl, d.ctl)
+				}
+				if slept[i] {
+					seen.caughtUp++
+				}
+				if waiting > 0 {
+					seen.waited++
+				}
+				if r.Idle() && buffered > 0 {
+					seen.sleptHolding++
+				}
+			}
+			slept[i] = pending
+		}
+	}
+	step := func() {
+		clk.Run(1) // one cycle: a warp stops at the window's end
+		dclk.Step()
+		check()
+	}
+	rnd := sim.NewRand(seed)
+	var sent uint64
+	for n := 0; n < sendCycles; n++ {
+		for x := 0; x < cfg.Width; x++ {
+			for y := 0; y < cfg.Height; y++ {
+				ep, dep := net.Endpoint(Addr{x, y}), dnet.Endpoint(Addr{x, y})
+				if ep.QueuedFlits() != dep.QueuedFlits() {
+					t.Fatalf("cycle %d: endpoint %s queues %d flits, dense %d",
+						clk.Cycle(), ep.addr, ep.QueuedFlits(), dep.QueuedFlits())
+				}
+				if ep.QueuedFlits() >= 4 {
+					continue
+				}
+				dst := Addr{rnd.Intn(cfg.Width), rnd.Intn(cfg.Height)}
+				payload := make([]uint16, 1+rnd.Intn(16))
+				if _, err := ep.Send(dst, payload); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dep.Send(dst, payload); err != nil {
+					t.Fatal(err)
+				}
+				sent++
+			}
+		}
+		step()
+	}
+	for n := 0; !clk.Quiescent() || !dclk.Quiescent(); n++ {
+		if n == 1_000_000 {
+			t.Fatal("not quiescent after the drain budget")
+		}
+		step()
+	}
+	if net.Delivered() != sent || dnet.Delivered() != sent {
+		t.Fatalf("delivered %d and %d (dense) of %d packets", net.Delivered(), dnet.Delivered(), sent)
+	}
+	return seen
+}
+
+// routerRows are TestRouterCounters' meshes, all 6x6 and saturated by
+// the sends of seed 7: XY routing at buffer depths 1, 2 and 4, and YX
+// and west-first routing at the default depth of 2.
+var routerRows = []struct {
+	name    string
+	depth   int
+	routing int // index into lockstepRoutings
+}{
+	{"buf1", 1, 0},
+	{"buf2", 2, 0},
+	{"buf4", 4, 0},
+	{"yx", 2, 1},
+	{"westfirst", 2, 2},
+}
+
+// lockstepRoutings are the deadlock-free routing functions the
+// lockstep runs draw from.
+var lockstepRoutings = []RoutingFunc{RouteXY, RouteYX, RouteWestFirst}
+
+// TestRouterCounters runs routerLockstep on each of routerRows for
+// 3,000 cycles of sends, and requires each run to have seen a waiting
+// header, an idle router holding flits, a router asleep past a blocked
+// retry and one waking to apply its retries.
 func TestRouterCounters(t *testing.T) {
-	for _, depth := range []int{1, 2} {
-		t.Run(fmt.Sprintf("buf%d", depth), func(t *testing.T) {
+	for _, row := range routerRows {
+		t.Run(row.name, func(t *testing.T) {
 			cfg := Defaults(6, 6)
-			cfg.BufDepth = depth
-			clk, dclk := sim.NewClock(), kernelClock(t, "dense")
-			net, dnet := buildOn(t, clk, cfg), buildOn(t, dclk, cfg)
-			var waited, sleptHolding, sleptRetries, caughtUp int
-			slept := make([]bool, len(net.routers)) // pending attempts at the last check
-			check := func() {
-				cycle := clk.Cycle()
-				if dclk.Cycle() != cycle {
-					t.Fatalf("lockstep lost: cycle %d, dense at %d", cycle, dclk.Cycle())
-				}
-				for i := range net.routers {
-					r, d := &net.routers[i], &dnet.routers[i]
-					waiting, buffered := checkCounters(t, cycle, r)
-					checkCounters(t, cycle, d)
-					if got, want := d.Idle(), refIdle(d); got != want {
-						t.Fatalf("cycle %d: dense router %s Idle %v, reference %v", cycle, d.addr, got, want)
-					}
-					s, ds := r.Stats(), d.Stats()
-					if s != ds {
-						t.Fatalf("cycle %d: router %s stats %+v, dense %+v", cycle, r.addr, s, ds)
-					}
-					if ds != d.stats {
-						t.Fatalf("cycle %d: dense router %s has pending attempts", cycle, d.addr)
-					}
-					pending := s.BlockedAttempts != r.stats.BlockedAttempts
-					if pending {
-						sleptRetries++
-					}
-					if r.statsAt == cycle {
-						if got, want := r.Idle(), refIdle(r); got != want {
-							t.Fatalf("cycle %d: router %s Idle %v, reference %v", cycle, r.addr, got, want)
-						}
-						if r.ctl != d.ctl {
-							t.Fatalf("cycle %d: router %s control %+v, dense %+v", cycle, r.addr, r.ctl, d.ctl)
-						}
-						if slept[i] {
-							caughtUp++
-						}
-						if waiting > 0 {
-							waited++
-						}
-						if r.Idle() && buffered > 0 {
-							sleptHolding++
-						}
-					}
-					slept[i] = pending
-				}
-			}
-			step := func() {
-				clk.Run(1) // one cycle: a warp stops at the window's end
-				dclk.Step()
-				check()
-			}
-			rnd := sim.NewRand(7)
-			var sent uint64
-			for n := 0; n < 3000; n++ {
-				for x := 0; x < cfg.Width; x++ {
-					for y := 0; y < cfg.Height; y++ {
-						ep, dep := net.Endpoint(Addr{x, y}), dnet.Endpoint(Addr{x, y})
-						if ep.QueuedFlits() != dep.QueuedFlits() {
-							t.Fatalf("cycle %d: endpoint %s queues %d flits, dense %d",
-								clk.Cycle(), ep.addr, ep.QueuedFlits(), dep.QueuedFlits())
-						}
-						if ep.QueuedFlits() >= 4 {
-							continue
-						}
-						dst := Addr{rnd.Intn(cfg.Width), rnd.Intn(cfg.Height)}
-						payload := make([]uint16, 1+rnd.Intn(16))
-						if _, err := ep.Send(dst, payload); err != nil {
-							t.Fatal(err)
-						}
-						if _, err := dep.Send(dst, payload); err != nil {
-							t.Fatal(err)
-						}
-						sent++
-					}
-				}
-				step()
-			}
-			for n := 0; !clk.Quiescent() || !dclk.Quiescent(); n++ {
-				if n == 1_000_000 {
-					t.Fatal("not quiescent after the drain budget")
-				}
-				step()
-			}
-			if net.Delivered() != sent || dnet.Delivered() != sent {
-				t.Fatalf("delivered %d and %d (dense) of %d packets", net.Delivered(), dnet.Delivered(), sent)
-			}
-			if waited == 0 || sleptHolding == 0 || sleptRetries == 0 || caughtUp == 0 {
+			cfg.BufDepth, cfg.Routing = row.depth, lockstepRoutings[row.routing]
+			seen := routerLockstep(t, cfg, 7, 3000)
+			if seen.waited == 0 || seen.sleptHolding == 0 || seen.sleptRetries == 0 || seen.caughtUp == 0 {
 				t.Fatalf("vacuous: %d checks saw a waiting header, %d an idle router holding flits, "+
 					"%d a router asleep past a blocked retry, %d one waking to apply its retries",
-					waited, sleptHolding, sleptRetries, caughtUp)
+					seen.waited, seen.sleptHolding, seen.sleptRetries, seen.caughtUp)
 			}
 		})
 	}
+}
+
+// FuzzRouterCounters runs routerLockstep over fuzzed meshes: side 2 to
+// 6, buffer depth 1 to 4, one of lockstepRoutings and the send seed,
+// for 1,000 cycles of sends. routerRows are its seed corpus.
+func FuzzRouterCounters(f *testing.F) {
+	for _, row := range routerRows {
+		f.Add(uint8(6), uint8(row.depth), uint8(row.routing), uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, side, depth, routing uint8, seed uint64) {
+		n := 2 + int(side-2)%5
+		cfg := Defaults(n, n)
+		cfg.BufDepth = 1 + int(depth-1)%4
+		cfg.Routing = lockstepRoutings[int(routing)%len(lockstepRoutings)]
+		routerLockstep(t, cfg, seed, 1000)
+	})
 }
 
 // TestMisrouteStuck: a routing function that sends a header towards a

@@ -30,6 +30,11 @@ func TestConfigValidateExported(t *testing.T) {
 	if err := Defaults(4, 4).Validate(); err != nil {
 		t.Errorf("Defaults invalid: %v", err)
 	}
+	deepest := Defaults(16, 16)
+	deepest.BufDepth = maxBufDepth
+	if err := deepest.Validate(); err != nil {
+		t.Errorf("the deepest buffer invalid: %v", err)
+	}
 	bad := []Config{
 		{},
 		Defaults(0, 4),
@@ -37,6 +42,7 @@ func TestConfigValidateExported(t *testing.T) {
 		Defaults(17, 4),
 		{Width: 4, Height: 4, FlitBits: 9, BufDepth: 2, RouteCycles: 14, Routing: RouteXY},
 		{Width: 4, Height: 4, FlitBits: 8, BufDepth: 0, RouteCycles: 14, Routing: RouteXY},
+		{Width: 4, Height: 4, FlitBits: 8, BufDepth: maxBufDepth + 1, RouteCycles: 14, Routing: RouteXY},
 		{Width: 4, Height: 4, FlitBits: 8, BufDepth: 2, RouteCycles: 2, Routing: RouteXY},
 		{Width: 4, Height: 4, FlitBits: 8, BufDepth: 2, RouteCycles: 14, Routing: nil},
 	}

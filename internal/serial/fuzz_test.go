@@ -162,7 +162,7 @@ func runUART(t *testing.T, k sim.Kernel, c uartCase) (got []gotByte, errs uint64
 	o := &sleepyRX{}
 	h := clk.Register(o)
 	o.rx = NewRX(line, c.rxDiv, h)
-	sim.Watch(line, h)
+	sim.Watch(line, h, 0)
 	o.rx.Recv = func(b byte) { got = append(got, gotByte{b, clk.Cycle() + 1}) }
 	last := line.Get()
 	clk.Probe(func(cy uint64) {

@@ -66,7 +66,7 @@ func NewIP(net *noc.Network, addr noc.Addr, rxd, txd *Line) (*IP, error) {
 	ep.SetOwner(ip.self)
 	// A burst on the host line must wake the IP out of idle sleep, both
 	// for auto-baud edge measurement and for frame reception.
-	sim.Watch(rxd, ip.self)
+	sim.Watch(rxd, ip.self, 0)
 	return ip, nil
 }
 

@@ -406,7 +406,7 @@ func TestBoundRXGlitchMatchesReference(t *testing.T) {
 			h := clk.Register(s)
 			rx = NewRX(line, div, h)
 			s.rx = rx
-			sim.Watch(line, h)
+			sim.Watch(line, h, 0)
 		}
 		var res result
 		rx.Recv = func(b byte) {

@@ -31,7 +31,10 @@
 //     k, the edge latches it, and the watcher evaluates in cycle k+1 —
 //     exactly the cycle in which a dense simulation would first
 //     observe the new value. Wake-on-change therefore preserves
-//     bit-identical results.
+//     bit-identical results. The change also marks the watcher's
+//     change mask (Handle.Changed) with the bit its Watch named, so a
+//     router visits only the input ports whose tx changed and the
+//     ports it knows are live.
 //   - Handle.Wake — an explicit wake, used when state is handed to a
 //     sleeping component outside the wire protocol (e.g. a packet
 //     staged on an endpoint's injection queue, or a received packet
@@ -204,6 +207,9 @@ type Clock struct {
 	// component that re-arms the same deadline every Eval would
 	// otherwise leak one heap slot per call.
 	lastArmed []uint64
+	// changed is parallel to comps: the marks of the component's
+	// watched wires that changed since its last TakeChanged.
+	changed []uint8
 
 	dirty    []latcher // wires with a staged Set awaiting this edge
 	allWires []latcher // every wire, latched unconditionally in dense mode
@@ -236,6 +242,7 @@ func (c *Clock) Register(comp Component) Handle {
 	id, _ := comp.(Idler)
 	c.idlers = append(c.idlers, id)
 	c.wakePending = append(c.wakePending, false)
+	c.changed = append(c.changed, 0)
 	c.lastArmed = append(c.lastArmed, 0)
 	if i%64 == 0 {
 		c.awake = append(c.awake, 0)
@@ -299,6 +306,28 @@ func (h Handle) Wake() {
 	if h.clk != nil {
 		h.clk.wakeIndex(h.idx)
 	}
+}
+
+// Changed reports the component's change mask: the OR of the marks
+// (see Watch) of its watched wires that changed at a clock edge since
+// its last TakeChanged. A component that takes the mask in every Eval
+// finds in it, after an edge, that edge's changes alone. The zero
+// Handle reports 0.
+func (h Handle) Changed() uint8 {
+	if h.clk == nil {
+		return 0
+	}
+	return h.clk.changed[h.idx]
+}
+
+// TakeChanged reports the change mask, as Changed does, and clears it.
+func (h Handle) TakeChanged() uint8 {
+	if h.clk == nil {
+		return 0
+	}
+	m := h.clk.changed[h.idx]
+	h.clk.changed[h.idx] = 0
+	return m
 }
 
 // WakeAt schedules the component to be active during the step that ends

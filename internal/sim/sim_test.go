@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -370,7 +371,7 @@ func TestWatchWakeMatchesDense(t *testing.T) {
 		d := &stepDriver{out: w, clk: clk, values: map[uint64]uint64{3: 7, 5: 7, 9: 8}}
 		wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
 		clk.Register(d)
-		Watch(w, clk.Register(wc))
+		Watch(w, clk.Register(wc), 0)
 		clk.Run(15)
 		return wc.seen
 	}
@@ -590,13 +591,13 @@ func TestWakeAtDistinctCyclesAllFire(t *testing.T) {
 func TestWatchSecondWatcherPanics(t *testing.T) {
 	clk := NewClock()
 	w := NewWire(clk, uint64(0))
-	Watch(w, clk.Register(&watcherComp{in: w, clk: clk}))
+	Watch(w, clk.Register(&watcherComp{in: w, clk: clk}), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a second Watch on one wire did not panic")
 		}
 	}()
-	Watch(w, clk.Register(&watcherComp{in: w, clk: clk}))
+	Watch(w, clk.Register(&watcherComp{in: w, clk: clk}), 0)
 }
 
 // TestWatchInPlaceAllocatesNothing: a wire readied in place and given
@@ -611,7 +612,7 @@ func TestWatchInPlaceAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		for k := next; k < next+len(wires)/2; k++ {
 			wires[k].Init(clk, 0)
-			Watch(&wires[k], h)
+			Watch(&wires[k], h, 0)
 		}
 		next += len(wires) / 2
 	})
@@ -629,10 +630,59 @@ func TestWatchAfterStagedSet(t *testing.T) {
 	h := clk.Register(wc)
 	clk.Run(3) // watcher asleep from cycle 1 on
 	w.Set(7)   // staged outside Eval, awaiting the next edge
-	Watch(w, h)
+	Watch(w, h, 0)
 	clk.Run(3)
 	if v, ok := wc.seen[5]; !ok || v != 7 {
 		t.Fatalf("watcher after late registration: seen %v, want 7 at cycle 5", wc.seen)
+	}
+}
+
+// markComp records the change mask it takes in each Eval, by cycle,
+// and sleeps.
+type markComp struct {
+	clk  *Clock
+	self Handle
+	got  map[uint64]uint8
+}
+
+func (m *markComp) Eval() {
+	if c := m.self.TakeChanged(); c != 0 {
+		m.got[m.clk.Cycle()+1] = c
+	}
+}
+func (m *markComp) Commit()    {}
+func (m *markComp) Idle() bool { return true }
+
+// TestWatchMarks: every edge that changes a watched wire ORs the mark
+// its Watch named into the watcher's change mask, under every kernel; a
+// Set that leaves the value unchanged marks nothing. Changed reads the
+// mask and TakeChanged clears it, so a watcher taking it in Eval sees
+// the edge's changes on exactly the cycle it first reads them.
+func TestWatchMarks(t *testing.T) {
+	for _, k := range []Kernel{"", "nowarp", "dense"} {
+		clk := kernelClock(t, k)
+		a, b := NewWire(clk, uint64(0)), NewWire(clk, uint64(0))
+		clk.Register(&stepDriver{out: a, clk: clk, values: map[uint64]uint64{3: 5, 5: 5, 7: 0}})
+		clk.Register(&stepDriver{out: b, clk: clk, values: map[uint64]uint64{3: 1, 9: 2}})
+		m := &markComp{clk: clk, got: make(map[uint64]uint8)}
+		m.self = clk.Register(m)
+		Watch(a, m.self, 1)
+		Watch(b, m.self, 2)
+		clk.Run(9)
+		if got, again := m.self.Changed(), m.self.Changed(); got != 2 || again != 2 {
+			t.Errorf("kernel %q: Changed after the edge of cycle 9 = %02b then %02b, want 10 twice", k, got, again)
+		}
+		clk.Run(3)
+		if want := map[uint64]uint8{4: 3, 8: 1, 10: 2}; !maps.Equal(m.got, want) {
+			t.Errorf("kernel %q: masks taken %v, want %v", k, m.got, want)
+		}
+		if c := m.self.Changed(); c != 0 {
+			t.Errorf("kernel %q: Changed after TakeChanged = %02b, want 0", k, c)
+		}
+	}
+	var zero Handle
+	if zero.Changed() != 0 || zero.TakeChanged() != 0 {
+		t.Error("the zero Handle reports a change")
 	}
 }
 
@@ -646,7 +696,7 @@ func TestWatchDenseMode(t *testing.T) {
 		d := &stepDriver{out: w, clk: clk, values: map[uint64]uint64{4: 3, 8: 11}}
 		wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
 		clk.Register(d)
-		Watch(w, clk.Register(wc))
+		Watch(w, clk.Register(wc), 0)
 		clk.Run(12)
 		return wc.seen
 	}
@@ -713,7 +763,7 @@ func TestHandleWakes(t *testing.T) {
 	zero.Wake()
 	zero.WakeAt(1 << 20)
 	w := NewWire(clk, uint64(0))
-	Watch(w, zero)
+	Watch(w, zero, 0)
 	w.Set(1)
 	clk.Run(3)
 	if len(p.evals) != 3 || clk.PendingTimers() != 0 {

@@ -20,6 +20,7 @@ package sim
 type Wire[T comparable] struct {
 	cur, next T
 	dirty     bool
+	mark      uint8 // the bit a change ORs into the watcher's change mask
 	clk       *Clock
 	watcher   int // the clock index of the component a change wakes, plus one; 0 for none
 }
@@ -61,13 +62,15 @@ func (w *Wire[T]) Set(v T) {
 // reads its inputs through Get. Peek serves two kinds of model code: a
 // driver that checks what its own wire already carries before staging
 // it again (the NoC link sender's offer and drop), and Commit code that
-// must know what the edge will latch (a router's settled, which
-// computes Idle from its link wires). The second holds only while
+// must know what the edge will latch (a router's settled, which reads
+// its connected outputs' links; it learns its inputs' tx changes from
+// the change mask after the edge instead). The second holds only while
 // wires are Set during Eval alone. Tests and tracers use Peek too.
 func (w *Wire[T]) Peek() T { return w.next }
 
 func (w *Wire[T]) latch() {
 	if w.watcher != 0 && w.cur != w.next {
+		w.clk.changed[w.watcher-1] |= w.mark
 		w.clk.wakeIndex(w.watcher - 1)
 	}
 	w.cur = w.next
@@ -79,13 +82,18 @@ func (w *Wire[T]) latch() {
 // wire's clock: the wire's one reader. The wake takes effect on the
 // cycle in which the watcher first observes the new value through Get,
 // so a sleeping watcher sees exactly what it would have seen evaluating
-// densely. A zero Handle is ignored; a second watcher panics.
-func Watch[T comparable](w *Wire[T], h Handle) {
+// densely. Each such change also ORs mark into the watcher's change
+// mask, under every kernel, which Handle.Changed reads and
+// Handle.TakeChanged clears: a component watching several wires gives
+// each the bit of the port it belongs to, and visits only the marked
+// ones; one that needs no mask passes 0. A zero Handle is ignored; a
+// second watcher panics.
+func Watch[T comparable](w *Wire[T], h Handle, mark uint8) {
 	if h.clk == nil {
 		return
 	}
 	if w.watcher != 0 {
 		panic("sim: Watch on a wire that already has a watcher")
 	}
-	w.watcher = h.idx + 1
+	w.watcher, w.mark = h.idx+1, mark
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -261,5 +262,34 @@ func TestHTTPPatternSweep(t *testing.T) {
 		if rec.Status != StatusDone || rec.Result == nil || rec.Result.MeasuredPackets == 0 {
 			t.Errorf("pattern job %d: %+v, want done with measured traffic", i, rec)
 		}
+	}
+}
+
+// TestHTTPSubmitRejectsHugeBufDepth: a job whose buffer depth is out of
+// range is a client error at submission time. The mesh would allocate
+// every buffer slot up front, about 5 TB for a depth of 10^9 on the
+// default 8x8 mesh, which the Go runtime treats as a fatal error, not a
+// panic a worker can recover. So the 400 must come before any runner
+// builds a mesh, and must name the accepted range.
+func TestHTTPSubmitRejectsHugeBufDepth(t *testing.T) {
+	s, err := NewService(Config{Workers: 1, Runner: func(ctx context.Context, spec JobSpec) (traffic.Result, error) {
+		t.Errorf("runner called for %+v", spec)
+		return instantRunner(ctx, spec)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	js := JobSpec{TrafficJob: experiments.TrafficJob{Rate: 0.02, PayloadFlits: 4, Seed: 1,
+		Warmup: 50, Measure: 200, Drain: 2000, BufDepth: 1_000_000_000}}
+	resp := postBatch(t, srv.URL, SubmitRequest{Jobs: []JobSpec{js}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bufDepth 10^9: %d, want 400", resp.StatusCode)
+	}
+	if e := decode[errorResponse](t, resp); !strings.Contains(e.Error, "1..1024") {
+		t.Errorf("error %q does not name the range 1..1024", e.Error)
 	}
 }
