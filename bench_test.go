@@ -28,7 +28,7 @@ func BenchmarkE1LatencyFormula(b *testing.B) {
 	src, dst := noc.Addr{X: 0, Y: 0}, noc.Addr{X: 7, Y: 0}
 	var last uint64
 	for i := 0; i < b.N; i++ {
-		lat, err := traffic.ProbeLatency(cfg, src, dst, 16)
+		lat, err := traffic.ProbeLatency(cfg, src, dst, 16, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func BenchmarkE2PeakThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var res traffic.PeakResult
 	for i := 0; i < b.N; i++ {
-		r, err := traffic.PeakThroughput(noc.Defaults(3, 3), 20)
+		r, err := traffic.PeakThroughput(noc.Defaults(3, 3), 20, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -444,11 +444,12 @@ func TestMeshLowloadEvals(t *testing.T) {
 // sleep, a router starts serving a waiting header on the clock edge,
 // and one whose waiting headers all face busy outputs sleeps through
 // their retries, so about 105 of its 768 components evaluate per
-// cycle. In a CPU profile of 30 jobs Router.Eval takes 44% cumulative
-// (its receiver and sender handshakes 14%), Router.Commit 19%
-// (latching the staged ports 9%, settled 5%), Router.Idle 7%, the
-// kernel's step loop 12% flat and its wakes and timers 4%, so it is
-// the profile target for the NoC models.
+// cycle, and a router reads no link of a port that waits on a full
+// buffer or an ack. In a CPU profile of 30 jobs Router.Eval takes 31%
+// cumulative (its receiver and sender handshakes 10%), Router.Commit
+// 21% (latching the staged ports 11%, settled 6%), Router.Idle 8%, the
+// kernel's step loop 18% flat, its wire latches 7% and its wakes and
+// timers 4%, so it is the profile target for the NoC models.
 // A job allocates about 1,732 objects and 1.65 MB, 606 objects and
 // 1.00 MB of them to build the mesh; the rest are the endpoints' word
 // rings and queues as they grow to their backlogs, the metadata chunks,
@@ -624,7 +625,7 @@ func BenchmarkAblFlitWidth(b *testing.B) {
 			cfg.FlitBits = bits
 			var gbps float64
 			for i := 0; i < b.N; i++ {
-				res, err := traffic.PeakThroughput(cfg, 10)
+				res, err := traffic.PeakThroughput(cfg, 10, "")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -645,7 +646,7 @@ func BenchmarkAblRouteCycles(b *testing.B) {
 			cfg.RouteCycles = rc
 			var lat uint64
 			for i := 0; i < b.N; i++ {
-				l, err := traffic.ProbeLatency(cfg, noc.Addr{X: 0, Y: 0}, noc.Addr{X: 7, Y: 0}, 16)
+				l, err := traffic.ProbeLatency(cfg, noc.Addr{X: 0, Y: 0}, noc.Addr{X: 7, Y: 0}, 16, "")
 				if err != nil {
 					b.Fatal(err)
 				}

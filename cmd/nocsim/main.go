@@ -147,7 +147,7 @@ func run(args []string, stdout io.Writer) error {
 		return traceOnePacket(ncfg, o.vcd)
 	}
 	if o.peak {
-		res, err := traffic.PeakThroughput(ncfg, 50)
+		res, err := traffic.PeakThroughput(ncfg, 50, o.jobs[0].Kernel)
 		if err != nil {
 			return err
 		}

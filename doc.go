@@ -40,10 +40,12 @@
 // stepped cycle by cycle while the link is busy, and keeps it on its
 // tx and ack wires alone; a router's clock edge latches only the ports
 // whose buffer, wormhole or crossbar state moved, and a router reads
-// only its live ports: the inputs whose tx it last read high or whose
-// ack it holds, the outputs with a connection, and the inputs whose tx
-// the edge changed, which the kernel's latch marks in the router's
-// change mask (sim.Watch names each wire's port bit). Flits are two-word
+// only its live ports that do not wait: the inputs whose tx it last
+// read high and whose buffer has space, or whose ack it holds, the
+// outputs with a connection that present no flit, and the ports whose
+// wires the edge changed (an input's tx, an output's ack), which the
+// kernel's latch marks in the router's 16-bit change mask (sim.Watch
+// names each wire's bit). Flits are two-word
 // values — data plus a noc.PacketID indexing a network-owned metadata
 // table. An endpoint queues whole packets, in one injection queue in
 // evaluation order, and builds each flit as it presents it, and

@@ -22,7 +22,7 @@ func E1LatencyFormula(w io.Writer) error {
 		for _, pay := range []int{4, 16, 64} {
 			src := noc.Addr{X: 0, Y: 0}
 			dst := noc.Addr{X: hops - 1, Y: 0}
-			got, err := traffic.ProbeLatency(cfg, src, dst, pay)
+			got, err := traffic.ProbeLatency(cfg, src, dst, pay, "")
 			if err != nil {
 				return err
 			}
@@ -45,7 +45,7 @@ func E1LatencyFormula(w io.Writer) error {
 // E2PeakThroughput reproduces the 1 Gbit/s router claim.
 func E2PeakThroughput(w io.Writer) error {
 	cfg := noc.Defaults(3, 3)
-	res, err := traffic.PeakThroughput(cfg, 40)
+	res, err := traffic.PeakThroughput(cfg, 40, "")
 	if err != nil {
 		return err
 	}
@@ -123,7 +123,7 @@ func AblFlitWidth(w io.Writer) error {
 	for _, bits := range []int{8, 16, 32} {
 		cfg := noc.Defaults(3, 3)
 		cfg.FlitBits = bits
-		res, err := traffic.PeakThroughput(cfg, 20)
+		res, err := traffic.PeakThroughput(cfg, 20, "")
 		if err != nil {
 			return err
 		}
@@ -142,7 +142,7 @@ func AblRouteCycles(w io.Writer) error {
 	for _, rc := range []int{6, 10, 14, 20, 28} {
 		cfg := noc.Defaults(8, 1)
 		cfg.RouteCycles = rc
-		got, err := traffic.ProbeLatency(cfg, noc.Addr{X: 0, Y: 0}, noc.Addr{X: 7, Y: 0}, 16)
+		got, err := traffic.ProbeLatency(cfg, noc.Addr{X: 0, Y: 0}, noc.Addr{X: 7, Y: 0}, 16, "")
 		if err != nil {
 			return err
 		}

@@ -15,6 +15,11 @@
 // tx is high, and a receiver holds ack exactly while its latched ack
 // is high, so neither side keeps a register of its own.
 //
+// A router reads a link only while the handshake can move on it: it
+// skips an input at rest or facing a full buffer, and an output whose
+// flit awaits its ack, until a tx change, its own pop or the ack ends
+// the wait (the kernel marks each change in its change mask).
+//
 // # Sleeping mid-wormhole
 //
 // A router or endpoint sleeps whenever its next Eval would stage

@@ -43,9 +43,12 @@ func (l *Link) init(clk *sim.Clock) {
 // cycle it sees an ack or while tx is low. A reading router learns of
 // that change from its change mask after the edge: the latch marks the
 // input's port, and the router's Idle reads tx again through Get. The
-// sender's ack is one of a router's wake sources; a header waiting for
-// the router's control is not, because the control's scan starts on
-// the edge.
+// sender's ack is one of a router's wake sources, and its change marks
+// the output's bit, numPorts above the inputs': a router reads a busy
+// sender's link (its presenting mask, kept where it calls offer and
+// drop) only when the ack changes. A header waiting for the router's
+// control is no wake source, because the control's scan starts on the
+// edge.
 type sender struct {
 	link *Link
 }

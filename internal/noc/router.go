@@ -140,6 +140,15 @@ type Router struct {
 	// changes an input's tx marks its bit, see connectIn) has tx and
 	// ack low, so Eval and Idle skip it.
 	txHigh, acking, conn uint8
+	// The waiting ports, bit i for port i: full the inputs whose buffer
+	// is full (commitIn keeps it) and presenting the outputs whose tx
+	// the router drives high (offer sets the bit, drop clears it). A
+	// full input that holds no ack and whose tx did not change accepts
+	// nothing, and its buffer frees only in the router's own Commit. An
+	// output presenting a flit needs the router only when its ack rises,
+	// and the edge that changes an output's ack marks bit numPorts+i
+	// (see connectOut). So Eval skips both, and Idle the full inputs.
+	full, presenting uint8
 	// idle is Commit's part of Idle's answer: every term but the
 	// inputs' tx (see settled).
 	idle  bool
@@ -209,15 +218,16 @@ func (r *Router) connectIn(p Port, l *Link) {
 
 // connectOut attaches the downstream link leaving port p. The router
 // watches the link's ack so the acceptance of a presented flit wakes
-// it.
+// it, and a change marks bit numPorts+p of its change mask.
 func (r *Router) connectOut(p Port, l *Link) {
 	r.out[p].snd.link = l
-	sim.Watch(&l.Ack, r.self, 0)
+	sim.Watch(&l.Ack, r.self, 1<<(numPorts+p))
 }
 
 // Eval implements sim.Component. All reads observe registered state; all
 // mutations are staged for Commit, and each port staged on is marked in
-// staged.
+// staged. It visits only the live ports that do not wait (see the
+// masks on Router).
 func (r *Router) Eval() {
 	evalNow := r.clk.Cycle() + 1
 	// Statistics integrate registered state only, which nothing in this
@@ -232,12 +242,14 @@ func (r *Router) Eval() {
 		r.catchUp(n)
 	}
 
-	// Input side: accept flits from upstream. Only the live inputs are
-	// visited: those whose tx was high at the last read, those holding
-	// ack, and those whose tx has changed since. Any other input's
-	// handshake is at rest (tx low, ack low), and its eval would stage
-	// nothing.
-	for m := r.txHigh | r.acking | r.self.TakeChanged(); m != 0; m &= m - 1 {
+	// Input side: accept flits from upstream. Only the live inputs that
+	// do not wait are visited: those whose tx was high at the last read
+	// and whose buffer has space, those holding ack, and those whose tx
+	// has changed since. Any other input's handshake is at rest (tx low,
+	// ack low) or faces a full buffer with no ack to drop, and its eval
+	// would stage nothing.
+	changed := r.self.TakeChanged()
+	for m := r.txHigh&^r.full | r.acking | uint8(changed)&(1<<numPorts-1); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros8(m)
 		p, bit := &r.in[i], uint8(1)<<i
 		if p.rcv.link.Tx.Get() {
@@ -245,7 +257,7 @@ func (r *Router) Eval() {
 		} else {
 			r.txHigh &^= bit
 		}
-		if f, ok := p.rcv.eval(p.buf.Free() > 0); ok {
+		if f, ok := p.rcv.eval(r.full&bit == 0); ok {
 			p.buf.StagePush(f)
 			r.staged |= 1 << i
 			r.acking |= bit
@@ -254,7 +266,10 @@ func (r *Router) Eval() {
 		}
 	}
 	// Output side: stream flits of established connections downstream.
-	for m := r.conn; m != 0; m &= m - 1 {
+	// An output presenting a flit is visited only when the edge changed
+	// its ack: until its ack rises, its begin would see no acceptance
+	// and leave it presenting.
+	for m := r.conn &^ (r.presenting &^ uint8(changed>>numPorts)); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros8(m)
 		o := &r.out[i]
 		p := &r.in[o.src]
@@ -274,8 +289,10 @@ func (r *Router) Eval() {
 			// and must not leak.
 			if p.nRoute == o.port && p.buf.Len() > popped {
 				o.snd.offer(p.buf.At(popped))
+				r.presenting |= 1 << i
 			} else {
 				o.snd.drop()
+				r.presenting &^= 1 << i
 			}
 		}
 	}
@@ -417,21 +434,21 @@ func (r *Router) catchUp(n uint64) {
 // stage nothing. Commit computes every term but the inputs' tx (see
 // settled), after starting any waiting header's routing delay, so a
 // header waiting for the control never keeps the router awake. Idle
-// adds the inputs' tx after the edge, from the masks: an input's tx is
-// high now if Eval read it high and it did not change at this edge, and
-// only the inputs whose tx changed at this edge are read again. That is
-// the exact answer under every kernel, after every edge, which dense's
-// Quiescent needs too: Eval takes the change mask, so it holds this
-// edge's changes alone.
+// adds the inputs' tx after the edge, from the masks: a full input
+// accepts nothing whatever its tx, an input's tx is high now if Eval
+// read it high and it did not change at this edge, and only the inputs
+// with buffer space whose tx changed at this edge are read again. That
+// is the exact answer under every kernel, after every edge, which
+// dense's Quiescent needs too: Eval takes the change mask, so it holds
+// this edge's changes alone.
 func (r *Router) Idle() bool {
 	if !r.idle {
 		return false
 	}
-	changed := r.self.Changed()
-	for m := r.txHigh | changed; m != 0; m &= m - 1 {
+	changed := uint8(r.self.Changed()) & (1<<numPorts - 1)
+	for m := (r.txHigh | changed) &^ r.full; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros8(m)
-		p := &r.in[i]
-		if p.buf.Free() > 0 && (changed&(1<<i) == 0 || p.rcv.link.Tx.Get()) {
+		if changed&(1<<i) == 0 || r.in[i].rcv.link.Tx.Get() {
 			return false
 		}
 	}
@@ -518,16 +535,23 @@ func (r *Router) Commit() {
 	}
 }
 
-// commitIn latches input port p and updates the waiting mask and the
-// buffered count by its change. A header that has just reached the
-// head of the buffer is routed here, once: the routing function is
-// deterministic, and the head does not change while the header waits.
+// commitIn latches input port p and updates the waiting mask, the full
+// mask and the buffered count by its change. A header that has just
+// reached the head of the buffer is routed here, once: the routing
+// function is deterministic, and the head does not change while the
+// header waits.
 func (r *Router) commitIn(p *inPort) {
 	n := p.buf.Len()
 	p.buf.Commit()
 	p.route, p.phase, p.remaining = p.nRoute, p.nPhase, p.nRemaining
 	r.buffered += p.buf.Len() - n
-	if bit := uint8(1) << p.port; p.requestActive() != (r.ctl.waiting&bit != 0) {
+	bit := uint8(1) << p.port
+	if p.buf.Free() == 0 {
+		r.full |= bit
+	} else {
+		r.full &^= bit
+	}
+	if p.requestActive() != (r.ctl.waiting&bit != 0) {
 		r.ctl.waiting ^= bit
 		if r.ctl.waiting&bit != 0 {
 			p.want = r.routing(r.addr, DecodeAddr(p.buf.Head().Data), p.port)

@@ -70,17 +70,18 @@ func checkCounters(t *testing.T, cycle uint64, r *Router) (waiting, buffered int
 	return waiting, buffered
 }
 
-// checkPorts fails unless r's live-port masks equal a recount from its
-// latched link wires and its crossbar: acking the inputs whose ack is
-// high, conn the outputs with a connection, and txHigh, with the
-// inputs marked in the change mask flipped, the inputs whose tx is
-// high. A router takes the change mask in Eval and wakes on the first
-// change, so the mask holds at most one flip of each input's tx: the
-// edge's since the router evaluated this step, the one that woke it if
-// it sleeps.
+// checkPorts fails unless r's port masks equal a recount from its
+// buffers, its latched link wires and its crossbar: acking the inputs
+// whose ack is high, full the inputs whose buffer is full, conn the
+// outputs with a connection, presenting the outputs whose tx is high,
+// and txHigh, with the inputs marked in the change mask flipped, the
+// inputs whose tx is high. A router takes the change mask in Eval and
+// wakes on the first change, so the mask holds at most one flip of
+// each input's tx: the edge's since the router evaluated this step,
+// the one that woke it if it sleeps.
 func checkPorts(t *testing.T, cycle uint64, r *Router) {
 	t.Helper()
-	var tx, ack, conn uint8
+	var tx, ack, full, conn, presenting uint8
 	for i := range r.in {
 		if l := r.in[i].rcv.link; l != nil {
 			if l.Tx.Get() {
@@ -90,13 +91,47 @@ func checkPorts(t *testing.T, cycle uint64, r *Router) {
 				ack |= 1 << i
 			}
 		}
+		if r.in[i].buf.Free() == 0 {
+			full |= 1 << i
+		}
 		if r.out[i].src != PortNone {
 			conn |= 1 << i
 		}
+		if l := r.out[i].snd.link; l != nil && l.Tx.Get() {
+			presenting |= 1 << i
+		}
 	}
-	if got := r.txHigh ^ r.self.Changed(); got != tx || r.acking != ack || r.conn != conn {
-		t.Fatalf("cycle %d: router %s keeps tx %05b (read %05b, changed %05b), acking %05b, conn %05b; recount %05b, %05b, %05b",
-			cycle, r.addr, got, r.txHigh, r.self.Changed(), r.acking, r.conn, tx, ack, conn)
+	changed := uint8(r.self.Changed()) & (1<<numPorts - 1)
+	if got := r.txHigh ^ changed; got != tx || r.acking != ack || r.full != full || r.conn != conn || r.presenting != presenting {
+		t.Fatalf("cycle %d: router %s keeps tx %05b (read %05b, changed %05b), acking %05b, full %05b, conn %05b, presenting %05b; "+
+			"recount %05b, %05b, %05b, %05b, %05b",
+			cycle, r.addr, got, r.txHigh, changed, r.acking, r.full, r.conn, r.presenting, tx, ack, full, conn, presenting)
+	}
+}
+
+// checkTransfers fails unless each output of r has had as many flits
+// accepted downstream as its FlitsOut counts, plus one while the
+// acceptance's ack is latched high: the sender counts an acceptance in
+// the Eval that sees the ack, the cycle after the receiver raised it.
+// acks counts, per output, the checks that found its ack high, one per
+// acceptance (a receiver holds ack for one cycle, and the check runs
+// after every cycle).
+func checkTransfers(t *testing.T, cycle uint64, r *Router, acks *[numPorts]uint64) {
+	t.Helper()
+	for p := range r.out {
+		l := r.out[p].snd.link
+		if l == nil {
+			continue
+		}
+		var high uint64
+		if l.Ack.Get() {
+			high = 1
+		}
+		acks[p] += high
+		if acks[p] != r.stats.FlitsOut[p]+high {
+			t.Fatalf("cycle %d: router %s output %s: %d flits accepted downstream, %d counted out",
+				cycle, r.addr, Port(p), acks[p], r.stats.FlitsOut[p])
+		}
 	}
 }
 
@@ -110,8 +145,9 @@ type lockstepSeen struct{ waited, sleptHolding, sleptRetries, caughtUp int }
 // endpoint with fewer than 4 flits queued sends a packet of 1 to 16
 // words to a destination drawn from seed, then the mesh drains. After
 // every step, in both, each router's waiting mask, stored outputs and
-// buffered count equal a recount over its input ports, its live-port
-// masks equal a recount from its link wires and crossbar, and every
+// buffered count equal a recount over its input ports, its port masks
+// equal a recount from its buffers, link wires and crossbar, each output
+// has counted every flit its link's receiver accepted, and every
 // router that evaluated in the step reports the Idle answer of the
 // ten-port reference walk (a sleeping router is skipped for Idle: the
 // kernel does not consult it, and a wake may be pending). Every
@@ -126,6 +162,7 @@ func routerLockstep(t *testing.T, cfg Config, seed uint64, sendCycles int) locks
 	net, dnet := buildOn(t, clk, cfg), buildOn(t, dclk, cfg)
 	var seen lockstepSeen
 	slept := make([]bool, len(net.routers)) // pending attempts at the last check
+	acks, dacks := make([][numPorts]uint64, len(net.routers)), make([][numPorts]uint64, len(net.routers))
 	check := func() {
 		cycle := clk.Cycle()
 		if dclk.Cycle() != cycle {
@@ -137,6 +174,8 @@ func routerLockstep(t *testing.T, cfg Config, seed uint64, sendCycles int) locks
 			checkCounters(t, cycle, d)
 			checkPorts(t, cycle, r)
 			checkPorts(t, cycle, d)
+			checkTransfers(t, cycle, r, &acks[i])
+			checkTransfers(t, cycle, d, &dacks[i])
 			if got, want := d.Idle(), refIdle(d); got != want {
 				t.Fatalf("cycle %d: dense router %s Idle %v, reference %v", cycle, d.addr, got, want)
 			}

@@ -32,9 +32,10 @@
 //     exactly the cycle in which a dense simulation would first
 //     observe the new value. Wake-on-change therefore preserves
 //     bit-identical results. The change also marks the watcher's
-//     change mask (Handle.Changed) with the bit its Watch named, so a
-//     router visits only the input ports whose tx changed and the
-//     ports it knows are live.
+//     16-bit change mask (Handle.Changed) with the bits its Watch
+//     named, so a router visits only the ports it knows are live and
+//     not waiting, the inputs whose tx changed and the outputs whose
+//     ack changed.
 //   - Handle.Wake — an explicit wake, used when state is handed to a
 //     sleeping component outside the wire protocol (e.g. a packet
 //     staged on an endpoint's injection queue, or a received packet
@@ -208,8 +209,9 @@ type Clock struct {
 	// otherwise leak one heap slot per call.
 	lastArmed []uint64
 	// changed is parallel to comps: the marks of the component's
-	// watched wires that changed since its last TakeChanged.
-	changed []uint8
+	// watched wires that changed since its last TakeChanged, 16 bits
+	// each, enough for a router's ten ports.
+	changed []uint16
 
 	dirty    []latcher // wires with a staged Set awaiting this edge
 	allWires []latcher // every wire, latched unconditionally in dense mode
@@ -308,12 +310,13 @@ func (h Handle) Wake() {
 	}
 }
 
-// Changed reports the component's change mask: the OR of the marks
-// (see Watch) of its watched wires that changed at a clock edge since
-// its last TakeChanged. A component that takes the mask in every Eval
-// finds in it, after an edge, that edge's changes alone. The zero
-// Handle reports 0.
-func (h Handle) Changed() uint8 {
+// Changed reports the component's 16-bit change mask: the OR of the
+// marks (see Watch) of its watched wires that changed at a clock edge
+// since its last TakeChanged. A router's holds its inputs' tx changes
+// and, above them, its outputs' ack changes. A component that takes
+// the mask in every Eval finds in it, after an edge, that edge's
+// changes alone. The zero Handle reports 0.
+func (h Handle) Changed() uint16 {
 	if h.clk == nil {
 		return 0
 	}
@@ -321,7 +324,7 @@ func (h Handle) Changed() uint8 {
 }
 
 // TakeChanged reports the change mask, as Changed does, and clears it.
-func (h Handle) TakeChanged() uint8 {
+func (h Handle) TakeChanged() uint16 {
 	if h.clk == nil {
 		return 0
 	}

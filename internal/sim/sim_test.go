@@ -642,7 +642,7 @@ func TestWatchAfterStagedSet(t *testing.T) {
 type markComp struct {
 	clk  *Clock
 	self Handle
-	got  map[uint64]uint8
+	got  map[uint64]uint16
 }
 
 func (m *markComp) Eval() {
@@ -657,27 +657,28 @@ func (m *markComp) Idle() bool { return true }
 // its Watch named into the watcher's change mask, under every kernel; a
 // Set that leaves the value unchanged marks nothing. Changed reads the
 // mask and TakeChanged clears it, so a watcher taking it in Eval sees
-// the edge's changes on exactly the cycle it first reads them.
+// the edge's changes on exactly the cycle it first reads them. b's mark
+// lies above the mask's low byte.
 func TestWatchMarks(t *testing.T) {
 	for _, k := range []Kernel{"", "nowarp", "dense"} {
 		clk := kernelClock(t, k)
 		a, b := NewWire(clk, uint64(0)), NewWire(clk, uint64(0))
 		clk.Register(&stepDriver{out: a, clk: clk, values: map[uint64]uint64{3: 5, 5: 5, 7: 0}})
 		clk.Register(&stepDriver{out: b, clk: clk, values: map[uint64]uint64{3: 1, 9: 2}})
-		m := &markComp{clk: clk, got: make(map[uint64]uint8)}
+		m := &markComp{clk: clk, got: make(map[uint64]uint16)}
 		m.self = clk.Register(m)
 		Watch(a, m.self, 1)
-		Watch(b, m.self, 2)
+		Watch(b, m.self, 1<<9)
 		clk.Run(9)
-		if got, again := m.self.Changed(), m.self.Changed(); got != 2 || again != 2 {
-			t.Errorf("kernel %q: Changed after the edge of cycle 9 = %02b then %02b, want 10 twice", k, got, again)
+		if got, again := m.self.Changed(), m.self.Changed(); got != 1<<9 || again != 1<<9 {
+			t.Errorf("kernel %q: Changed after the edge of cycle 9 = %b then %b, want 1000000000 twice", k, got, again)
 		}
 		clk.Run(3)
-		if want := map[uint64]uint8{4: 3, 8: 1, 10: 2}; !maps.Equal(m.got, want) {
+		if want := map[uint64]uint16{4: 1<<9 | 1, 8: 1, 10: 1 << 9}; !maps.Equal(m.got, want) {
 			t.Errorf("kernel %q: masks taken %v, want %v", k, m.got, want)
 		}
 		if c := m.self.Changed(); c != 0 {
-			t.Errorf("kernel %q: Changed after TakeChanged = %02b, want 0", k, c)
+			t.Errorf("kernel %q: Changed after TakeChanged = %b, want 0", k, c)
 		}
 	}
 	var zero Handle

@@ -20,7 +20,7 @@ package sim
 type Wire[T comparable] struct {
 	cur, next T
 	dirty     bool
-	mark      uint8 // the bit a change ORs into the watcher's change mask
+	mark      uint16 // the bits a change ORs into the watcher's change mask
 	clk       *Clock
 	watcher   int // the clock index of the component a change wakes, plus one; 0 for none
 }
@@ -82,13 +82,13 @@ func (w *Wire[T]) latch() {
 // wire's clock: the wire's one reader. The wake takes effect on the
 // cycle in which the watcher first observes the new value through Get,
 // so a sleeping watcher sees exactly what it would have seen evaluating
-// densely. Each such change also ORs mark into the watcher's change
-// mask, under every kernel, which Handle.Changed reads and
+// densely. Each such change also ORs mark into the watcher's 16-bit
+// change mask, under every kernel, which Handle.Changed reads and
 // Handle.TakeChanged clears: a component watching several wires gives
-// each the bit of the port it belongs to, and visits only the marked
-// ones; one that needs no mask passes 0. A zero Handle is ignored; a
-// second watcher panics.
-func Watch[T comparable](w *Wire[T], h Handle, mark uint8) {
+// each a bit of its own (a router one per input's tx and one per
+// output's ack) and visits only the marked ones; one that needs no
+// mask passes 0. A zero Handle is ignored; a second watcher panics.
+func Watch[T comparable](w *Wire[T], h Handle, mark uint16) {
 	if h.clk == nil {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -30,15 +31,26 @@ type errorResponse struct {
 //	GET  /v1/jobs/{key}       one job's record     → 200 JobRecord
 //	GET  /v1/healthz          service stats        → 200 Stats
 //
-// Failure mapping: invalid spec → 400, unknown id/key → 404, batch id
-// conflict → 409, queue full → 429 with Retry-After (seconds),
+// Failure mapping: invalid spec or body → 400, unknown id/key → 404,
+// batch id conflict → 409, queue full → 429 with Retry-After (seconds),
 // draining → 503.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/batches", func(w http.ResponseWriter, r *http.Request) {
+		// Decode strictly: a misspelt field would be dropped and its job
+		// run with the field's default, and trailing data ignored.
+		// Journal replay stays lenient, so old journals still load.
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&req)
+		if err == nil {
+			if _, end := dec.Token(); end != io.EOF {
+				err = errors.New("data after the JSON value")
+			}
+		}
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
 			return
 		}

@@ -167,6 +167,58 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestHTTPSubmitStrictBody: a submission body whose job names a field
+// no spec defines, or that has data after its JSON value, is a 400
+// that names the problem and creates no batch, where a plain decoder
+// would drop the misspelt field (running the job with the default
+// payload) or ignore the trailing data. A valid body is still a 202.
+func TestHTTPSubmitStrictBody(t *testing.T) {
+	s, err := NewService(Config{Workers: 1, Runner: instantRunner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	const job = `{"width":2,"height":2,"rate":0.05,"seed":1,"payloadFlits":4}`
+	for _, row := range []struct {
+		name, body string
+		status     int
+		names      string // in the 400's error
+	}{
+		{"misspelt field", `{"jobs":[{"width":2,"height":2,"rate":0.05,"seed":1,"payloadFlit":4}]}`,
+			http.StatusBadRequest, `unknown field "payloadFlit"`},
+		{"unknown request field", `{"job":[` + job + `]}`, http.StatusBadRequest, `unknown field "job"`},
+		{"trailing data", `{"jobs":[` + job + `]} trailing`, http.StatusBadRequest, "data after the JSON value"},
+		{"second value", `{"jobs":[` + job + `]}{}`, http.StatusBadRequest, "data after the JSON value"},
+		{"valid", "{\"jobs\":[" + job + "]}\n", http.StatusAccepted, ""},
+	} {
+		before := s.Stats().Batches
+		resp, err := http.Post(srv.URL+"/v1/batches", "application/json", strings.NewReader(row.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != row.status {
+			t.Errorf("%s: %d, want %d", row.name, resp.StatusCode, row.status)
+		}
+		batches := s.Stats().Batches - before
+		if row.status != http.StatusAccepted {
+			if e := decode[errorResponse](t, resp); !strings.Contains(e.Error, row.names) {
+				t.Errorf("%s: error %q does not name %q", row.name, e.Error, row.names)
+			}
+			if batches != 0 {
+				t.Errorf("%s: created %d batches", row.name, batches)
+			}
+			continue
+		}
+		resp.Body.Close()
+		if batches != 1 {
+			t.Errorf("%s: created %d batches, want 1", row.name, batches)
+		}
+	}
+}
+
 // TestHTTPPatternSweep: malformed pattern-library parameters are caught
 // at submission time — no worker is spent before the 400 — and a batch
 // sweeping several pattern names runs to completion on the real

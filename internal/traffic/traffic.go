@@ -554,10 +554,13 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	return res, rec, nil
 }
 
-// ProbeLatency measures one packet's network latency on an otherwise
-// idle mesh — the setting of the paper's minimal-latency formula.
-func ProbeLatency(ncfg noc.Config, src, dst noc.Addr, payload int) (uint64, error) {
-	clk := sim.NewClock()
+// ProbeLatency measures one packet's network latency under kernel on an
+// otherwise idle mesh — the setting of the paper's minimal-latency formula.
+func ProbeLatency(ncfg noc.Config, src, dst noc.Addr, payload int, kernel sim.Kernel) (uint64, error) {
+	clk, err := sim.ParseKernel(kernel)
+	if err != nil {
+		return 0, err
+	}
 	net, err := noc.New(clk, ncfg)
 	if err != nil {
 		return 0, err
@@ -600,12 +603,16 @@ type PeakResult struct {
 // PeakThroughput drives all five ports of the centre router of a 3x3
 // mesh simultaneously (W->E, E->W, S->N, N->S and Local->Local) with
 // back-to-back maximum-size packets, reproducing the §2.1 claim that a
-// router peaks at 5 x flit/2-cycles (1 Gbit/s at 50 MHz, 8-bit flits).
-func PeakThroughput(ncfg noc.Config, packets int) (PeakResult, error) {
+// router peaks at 5 x flit/2-cycles (1 Gbit/s at 50 MHz, 8-bit flits),
+// under kernel.
+func PeakThroughput(ncfg noc.Config, packets int, kernel sim.Kernel) (PeakResult, error) {
 	if ncfg.Width < 3 || ncfg.Height < 3 {
 		return PeakResult{}, fmt.Errorf("traffic: peak experiment needs a 3x3 mesh")
 	}
-	clk := sim.NewClock()
+	clk, err := sim.ParseKernel(kernel)
+	if err != nil {
+		return PeakResult{}, err
+	}
 	net, err := noc.New(clk, ncfg)
 	if err != nil {
 		return PeakResult{}, err

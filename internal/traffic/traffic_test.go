@@ -111,7 +111,7 @@ func TestProbeLatencyMatchesFormula(t *testing.T) {
 		{noc.Addr{X: 4, Y: 0}, 16},
 		{noc.Addr{X: 4, Y: 4}, 64},
 	} {
-		got, err := ProbeLatency(ncfg, noc.Addr{X: 0, Y: 0}, tc.dst, tc.payload)
+		got, err := ProbeLatency(ncfg, noc.Addr{X: 0, Y: 0}, tc.dst, tc.payload, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestProbeLatencyMatchesFormula(t *testing.T) {
 func TestPeakThroughputNearOneGbps(t *testing.T) {
 	// Experiment E2: five simultaneous connections through one router
 	// must approach the paper's 1 Gbit/s theoretical peak.
-	res, err := PeakThroughput(noc.Defaults(3, 3), 20)
+	res, err := PeakThroughput(noc.Defaults(3, 3), 20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +136,49 @@ func TestPeakThroughputNearOneGbps(t *testing.T) {
 	if res.Efficiency < 0.90 || res.Efficiency > 1.001 {
 		t.Errorf("efficiency %.3f outside [0.90, 1.0] (measured %.3f Gbit/s)",
 			res.Efficiency, res.MeasuredGbps)
+	}
+}
+
+// TestProbesCrossKernel: experiments E1 and E2, the paper's two
+// headline NoC figures, read the same under every kernel. On a 4x4
+// mesh, one packet from (0,0) to each destination, with 0, 1 and 16
+// payload flits under XY, YX and west-first routing, has the same
+// network latency under the default, nowarp and dense kernels, and so
+// does the 3x3 router-peak result.
+func TestProbesCrossKernel(t *testing.T) {
+	kernels := []sim.Kernel{"", "nowarp", "dense"}
+	for _, routing := range []struct {
+		name string
+		fn   noc.RoutingFunc
+	}{{"xy", noc.RouteXY}, {"yx", noc.RouteYX}, {"westfirst", noc.RouteWestFirst}} {
+		ncfg := noc.Defaults(4, 4)
+		ncfg.Routing = routing.fn
+		for n := range ncfg.Width * ncfg.Height {
+			dst := noc.Addr{X: n % ncfg.Width, Y: n / ncfg.Width}
+			for _, payload := range []int{0, 1, 16} {
+				var lat [3]uint64
+				for i, k := range kernels {
+					var err error
+					if lat[i], err = ProbeLatency(ncfg, noc.Addr{}, dst, payload, k); err != nil {
+						t.Fatalf("kernel %q: %v", k, err)
+					}
+				}
+				if lat[1] != lat[0] || lat[2] != lat[0] {
+					t.Errorf("routing %s, dst %s, payload %d: latency %d, nowarp %d, dense %d",
+						routing.name, dst, payload, lat[0], lat[1], lat[2])
+				}
+			}
+		}
+	}
+	var peak [3]PeakResult
+	for i, k := range kernels {
+		var err error
+		if peak[i], err = PeakThroughput(noc.Defaults(3, 3), 20, k); err != nil {
+			t.Fatalf("kernel %q: %v", k, err)
+		}
+	}
+	if peak[1] != peak[0] || peak[2] != peak[0] {
+		t.Errorf("router peak %+v, nowarp %+v, dense %+v", peak[0], peak[1], peak[2])
 	}
 }
 
@@ -175,8 +218,14 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(noc.Defaults(2, 2), Config{Rate: 0.1}); err == nil {
 		t.Error("zero payload accepted")
 	}
-	if _, err := PeakThroughput(noc.Defaults(2, 2), 5); err == nil {
+	if _, err := PeakThroughput(noc.Defaults(2, 2), 5, ""); err == nil {
 		t.Error("2x2 peak experiment accepted")
+	}
+	if _, err := PeakThroughput(noc.Defaults(3, 3), 5, "bogus"); err == nil {
+		t.Error("peak experiment accepted an unknown kernel")
+	}
+	if _, err := ProbeLatency(noc.Defaults(2, 2), noc.Addr{}, noc.Addr{X: 1}, 1, "bogus"); err == nil {
+		t.Error("latency probe accepted an unknown kernel")
 	}
 }
 
