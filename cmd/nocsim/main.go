@@ -144,7 +144,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if o.vcd != "" {
-		return traceOnePacket(ncfg, o.vcd)
+		return traceOnePacket(ncfg, o.jobs[0].Kernel, o.vcd)
 	}
 	if o.peak {
 		res, err := traffic.PeakThroughput(ncfg, 50, o.jobs[0].Kernel)
@@ -244,18 +244,19 @@ func parseAddrs(s string) ([]noc.Addr, error) {
 }
 
 // traceOnePacket records the waveforms of a single corner-to-corner
-// packet at the mesh centre, for inspection in a VCD viewer.
-func traceOnePacket(cfg noc.Config, path string) error {
+// packet at the mesh centre under kernel, for inspection in a VCD
+// viewer. Every kernel writes the same file.
+func traceOnePacket(cfg noc.Config, kernel sim.Kernel, path string) error {
+	net, err := noc.New(cfg, kernel)
+	if err != nil {
+		return err
+	}
+	clk := net.Clock()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	clk := sim.NewClock()
-	net, err := noc.New(clk, cfg)
-	if err != nil {
-		return err
-	}
 	src, err := net.NewEndpoint(noc.Addr{X: 0, Y: 0})
 	if err != nil {
 		return err
@@ -281,5 +282,5 @@ func traceOnePacket(cfg noc.Config, path string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "traced %d cycles into %s\n", clk.Cycle(), path)
-	return nil
+	return f.Close()
 }

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -88,5 +91,42 @@ func TestCLIRejects(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: error %v, want one mentioning %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestVCDUnderEveryKernel: -vcd honours -kernel, and the default
+// kernel and both oracles write byte-identical waveform files.
+func TestVCDUnderEveryKernel(t *testing.T) {
+	dir := t.TempDir()
+	var want []byte
+	for _, k := range []string{"", "nowarp", "dense"} {
+		path := filepath.Join(dir, "trace-"+k+".vcd")
+		if err := run([]string{"-w", "4", "-h", "4", "-vcd", path, "-kernel", k}, io.Discard); err != nil {
+			t.Fatalf("kernel %q: %v", k, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			if !bytes.Contains(got, []byte("$var")) || !bytes.Contains(got, []byte("\n#")) {
+				t.Fatalf("kernel %q: no signals or timesteps in\n%s", k, got)
+			}
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(g), len(w)) {
+				if g[i] != w[i] {
+					t.Fatalf("kernel %q: VCD line %d is %q, the default kernel's %q", k, i+1, g[i], w[i])
+				}
+			}
+			t.Fatalf("kernel %q: VCD has %d lines, the default kernel's %d", k, len(g), len(w))
+		}
+	}
+	path := filepath.Join(dir, "turbo.vcd")
+	if err := run([]string{"-vcd", path, "-kernel", "turbo"}, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+		t.Errorf("-vcd under an unknown kernel: error %v, want one mentioning %q", err, "unknown kernel")
 	}
 }

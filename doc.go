@@ -57,14 +57,17 @@
 // One value, sim.Kernel, says how any run is scheduled: the default,
 // or one of the two oracles that each switch one optimisation off —
 // "nowarp" steps every cycle, "dense" evaluates every component every
-// cycle. A run has exactly one Clock: sim.ParseKernel, the value's only
-// parser, returns it configured, and the run builds its mesh and IP
-// cores on it. Models need nothing extra: anything built on registered
-// wires, Watch, and Handle.WakeAt timers is warpable as-is, and every
-// kernel marks a watched wire's change alike. Every kernel
+// cycle. A run has exactly one Clock, its network's: noc.New takes the
+// run's Kernel, builds the Clock through sim.ParseKernel (the value's
+// only parser) and registers the mesh on it, and the run builds its IP
+// cores and probes on Network.Clock. Every paper experiment takes the
+// Kernel too (experiments.Report), and the pinned report reads the
+// same under all three. Models need nothing extra: anything built on
+// registered wires, Watch, and Handle.WakeAt timers is warpable as-is,
+// and every kernel marks a watched wire's change alike. Every kernel
 // visits its awake components in registration order and reproduces
 // the default's traffic results, packet numbering, router statistics,
-// VCD dumps and boot transcripts bit for bit.
+// VCD dumps, boot transcripts and paper report bit for bit.
 //
 // Workloads come from a traffic-pattern library
 // (internal/traffic.PatternSpec): uniform, transpose, bit-complement,

@@ -9,7 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/host"
 	"repro/internal/mem"
@@ -117,14 +116,11 @@ func New(cfg Config) (*System, error) {
 		}
 		ncfg = noc.Defaults(w, h)
 	}
-	clk, err := sim.ParseKernel(cfg.Kernel)
+	net, err := noc.New(ncfg, cfg.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	net, err := noc.New(clk, ncfg)
-	if err != nil {
-		return nil, err
-	}
+	clk := net.Clock()
 	s := &System{cfg: cfg, Clk: clk, Net: net}
 
 	// Serial IP and host, joined by the two RS-232 lines (tx/rx pins).
@@ -145,15 +141,10 @@ func New(cfg Config) (*System, error) {
 	}
 	for i, a := range cfg.Procs {
 		var targets []noc.Addr
-		var ids []int
-		for j := range cfg.Procs {
+		for j, b := range cfg.Procs {
 			if j != i {
-				ids = append(ids, j)
+				targets = append(targets, b)
 			}
-		}
-		sort.Ints(ids)
-		for _, j := range ids {
-			targets = append(targets, cfg.Procs[j])
 		}
 		targets = append(targets, cfg.Memories...)
 		var windows []procip.Window

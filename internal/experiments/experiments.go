@@ -7,13 +7,16 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/sim"
 )
 
-// Section is one experiment runner.
+// Section is one experiment runner. Run builds every mesh and system
+// under kernel k, and every kernel prints the same section.
 type Section struct {
 	ID   string
 	Name string
-	Run  func(w io.Writer) error
+	Run  func(w io.Writer, k sim.Kernel) error
 }
 
 // All returns every experiment in report order.
@@ -40,15 +43,24 @@ func All() []Section {
 	}
 }
 
-// Report runs every section into w.
-func Report(w io.Writer) error {
+// Write runs the section under kernel k into w, below its "## ID: Name"
+// header.
+func (s Section) Write(w io.Writer, k sim.Kernel) error {
+	fmt.Fprintf(w, "\n## %s: %s\n\n", s.ID, s.Name)
+	if err := s.Run(w, k); err != nil {
+		return fmt.Errorf("%s: %w", s.ID, err)
+	}
+	return nil
+}
+
+// Report runs every section under kernel k into w.
+func Report(w io.Writer, k sim.Kernel) error {
 	fmt.Fprintln(w, "# MultiNoC — Experiment Report")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Regenerated by `go run ./cmd/experiments` (deterministic; fixed seeds).")
 	for _, s := range All() {
-		fmt.Fprintf(w, "\n## %s: %s\n\n", s.ID, s.Name)
-		if err := s.Run(w); err != nil {
-			return fmt.Errorf("%s: %w", s.ID, err)
+		if err := s.Write(w, k); err != nil {
+			return err
 		}
 	}
 	return nil

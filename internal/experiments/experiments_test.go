@@ -6,84 +6,52 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/report.md with this tree's report")
+var update = flag.Bool("update", false, "rewrite testdata/report.md from this tree's report under the default kernel")
 
 // pinnedReport is `go run ./cmd/experiments`' output, committed so that
 // a change to any paper figure shows in review as a diff of this file.
 const pinnedReport = "testdata/report.md"
 
-// TestAllSectionsRun executes every experiment end to end; each section
-// carries its own internal assertions (mismatches return errors).
-func TestAllSectionsRun(t *testing.T) {
+// TestReportUnderEveryKernel runs the report under the default kernel
+// and both oracles, nowarp and dense, and requires each to be the
+// pinned report byte for byte. Every section checks its own figures
+// (a mismatch is an error), so this also runs every experiment end to
+// end under every kernel; a run that stops at an error is still
+// compared up to where it stopped. With -update it first rewrites the
+// pinned report from the default kernel's run.
+func TestReportUnderEveryKernel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep; skipped in -short (race CI) runs")
-	}
-	for _, s := range All() {
-		t.Run(s.ID, func(t *testing.T) {
-			var sb strings.Builder
-			if err := s.Run(&sb); err != nil {
-				t.Fatalf("%s failed: %v", s.ID, err)
-			}
-			out := sb.String()
-			if !strings.Contains(out, "|") {
-				t.Errorf("%s produced no table:\n%s", s.ID, out)
-			}
-		})
-	}
-}
-
-// TestReportIsComplete checks the full report contains every section
-// header and the regeneration note.
-func TestReportIsComplete(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep; skipped in -short (race CI) runs")
-	}
-	var sb strings.Builder
-	if err := Report(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, s := range All() {
-		if !strings.Contains(out, "## "+s.ID+":") {
-			t.Errorf("report missing section %s", s.ID)
-		}
-	}
-	if !strings.Contains(out, "cmd/experiments") {
-		t.Error("report missing regeneration note")
-	}
-}
-
-// TestReportDeterminism: two runs must produce byte-identical output
-// (fixed seeds, no time dependence), and that output must be the
-// pinned report. With -update it rewrites the pinned report instead.
-func TestReportDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep; skipped in -short (race CI) runs")
-	}
-	var a, b strings.Builder
-	if err := Report(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := Report(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("report is not deterministic")
 	}
 	if *update {
-		if err := os.WriteFile(pinnedReport, []byte(a.String()), 0o644); err != nil {
+		var sb strings.Builder
+		if err := Report(&sb, ""); err != nil {
 			t.Fatal(err)
 		}
-		return
+		if err := os.WriteFile(pinnedReport, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want, err := os.ReadFile(pinnedReport)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := reportDiff(string(want), a.String()); d != "" {
-		t.Errorf("report differs from %s (-update rewrites it): %s", pinnedReport, d)
+	for _, k := range []sim.Kernel{"", "nowarp", "dense"} {
+		t.Run(fmt.Sprintf("kernel=%q", k), func(t *testing.T) {
+			t.Parallel()
+			var sb strings.Builder
+			err := Report(&sb, k)
+			if d := reportDiff(string(want), sb.String()); d != "" {
+				t.Errorf("kernel %q: report differs from %s (-update rewrites it): %s", k, pinnedReport, d)
+			}
+			if err != nil {
+				t.Errorf("kernel %q: %v", k, err)
+			}
+		})
 	}
 }
 

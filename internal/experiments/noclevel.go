@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/noc"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
 // E1LatencyFormula compares measured zero-load latency against the
 // paper's model latency = (sum Ri + P) x 2 with Ri = 7.
-func E1LatencyFormula(w io.Writer) error {
+func E1LatencyFormula(w io.Writer, k sim.Kernel) error {
 	cfg := noc.Defaults(8, 8)
 	fmt.Fprintln(w, "Paper: minimal latency = (sum Ri + P) x 2, Ri >= 7 -> 14*hops + 2*P cycles.")
 	fmt.Fprintln(w)
@@ -22,7 +23,7 @@ func E1LatencyFormula(w io.Writer) error {
 		for _, pay := range []int{4, 16, 64} {
 			src := noc.Addr{X: 0, Y: 0}
 			dst := noc.Addr{X: hops - 1, Y: 0}
-			got, err := traffic.ProbeLatency(cfg, src, dst, pay, "")
+			got, err := traffic.ProbeLatency(cfg, src, dst, pay, k)
 			if err != nil {
 				return err
 			}
@@ -43,9 +44,9 @@ func E1LatencyFormula(w io.Writer) error {
 }
 
 // E2PeakThroughput reproduces the 1 Gbit/s router claim.
-func E2PeakThroughput(w io.Writer) error {
+func E2PeakThroughput(w io.Writer, k sim.Kernel) error {
 	cfg := noc.Defaults(3, 3)
-	res, err := traffic.PeakThroughput(cfg, 40, "")
+	res, err := traffic.PeakThroughput(cfg, 40, k)
 	if err != nil {
 		return err
 	}
@@ -61,7 +62,7 @@ func E2PeakThroughput(w io.Writer) error {
 
 // E3BufferDepth sweeps input buffer depth under saturating uniform
 // load.
-func E3BufferDepth(w io.Writer) error {
+func E3BufferDepth(w io.Writer, k sim.Kernel) error {
 	fmt.Fprintln(w, "Paper: \"Larger buffers can provide enhanced NoC performance\"; MultiNoC uses")
 	fmt.Fprintln(w, "2-flit buffers to fit the FPGA. Saturation throughput on a 4x4 mesh, uniform traffic:")
 	fmt.Fprintln(w)
@@ -73,7 +74,7 @@ func E3BufferDepth(w io.Writer) error {
 		cfg.BufDepth = depth
 		res, err := traffic.Run(cfg, traffic.Config{
 			Rate: 0.40, PayloadFlits: 8, Seed: 11,
-			Warmup: 3000, Measure: 10000, Drain: 30000,
+			Warmup: 3000, Measure: 10000, Drain: 30000, Kernel: k,
 		})
 		if err != nil {
 			return err
@@ -91,7 +92,7 @@ func E3BufferDepth(w io.Writer) error {
 
 // AblRouting compares the three routing algorithms under transpose
 // traffic (which stresses dimension-ordered routing).
-func AblRouting(w io.Writer) error {
+func AblRouting(w io.Writer, k sim.Kernel) error {
 	fmt.Fprintln(w, "Design choice (§2.1): deterministic XY. Alternatives under transpose traffic, 4x4, rate 0.15:")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| routing | delivered | mean latency |")
@@ -104,7 +105,7 @@ func AblRouting(w io.Writer) error {
 		cfg.Routing = tc.fn
 		res, err := traffic.Run(cfg, traffic.Config{
 			Spec: traffic.PatternSpec{Name: "transpose"}, Rate: 0.15, PayloadFlits: 8, Seed: 5,
-			Warmup: 3000, Measure: 10000, Drain: 30000,
+			Warmup: 3000, Measure: 10000, Drain: 30000, Kernel: k,
 		})
 		if err != nil {
 			return err
@@ -115,7 +116,7 @@ func AblRouting(w io.Writer) error {
 }
 
 // AblFlitWidth shows peak bandwidth scaling with flit width.
-func AblFlitWidth(w io.Writer) error {
+func AblFlitWidth(w io.Writer, k sim.Kernel) error {
 	fmt.Fprintln(w, "Flit width trades wires for bandwidth (MultiNoC: 8 bits). Router peak at 50 MHz:")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| flit bits | theoretical peak | measured |")
@@ -123,7 +124,7 @@ func AblFlitWidth(w io.Writer) error {
 	for _, bits := range []int{8, 16, 32} {
 		cfg := noc.Defaults(3, 3)
 		cfg.FlitBits = bits
-		res, err := traffic.PeakThroughput(cfg, 20, "")
+		res, err := traffic.PeakThroughput(cfg, 20, k)
 		if err != nil {
 			return err
 		}
@@ -134,7 +135,7 @@ func AblFlitWidth(w io.Writer) error {
 
 // AblRouteCycles shows latency sensitivity to the per-hop routing time
 // (the paper's Ri >= 7 means RouteCycles >= 14).
-func AblRouteCycles(w io.Writer) error {
+func AblRouteCycles(w io.Writer, k sim.Kernel) error {
 	fmt.Fprintln(w, "Zero-load latency across 8 hops, 16-flit payload, as the per-hop routing time varies:")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| RouteCycles (2 x Ri) | measured latency |")
@@ -142,7 +143,7 @@ func AblRouteCycles(w io.Writer) error {
 	for _, rc := range []int{6, 10, 14, 20, 28} {
 		cfg := noc.Defaults(8, 1)
 		cfg.RouteCycles = rc
-		got, err := traffic.ProbeLatency(cfg, noc.Addr{X: 0, Y: 0}, noc.Addr{X: 7, Y: 0}, 16, "")
+		got, err := traffic.ProbeLatency(cfg, noc.Addr{X: 0, Y: 0}, noc.Addr{X: 7, Y: 0}, 16, k)
 		if err != nil {
 			return err
 		}
@@ -154,14 +155,14 @@ func AblRouteCycles(w io.Writer) error {
 
 // AblBaud measures host download time against the serial divisor (the
 // paper's "low cost, low performance external communication" choice).
-func AblBaud(w io.Writer) error {
+func AblBaud(w io.Writer, k sim.Kernel) error {
 	fmt.Fprintln(w, "Cycles to download a 64-word program over RS-232 vs divisor (cycles/bit):")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| divisor | cycles | cycles/byte |")
 	fmt.Fprintln(w, "|---|---|---|")
 	for _, div := range []int{8, 16, 32, 64} {
-		cfg := defaultSystem()
-		cfg.SerialDiv = div
+		cfg := core.Default()
+		cfg.SerialDiv, cfg.Kernel = div, k
 		sys, err := core.New(cfg)
 		if err != nil {
 			return err
@@ -182,5 +183,3 @@ func AblBaud(w io.Writer) error {
 	fmt.Fprintln(w, "bounds system fill time — the paper's motivation for suggesting USB/PCI/Firewire.")
 	return nil
 }
-
-func defaultSystem() core.Config { return core.Default() }

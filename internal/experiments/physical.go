@@ -10,7 +10,7 @@ import (
 )
 
 // E4DeviceUtilization reproduces the §3 resource figures.
-func E4DeviceUtilization(w io.Writer) error {
+func E4DeviceUtilization(w io.Writer, _ sim.Kernel) error {
 	inv := area.MultiNoC()
 	u := inv.Total().Utilization(inv.Device)
 	fmt.Fprintln(w, "Paper: \"The MultiNoC system uses 98% of the available slices and 78% of the LUTs\".")
@@ -30,7 +30,7 @@ func E4DeviceUtilization(w io.Writer) error {
 
 // E5NoCAreaFraction reproduces the scalability claim: the NoC share
 // drops below 10%/5% for large systems with richer IPs.
-func E5NoCAreaFraction(w io.Writer) error {
+func E5NoCAreaFraction(w io.Writer, _ sim.Kernel) error {
 	router := area.Router(8, 2).Slices
 	fmt.Fprintln(w, "Paper: router area constant; for 10x10-class systems the NoC becomes \"typically less")
 	fmt.Fprintln(w, "than 10 or 5%\" of the total as the IPs grow. NoC slice share vs IP size:")
@@ -51,7 +51,7 @@ func E5NoCAreaFraction(w io.Writer) error {
 }
 
 // E6Floorplan reruns the §3 floorplanning exercise.
-func E6Floorplan(w io.Writer) error {
+func E6Floorplan(w io.Writer, _ sim.Kernel) error {
 	p := floorplan.MultiNoC()
 	r := sim.NewRand(7)
 	sum := 0.0

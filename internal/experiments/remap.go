@@ -12,7 +12,7 @@ import (
 // A5DynamicRemap demonstrates the paper's partial/dynamic
 // reconfiguration direction (§5): measure traffic, re-place the IPs to
 // shorten hot paths, and validate the gain by re-simulating.
-func A5DynamicRemap(w io.Writer) error {
+func A5DynamicRemap(w io.Writer, k sim.Kernel) error {
 	badPairs := [][2]noc.Addr{
 		{{X: 0, Y: 0}, {X: 3, Y: 3}},
 		{{X: 3, Y: 0}, {X: 0, Y: 3}},
@@ -20,8 +20,7 @@ func A5DynamicRemap(w io.Writer) error {
 		{{X: 0, Y: 1}, {X: 3, Y: 2}},
 	}
 	measure := func(pairs [][2]noc.Addr) (noc.LatencyStats, []*noc.PacketMeta, error) {
-		clk := sim.NewClock()
-		net, err := noc.New(clk, noc.Defaults(4, 4))
+		net, err := noc.New(noc.Defaults(4, 4), k)
 		if err != nil {
 			return noc.LatencyStats{}, nil, err
 		}
@@ -49,7 +48,7 @@ func A5DynamicRemap(w io.Writer) error {
 			}
 		}
 		want := uint64(packets * len(pairs) * 2)
-		if err := clk.RunUntil(func() bool { return net.Delivered() == want }, 10_000_000); err != nil {
+		if err := net.Clock().RunUntil(func() bool { return net.Delivered() == want }, 10_000_000); err != nil {
 			return noc.LatencyStats{}, nil, err
 		}
 		return noc.Latencies(net.Completed()), net.Completed(), nil

@@ -11,8 +11,10 @@ import (
 	"repro/internal/sim"
 )
 
-func bootedSystem() (*core.System, error) {
-	sys, err := core.New(core.Default())
+func bootedSystem(k sim.Kernel) (*core.System, error) {
+	cfg := core.Default()
+	cfg.Kernel = k
+	sys, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -24,8 +26,8 @@ func bootedSystem() (*core.System, error) {
 
 // E7HostRoundTrips measures the Figure 9 debug operations across the
 // full RS-232 + NoC path.
-func E7HostRoundTrips(w io.Writer) error {
-	sys, err := bootedSystem()
+func E7HostRoundTrips(w io.Writer, k sim.Kernel) error {
+	sys, err := bootedSystem(k)
 	if err != nil {
 		return err
 	}
@@ -91,7 +93,7 @@ func E7HostRoundTrips(w io.Writer) error {
 
 // E8EdgeDetect reproduces Figure 10: parallel Sobel across the two
 // processors, validated against the golden reference.
-func E8EdgeDetect(w io.Writer) error {
+func E8EdgeDetect(w io.Writer, k sim.Kernel) error {
 	img := edge.NewImage(16, 18)
 	r := sim.NewRand(5)
 	for y := range img {
@@ -106,7 +108,7 @@ func E8EdgeDetect(w io.Writer) error {
 	want := edge.Sobel(img)
 	cycles := map[int]uint64{}
 	for _, n := range []int{1, 2} {
-		sys, err := bootedSystem()
+		sys, err := bootedSystem(k)
 		if err != nil {
 			return err
 		}
@@ -139,8 +141,8 @@ func E8EdgeDetect(w io.Writer) error {
 const pingPongRounds = 20
 
 // E9WaitNotify measures the §2.4 synchronization primitive.
-func E9WaitNotify(w io.Writer) error {
-	sys, err := bootedSystem()
+func E9WaitNotify(w io.Writer, k sim.Kernel) error {
+	sys, err := bootedSystem(k)
 	if err != nil {
 		return err
 	}
@@ -197,8 +199,8 @@ func E9WaitNotify(w io.Writer) error {
 }
 
 // E10ServiceMatrix exercises and counts all nine packet services.
-func E10ServiceMatrix(w io.Writer) error {
-	sys, err := bootedSystem()
+func E10ServiceMatrix(w io.Writer, k sim.Kernel) error {
+	sys, err := bootedSystem(k)
 	if err != nil {
 		return err
 	}
@@ -275,7 +277,7 @@ func E10ServiceMatrix(w io.Writer) error {
 }
 
 // E11CPI verifies the paper's CPI range on the cycle-accurate core.
-func E11CPI(w io.Writer) error {
+func E11CPI(w io.Writer, _ sim.Kernel) error {
 	fmt.Fprintln(w, "Paper: R8 CPI between 2 and 4. Measured per instruction class (always-ready memory):")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| class | representative | CPI |")
@@ -345,7 +347,7 @@ func (r *simpleRAM) Write(a, v uint16) bool       { r.m[a%4096] = v; return true
 
 // E12SeaOfProcessors scales the platform to a 4x4 mesh with 14
 // processors and measures a fixed-size parallel reduction.
-func E12SeaOfProcessors(w io.Writer) error {
+func E12SeaOfProcessors(w io.Writer, k sim.Kernel) error {
 	const totalWork = 840 // divisible by 1,2,4,7,14
 	fmt.Fprintf(w, "4x4 mesh, up to 14 processors, fixed total work (%d-element sum split evenly):\n\n", totalWork)
 	fmt.Fprintln(w, "| processors | cycles | speedup | efficiency |")
@@ -356,6 +358,7 @@ func E12SeaOfProcessors(w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		cfg.Kernel = k
 		sys, err := core.New(cfg)
 		if err != nil {
 			return err

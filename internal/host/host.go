@@ -32,7 +32,7 @@ type Host struct {
 	utx  *serial.TX
 	urx  *serial.RX
 
-	parser parserState
+	parser serial.UpParser
 
 	// ScanfData, when set, answers scanf requests automatically; the
 	// paper's GUI pops an input box instead.
@@ -51,12 +51,6 @@ type Host struct {
 	FramesRecv uint64
 }
 
-// parserState wraps the upstream frame parser without exporting
-// internal/serial's unexported type.
-type parserState struct {
-	feed func(b byte) (*noc.Message, bool)
-}
-
 // New wires a host to the two serial lines at the given divisor (clock
 // cycles per bit). toNoC is the line into the MultiNoC "tx" pin;
 // fromNoC is the "rx" pin's line. The host registers itself with clk.
@@ -71,10 +65,8 @@ func New(clk *sim.Clock, toNoC, fromNoC *serial.Line, div int) *Host {
 	// skips them).
 	h.utx = serial.NewTX(toNoC, div, h.self)
 	h.urx = serial.NewRX(fromNoC, div, h.self)
-	up := serial.NewUpParser()
-	h.parser.feed = up.Feed
 	h.urx.Recv = func(b byte) {
-		if m, ok := h.parser.feed(b); ok {
+		if m, ok := h.parser.Feed(b); ok {
 			h.FramesRecv++
 			h.handle(m)
 		}

@@ -8,18 +8,17 @@ import (
 	"repro/internal/noc"
 	"repro/internal/r8asm"
 	"repro/internal/serial"
-	"repro/internal/sim"
 )
 
 // rig builds a host + serial IP + remote memory system without the
 // processor IPs, isolating the host software stack.
 func rig(t *testing.T) (*Host, *serial.IP, *mem.IP) {
 	t.Helper()
-	clk := sim.NewClock()
-	net, err := noc.New(clk, noc.Defaults(2, 2))
+	net, err := noc.New(noc.Defaults(2, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := net.Clock()
 	toNoC := serial.NewLine(clk)
 	fromNoC := serial.NewLine(clk)
 	sip, err := serial.NewIP(net, noc.Addr{X: 0, Y: 0}, toNoC, fromNoC)

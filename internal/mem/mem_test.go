@@ -58,11 +58,11 @@ func TestBanksLoadDump(t *testing.T) {
 // endpoint at 00 to poke it, mirroring Figure 1's topology.
 func harness(t *testing.T) (*sim.Clock, *noc.Network, *IP, *noc.Endpoint) {
 	t.Helper()
-	clk := sim.NewClock()
-	net, err := noc.New(clk, noc.Defaults(2, 2))
+	net, err := noc.New(noc.Defaults(2, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := net.Clock()
 	ip, err := NewIP(net, noc.Addr{X: 1, Y: 1}, 1024)
 	if err != nil {
 		t.Fatal(err)

@@ -36,12 +36,12 @@ type flitTrain struct {
 func newFlitTrain(tb testing.TB) *flitTrain {
 	tb.Helper()
 	// Every Step must be one cycle, so dead-cycle skipping is disabled.
-	clk := kernelClock(tb, "nowarp")
 	cfg := Defaults(4, 1)
-	net, err := New(clk, cfg)
+	net, err := New(cfg, "nowarp")
 	if err != nil {
 		tb.Fatal(err)
 	}
+	clk := net.Clock()
 	src, err := net.NewEndpoint(Addr{0, 0})
 	if err != nil {
 		tb.Fatal(err)

@@ -10,12 +10,11 @@ import (
 // the two-phase kernel sustains on an idle 4x4 mesh.
 func BenchmarkSimulationRate(b *testing.B) {
 	b.ReportAllocs()
-	clk := sim.NewClock()
-	net, err := New(clk, Defaults(4, 4))
+	net, err := New(Defaults(4, 4), "")
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = net
+	clk := net.Clock()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clk.Step()
@@ -27,11 +26,11 @@ func BenchmarkLoadedMeshCycle(b *testing.B) {
 	b.ReportAllocs()
 	// Per-cycle cost benchmark: each iteration must be one cycle, so
 	// dead-cycle skipping is disabled.
-	clk := kernelClock(b, "nowarp")
-	net, err := New(clk, Defaults(4, 4))
+	net, err := New(Defaults(4, 4), "nowarp")
 	if err != nil {
 		b.Fatal(err)
 	}
+	clk := net.Clock()
 	var eps []*Endpoint
 	for x := 0; x < 4; x++ {
 		for y := 0; y < 4; y++ {
@@ -116,11 +115,11 @@ func BenchmarkKernelActivity(b *testing.B) {
 			b.Run(load.name+"/"+k.name, func(b *testing.B) {
 				b.ReportAllocs()
 				cfg := Defaults(16, 16)
-				clk := kernelClock(b, k.kernel)
-				net, err := New(clk, cfg)
+				net, err := New(cfg, k.kernel)
 				if err != nil {
 					b.Fatal(err)
 				}
+				clk := net.Clock()
 				type node struct {
 					ep  *Endpoint
 					rng *sim.Rand

@@ -220,10 +220,6 @@ func MulticastPath(dsts []Addr) []Addr {
 	return path
 }
 
-// Clock returns the clock the endpoint is registered on: the
-// network's, which its owning IP core shares.
-func (e *Endpoint) Clock() *sim.Clock { return e.clk }
-
 // Recv pops the oldest fully received packet, reporting false when none
 // is pending. The payload is the endpoint's reassembly storage, not a
 // copy: it stays valid until the next Recv on this endpoint, so a

@@ -11,11 +11,11 @@ import (
 // kernel, with the given multicast mode.
 func mcastNet(t testing.TB, w, h int, kernel sim.Kernel, pathMode bool) (*sim.Clock, *Network) {
 	t.Helper()
-	clk := kernelClock(t, kernel)
-	net, err := New(clk, Defaults(w, h))
+	net, err := New(Defaults(w, h), kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := net.Clock()
 	net.SetPathMulticast(pathMode)
 	for x := 0; x < w; x++ {
 		for y := 0; y < h; y++ {
@@ -182,11 +182,11 @@ func TestMulticastCrossKernelIdentical(t *testing.T) {
 func TestMulticastDropsEndpointlessDestinations(t *testing.T) {
 	for _, pathMode := range []bool{true, false} {
 		cfg := Defaults(4, 4)
-		clk := sim.NewClock()
-		net, err := New(clk, cfg)
+		net, err := New(cfg, "")
 		if err != nil {
 			t.Fatal(err)
 		}
+		clk := net.Clock()
 		net.SetPathMulticast(pathMode)
 		// Endpoints everywhere except (2,2).
 		for x := 0; x < 4; x++ {

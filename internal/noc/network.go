@@ -128,9 +128,15 @@ func metaSlot(i uint64) (c, off uint64) {
 	return 4 + (i-120)/128, (i - 120) % 128
 }
 
-// New builds the mesh and registers every router with clk.
-func New(clk *sim.Clock, cfg Config) (*Network, error) {
+// New builds the mesh and registers every router on a new Clock
+// scheduled by kernel: the run's one Clock, on which the rest of the
+// run (endpoints, IP cores, probes) is built after the routers.
+func New(cfg Config, kernel sim.Kernel) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	clk, err := sim.ParseKernel(kernel)
+	if err != nil {
 		return nil, err
 	}
 	n := &Network{
@@ -216,8 +222,8 @@ func (n *Network) MulticastStats() MulticastStats { return n.mcast }
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Clock returns the clock every router and endpoint of the network is
-// registered on.
+// Clock returns the run's Clock, which New built: every router and
+// endpoint of the network is registered on it.
 func (n *Network) Clock() *sim.Clock { return n.clk }
 
 // Router returns the router at a, or nil when out of range.

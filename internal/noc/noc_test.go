@@ -15,24 +15,14 @@ import (
 // build constructs a network plus endpoints on every router.
 func build(t testing.TB, cfg Config) (*sim.Clock, *Network) {
 	t.Helper()
-	clk := sim.NewClock()
-	return clk, buildOn(t, clk, cfg)
+	net := buildOn(t, cfg, "")
+	return net.Clock(), net
 }
 
-// kernelClock returns an empty clock scheduled by kernel k.
-func kernelClock(t testing.TB, k sim.Kernel) *sim.Clock {
+// buildOn is build under kernel k.
+func buildOn(t testing.TB, cfg Config, k sim.Kernel) *Network {
 	t.Helper()
-	clk, err := sim.ParseKernel(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return clk
-}
-
-// buildOn is build on a caller-configured clock.
-func buildOn(t testing.TB, clk *sim.Clock, cfg Config) *Network {
-	t.Helper()
-	net, err := New(clk, cfg)
+	net, err := New(cfg, k)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -74,7 +64,6 @@ func TestHopCount(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	clk := sim.NewClock()
 	bad := []Config{
 		{},
 		func() Config { c := Defaults(0, 2); return c }(),
@@ -85,12 +74,15 @@ func TestConfigValidation(t *testing.T) {
 		func() Config { c := Defaults(2, 2); c.Routing = nil; return c }(),
 	}
 	for i, cfg := range bad {
-		if _, err := New(clk, cfg); err == nil {
+		if _, err := New(cfg, ""); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := New(clk, Defaults(2, 2)); err != nil {
+	if _, err := New(Defaults(2, 2), ""); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+	if _, err := New(Defaults(2, 2), "turbo"); err == nil {
+		t.Error("unknown kernel accepted")
 	}
 }
 
@@ -592,8 +584,7 @@ func TestFifoProperties(t *testing.T) {
 }
 
 func TestEndpointDuplicate(t *testing.T) {
-	clk := sim.NewClock()
-	net, err := New(clk, Defaults(2, 2))
+	net, err := New(Defaults(2, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -728,11 +719,11 @@ func TestWideFlitDelivery(t *testing.T) {
 // TestVCDTraceCapturesHandshake drives one packet while tracing the
 // destination router and checks the waveform contains real activity.
 func TestVCDTraceCapturesHandshake(t *testing.T) {
-	clk := sim.NewClock()
-	net, err := New(clk, Defaults(2, 2))
+	net, err := New(Defaults(2, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := net.Clock()
 	src, _ := net.NewEndpoint(Addr{0, 0})
 	if _, err := net.NewEndpoint(Addr{1, 0}); err != nil {
 		t.Fatal(err)
@@ -772,11 +763,11 @@ func TestVCDTraceCapturesHandshake(t *testing.T) {
 func TestRouterStatsMatchAcrossKernels(t *testing.T) {
 	run := func(k sim.Kernel) []RouterStats {
 		cfg := Defaults(4, 1)
-		clk := kernelClock(t, k)
-		net, err := New(clk, cfg)
+		net, err := New(cfg, k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		clk := net.Clock()
 		src, err := net.NewEndpoint(Addr{0, 0})
 		if err != nil {
 			t.Fatal(err)
@@ -834,8 +825,8 @@ func TestFullBufferAcrossKernels(t *testing.T) {
 	run := func(k sim.Kernel) obs {
 		cfg := Defaults(1, 4)
 		cfg.BufDepth = 1
-		clk := kernelClock(t, k)
-		net := buildOn(t, clk, cfg)
+		net := buildOn(t, cfg, k)
+		clk := net.Clock()
 		payload := seq(40)
 		for k := 0; k < 3; k++ {
 			for _, f := range [][2]Addr{{{0, 0}, {0, 3}}, {{0, 3}, {0, 0}}, {{0, 1}, {0, 2}}} {
@@ -888,7 +879,7 @@ type sendAt struct {
 }
 
 func (s *sendAt) Eval() {
-	if s.ep.Clock().Cycle() == s.at {
+	if s.ep.clk.Cycle() == s.at {
 		s.meta, s.err = s.ep.Send(Addr{1, 0}, []uint16{7})
 	}
 }
@@ -906,11 +897,11 @@ func TestSendCommitsOnTheEdge(t *testing.T) {
 	const c = 100
 	for _, k := range []sim.Kernel{"", "nowarp", "dense"} {
 		for _, how := range []string{"outside the clock", "owner after endpoint", "owner before endpoint"} {
-			clk := kernelClock(t, k)
-			net, err := New(clk, Defaults(2, 1))
+			net, err := New(Defaults(2, 1), k)
 			if err != nil {
 				t.Fatal(err)
 			}
+			clk := net.Clock()
 			s := &sendAt{at: c}
 			register := func() { clk.Register(s).WakeAt(c + 1) }
 			if how == "owner before endpoint" {
@@ -948,11 +939,11 @@ func TestSendCommitsOnTheEdge(t *testing.T) {
 // so the VCD output is byte-identical with warping on and off.
 func TestVCDTraceIdenticalUnderTimeWarp(t *testing.T) {
 	run := func(k sim.Kernel) string {
-		clk := kernelClock(t, k)
-		net, err := New(clk, Defaults(2, 2))
+		net, err := New(Defaults(2, 2), k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		clk := net.Clock()
 		src, err := net.NewEndpoint(Addr{0, 0})
 		if err != nil {
 			t.Fatal(err)

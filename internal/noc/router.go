@@ -180,9 +180,6 @@ func (r *Router) init(addr Addr, cfg Config, clk *sim.Clock, slots []Flit) {
 // Addr reports the router's mesh coordinates.
 func (r *Router) Addr() Addr { return r.addr }
 
-// Clock returns the clock the router is registered on: the network's.
-func (r *Router) Clock() *sim.Clock { return r.clk }
-
 // integrateStats adds span cycles of the registered waiting and
 // buffered counts to the WaitCycles and BufferedFlitCycles integrals in
 // s. It is the one definition of those statistics, shared by Eval's

@@ -143,7 +143,8 @@ type lockstepSeen struct{ waited, sleptHolding, sleptRetries, caughtUp int }
 // routerLockstep runs cfg's mesh under the default kernel and a dense
 // twin in lockstep on the same sends: for sendCycles cycles every
 // endpoint with fewer than 4 flits queued sends a packet of 1 to 16
-// words to a destination drawn from seed, then the mesh drains. After
+// words to a destination drawn from seed, then the mesh drains, and
+// must deliver a packet every 10,000 cycles until it is quiescent. After
 // every step, in both, each router's waiting mask, stored outputs and
 // buffered count equal a recount over its input ports, its port masks
 // equal a recount from its buffers, link wires and crossbar, each output
@@ -158,8 +159,8 @@ type lockstepSeen struct{ waited, sleptHolding, sleptRetries, caughtUp int }
 // the stepped control left it. Dense never applies an attempt late.
 func routerLockstep(t *testing.T, cfg Config, seed uint64, sendCycles int) lockstepSeen {
 	t.Helper()
-	clk, dclk := sim.NewClock(), kernelClock(t, "dense")
-	net, dnet := buildOn(t, clk, cfg), buildOn(t, dclk, cfg)
+	net, dnet := buildOn(t, cfg, ""), buildOn(t, cfg, "dense")
+	clk, dclk := net.Clock(), dnet.Clock()
 	var seen lockstepSeen
 	slept := make([]bool, len(net.routers)) // pending attempts at the last check
 	acks, dacks := make([][numPorts]uint64, len(net.routers)), make([][numPorts]uint64, len(net.routers))
@@ -241,16 +242,50 @@ func routerLockstep(t *testing.T, cfg Config, seed uint64, sendCycles int) locks
 		}
 		step()
 	}
-	for n := 0; !clk.Quiescent() || !dclk.Quiescent(); n++ {
-		if n == 1_000_000 {
-			t.Fatal("not quiescent after the drain budget")
-		}
+	// The drain must deliver a packet every drainStall cycles until both
+	// meshes are quiescent, so a livelock fails in seconds and says
+	// where flits are held.
+	const drainStall = 10_000
+	delivered, at := uint64(0), clk.Cycle()
+	for !clk.Quiescent() || !dclk.Quiescent() {
 		step()
+		if net.Delivered() > sent || dnet.Delivered() > sent {
+			break
+		}
+		if d := net.Delivered() + dnet.Delivered(); d != delivered {
+			delivered, at = d, clk.Cycle()
+		} else if clk.Cycle()-at >= drainStall {
+			t.Fatalf("cycle %d: no packet delivered for %d cycles; %d and %d (dense) of %d undelivered; %s",
+				clk.Cycle(), drainStall, sent-net.Delivered(), sent-dnet.Delivered(), sent, holding(net, dnet))
+		}
 	}
 	if net.Delivered() != sent || dnet.Delivered() != sent {
-		t.Fatalf("delivered %d and %d (dense) of %d packets", net.Delivered(), dnet.Delivered(), sent)
+		t.Fatalf("cycle %d: delivered %d and %d (dense) of %d packets",
+			clk.Cycle(), net.Delivered(), dnet.Delivered(), sent)
 	}
 	return seen
+}
+
+// holding names the first router of net, then of its dense twin dnet,
+// that holds buffered flits.
+func holding(net, dnet *Network) string {
+	for _, n := range []*Network{net, dnet} {
+		for i := range n.routers {
+			r := &n.routers[i]
+			var flits int
+			for j := range r.in {
+				flits += r.in[j].buf.Len()
+			}
+			if flits > 0 {
+				twin := ""
+				if n == dnet {
+					twin = "dense "
+				}
+				return fmt.Sprintf("%srouter %s holds %d flits", twin, r.addr, flits)
+			}
+		}
+	}
+	return "no router holds a flit"
 }
 
 // routerRows are TestRouterCounters' meshes, all 6x6 and saturated by
@@ -330,8 +365,8 @@ func TestMisrouteStuck(t *testing.T) {
 	var ref []RouterStats
 	for _, k := range []sim.Kernel{"dense", "", "nowarp"} {
 		t.Run(fmt.Sprintf("kernel=%q", k), func(t *testing.T) {
-			clk := kernelClock(t, k)
-			net := buildOn(t, clk, cfg)
+			net := buildOn(t, cfg, k)
+			clk := net.Clock()
 			r := net.Router(here)
 			clk.Probe(func(cycle uint64) {
 				if p := &r.in[Local]; p.route != PortNone {

@@ -1,14 +1,9 @@
 package noc
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 func TestSendRejectsOffMeshDestination(t *testing.T) {
-	clk := sim.NewClock()
-	net, err := New(clk, Defaults(3, 3))
+	net, err := New(Defaults(3, 3), "")
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

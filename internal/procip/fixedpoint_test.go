@@ -19,14 +19,11 @@ var kernels = []sim.Kernel{"dense", "nowarp", ""}
 // played by the host endpoint, so a notify or wait sends it a packet.
 func fixedRig(t *testing.T, k sim.Kernel, img []uint16) (*sim.Clock, *IP, *noc.Endpoint) {
 	t.Helper()
-	clk, err := sim.ParseKernel(k)
+	net, err := noc.New(noc.Defaults(2, 2), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := noc.New(clk, noc.Defaults(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	clk := net.Clock()
 	ip, err := New(net, Config{
 		Addr:     noc.Addr{X: 0, Y: 1},
 		ID:       1,

@@ -12,11 +12,11 @@ import (
 // at 00 playing host/peer.
 func rig(t *testing.T, cfg Config) (*sim.Clock, *noc.Network, *IP, *noc.Endpoint) {
 	t.Helper()
-	clk := sim.NewClock()
-	net, err := noc.New(clk, noc.Defaults(2, 2))
+	net, err := noc.New(noc.Defaults(2, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := net.Clock()
 	if cfg.Addr == (noc.Addr{}) {
 		cfg.Addr = noc.Addr{X: 0, Y: 1}
 	}

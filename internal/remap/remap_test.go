@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/noc"
-	"repro/internal/sim"
 )
 
 func TestCostIsVolumeTimesHops(t *testing.T) {
@@ -133,11 +132,11 @@ func TestRemapImprovesRealLatency(t *testing.T) {
 		{{X: 0, Y: 1}, {X: 3, Y: 2}},
 	}
 	measure := func(pairs [][2]noc.Addr) (float64, []*noc.PacketMeta) {
-		clk := sim.NewClock()
-		net, err := noc.New(clk, noc.Defaults(4, 4))
+		net, err := noc.New(noc.Defaults(4, 4), "")
 		if err != nil {
 			t.Fatal(err)
 		}
+		clk := net.Clock()
 		eps := map[noc.Addr]*noc.Endpoint{}
 		for _, pr := range pairs {
 			for _, a := range pr {

@@ -129,7 +129,8 @@ func EncodeUp(m *noc.Message) ([]byte, error) {
 	}
 }
 
-// UpParser is the host-side streaming decoder for MultiNoC frames.
+// UpParser is the host-side streaming decoder for MultiNoC frames. The
+// zero value is ready to use.
 type UpParser struct {
 	buf []byte
 
@@ -220,6 +221,3 @@ func EncodeDown(tgt noc.Addr, m *noc.Message) ([]byte, error) {
 		return nil, fmt.Errorf("serial: service %s cannot be sent by the host", m.Svc)
 	}
 }
-
-// NewUpParser returns a streaming decoder for MultiNoC-to-host frames.
-func NewUpParser() *UpParser { return &UpParser{} }

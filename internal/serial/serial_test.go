@@ -10,7 +10,7 @@ import (
 
 // uartPair wires a TX to an RX over one line in a fresh clock domain.
 func uartPair(div int) (*sim.Clock, *TX, *RX, *[]byte) {
-	clk := sim.NewClock()
+	clk := new(sim.Clock)
 	line := NewLine(clk)
 	d := newUARTDriver(clk, line, div, line, div)
 	got := &[]byte{}
@@ -79,7 +79,7 @@ func TestUARTGapKeepsLineIdle(t *testing.T) {
 }
 
 func TestRXIgnoresTrafficWithoutDivisor(t *testing.T) {
-	clk := sim.NewClock()
+	clk := new(sim.Clock)
 	line := NewLine(clk)
 	d := newUARTDriver(clk, line, 8, line, 0) // receiver's divisor unknown
 	n := 0
@@ -167,7 +167,7 @@ func TestEncodeUpDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Svc, err)
 		}
-		p := NewUpParser()
+		p := new(UpParser)
 		var got *noc.Message
 		for _, b := range bs {
 			if mm, ok := p.Feed(b); ok {
@@ -198,11 +198,11 @@ func TestEncodeErrors(t *testing.T) {
 // TestSerialIPAutobaudAndFrames drives the real Serial IP with a TX on
 // the host side of the line.
 func TestSerialIPAutobaudAndFrames(t *testing.T) {
-	clk := sim.NewClock()
-	net, err := noc.New(clk, noc.Defaults(2, 2))
+	net, err := noc.New(noc.Defaults(2, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := net.Clock()
 	rxd := NewLine(clk)
 	txd := NewLine(clk)
 	ip, err := NewIP(net, noc.Addr{X: 0, Y: 0}, rxd, txd)
@@ -253,11 +253,11 @@ func TestSerialIPAutobaudAndFrames(t *testing.T) {
 }
 
 func TestSerialIPSplitsLargeWrites(t *testing.T) {
-	clk := sim.NewClock()
-	net, err := noc.New(clk, noc.Defaults(2, 2))
+	net, err := noc.New(noc.Defaults(2, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := net.Clock()
 	rxd := NewLine(clk)
 	txd := NewLine(clk)
 	ip, err := NewIP(net, noc.Addr{X: 0, Y: 0}, rxd, txd)
@@ -352,7 +352,7 @@ func TestRXRecoversFromLineGlitch(t *testing.T) {
 	// A sub-bit noise pulse must produce a frame error (start bit
 	// vanishes at the mid-bit sample) and the next clean byte must
 	// still decode.
-	clk := sim.NewClock()
+	clk := new(sim.Clock)
 	line := NewLine(clk)
 	d := newGlitchDriver(clk, line, 16)
 	var got []byte
@@ -392,7 +392,7 @@ func TestBoundRXGlitchMatchesReference(t *testing.T) {
 		errs   uint64
 	}
 	run := func(sleepy bool) result {
-		clk := sim.NewClock()
+		clk := new(sim.Clock)
 		line := NewLine(clk)
 		d := newGlitchDriver(clk, line, div)
 		rx := d.rx

@@ -27,7 +27,7 @@ func BenchmarkStepOverhead(b *testing.B) {
 	const n = 256
 	b.Run("idle", func(b *testing.B) {
 		b.ReportAllocs()
-		clk := NewClock()
+		clk := new(Clock)
 		for i := 0; i < n; i++ {
 			clk.Register(&benchIdler{})
 		}
@@ -39,7 +39,7 @@ func BenchmarkStepOverhead(b *testing.B) {
 	})
 	b.Run("busy", func(b *testing.B) {
 		b.ReportAllocs()
-		clk := NewClock()
+		clk := new(Clock)
 		for i := 0; i < n; i++ {
 			clk.Register(&benchSpinner{})
 		}
@@ -50,7 +50,7 @@ func BenchmarkStepOverhead(b *testing.B) {
 	})
 	b.Run("warp", func(b *testing.B) {
 		b.ReportAllocs()
-		clk := NewClock()
+		clk := new(Clock)
 		h := clk.Register(&benchIdler{})
 		for i := 0; i < n-1; i++ {
 			clk.Register(&benchIdler{})

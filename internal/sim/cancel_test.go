@@ -31,7 +31,7 @@ func (n *napper) Commit()    {}
 func (n *napper) Idle() bool { return n.armed }
 
 func TestCancelStopsRunEarly(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	tk := &ticker{}
 	clk.Register(tk)
 	var calls int
@@ -51,7 +51,7 @@ func TestCancelStopsRunEarly(t *testing.T) {
 }
 
 func TestCancelRunUntilReturnsErrCanceled(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	clk.Register(&ticker{})
 	clk.SetCancel(func() bool { return true })
 	err := clk.RunUntil(func() bool { return false }, 1_000_000)
@@ -68,7 +68,7 @@ func TestCancelQuiescencePreemptsCancellation(t *testing.T) {
 	// A clock that is already quiescent reports success even with a
 	// triggered hook: the drain finished, cancellation has nothing to
 	// stop.
-	clk := NewClock()
+	clk := new(Clock)
 	clk.SetCancel(func() bool { return true })
 	if err := clk.RunUntilQuiescent(1000); err != nil {
 		t.Fatalf("RunUntilQuiescent on quiescent clock = %v, want nil", err)
@@ -76,7 +76,7 @@ func TestCancelQuiescencePreemptsCancellation(t *testing.T) {
 }
 
 func TestCancelContextHook(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	clk.Register(&ticker{})
 	ctx, cancel := context.WithCancel(context.Background())
 	clk.SetCancel(func() bool { return ctx.Err() != nil })
@@ -95,7 +95,7 @@ func TestCancelCycleBudgetHookWithWarp(t *testing.T) {
 	// A cycle-budget hook bounds a warping run too: the warp jumps to
 	// the armed timer inside the Run window and the next hook check
 	// observes the budget exceeded.
-	clk := NewClock()
+	clk := new(Clock)
 	n := &napper{clk: clk}
 	n.self = clk.Register(n)
 	const budget = 10_000
@@ -110,7 +110,7 @@ func TestCancelCycleBudgetHookWithWarp(t *testing.T) {
 }
 
 func TestCancelClearHook(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	clk.Register(&ticker{})
 	clk.SetCancel(func() bool { return true })
 	clk.SetCancel(nil)

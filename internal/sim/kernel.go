@@ -15,7 +15,9 @@ type Kernel string
 
 // ParseKernel validates k and returns an empty Clock scheduled the way
 // k names. It is the only parser of Kernel values and the only way to
-// schedule a Clock other than the default.
+// schedule a Clock other than the default. noc.New calls it to build
+// a run's Clock, so a run names its Kernel there and takes the Clock
+// from Network.Clock.
 func ParseKernel(k Kernel) (*Clock, error) {
 	switch k {
 	case "", "nowarp", "dense":

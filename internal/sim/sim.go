@@ -137,7 +137,11 @@
 // default (activity scheduling with time warp), "nowarp" (the
 // time-warp oracle) and "dense" (the activity-scheduling oracle). A
 // Kernel value is the only way to choose one: ParseKernel turns it
-// into a Clock scheduled that way, and NewClock returns the default.
+// into a Clock scheduled that way. A run's Clock is its network's:
+// noc.New parses the run's Kernel and registers the mesh on the Clock
+// it returns, and every IP core and probe of the run gets it from
+// Network.Clock. A model that needs no mesh runs on the zero Clock,
+// which is default-scheduled.
 package sim
 
 import (
@@ -227,9 +231,6 @@ type Clock struct {
 	probes      []func(cycle uint64)
 	rangeProbes []func(from, to uint64)
 }
-
-// NewClock returns an empty clock with the default scheduling.
-func NewClock() *Clock { return &Clock{} }
 
 // Register adds comp to the clock, active, and returns its Handle, the
 // only way to wake it: a constructor registers its component before it

@@ -39,7 +39,7 @@ func kernelClock(t *testing.T, k Kernel) *Clock {
 }
 
 func TestWireRegistersOneCycle(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	w := NewWire(clk, uint64(0))
 	c := &counter{out: w}
 	f := &follower{in: w}
@@ -65,7 +65,7 @@ func TestOrderIndependence(t *testing.T) {
 	// Two clock domains with the same components registered in opposite
 	// order must produce identical traces.
 	run := func(swap bool) []uint64 {
-		clk := NewClock()
+		clk := new(Clock)
 		w := NewWire(clk, uint64(0))
 		c := &counter{out: w}
 		f := &follower{in: w}
@@ -88,7 +88,7 @@ func TestOrderIndependence(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	w := NewWire(clk, uint64(0))
 	c := &counter{out: w}
 	clk.Register(c)
@@ -109,7 +109,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestProbeSeesPostEdgeState(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	w := NewWire(clk, uint64(0))
 	c := &counter{out: w}
 	clk.Register(c)
@@ -125,7 +125,7 @@ func TestProbeSeesPostEdgeState(t *testing.T) {
 }
 
 func TestWireHoldsValue(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	w := NewWire(clk, 42)
 	clk.Run(5)
 	if w.Get() != 42 {
@@ -208,7 +208,7 @@ func (p *pulser) Commit()    {}
 func (p *pulser) Idle() bool { return p.work == 0 }
 
 func TestIdlerSleepsAndQuiesces(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk, work: 3}
 	clk.Register(p)
 	if clk.ActiveCount() != 1 {
@@ -233,7 +233,7 @@ func TestIdlerSleepsAndQuiesces(t *testing.T) {
 }
 
 func TestWakeReactivates(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk, work: 1}
 	h := clk.Register(p)
 	clk.Run(5) // evaluates at cycle 1, then sleeps
@@ -276,7 +276,7 @@ func (l *logger) Idle() bool { return true }
 // bitmap words. A component woken during Eval ahead of the scan is
 // evaluated this cycle; one woken behind it gets only its Commit.
 func TestActiveSetRegistrationOrder(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	var log []string
 	ls := make([]*logger, 130)
 	hs := make([]Handle, len(ls))
@@ -304,7 +304,7 @@ func TestActiveSetRegistrationOrder(t *testing.T) {
 }
 
 func TestWakeAtTimer(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk, work: 1}
 	h := clk.Register(p)
 	clk.Run(3) // evaluates at cycle 1, sleeps from cycle 1 on
@@ -323,7 +323,7 @@ func TestWakeAtTimer(t *testing.T) {
 }
 
 func TestRunUntilQuiescentTimeout(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	w := NewWire(clk, uint64(0))
 	clk.Register(&counter{out: w}) // counter never idles
 	err := clk.RunUntilQuiescent(7)
@@ -402,7 +402,7 @@ func TestWatchWakeMatchesDense(t *testing.T) {
 // one Step must land exactly on the timer's cycle, evaluating the
 // component on the same cycle a per-cycle run would.
 func TestTimeWarpJumpsToTimer(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk, work: 1}
 	h := clk.Register(p)
 	clk.Step() // evaluates at cycle 1, then sleeps
@@ -479,7 +479,7 @@ func TestTimeWarpOffStepsEveryCycle(t *testing.T) {
 // per-cycle accumulator integrating ranges stays bit-identical to
 // dense evaluation.
 func TestProbeRangeTilesSkippedSpans(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk, work: 2}
 	h := clk.Register(p)
 	covered := make(map[uint64]int)
@@ -507,7 +507,7 @@ func TestProbeRangeTilesSkippedSpans(t *testing.T) {
 // TestRunWarpNeverOvershoots: Run's cycle budget must cap a warp even
 // when the earliest timer lies beyond it.
 func TestRunWarpNeverOvershoots(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk, work: 1}
 	h := clk.Register(p)
 	clk.Step()
@@ -533,7 +533,7 @@ func TestRunWarpNeverOvershoots(t *testing.T) {
 // deadline must not grow the timer heap — the leak a periodic
 // component re-arming every Eval would otherwise cause.
 func TestWakeAtCoalescesDuplicates(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk, work: 1}
 	h := clk.Register(p)
 	clk.Step()
@@ -562,7 +562,7 @@ func TestWakeAtCoalescesDuplicates(t *testing.T) {
 // TestWakeAtDistinctCyclesAllFire: distinct deadlines for one component
 // are not coalesced away.
 func TestWakeAtDistinctCyclesAllFire(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk, work: 1}
 	h := clk.Register(p)
 	clk.Step()
@@ -589,7 +589,7 @@ func TestWakeAtDistinctCyclesAllFire(t *testing.T) {
 // TestWatchSecondWatcherPanics: a wire has one reader, so a second
 // Watch on it is a wiring error.
 func TestWatchSecondWatcherPanics(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	w := NewWire(clk, uint64(0))
 	Watch(w, clk.Register(&watcherComp{in: w, clk: clk}), 0)
 	defer func() {
@@ -604,7 +604,7 @@ func TestWatchSecondWatcherPanics(t *testing.T) {
 // one watcher costs no heap allocation, so a mesh's watched link wires
 // cost only the slab they live in.
 func TestWatchInPlaceAllocatesNothing(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	h := clk.Register(&watcherComp{clk: clk, seen: make(map[uint64]uint64)})
 	wires := make([]Wire[uint64], 64)
 	clk.allWires = make([]latcher, 0, len(wires))
@@ -624,7 +624,7 @@ func TestWatchInPlaceAllocatesNothing(t *testing.T) {
 // TestWatchAfterStagedSet: a watcher registered between a staged Set
 // and the edge that latches it must still be woken by that edge.
 func TestWatchAfterStagedSet(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	w := NewWire(clk, uint64(0))
 	wc := &watcherComp{in: w, clk: clk, seen: make(map[uint64]uint64)}
 	h := clk.Register(wc)
@@ -739,7 +739,7 @@ func TestDenseKernelEquivalence(t *testing.T) {
 // the next cycle (Wake) or for a given one (WakeAt); waking or watching
 // through the zero Handle wakes nothing.
 func TestHandleWakes(t *testing.T) {
-	clk := NewClock()
+	clk := new(Clock)
 	p := &pulser{clk: clk}
 	h := clk.Register(p)
 	clk.Step()

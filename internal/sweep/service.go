@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -340,7 +341,7 @@ func (s *Service) Submit(batchID string, specs []JobSpec) (BatchSnapshot, error)
 		batchID = newBatchID()
 	}
 	if b, ok := s.batches[batchID]; ok {
-		if !equalKeys(b.keys, keys) {
+		if !slices.Equal(b.keys, keys) {
 			return BatchSnapshot{}, ErrBatchMismatch
 		}
 		return s.snapshotLocked(b), nil
@@ -535,16 +536,4 @@ func newBatchID() string {
 		panic(fmt.Sprintf("sweep: batch id entropy: %v", err))
 	}
 	return "b-" + hex.EncodeToString(b[:])
-}
-
-func equalKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -402,14 +402,11 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	case "multicast":
 		group = s.Group
 	}
-	clk, err := sim.ParseKernel(tcfg.Kernel)
+	net, err := noc.New(ncfg, tcfg.Kernel)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	net, err := noc.New(clk, ncfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
+	clk := net.Clock()
 	// Arm the wall-clock/cycle-budget cancellation hook.
 	if ctx, limit := tcfg.Ctx, tcfg.MaxCycles; ctx != nil || limit > 0 {
 		clk.SetCancel(func() bool { return ctx != nil && ctx.Err() != nil || limit > 0 && clk.Cycle() >= limit })
@@ -440,7 +437,7 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 				return Result{}, nil, err
 			}
 			in := &injector{
-				clk:       ep.Clock(),
+				clk:       clk,
 				ep:        ep,
 				rng:       sim.NewRand(tcfg.Seed + uint64(x*31+y)),
 				pattern:   pattern,
@@ -557,11 +554,7 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 // ProbeLatency measures one packet's network latency under kernel on an
 // otherwise idle mesh — the setting of the paper's minimal-latency formula.
 func ProbeLatency(ncfg noc.Config, src, dst noc.Addr, payload int, kernel sim.Kernel) (uint64, error) {
-	clk, err := sim.ParseKernel(kernel)
-	if err != nil {
-		return 0, err
-	}
-	net, err := noc.New(clk, ncfg)
+	net, err := noc.New(ncfg, kernel)
 	if err != nil {
 		return 0, err
 	}
@@ -578,7 +571,7 @@ func ProbeLatency(ncfg noc.Config, src, dst noc.Addr, payload int, kernel sim.Ke
 	}
 	// The mesh quiesces a handful of cycles after the tail flit ejects,
 	// so running to quiescence replaces the per-cycle delivery poll.
-	if err := clk.RunUntilQuiescent(1_000_000); err != nil {
+	if err := net.Clock().RunUntilQuiescent(1_000_000); err != nil {
 		return 0, err
 	}
 	if meta.EjectCycle == 0 {
@@ -609,14 +602,11 @@ func PeakThroughput(ncfg noc.Config, packets int, kernel sim.Kernel) (PeakResult
 	if ncfg.Width < 3 || ncfg.Height < 3 {
 		return PeakResult{}, fmt.Errorf("traffic: peak experiment needs a 3x3 mesh")
 	}
-	clk, err := sim.ParseKernel(kernel)
+	net, err := noc.New(ncfg, kernel)
 	if err != nil {
 		return PeakResult{}, err
 	}
-	net, err := noc.New(clk, ncfg)
-	if err != nil {
-		return PeakResult{}, err
-	}
+	clk := net.Clock()
 	flows := [][2]noc.Addr{
 		{{X: 0, Y: 1}, {X: 2, Y: 1}}, // enters centre W, exits E
 		{{X: 2, Y: 1}, {X: 0, Y: 1}}, // E -> W

@@ -359,14 +359,11 @@ func TestQuiescentMatchesDenseRunUntil(t *testing.T) {
 	const packets = 40
 	run := func(k sim.Kernel) (uint64, []uint64) {
 		cfg := noc.Defaults(4, 4)
-		clk, err := sim.ParseKernel(k)
+		net, err := noc.New(cfg, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := noc.New(clk, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		clk := net.Clock()
 		var eps []*noc.Endpoint
 		for x := 0; x < 4; x++ {
 			for y := 0; y < 4; y++ {
