@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -16,36 +17,87 @@ var update = flag.Bool("update", false, "rewrite testdata/report.md from this tr
 // a change to any paper figure shows in review as a diff of this file.
 const pinnedReport = "testdata/report.md"
 
-// TestReportUnderEveryKernel runs the report under the default kernel
-// and both oracles, nowarp and dense, and requires each to be the
-// pinned report byte for byte. Every section checks its own figures
-// (a mismatch is an error), so this also runs every experiment end to
-// end under every kernel; a run that stops at an error is still
-// compared up to where it stopped. With -update it first rewrites the
-// pinned report from the default kernel's run.
-func TestReportUnderEveryKernel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep; skipped in -short (race CI) runs")
-	}
+var (
+	pinOnce sync.Once
+	pinErr  error
+)
+
+// readPinned returns the pinned report. With -update it first rewrites
+// the file, once per test binary, from the default kernel's report.
+func readPinned(t *testing.T) string {
+	t.Helper()
 	if *update {
-		var sb strings.Builder
-		if err := Report(&sb, ""); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(pinnedReport, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
+		pinOnce.Do(func() {
+			var sb strings.Builder
+			if pinErr = Report(&sb, ""); pinErr == nil {
+				pinErr = os.WriteFile(pinnedReport, []byte(sb.String()), 0o644)
+			}
+		})
+		if pinErr != nil {
+			t.Fatal(pinErr)
 		}
 	}
 	want, err := os.ReadFile(pinnedReport)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []sim.Kernel{"", "nowarp", "dense"} {
+	return string(want)
+}
+
+// TestAllSectionsRun executes every experiment end to end under the
+// default kernel, one parallel subtest per section; each section
+// carries its own internal assertions (mismatches return errors), and
+// its output must be its part of the pinned report byte for byte. The
+// section's output is spliced into the pinned report in place of that
+// part, so a mismatch names the report's line.
+func TestAllSectionsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep; skipped in -short (race CI) runs")
+	}
+	want := readPinned(t)
+	for _, s := range All() {
+		t.Run(s.ID, func(t *testing.T) {
+			t.Parallel()
+			start := strings.Index(want, "\n## "+s.ID+":")
+			if start < 0 {
+				t.Fatalf("%s has no section %s (-update rewrites it)", pinnedReport, s.ID)
+			}
+			end := len(want)
+			if i := strings.Index(want[start+1:], "\n## "); i >= 0 {
+				end = start + 1 + i
+			}
+			var sb strings.Builder
+			err := s.Write(&sb, "")
+			out := sb.String()
+			if d := reportDiff(want, want[:start]+out+want[end:]); d != "" {
+				t.Errorf("%s differs from %s (-update rewrites it): %s", s.ID, pinnedReport, d)
+			}
+			if err != nil {
+				t.Fatalf("%s failed: %v", s.ID, err)
+			}
+			if !strings.Contains(out, "|") {
+				t.Errorf("%s produced no table:\n%s", s.ID, out)
+			}
+		})
+	}
+}
+
+// TestReportUnderOracleKernels runs the whole report under the two
+// oracle kernels, nowarp and dense, and requires each to be the pinned
+// report byte for byte. With TestAllSectionsRun, which runs the default
+// kernel section by section, every kernel prints the pinned report. A
+// run that stops at an error is still compared up to where it stopped.
+func TestReportUnderOracleKernels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep; skipped in -short (race CI) runs")
+	}
+	want := readPinned(t)
+	for _, k := range []sim.Kernel{"nowarp", "dense"} {
 		t.Run(fmt.Sprintf("kernel=%q", k), func(t *testing.T) {
 			t.Parallel()
 			var sb strings.Builder
 			err := Report(&sb, k)
-			if d := reportDiff(string(want), sb.String()); d != "" {
+			if d := reportDiff(want, sb.String()); d != "" {
 				t.Errorf("kernel %q: report differs from %s (-update rewrites it): %s", k, pinnedReport, d)
 			}
 			if err != nil {
