@@ -228,6 +228,34 @@ func TestSystemEdgeSteps(t *testing.T) {
 	}
 }
 
+// TestSystemSetupAllocs bounds the heap objects of system-edge's
+// set-up, the phases before BenchmarkSystemEdge's Driver.Process:
+// core.New, Boot and LoadKernels(1, 2) at SerialDiv 434. LoadKernels
+// assembles the kernel once for both processors, and the assembler
+// allocates per line, not per character. The bound is 15% over the 292
+// objects the set-up allocates. Like TestSystemEdgeSteps' count, this
+// one is exact, so it needs no timing.
+func TestSystemSetupAllocs(t *testing.T) {
+	const bound = 336
+	cfg := core.Default()
+	cfg.SerialDiv = 434
+	got := testing.AllocsPerRun(1, func() {
+		sys, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Boot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := edge.NewDriver(sys, edge.Serial, 16).LoadKernels(1, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > bound {
+		t.Errorf("system-edge set-up allocated %.0f objects, want at most %d", got, bound)
+	}
+}
+
 // BenchmarkE9WaitNotify measures the synchronization round trip.
 func BenchmarkE9WaitNotify(b *testing.B) {
 	b.ReportAllocs()
@@ -263,10 +291,10 @@ func BenchmarkE9WaitNotify(b *testing.B) {
 			DEC R5
 			JMPNZ loop
 			HALT`, rounds)
-		if _, err := sys.LoadProgramDirect(1, p1); err != nil {
+		if _, err := sys.LoadProgramDirect(p1, 1); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.LoadProgramDirect(2, p2); err != nil {
+		if _, err := sys.LoadProgramDirect(p2, 2); err != nil {
 			b.Fatal(err)
 		}
 		if err := sys.Activate(2); err != nil {
@@ -346,11 +374,11 @@ func BenchmarkE12SeaOfProcessors(b *testing.B) {
 					HALT
 				data:	.space %d`, chunk, chunk)
 				ids := make([]int, n)
-				for id := 1; id <= n; id++ {
-					if _, err := sys.LoadProgramDirect(id, src); err != nil {
-						b.Fatal(err)
-					}
-					ids[id-1] = id
+				for i := range ids {
+					ids[i] = i + 1
+				}
+				if _, err := sys.LoadProgramDirect(src, ids...); err != nil {
+					b.Fatal(err)
 				}
 				start := sys.Clk.Cycle()
 				for _, id := range ids {

@@ -80,6 +80,28 @@ func parse(args []string) (*options, error) {
 	if *w < 1 || *h < 1 || *payload < 1 || *depth < 1 || *flit < 1 || *cycles < 4 {
 		return nil, fmt.Errorf("-w, -h, -payload, -depth and -flit must be positive, -cycles at least 4")
 	}
+	// -vcd and -peak each run one fixed experiment on the mesh alone,
+	// so a traffic flag given with them would be silently ignored.
+	if *vcdPath != "" && *peak {
+		return nil, fmt.Errorf("-vcd and -peak are separate experiments: give one")
+	}
+	if *vcdPath != "" || *peak {
+		mode := "-peak"
+		if *vcdPath != "" {
+			mode = "-vcd"
+		}
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "w", "h", "depth", "flit", "routing", "kernel", "vcd", "peak":
+			default:
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return nil, fmt.Errorf("%s ignores %s", mode, strings.Join(ignored, ", "))
+		}
+	}
 
 	job := experiments.TrafficJob{
 		Width: *w, Height: *h, FlitBits: *flit, BufDepth: *depth, Routing: *routing,
@@ -129,6 +151,9 @@ func parse(args []string) (*options, error) {
 	}
 	for _, r := range rates {
 		job.Rate = r
+		if err := job.Validate(); err != nil {
+			return nil, err
+		}
 		o.jobs = append(o.jobs, job)
 	}
 	return o, nil
@@ -159,14 +184,9 @@ func run(args []string, stdout io.Writer) error {
 	return err
 }
 
-// runTraffic validates every job, then runs them in rate order and
-// prints one table row per result as it completes.
+// runTraffic runs the jobs, which parse has validated, in rate order
+// and prints one table row per result as it completes.
 func (o *options) runTraffic(stdout io.Writer) ([]traffic.Result, error) {
-	for _, j := range o.jobs {
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	fmt.Fprintf(stdout, "%8s %10s %10s %10s %10s %10s %8s\n",
 		"offered", "accepted", "delivered", "lat.mean", "lat.p95", "lat.total", "packets")
 	var results []traffic.Result

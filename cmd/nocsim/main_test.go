@@ -73,8 +73,12 @@ func TestCLIMatchesService(t *testing.T) {
 }
 
 // TestCLIRejects: flags that would run a different experiment than the
-// one asked for end in an error, not a silent substitute.
+// one asked for end in an error, not a silent substitute. -vcd and
+// -peak run fixed experiments, so every traffic flag set with them,
+// even to its default, is an error naming it, and so is an invalid
+// mesh.
 func TestCLIRejects(t *testing.T) {
+	vcd := filepath.Join(t.TempDir(), "q.vcd")
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -86,11 +90,23 @@ func TestCLIRejects(t *testing.T) {
 		{[]string{"-cycles", "3"}, "-cycles at least 4"},
 		{[]string{"-w", "0"}, "must be positive"},
 		{[]string{"-routing", "zigzag"}, "routing"},
+		{[]string{"-vcd", vcd, "-pattern", "transpose", "-hotspots", "1,1,0.3"}, "-vcd ignores -hotspots, -pattern"},
+		{[]string{"-vcd", vcd, "-payload", "4", "-rate", "0.3", "-seed", "9"}, "-vcd ignores -payload, -rate, -seed"},
+		{[]string{"-vcd", vcd, "-seed", "1"}, "-vcd ignores -seed"},
+		{[]string{"-vcd", vcd, "-record", "r.trace"}, "-vcd ignores -record"},
+		{[]string{"-vcd", vcd, "-routing", "zigzag"}, "routing"},
+		{[]string{"-vcd", vcd, "-w", "1", "-h", "1"}, "at least two nodes"},
+		{[]string{"-peak", "-cycles", "100", "-sweep", "0.1,0.2"}, "-peak ignores -cycles, -sweep"},
+		{[]string{"-peak", "-mcunicast", "-burstlen", "4"}, "-peak ignores -burstlen, -mcunicast"},
+		{[]string{"-vcd", vcd, "-peak"}, "-vcd and -peak"},
 	} {
 		err := run(tc.args, &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: error %v, want one mentioning %q", tc.args, err, tc.want)
 		}
+	}
+	if _, err := os.Stat(vcd); !os.IsNotExist(err) {
+		t.Errorf("a rejected -vcd run left %s behind (stat: %v)", vcd, err)
 	}
 }
 

@@ -47,23 +47,25 @@ func run(nProcs int) uint64 {
 		log.Fatal(err)
 	}
 	chunk := totalWork / nProcs
-	for id := 1; id <= nProcs; id++ {
-		prog, err := sys.LoadProgramDirect(id, sumProgram(chunk))
-		if err != nil {
-			log.Fatal(err)
-		}
-		base := prog.Symbols["data"]
+	ids := make([]int, nProcs)
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	prog, err := sys.LoadProgramDirect(sumProgram(chunk), ids...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base := prog.Symbols["data"]
+	for _, id := range ids {
 		for i := 0; i < chunk; i++ {
 			sys.Proc(id).Banks().Write(base+uint16(i), uint16(id))
 		}
 	}
-	ids := make([]int, nProcs)
 	start := sys.Clk.Cycle()
-	for id := 1; id <= nProcs; id++ {
+	for _, id := range ids {
 		if err := sys.Activate(id); err != nil {
 			log.Fatal(err)
 		}
-		ids[id-1] = id
 	}
 	if err := sys.RunUntilHalted(50_000_000, ids...); err != nil {
 		log.Fatal(err)

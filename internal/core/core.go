@@ -205,24 +205,27 @@ func (s *System) LoadProgram(id int, src string) (*r8asm.Program, error) {
 	return prog, nil
 }
 
-// LoadProgramDirect bypasses the serial link and writes the assembled
-// image straight into the processor's banks — the fast path used by
-// benchmarks where serial download time is not under measurement.
-func (s *System) LoadProgramDirect(id int, src string) (*r8asm.Program, error) {
+// LoadProgramDirect assembles src once and writes its image straight
+// into the banks of every listed processor, bypassing the serial link —
+// the fast path used where serial download time is not under
+// measurement.
+func (s *System) LoadProgramDirect(src string, ids ...int) (*r8asm.Program, error) {
 	prog, err := r8asm.Assemble(src)
 	if err != nil {
 		return nil, err
-	}
-	p := s.Proc(id)
-	if p == nil {
-		return nil, fmt.Errorf("core: no processor %d", id)
 	}
 	img, err := prog.Flatten(LocalWords)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Banks().Load(img); err != nil {
-		return nil, err
+	for _, id := range ids {
+		p := s.Proc(id)
+		if p == nil {
+			return nil, fmt.Errorf("core: no processor %d", id)
+		}
+		if err := p.Banks().Load(img); err != nil {
+			return nil, err
+		}
 	}
 	return prog, nil
 }

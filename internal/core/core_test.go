@@ -180,7 +180,7 @@ func TestRemoteMemoryWindow(t *testing.T) {
 		ST R4, R5, R0
 		HALT
 	`
-	if _, err := s.LoadProgramDirect(1, src); err != nil {
+	if _, err := s.LoadProgramDirect(src, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Activate(1); err != nil {
@@ -217,7 +217,7 @@ func TestOtherProcessorWindow(t *testing.T) {
 		ST R3, R4, R0
 		HALT
 	`
-	if _, err := s.LoadProgramDirect(1, src); err != nil {
+	if _, err := s.LoadProgramDirect(src, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Activate(1); err != nil {
@@ -261,10 +261,10 @@ d:	DEC R6
 
 func TestWaitNotify(t *testing.T) {
 	s := boot(t)
-	if _, err := s.LoadProgramDirect(1, waiterSrc); err != nil {
+	if _, err := s.LoadProgramDirect(waiterSrc, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadProgramDirect(2, notifierSrc); err != nil {
+	if _, err := s.LoadProgramDirect(notifierSrc, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Activate(1); err != nil {
@@ -299,20 +299,20 @@ func TestNotifyBeforeWaitIsNotLost(t *testing.T) {
 	// Reversed race: the notify lands before P1 executes its wait; the
 	// pending-notify count must absorb it (procip's wait).
 	s := boot(t)
-	if _, err := s.LoadProgramDirect(1, `
+	if _, err := s.LoadProgramDirect(`
 		LDI R6, 250      ; dawdle so the notify arrives first
 d:	DEC R6
 		JMPNZ d
-	`+waiterSrc); err != nil {
+	`+waiterSrc, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadProgramDirect(2, `
+	if _, err := s.LoadProgramDirect(`
 		LDI R2, 0xFFFD
 		CLR R1
 		LDI R3, 1
 		ST R3, R1, R2    ; notify immediately
 		HALT
-	`); err != nil {
+	`, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Activate(2); err != nil {
@@ -345,7 +345,7 @@ func TestActivateRestartsHaltedProcessor(t *testing.T) {
 		ST R2, R1, R0
 		HALT
 	`
-	if _, err := s.LoadProgramDirect(1, src); err != nil {
+	if _, err := s.LoadProgramDirect(src, 1); err != nil {
 		t.Fatal(err)
 	}
 	for round := 1; round <= 3; round++ {
@@ -441,7 +441,7 @@ func TestScaledWindowMapping(t *testing.T) {
 		ST R2, R1, R0
 		HALT
 	`
-	if _, err := s.LoadProgramDirect(1, src); err != nil {
+	if _, err := s.LoadProgramDirect(src, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Activate(1); err != nil {
@@ -496,7 +496,7 @@ func TestCompiledProgramOnSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadProgramDirect(2, asm2); err != nil {
+	if _, err := s.LoadProgramDirect(asm2, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Activate(2); err != nil {
@@ -505,7 +505,7 @@ func TestCompiledProgramOnSystem(t *testing.T) {
 	if err := s.Clk.RunUntil(func() bool { return s.Proc(2).Waiting() }, 1_000_000); err != nil {
 		t.Fatal("P2 never reached its wait:", err)
 	}
-	if _, err := s.LoadProgramDirect(1, asm1); err != nil {
+	if _, err := s.LoadProgramDirect(asm1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Activate(1); err != nil {

@@ -124,7 +124,7 @@ func TestFixedPointWaitStallsPingPong(t *testing.T) {
 	matchDense(t, func(t *testing.T, k sim.Kernel) (sysState, int) {
 		s, sleeps := buildCounting(t, Default(), k)
 		for id, src := range []string{p1, p2} {
-			if _, err := s.LoadProgramDirect(id+1, src); err != nil {
+			if _, err := s.LoadProgramDirect(src, id+1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,12 +186,14 @@ func TestSeaOfProcessorsCrossKernel(t *testing.T) {
 			ids := make([]int, tc.procs)
 			for i := range ids {
 				ids[i] = i + 1
-				prog, err := s.LoadProgramDirect(ids[i], src)
-				if err != nil {
-					t.Fatal(err)
-				}
+			}
+			prog, err := s.LoadProgramDirect(src, ids...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range ids {
 				for j := 0; j < chunk; j++ {
-					s.Proc(ids[i]).Banks().Write(prog.Symbols["data"]+uint16(j), 1)
+					s.Proc(id).Banks().Write(prog.Symbols["data"]+uint16(j), 1)
 				}
 			}
 			start := s.Clk.Cycle()

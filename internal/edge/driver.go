@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/r8asm"
 )
 
 // Transport selects how image lines move between host and processors.
@@ -33,16 +34,28 @@ func NewDriver(sys *core.System, t Transport, width int) *Driver {
 	return &Driver{Sys: sys, T: t, Width: width, kernelLoaded: make(map[int]bool)}
 }
 
-// LoadKernels assembles the Sobel kernel and starts it on the given
-// processors.
+// LoadKernels assembles the Sobel kernel once, then downloads it to
+// each given processor and starts it before moving to the next.
 func (d *Driver) LoadKernels(procs ...int) error {
-	src := ProgramSource(d.Width)
+	prog, err := r8asm.Assemble(ProgramSource(d.Width))
+	if err != nil {
+		return fmt.Errorf("edge: kernel: %w", err)
+	}
+	var img []uint16
+	if d.T == Direct {
+		if img, err = prog.Flatten(core.LocalWords); err != nil {
+			return fmt.Errorf("edge: kernel: %w", err)
+		}
+	}
 	for _, id := range procs {
-		var err error
+		p := d.Sys.Proc(id)
+		if p == nil {
+			return fmt.Errorf("edge: no processor %d", id)
+		}
 		if d.T == Serial {
-			_, err = d.Sys.LoadProgram(id, src)
+			err = d.Sys.Host.LoadProgram(p.Addr(), prog)
 		} else {
-			_, err = d.Sys.LoadProgramDirect(id, src)
+			err = p.Banks().Load(img)
 		}
 		if err != nil {
 			return fmt.Errorf("edge: kernel for processor %d: %w", id, err)

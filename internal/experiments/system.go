@@ -70,12 +70,12 @@ func E7HostRoundTrips(w io.Writer, k sim.Kernel) error {
 	}
 	// Printf round trip: load a one-character program and wait for the
 	// character to reach the host monitor.
-	if _, err := sys.LoadProgramDirect(1, `
+	if _, err := sys.LoadProgramDirect(`
 		LDI R1, 0xFFFF
 		CLR R0
 		LDI R2, '*'
 		ST R2, R1, R0
-		HALT`); err != nil {
+		HALT`, 1); err != nil {
 		return err
 	}
 	if err := measure("activate P1 + printf('*') to monitor", 2+4, func() error {
@@ -168,10 +168,10 @@ func E9WaitNotify(w io.Writer, k sim.Kernel) error {
 		DEC R5
 		JMPNZ loop
 		HALT`, pingPongRounds)
-	if _, err := sys.LoadProgramDirect(1, p1); err != nil {
+	if _, err := sys.LoadProgramDirect(p1, 1); err != nil {
 		return err
 	}
-	if _, err := sys.LoadProgramDirect(2, p2); err != nil {
+	if _, err := sys.LoadProgramDirect(p2, 2); err != nil {
 		return err
 	}
 	if err := sys.Activate(2); err != nil {
@@ -206,7 +206,7 @@ func E10ServiceMatrix(w io.Writer, k sim.Kernel) error {
 	}
 	sys.Host.ScanfData = func(noc.Addr) uint16 { return 7 }
 	// P1: scanf, printf, wait for 2. P2: remote write + notify 1.
-	if _, err := sys.LoadProgramDirect(1, `
+	if _, err := sys.LoadProgramDirect(`
 		LDI R1, 0xFFFF
 		CLR R0
 		LD R2, R1, R0    ; scanf -> scanf return
@@ -214,10 +214,10 @@ func E10ServiceMatrix(w io.Writer, k sim.Kernel) error {
 		LDI R2, 0xFFFE
 		LDI R3, 2
 		ST R3, R0, R2    ; wait for processor 2
-		HALT`); err != nil {
+		HALT`, 1); err != nil {
 		return err
 	}
-	if _, err := sys.LoadProgramDirect(2, `
+	if _, err := sys.LoadProgramDirect(`
 		LDI R1, 0x0800   ; remote memory window
 		CLR R0
 		LDI R2, 0x55
@@ -226,7 +226,7 @@ func E10ServiceMatrix(w io.Writer, k sim.Kernel) error {
 		LDI R2, 0xFFFD
 		LDI R3, 1
 		ST R3, R0, R2    ; notify processor 1
-		HALT`); err != nil {
+		HALT`, 2); err != nil {
 		return err
 	}
 	if err := sys.Activate(1); err != nil { // activate processor service
@@ -383,23 +383,25 @@ func E12SeaOfProcessors(w io.Writer, k sim.Kernel) error {
 			ST R1, R7, R0
 			HALT
 		data:	.space %d`, chunk, chunk)
-		for id := 1; id <= n; id++ {
-			prog, err := sys.LoadProgramDirect(id, src)
-			if err != nil {
-				return err
-			}
-			dataBase := prog.Symbols["data"]
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i + 1
+		}
+		prog, err := sys.LoadProgramDirect(src, ids...)
+		if err != nil {
+			return err
+		}
+		dataBase := prog.Symbols["data"]
+		for _, id := range ids {
 			for i := 0; i < chunk; i++ {
 				sys.Proc(id).Banks().Write(dataBase+uint16(i), 1)
 			}
 		}
 		start := sys.Clk.Cycle()
-		ids := make([]int, n)
-		for id := 1; id <= n; id++ {
+		for _, id := range ids {
 			if err := sys.Activate(id); err != nil {
 				return err
 			}
-			ids[id-1] = id
 		}
 		if err := sys.RunUntilHalted(50_000_000, ids...); err != nil {
 			return err

@@ -99,6 +99,7 @@ type item struct {
 type assembler struct {
 	items   []item
 	symbols map[string]uint16
+	segs    []Segment // emit's output, in source order
 	errs    ErrorList
 }
 
@@ -119,10 +120,14 @@ func (a *assembler) errorf(line int, format string, args ...any) {
 	a.errs = append(a.errs, Error{Line: line, Msg: fmt.Sprintf(format, args...)})
 }
 
-// parse splits source lines into labelled items.
+// parse splits source lines into labelled items. Labels, mnemonics
+// and arguments are slices of the source, so a line costs at most its
+// argument list.
 func (a *assembler) parse(src string) {
-	for n, raw := range strings.Split(src, "\n") {
-		line := n + 1
+	a.items = make([]item, 0, strings.Count(src, "\n")+1)
+	line := 0
+	for raw := range strings.Lines(src) {
+		line++
 		text := strings.TrimSpace(stripComment(raw))
 		if text == "" {
 			continue
@@ -136,10 +141,10 @@ func (a *assembler) parse(src string) {
 			text = strings.TrimSpace(text[i+1:])
 		}
 		if text != "" {
-			fields := strings.SplitN(text, " ", 2)
-			it.mnem = strings.ToUpper(fields[0])
-			if len(fields) == 2 {
-				it.args = splitArgs(fields[1])
+			mnem, args, ok := strings.Cut(text, " ")
+			it.mnem = strings.ToUpper(mnem)
+			if ok {
+				it.args = splitArgs(args)
 			}
 		}
 		a.items = append(a.items, it)
@@ -168,29 +173,23 @@ func stripComment(s string) string {
 	return s
 }
 
-// splitArgs splits on commas, respecting quoted strings.
+// splitArgs splits on commas outside quoted strings. Each argument is
+// a trimmed slice of s, so the list is the only allocation.
 func splitArgs(s string) []string {
-	var args []string
-	var cur strings.Builder
-	inStr := false
+	args := make([]string, 0, strings.Count(s, ",")+1)
+	inStr, start := false, 0
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
+		switch c := s[i]; {
 		case c == '"':
 			inStr = !inStr
-			cur.WriteByte(c)
-		case c == '\\' && inStr && i+1 < len(s):
-			cur.WriteByte(c)
-			i++
-			cur.WriteByte(s[i])
+		case c == '\\' && inStr:
+			i++ // an escaped quote does not end the string
 		case c == ',' && !inStr:
-			args = append(args, strings.TrimSpace(cur.String()))
-			cur.Reset()
-		default:
-			cur.WriteByte(c)
+			args = append(args, strings.TrimSpace(s[start:i]))
+			start = i + 1
 		}
 	}
-	if t := strings.TrimSpace(cur.String()); t != "" || len(args) > 0 {
+	if t := strings.TrimSpace(s[start:]); t != "" || len(args) > 0 {
 		args = append(args, t)
 	}
 	return args
@@ -291,46 +290,48 @@ func (a *assembler) define(line int, name string, v uint16) {
 	a.symbols[name] = v
 }
 
+// put appends words to the segment being emitted. It is a method, not
+// a closure handed to emitInst, so its variadic words stay on the stack.
+func (a *assembler) put(words ...uint16) {
+	if len(a.segs) == 0 {
+		a.segs = append(a.segs, Segment{Base: 0})
+	}
+	s := &a.segs[len(a.segs)-1]
+	s.Words = append(s.Words, words...)
+}
+
 // emit is pass 2: encode every item.
 func (a *assembler) emit() *Program {
-	var segs []Segment
-	put := func(words ...uint16) {
-		if len(segs) == 0 {
-			segs = append(segs, Segment{Base: 0})
-		}
-		s := &segs[len(segs)-1]
-		s.Words = append(s.Words, words...)
-	}
 	for i := range a.items {
 		it := &a.items[i]
 		switch it.mnem {
 		case "", ".EQU":
 		case ".ORG":
-			segs = append(segs, Segment{Base: it.addr})
+			a.segs = append(a.segs, Segment{Base: it.addr})
 		case ".WORD":
 			for j := range it.args {
 				v, _ := a.evalArg(it, j, "word")
-				put(v)
+				a.put(v)
 			}
 		case ".SPACE":
 			for j := uint16(0); j < it.size; j++ {
-				put(0)
+				a.put(0)
 			}
 		case ".STRING":
 			if len(it.args) == 1 {
 				if s, err := strconv.Unquote(it.args[0]); err == nil {
 					for _, c := range []byte(s) {
-						put(uint16(c))
+						a.put(uint16(c))
 					}
-					put(0)
+					a.put(0)
 				}
 			}
 		default:
-			a.emitInst(it, put)
+			a.emitInst(it)
 		}
 	}
 	p := &Program{Symbols: a.symbols}
-	for _, s := range segs {
+	for _, s := range a.segs {
 		if len(s.Words) > 0 {
 			p.Segments = append(p.Segments, s)
 		}
@@ -346,7 +347,7 @@ func (a *assembler) emit() *Program {
 	return p
 }
 
-func (a *assembler) emitInst(it *item, put func(...uint16)) {
+func (a *assembler) emitInst(it *item) {
 	switch it.mnem {
 	case "LDI": // LDI rt, imm16 -> LDH + LDL
 		rt, ok := a.reg(it, 0)
@@ -359,7 +360,7 @@ func (a *assembler) emitInst(it *item, put func(...uint16)) {
 		}
 		hi, _ := r8.Inst{Op: r8.LDH, Rt: rt, Imm: uint8(v >> 8)}.Encode()
 		lo, _ := r8.Inst{Op: r8.LDL, Rt: rt, Imm: uint8(v)}.Encode()
-		put(hi, lo)
+		a.put(hi, lo)
 		return
 	case "CLR": // CLR rt -> XOR rt, rt, rt
 		rt, ok := a.reg(it, 0)
@@ -367,7 +368,7 @@ func (a *assembler) emitInst(it *item, put func(...uint16)) {
 			return
 		}
 		w, _ := r8.Inst{Op: r8.XOR, Rt: rt, Rs1: rt, Rs2: rt}.Encode()
-		put(w)
+		a.put(w)
 		return
 	case "INC": // INC rt -> ADDI rt, 1
 		rt, ok := a.reg(it, 0)
@@ -375,7 +376,7 @@ func (a *assembler) emitInst(it *item, put func(...uint16)) {
 			return
 		}
 		w, _ := r8.Inst{Op: r8.ADDI, Rt: rt, Imm: 1}.Encode()
-		put(w)
+		a.put(w)
 		return
 	case "DEC": // DEC rt -> SUBI rt, 1
 		rt, ok := a.reg(it, 0)
@@ -383,7 +384,7 @@ func (a *assembler) emitInst(it *item, put func(...uint16)) {
 			return
 		}
 		w, _ := r8.Inst{Op: r8.SUBI, Rt: rt, Imm: 1}.Encode()
-		put(w)
+		a.put(w)
 		return
 	}
 
@@ -483,7 +484,7 @@ func (a *assembler) emitInst(it *item, put func(...uint16)) {
 		a.errorf(it.line, "%v", err)
 		return
 	}
-	put(w)
+	a.put(w)
 }
 
 func (a *assembler) reg(it *item, idx int) (int, bool) {
@@ -512,19 +513,17 @@ func (a *assembler) evalArg(it *item, idx int, what string) (uint16, bool) {
 	return a.eval(it.line, it.args[idx])
 }
 
-// eval computes a +/- expression over numbers and symbols.
+// eval computes a +/- expression over numbers and symbols. Its terms
+// are slices of expr between the signs outside character literals.
 func (a *assembler) eval(line int, expr string) (uint16, bool) {
 	expr = strings.TrimSpace(expr)
 	if expr == "" {
 		a.errorf(line, "empty expression")
 		return 0, false
 	}
-	total := 0
-	sign := 1
-	tok := strings.Builder{}
-	flush := func() bool {
-		s := tok.String()
-		tok.Reset()
+	total, sign, start := 0, 1, 0
+	add := func(end int) bool {
+		s := unblank(expr[start:end])
 		if s == "" {
 			a.errorf(line, "malformed expression %q", expr)
 			return false
@@ -538,40 +537,54 @@ func (a *assembler) eval(line int, expr string) (uint16, bool) {
 	}
 	inQuote := false
 	for i := 0; i < len(expr); i++ {
-		c := expr[i]
-		if c == '\'' {
+		switch c := expr[i]; {
+		case c == '\'':
 			inQuote = !inQuote
-			tok.WriteByte(c)
-			continue
-		}
-		if inQuote {
+		case inQuote:
 			// Spaces and signs inside a character literal are data.
-			tok.WriteByte(c)
-			continue
-		}
-		switch {
+		case c == '-' && i == 0:
+			sign, start = -1, 1
 		case c == '+' || c == '-':
-			if tok.Len() == 0 && c == '-' && sign == 1 && total == 0 && i == 0 {
-				sign = -1
-				continue
-			}
-			if !flush() {
+			if !add(i) {
 				return 0, false
 			}
-			if c == '+' {
-				sign = 1
-			} else {
+			sign, start = 1, i+1
+			if c == '-' {
 				sign = -1
 			}
-		case c == ' ' || c == '\t':
-		default:
-			tok.WriteByte(c)
 		}
 	}
-	if !flush() {
+	if !add(len(expr)) {
 		return 0, false
 	}
 	return uint16(total), true
+}
+
+// unblank drops the spaces and tabs outside character literals from
+// one term of an expression, so "TO P" reads as TOP. Only a blank
+// inside a term costs an allocation.
+func unblank(s string) string {
+	s = strings.Trim(s, " \t")
+	var b []byte
+	inQuote := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\'' {
+			inQuote = !inQuote
+		} else if !inQuote && (c == ' ' || c == '\t') {
+			if b == nil {
+				b = []byte(s[:i])
+			}
+			continue
+		}
+		if b != nil {
+			b = append(b, c)
+		}
+	}
+	if b == nil {
+		return s
+	}
+	return string(b)
 }
 
 func (a *assembler) term(line int, s string) (uint16, bool) {
@@ -583,8 +596,10 @@ func (a *assembler) term(line int, s string) (uint16, bool) {
 		}
 		return uint16(body[0]), true
 	}
-	if v, err := strconv.ParseUint(strings.ToLower(s), 0, 17); err == nil {
-		return uint16(v), true
+	if s[0] >= '0' && s[0] <= '9' { // no other token parses as a number
+		if v, err := strconv.ParseUint(strings.ToLower(s), 0, 17); err == nil {
+			return uint16(v), true
+		}
 	}
 	if v, ok := a.symbols[s]; ok {
 		return v, true

@@ -218,7 +218,7 @@ type Clock struct {
 	changed []uint16
 
 	dirty    []latcher // wires with a staged Set awaiting this edge
-	allWires []latcher // every wire, latched unconditionally in dense mode
+	allWires []latcher // every wire of a dense clock, latched every cycle
 
 	// cancel, when non-nil, is consulted between executed steps of
 	// Run/RunUntil/RunUntilQuiescent (every cancelCheckStride steps);

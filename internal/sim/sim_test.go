@@ -602,12 +602,12 @@ func TestWatchSecondWatcherPanics(t *testing.T) {
 
 // TestWatchInPlaceAllocatesNothing: a wire readied in place and given
 // one watcher costs no heap allocation, so a mesh's watched link wires
-// cost only the slab they live in.
+// cost only the slab they live in (a default clock keeps no list of
+// them; only dense latches every wire).
 func TestWatchInPlaceAllocatesNothing(t *testing.T) {
 	clk := new(Clock)
 	h := clk.Register(&watcherComp{clk: clk, seen: make(map[uint64]uint64)})
 	wires := make([]Wire[uint64], 64)
-	clk.allWires = make([]latcher, 0, len(wires))
 	next := 0
 	allocs := testing.AllocsPerRun(1, func() {
 		for k := next; k < next+len(wires)/2; k++ {

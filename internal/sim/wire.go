@@ -34,10 +34,13 @@ func NewWire[T comparable](clk *Clock, v T) *Wire[T] {
 }
 
 // Init readies a zero wire in place on clk, carrying v both as the
-// current and staged value.
+// current and staged value. Only the dense kernel latches every wire
+// every cycle, so only a dense clock lists it.
 func (w *Wire[T]) Init(clk *Clock, v T) {
 	w.cur, w.next, w.clk = v, v, clk
-	clk.allWires = append(clk.allWires, w)
+	if clk.dense {
+		clk.allWires = append(clk.allWires, w)
+	}
 }
 
 // Clock returns the clock the wire belongs to, so code handed only a
