@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,7 +77,8 @@ func TestCLIMatchesService(t *testing.T) {
 // one asked for end in an error, not a silent substitute. -vcd and
 // -peak run fixed experiments, so every traffic flag set with them,
 // even to its default, is an error naming it, and so is an invalid
-// mesh.
+// mesh or kernel or one the experiment cannot use, in an error of its
+// own that names no traffic pattern.
 func TestCLIRejects(t *testing.T) {
 	vcd := filepath.Join(t.TempDir(), "q.vcd")
 	for _, tc := range []struct {
@@ -95,7 +97,14 @@ func TestCLIRejects(t *testing.T) {
 		{[]string{"-vcd", vcd, "-seed", "1"}, "-vcd ignores -seed"},
 		{[]string{"-vcd", vcd, "-record", "r.trace"}, "-vcd ignores -record"},
 		{[]string{"-vcd", vcd, "-routing", "zigzag"}, "routing"},
-		{[]string{"-vcd", vcd, "-w", "1", "-h", "1"}, "at least two nodes"},
+		{[]string{"-vcd", vcd, "-w", "1", "-h", "1"}, "-vcd needs a mesh of at least two nodes"},
+		{[]string{"-vcd", vcd, "-flit", "12"}, "unsupported flit width 12"},
+		{[]string{"-vcd", vcd, "-w", "17"}, "16x16 addressing limit"},
+		{[]string{"-vcd", vcd, "-kernel", "fast"}, "unknown kernel"},
+		{[]string{"-peak", "-w", "2", "-h", "4"}, "-peak needs a mesh of at least 3x3"},
+		{[]string{"-peak", "-w", "1", "-h", "1"}, "-peak needs a mesh of at least 3x3"},
+		{[]string{"-peak", "-depth", "2000"}, "buffer depth 2000"},
+		{[]string{"-peak", "-routing", "zigzag"}, "routing"},
 		{[]string{"-peak", "-cycles", "100", "-sweep", "0.1,0.2"}, "-peak ignores -cycles, -sweep"},
 		{[]string{"-peak", "-mcunicast", "-burstlen", "4"}, "-peak ignores -burstlen, -mcunicast"},
 		{[]string{"-vcd", vcd, "-peak"}, "-vcd and -peak"},
@@ -103,6 +112,8 @@ func TestCLIRejects(t *testing.T) {
 		err := run(tc.args, &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: error %v, want one mentioning %q", tc.args, err, tc.want)
+		} else if side := slices.Contains(tc.args, "-vcd") || slices.Contains(tc.args, "-peak"); side && strings.Contains(err.Error(), `pattern "`) {
+			t.Errorf("%v: error %v names a traffic pattern", tc.args, err)
 		}
 	}
 	if _, err := os.Stat(vcd); !os.IsNotExist(err) {

@@ -71,6 +71,7 @@ func New(clk *sim.Clock, toNoC, fromNoC *serial.Line, div int) *Host {
 			h.handle(m)
 		}
 	}
+	h.urx.Need = h.parser.Need
 	// A burst from the Serial IP must wake the host out of idle sleep
 	// so the monitor receives frames sent while it has nothing to
 	// transmit; the receiver relies on this wake to read the line.

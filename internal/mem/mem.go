@@ -21,28 +21,32 @@ const BankCount = 4
 
 // Banks is the 4-bank nibble-sliced storage: bank k holds bits
 // [4k+3:4k] of every word, so a 16-bit access reads or writes all four
-// banks in parallel, exactly as Figure 4 draws it.
+// banks in parallel, exactly as Figure 4 draws it. Its capacity is a
+// power of two, so an address wraps with a mask, as address decoding
+// that ignores the high bits does.
 type Banks struct {
-	bank  [BankCount][]uint8
-	words int
+	bank [BankCount][]uint8
+	mask uint16
 
 	Reads  uint64
 	Writes uint64
 }
 
 // NewBanks allocates storage for the given word count (1024 in
-// MultiNoC).
-func NewBanks(words int) *Banks {
-	b := &Banks{words: words}
+// MultiNoC). The count must be a power of two from 1 to 65,536.
+func NewBanks(words int) (*Banks, error) {
+	if words < 1 || words > 1<<16 || words&(words-1) != 0 {
+		return nil, fmt.Errorf("mem: capacity of %d words is not a power of two from 1 to 65536", words)
+	}
+	b := &Banks{mask: uint16(words - 1)}
 	for k := range b.bank {
 		b.bank[k] = make([]uint8, words)
 	}
-	return b
+	return b, nil
 }
 
 // Read assembles a 16-bit word from the four banks and counts the
-// access. Addresses wrap modulo the capacity, matching address decoding
-// that ignores high bits.
+// access. Addresses wrap modulo the capacity.
 func (b *Banks) Read(addr uint16) uint16 {
 	b.Reads++
 	return b.Peek(addr)
@@ -51,7 +55,7 @@ func (b *Banks) Read(addr uint16) uint16 {
 // Peek is Read without counting the access: what a model that looks
 // ahead of the hardware (procip's dry run) reads.
 func (b *Banks) Peek(addr uint16) uint16 {
-	i := int(addr) % b.words
+	i := addr & b.mask
 	var v uint16
 	for k := BankCount - 1; k >= 0; k-- {
 		v = v<<4 | uint16(b.bank[k][i]&0xF)
@@ -61,7 +65,7 @@ func (b *Banks) Peek(addr uint16) uint16 {
 
 // Write stores a 16-bit word nibble-wise across the banks.
 func (b *Banks) Write(addr, v uint16) {
-	i := int(addr) % b.words
+	i := addr & b.mask
 	b.Writes++
 	for k := 0; k < BankCount; k++ {
 		b.bank[k][i] = uint8(v >> (4 * k) & 0xF)
@@ -70,8 +74,8 @@ func (b *Banks) Write(addr, v uint16) {
 
 // Load copies an image into the banks starting at address 0.
 func (b *Banks) Load(img []uint16) error {
-	if len(img) > b.words {
-		return fmt.Errorf("mem: image of %d words exceeds capacity %d", len(img), b.words)
+	if len(img) > int(b.mask)+1 {
+		return fmt.Errorf("mem: image of %d words exceeds capacity %d", len(img), int(b.mask)+1)
 	}
 	for i, v := range img {
 		b.Write(uint16(i), v)
@@ -96,14 +100,24 @@ const (
 	engSendReturn
 )
 
+// Store is the word storage an Engine serves: the Banks, or a view
+// of them that a model looking ahead of the hardware keeps (procip's
+// dry run). Read counts the access, as Banks.Read does.
+type Store interface {
+	Read(addr uint16) uint16
+	Write(addr, v uint16)
+}
+
 // Engine is the NoC-side control logic of a Memory IP. The owning
 // component delivers decoded service messages with Deliver and calls
-// Tick once per cycle; banksFree and nocFree implement the Figure 4
-// arbitration (the processor has priority over the banks, and the
-// busyNoCR8 interlock can hold the shared NoC interface).
+// Tick once per cycle with the storage it serves; banksFree and
+// nocFree implement the Figure 4 arbitration (the processor has
+// priority over the banks, and the busyNoCR8 interlock can hold the
+// shared NoC interface). An Engine holds no pointer to its storage, so
+// a copy of it ticked against another Store runs ahead of the original
+// without touching it, sending aside.
 type Engine struct {
-	banks *Banks
-	send  func(dst noc.Addr, m *noc.Message) error
+	send func(dst noc.Addr, m *noc.Message) error
 
 	inbox []*noc.Message
 	state int
@@ -118,10 +132,10 @@ type Engine struct {
 	Rejected     uint64
 }
 
-// NewEngine couples banks to a packet transmit function (typically a
-// closure over noc.Endpoint.SendMessage).
-func NewEngine(banks *Banks, send func(dst noc.Addr, m *noc.Message) error) *Engine {
-	return &Engine{banks: banks, send: send}
+// NewEngine returns an engine that sends its read returns through send
+// (typically a closure over noc.Endpoint.SendMessage).
+func NewEngine(send func(dst noc.Addr, m *noc.Message) error) *Engine {
+	return &Engine{send: send}
 }
 
 // Deliver queues a service message for processing. Only read and write
@@ -140,11 +154,15 @@ func (e *Engine) Deliver(m *noc.Message) {
 // way (§2.3).
 func (e *Engine) Busy() bool { return e.state != engIdle || len(e.inbox) > 0 }
 
-// Tick advances the engine by one clock cycle. banksFree is false when
-// the processor claimed the banks this cycle (processor priority);
-// nocFree is false while the processor side holds the shared NoC
-// interface (busyNoCR8).
-func (e *Engine) Tick(banksFree, nocFree bool) {
+// Replying reports whether a read's words are gathered, so the next
+// Tick whose nocFree holds sends its read return.
+func (e *Engine) Replying() bool { return e.state == engSendReturn }
+
+// Tick advances the engine by one clock cycle against s. banksFree is
+// false when the processor claimed the banks this cycle (processor
+// priority); nocFree is false while the processor side holds the
+// shared NoC interface (busyNoCR8).
+func (e *Engine) Tick(s Store, banksFree, nocFree bool) {
 	switch e.state {
 	case engIdle:
 		if len(e.inbox) == 0 {
@@ -163,7 +181,7 @@ func (e *Engine) Tick(banksFree, nocFree bool) {
 		if !banksFree {
 			return
 		}
-		e.banks.Write(e.cur.Addr+uint16(e.idx), e.cur.Words[e.idx])
+		s.Write(e.cur.Addr+uint16(e.idx), e.cur.Words[e.idx])
 		e.idx++
 		if e.idx == len(e.cur.Words) {
 			e.WritesServed++
@@ -173,7 +191,7 @@ func (e *Engine) Tick(banksFree, nocFree bool) {
 		if !banksFree {
 			return
 		}
-		e.words = append(e.words, e.banks.Read(e.cur.Addr+uint16(len(e.words))))
+		e.words = append(e.words, s.Read(e.cur.Addr+uint16(len(e.words))))
 		if len(e.words) == e.cur.Count {
 			e.state = engSendReturn
 		}
@@ -209,13 +227,16 @@ type IP struct {
 // NewIP creates the remote memory at the given mesh address and
 // registers it with the network's clock.
 func NewIP(net *noc.Network, addr noc.Addr, words int) (*IP, error) {
+	banks, err := NewBanks(words)
+	if err != nil {
+		return nil, err
+	}
 	ep, err := net.NewEndpoint(addr)
 	if err != nil {
 		return nil, err
 	}
-	banks := NewBanks(words)
 	ip := &IP{banks: banks, ep: ep}
-	ip.eng = NewEngine(banks, func(dst noc.Addr, m *noc.Message) error {
+	ip.eng = NewEngine(func(dst noc.Addr, m *noc.Message) error {
 		_, err := ep.SendMessage(dst, m)
 		return err
 	})
@@ -242,7 +263,7 @@ func (ip *IP) Eval() {
 		}
 		ip.eng.Deliver(m)
 	}
-	ip.eng.Tick(true, true)
+	ip.eng.Tick(ip.banks, true, true)
 }
 
 // Commit implements sim.Component.

@@ -9,8 +9,8 @@ import (
 )
 
 func TestBanksRoundTrip(t *testing.T) {
+	b := newBanks(t, 1024)
 	if err := quick.Check(func(addr, v uint16) bool {
-		b := NewBanks(1024)
 		b.Write(addr, v)
 		return b.Read(addr) == v
 	}, nil); err != nil {
@@ -18,8 +18,42 @@ func TestBanksRoundTrip(t *testing.T) {
 	}
 }
 
+func newBanks(t *testing.T, words int) *Banks {
+	t.Helper()
+	b, err := NewBanks(words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestBanksRejectCapacity: a capacity that is not a power of two would
+// break the address mask, so NewBanks and NewIP refuse it.
+func TestBanksRejectCapacity(t *testing.T) {
+	for _, words := range []int{0, -4, 3, 1000, 1 << 17} {
+		if _, err := NewBanks(words); err == nil {
+			t.Errorf("NewBanks(%d) accepted", words)
+		}
+	}
+	for _, words := range []int{1, 2, 1024, 1 << 16} {
+		if _, err := NewBanks(words); err != nil {
+			t.Errorf("NewBanks(%d): %v", words, err)
+		}
+	}
+	net, err := noc.New(noc.Defaults(2, 2), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewIP(net, noc.Addr{X: 1, Y: 1}, 1000); err == nil {
+		t.Error("NewIP accepted a memory of 1000 words")
+	}
+	if _, err := NewIP(net, noc.Addr{X: 1, Y: 1}, 1024); err != nil {
+		t.Errorf("NewIP after a rejected capacity: %v", err)
+	}
+}
+
 func TestBanksNibbleSlicing(t *testing.T) {
-	b := NewBanks(16)
+	b := newBanks(t, 16)
 	b.Write(3, 0xABCD)
 	// Bank k holds bits [4k+3:4k]: D in bank 0, C in 1, B in 2, A in 3.
 	want := []uint8{0xD, 0xC, 0xB, 0xA}
@@ -31,7 +65,7 @@ func TestBanksNibbleSlicing(t *testing.T) {
 }
 
 func TestBanksAddressWrap(t *testing.T) {
-	b := NewBanks(1024)
+	b := newBanks(t, 1024)
 	b.Write(1024+5, 0x1111)
 	if b.Read(5) != 0x1111 {
 		t.Error("address did not wrap modulo capacity")
@@ -39,7 +73,7 @@ func TestBanksAddressWrap(t *testing.T) {
 }
 
 func TestBanksLoadDump(t *testing.T) {
-	b := NewBanks(8)
+	b := newBanks(t, 8)
 	if err := b.Load([]uint16{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,22 +214,22 @@ func TestEngineBankArbitration(t *testing.T) {
 	// With banksFree always false, a write op must make no progress;
 	// releasing the banks lets it finish. This is the
 	// processor-priority rule of §2.3.
-	banks := NewBanks(64)
+	banks := newBanks(t, 64)
 	var sent []*noc.Message
-	eng := NewEngine(banks, func(dst noc.Addr, m *noc.Message) error {
+	eng := NewEngine(func(dst noc.Addr, m *noc.Message) error {
 		sent = append(sent, m)
 		return nil
 	})
 	eng.Deliver(&noc.Message{Svc: noc.SvcWriteMem, Addr: 0, Words: []uint16{7, 8}})
-	eng.Tick(true, true) // dequeues
+	eng.Tick(banks, true, true) // dequeues
 	for i := 0; i < 10; i++ {
-		eng.Tick(false, true) // banks held by processor
+		eng.Tick(banks, false, true) // banks held by processor
 	}
 	if banks.Read(0) == 7 {
 		t.Fatal("write progressed while banks were busy")
 	}
-	eng.Tick(true, true)
-	eng.Tick(true, true)
+	eng.Tick(banks, true, true)
+	eng.Tick(banks, true, true)
 	if banks.Read(0) != 7 || banks.Read(1) != 8 {
 		t.Errorf("write incomplete: %d %d", banks.Read(0), banks.Read(1))
 	}
@@ -208,16 +242,16 @@ func TestEngineBankArbitration(t *testing.T) {
 	if !eng.Busy() {
 		t.Error("engine not busy with queued op")
 	}
-	eng.Tick(true, true)
-	eng.Tick(true, true)
+	eng.Tick(banks, true, true)
+	eng.Tick(banks, true, true)
 	// Reply blocked while NoC interface is held (busyNoCR8).
 	for i := 0; i < 5; i++ {
-		eng.Tick(true, false)
+		eng.Tick(banks, true, false)
 	}
 	if len(sent) != 0 {
 		t.Fatal("read return sent while NoC interface busy")
 	}
-	eng.Tick(true, true)
+	eng.Tick(banks, true, true)
 	if len(sent) != 1 || sent[0].Words[0] != 7 {
 		t.Fatalf("read return = %+v", sent)
 	}
@@ -225,12 +259,12 @@ func TestEngineBankArbitration(t *testing.T) {
 
 func TestEngineServiceTiming(t *testing.T) {
 	// A k-word write takes exactly k bank cycles after dispatch.
-	banks := NewBanks(64)
-	eng := NewEngine(banks, func(noc.Addr, *noc.Message) error { return nil })
+	banks := newBanks(t, 64)
+	eng := NewEngine(func(noc.Addr, *noc.Message) error { return nil })
 	eng.Deliver(&noc.Message{Svc: noc.SvcWriteMem, Addr: 0, Words: []uint16{1, 2, 3, 4, 5}})
 	ticks := 0
 	for eng.Busy() {
-		eng.Tick(true, true)
+		eng.Tick(banks, true, true)
 		ticks++
 		if ticks > 100 {
 			t.Fatal("engine wedged")

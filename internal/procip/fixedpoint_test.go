@@ -17,7 +17,8 @@ var kernels = []sim.Kernel{"dense", "nowarp", ""}
 // fixedRig is rig under kernel k, with a remote Memory IP at 11 behind
 // the window [2048,3072), img in the local banks, and processors 0 to 3
 // played by the host endpoint, so a notify or wait sends it a packet.
-func fixedRig(t *testing.T, k sim.Kernel, img []uint16) (*sim.Clock, *IP, *noc.Endpoint) {
+// The host activates the processor first unless late is set.
+func fixedRig(t *testing.T, k sim.Kernel, img []uint16, late bool) (*sim.Clock, *IP, *noc.Endpoint) {
 	t.Helper()
 	net, err := noc.New(noc.Defaults(2, 2), k)
 	if err != nil {
@@ -44,7 +45,9 @@ func fixedRig(t *testing.T, k sim.Kernel, img []uint16) (*sim.Clock, *IP, *noc.E
 	if err := ip.Banks().Load(img); err != nil {
 		t.Fatal(err)
 	}
-	activate(t, clk, host, ip.Addr())
+	if !late {
+		activate(t, clk, host, ip.Addr())
+	}
 	return clk, ip, host
 }
 
@@ -62,10 +65,12 @@ func asm(t *testing.T, src string) []uint16 {
 }
 
 // ipState is what the differentials compare of the IP: the whole core,
-// the banks' access counters, the control logic's counters and the
-// clock.
+// the fixed-point detector, the banks' access counters, the control
+// logic's counters and the clock.
 type ipState struct {
 	CPU           r8.CPU
+	Fixed         bool
+	Loop          loop
 	Reads, Writes uint64
 	Stats         Stats
 	Cycle         uint64
@@ -73,8 +78,9 @@ type ipState struct {
 
 func stateOf(clk *sim.Clock, ip *IP) ipState {
 	cpu := *ip.CPU()
+	fixed, l := ip.fixed, ip.loop
 	b := ip.Banks()
-	return ipState{cpu, b.Reads, b.Writes, ip.Stats(), clk.Cycle()}
+	return ipState{cpu, fixed, l, b.Reads, b.Writes, ip.Stats(), clk.Cycle()}
 }
 
 // TestFixedPointNeverInLoopsWithEffects runs loops that are not fixed
@@ -158,7 +164,7 @@ func TestFixedPointNeverInLoopsWithEffects(t *testing.T) {
 	} {
 		var want ipState
 		for _, k := range kernels {
-			clk, ip, host := fixedRig(t, k, asm(t, tc.src))
+			clk, ip, host := fixedRig(t, k, asm(t, tc.src), false)
 			bad := 0
 			clk.Probe(func(uint64) {
 				if ip.fixed && !tc.ok(ip) {
@@ -209,7 +215,7 @@ func TestFixedPointPollSleepsAndCatchesUp(t *testing.T) {
 	}
 	var want run
 	for _, k := range kernels {
-		clk, ip, _ := fixedRig(t, k, asm(t, src))
+		clk, ip, _ := fixedRig(t, k, asm(t, src), false)
 		steps := 0
 		clk.Probe(func(uint64) { steps++ })
 		var got run
@@ -249,31 +255,95 @@ func TestFixedPointPollSleepsAndCatchesUp(t *testing.T) {
 // equal the dense kernel's, and some program must have slept on a plan
 // and some at a fixed point.
 func TestFixedPointRandomProgramsMatchDense(t *testing.T) {
-	plans, fixes := 0, 0
+	var all sleeps
 	for i := 0; i < 40; i++ {
-		p, f := runTrial(t, fmt.Sprintf("trial %d", i), randomTrial(t, sim.NewRand(uint64(1000+i))))
-		plans += p
-		fixes += f
+		all.add(runTrial(t, fmt.Sprintf("trial %d", i), randomTrial(t, sim.NewRand(uint64(1000+i)))))
 	}
-	if plans == 0 || fixes == 0 {
-		t.Errorf("under the default kernel, running cores slept %d cycles on a plan and %d at a fixed point; want both", plans, fixes)
+	if all.plans == 0 || all.fixes == 0 {
+		t.Errorf("under the default kernel, running cores slept %d cycles on a plan and %d at a fixed point; want both", all.plans, all.fixes)
+	}
+}
+
+// TestFixedPointEngineTrials runs engineTrials under every kernel, as
+// TestFixedPointRandomProgramsMatchDense runs its trials, and checks
+// that under the default kernel the IP slept on plans that ran its busy
+// memory engine, both beside a running core and alone.
+func TestFixedPointEngineTrials(t *testing.T) {
+	var all sleeps
+	for i, tr := range engineTrials(t) {
+		all.add(runTrial(t, fmt.Sprintf("engine trial %d", i), tr))
+	}
+	if all.engineRunning == 0 || all.engineAlone == 0 {
+		t.Errorf("under the default kernel, the IP slept %d cycles on a plan with its engine busy beside a running core and %d with the engine alone; want both",
+			all.engineRunning, all.engineAlone)
 	}
 }
 
 // FuzzFixedPointAgree is TestFixedPointRandomProgramsMatchDense over
 // trials decoded from the fuzzer's bytes (decodeTrial), any instruction
-// word and register seed allowed. Its seed corpus is the test's first
-// trials and planTrials.
+// word, register seed and stimulus allowed. Its seed corpus is the
+// test's first trials, planTrials and engineTrials.
 func FuzzFixedPointAgree(f *testing.F) {
 	for i := 0; i < 6; i++ {
 		f.Add(randomTrial(f, sim.NewRand(uint64(1000+i))).encode())
 	}
-	for _, tr := range planTrials(f) {
+	for _, tr := range append(planTrials(f), engineTrials(f)...) {
 		f.Add(tr.encode())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runTrial(t, "input", decodeTrial(data))
 	})
+}
+
+// engineTrials are three trials for the memory engine's part in a
+// plan: NoC writes and reads of up to noc.MaxServiceWords words. The
+// program counts R3 down from 300, storing each count at address 700,
+// and halts. The first trial writes and reads a core not yet active,
+// activates it, writes and reads it while it counts, the reads taking
+// the count it stores, writes and reads it once it has halted, and
+// activates it again. The second writes from address 1000 on, across
+// the wrap to address 0 and over the program, and reads across the
+// wrap, before it activates the core. In the third the core halts
+// while the engine reads.
+func engineTrials(tb testing.TB) []trial {
+	var tr trial
+	tr.regs[3], tr.regs[10] = 300, 700
+	for i, inst := range []r8.Inst{
+		{Op: r8.SUBI, Rt: 3, Imm: 1},
+		{Op: r8.ST, Rt: 3, Rs1: 10, Rs2: 0},
+		{Op: r8.JMPNZ, Disp: -3},
+		{Op: r8.HALT},
+	} {
+		w, err := inst.Encode()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tr.insts[i] = w
+	}
+	late, wrap, halt := tr, tr, tr
+	late.stims = []stim{
+		{gap: 20, kind: 8, addr: 600, word: 99},   // 100 words
+		{gap: 150, kind: 9, addr: 600, word: 124}, // 125 words
+		{gap: 400, kind: 10},
+		{gap: 300, kind: 8, addr: 500, word: 124},
+		{gap: 200, kind: 9, addr: 650, word: 60}, // through the count
+		{gap: 500, kind: 9, addr: 690, word: 20},
+		{gap: 2000, kind: 8, addr: 800, word: 124},
+		{gap: 500, kind: 9, addr: 640, word: 124},
+		{gap: 500, kind: 10},
+		{gap: 100, kind: 8, addr: 900, word: 50},
+	}
+	wrap.stims = []stim{
+		{gap: 10, kind: 8, addr: 1000, word: 49}, // 50 words, 26 over the program
+		{gap: 200, kind: 9, addr: 1010, word: 30},
+		{gap: 300, kind: 10},
+	}
+	halt.stims = []stim{
+		{gap: 1000, kind: 8, addr: 500, word: 124},
+		{gap: 900, kind: 9, addr: 650, word: 124}, // the core halts at cycle 2,203
+		{gap: 100, kind: 9, addr: 600, word: 124},
+	}
+	return []trial{late, wrap, halt}
 }
 
 // planTrials are three trials for a plan's stop and cancel rules. The
@@ -328,9 +398,12 @@ type trial struct {
 // stim is one host action, gap cycles after the previous one: kind 0
 // writes two words at addr over the NoC, 1 reads two, 2 answers a scanf
 // with word, 3 notifies as processor word%4, 4 sends a stray read
-// return, 5 writes word at addr through the backdoor, 6 does nothing
-// and 7 writes through the backdoor and reads the word back through a
-// second Banks call. CPU() is sampled after each.
+// return, 5 writes word at addr through the backdoor, 6 does nothing,
+// 7 writes through the backdoor and reads the word back through a
+// second Banks call, 8 writes 1+word%noc.MaxServiceWords words at addr
+// over the NoC, 9 reads that many, and 10 activates the processor,
+// which a trial with a kind-10 stimulus leaves inactive until then.
+// CPU() is sampled after each.
 type stim struct {
 	gap        uint64
 	kind       int
@@ -343,7 +416,7 @@ const (
 	stimBytes      = 7
 	maxStims       = 12
 	maxGap         = 3000
-	stimKinds      = 8
+	stimKinds      = 11
 	randomKinds    = 7 // randomTrial's kinds, drawn before kind 7 existed
 )
 
@@ -450,13 +523,33 @@ type seen struct {
 	Halted, Waiting bool
 }
 
+// sleeps counts the executed cycles of the default kernel that ended
+// with the IP asleep: its running core on a plan or at a fixed point,
+// and on a plan with the memory engine busy, beside a running core or
+// alone.
+type sleeps struct{ plans, fixes, engineRunning, engineAlone int }
+
+func (s *sleeps) add(o sleeps) {
+	s.plans += o.plans
+	s.fixes += o.fixes
+	s.engineRunning += o.engineRunning
+	s.engineAlone += o.engineAlone
+}
+
+// longWords is the payload of a kind-8 stimulus.
+func longWords(st stim) []uint16 {
+	words := make([]uint16, 1+int(st.word)%noc.MaxServiceWords)
+	for i := range words {
+		words[i] = st.word ^ uint16(i*0x9E37)
+	}
+	return words
+}
+
 // runTrial runs tr on fixedRig under every kernel. Every CPU() sample,
 // the end state, every packet the host receives and every change of
 // Stats, Halted and Waiting, each with its cycle, must equal the dense
-// kernel's. It returns how many executed cycles of the default kernel
-// ended with the running core asleep on a plan, and how many with it
-// asleep at a fixed point.
-func runTrial(t *testing.T, name string, tr trial) (plans, fixes int) {
+// kernel's. It returns what the default kernel slept.
+func runTrial(t *testing.T, name string, tr trial) (n sleeps) {
 	type run struct {
 		Samples []r8.CPU
 		End     ipState
@@ -465,7 +558,11 @@ func runTrial(t *testing.T, name string, tr trial) (plans, fixes int) {
 	}
 	var want run
 	for _, k := range kernels {
-		clk, ip, host := fixedRig(t, k, tr.image(t))
+		late := false
+		for _, st := range tr.stims {
+			late = late || st.kind == 10
+		}
+		clk, ip, host := fixedRig(t, k, tr.image(t), late)
 		var got run
 		clk.Probe(func(cycle uint64) {
 			for {
@@ -480,12 +577,17 @@ func runTrial(t *testing.T, name string, tr trial) (plans, fixes int) {
 				now.Halted != got.Seen[n-1].Halted || now.Waiting != got.Seen[n-1].Waiting {
 				got.Seen = append(got.Seen, now)
 			}
-			if k == "" && ip.Active() && !ip.Halted() && ip.Idle() {
-				if ip.fixed {
-					fixes++
-				} else {
-					plans++
-				}
+			running := ip.Active() && !ip.Halted()
+			switch {
+			case k != "" || !ip.Idle():
+			case ip.eng.Busy() && running:
+				n.engineRunning++
+			case ip.eng.Busy():
+				n.engineAlone++
+			case running && ip.fixed:
+				n.fixes++
+			case running:
+				n.plans++
 			}
 		})
 		send := func(m *noc.Message) {
@@ -511,6 +613,12 @@ func runTrial(t *testing.T, name string, tr trial) (plans, fixes int) {
 			case 7:
 				ip.Banks().Write(st.addr, st.word)
 				ip.Banks().Read(st.addr)
+			case 8:
+				send(&noc.Message{Svc: noc.SvcWriteMem, Addr: st.addr, Words: longWords(st)})
+			case 9:
+				send(&noc.Message{Svc: noc.SvcReadMem, Addr: st.addr, Count: 1 + int(st.word)%noc.MaxServiceWords})
+			case 10:
+				send(&noc.Message{Svc: noc.SvcActivate})
 			}
 			got.Samples = append(got.Samples, *ip.CPU())
 		}
@@ -522,5 +630,5 @@ func runTrial(t *testing.T, name string, tr trial) (plans, fixes int) {
 			t.Errorf("%s: kernel %q diverges from dense:\n  dense %+v\n  got   %+v", name, k, want, got)
 		}
 	}
-	return plans, fixes
+	return n
 }

@@ -26,14 +26,19 @@
 // busy memory engine or a Banks call ends a fixed point.
 //
 // It sleeps on a plan through plain local execution. When the core runs
-// off a fixed point, with the memory engine idle and no remote or I/O
-// access under way, Eval dry-runs a copy of the core, at most planSpan
-// cycles, on a bus that reads the banks uncounted and keeps its own
-// stores, to the first cycle that must run in a real Eval: one that
-// touches an address outside local memory (I/O, wait, notify, a remote
-// window or an unmapped one), halts, or is the backward jump that
-// declares a fixed point. So Halted, Waiting, Stats, printf output and
-// Idle change on the same cycles as under dense stepping. A plan of
+// off a fixed point with no remote or I/O access under way, Eval
+// dry-runs a copy of the core, at most planSpan cycles, on a bus that
+// reads the banks uncounted and keeps its own stores, to the first
+// cycle that must run in a real Eval: one that touches an address
+// outside local memory (I/O, wait, notify, a remote window or an
+// unmapped one), halts, or is the backward jump that declares a fixed
+// point. A copy of the memory engine runs in the plan beside the core,
+// writing and reading through the same stores wherever the core left
+// the banks free, and the cycle it would send a read return must run in
+// a real Eval too; with the core inactive or halted the engine runs in
+// a plan alone, until it drains. So Halted, Waiting, Stats, printf
+// output, read returns and Idle change on the same cycles as under
+// dense stepping. A plan of
 // minSleep cycles or more arms a timer for that cycle and sleeps; a
 // shorter one is only remembered, so no cycle is dry-run twice. A
 // dispatched packet cancels the plan, and so does a backdoor write:
@@ -50,10 +55,10 @@
 // banks' Reads, and the rest of the gap is stepped against memory that
 // has not changed. A plan reached untouched, from its first cycle to
 // its stop, is committed from its dry run: the core, the fixed-point
-// detector, the stored words and the banks' counters take the dry run's
-// values, so each planned cycle executes once. A plan observed mid-way,
-// by CPU or Banks, is stepped cycle by cycle from where the core
-// stands. So under time warp a core's registers and counters change
+// detector, the engine, the stored words and the banks' counters take
+// the dry run's values, so each planned cycle executes once. A plan
+// observed mid-way, by CPU or Banks, is stepped cycle by cycle, core
+// and engine, from where they stand. So under time warp a core's registers and counters change
 // lazily: read through CPU they are exact, but a RunUntil predicate
 // over them sees them only on the cycles the clock executes, where
 // Halted, Waiting and printf output stay exact. CPU is for reading: a
@@ -197,20 +202,23 @@ const (
 // dryRun is a plan's dry run and the bus it steps a copy of the core
 // against. Local reads see the banks, uncounted, under the dry run's
 // own stores, which shadow keeps stamped with the plan number gen; any
-// other address is not ready and marks the cycle as outside. At the
+// other address is not ready and marks the cycle as outside, and a
+// local access marks it used, so the engine waits for the banks. At the
 // stop it holds what commit takes: the core, the detector (reads as an
-// offset from the banks' Reads), the local reads and stores, and each
-// address stored to, once, in addrs. stored marks a store since mark.
+// offset from the banks' Reads), the engine, the local reads and
+// stores, and each address stored to, once, in addrs. stored marks a
+// store since mark.
 type dryRun struct {
-	banks           *mem.Banks
-	local           int
-	gen             uint64
-	shadow          []uint64 // gen<<16 | word, per local address
-	outside, stored bool
-	cpu             r8.CPU
-	loop            loop
-	reads, stores   uint64
-	addrs           []uint16
+	banks                 *mem.Banks
+	local                 int // the capacity, a power of two
+	gen                   uint64
+	shadow                []uint64 // gen<<16 | word, per local address
+	outside, used, stored bool
+	cpu                   r8.CPU
+	loop                  loop
+	eng                   mem.Engine
+	reads, stores         uint64
+	addrs                 []uint16
 }
 
 // New creates the Processor IP on the network and registers it with the
@@ -220,11 +228,14 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 	if cfg.LocalWords <= 0 {
 		cfg.LocalWords = 1024
 	}
+	banks, err := mem.NewBanks(cfg.LocalWords)
+	if err != nil {
+		return nil, err
+	}
 	ep, err := net.NewEndpoint(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	banks := mem.NewBanks(cfg.LocalWords)
 	ip := &IP{
 		cfg:             cfg,
 		clk:             net.Clock(),
@@ -234,7 +245,7 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 		pendingNotifies: make(map[uint16]int),
 	}
 	ip.dry = dryRun{banks: banks, local: cfg.LocalWords}
-	ip.eng = mem.NewEngine(banks, func(dst noc.Addr, m *noc.Message) error {
+	ip.eng = mem.NewEngine(func(dst noc.Addr, m *noc.Message) error {
 		_, err := ep.SendMessage(dst, m)
 		return err
 	})
@@ -295,35 +306,44 @@ func (ip *IP) Eval() {
 		}
 	}
 	ip.dispatch()
+	ip.cycle()
+	ip.synced = ip.clk.Cycle() + 1
+	if !peeked {
+		ip.plan()
+	}
+}
+
+// cycle gives the core, if it runs, and then the memory engine one
+// cycle, the engine taking the banks only if the core left them free.
+func (ip *IP) cycle() {
 	ip.banksUsed = false
-	running := ip.active && !ip.cpu.Halted()
-	if running {
+	if ip.active && !ip.cpu.Halted() {
 		ip.step()
 	}
 	if ip.eng.Busy() {
 		ip.drop() // the engine may write the banks under the core
 	}
-	ip.eng.Tick(!ip.banksUsed, ip.rstate == rIdle)
-	ip.synced = ip.clk.Cycle() + 1
-	if running && !peeked {
-		ip.plan()
-	}
+	ip.eng.Tick(ip.banks, !ip.banksUsed, ip.rstate == rIdle)
 }
 
 // Commit implements sim.Component.
 func (ip *IP) Commit() {}
 
-// Idle implements sim.Idler: a Processor IP sleeps while not yet
-// activated, after HALT, while its core sits at a fixed point, or
-// through an armed plan, provided its memory engine is drained and no
-// packet awaits dispatch. The endpoint wakes it (via SetOwner) when a
-// packet — activate, read, write, notify, a remote read's or scanf's
-// return — arrives, and a plan's timer at its stop cycle. A core that
-// slept is caught up before anything else touches it, so its counters
-// and the waitR8 retry timing match the dense kernel's.
+// Idle implements sim.Idler: a Processor IP sleeps through an armed
+// plan, which runs its memory engine too, and otherwise while not yet
+// activated, after HALT or while its core sits at a fixed point,
+// provided its memory engine is drained; in every case no packet may
+// await dispatch. The endpoint wakes it (via SetOwner) when a packet —
+// activate, read, write, notify, a remote read's or scanf's return —
+// arrives, and a plan's timer at its stop cycle. A core that slept is
+// caught up before anything else touches it, so its counters and the
+// waitR8 retry timing match the dense kernel's.
 func (ip *IP) Idle() bool {
-	return (!ip.active || ip.cpu.Halted() || ip.fixed || ip.armed && ip.synced < ip.stop) &&
-		!ip.eng.Busy() && ip.ep.Pending() == 0
+	if ip.ep.Pending() != 0 {
+		return false
+	}
+	return ip.armed && ip.synced < ip.stop ||
+		(!ip.active || ip.cpu.Halted() || ip.fixed) && !ip.eng.Busy()
 }
 
 // step gives the core one cycle and looks for a pure poll loop: a
@@ -380,8 +400,8 @@ func (ip *IP) retry() { ip.fixed, ip.orbit = true, orbit{cycles: 1} }
 // point it adds whole periods in one addition, then steps the rest of
 // the gap against memory that has not changed. On a plan it commits the
 // dry run if the gap runs from the plan's first cycle to its stop, and
-// otherwise (CPU or Banks read the core mid-plan) steps every cycle of
-// the gap, none of which is the stop cycle.
+// otherwise (CPU or Banks read the core mid-plan) runs every cycle of
+// the gap, core and engine, none of which is the stop cycle.
 func (ip *IP) catchUp() {
 	now := ip.clk.Cycle()
 	if now <= ip.synced {
@@ -404,17 +424,17 @@ func (ip *IP) catchUp() {
 		return
 	}
 	for ; gap > 0; gap-- {
-		ip.step()
+		ip.cycle()
 	}
 }
 
-// commit makes the dry run the execution: it takes the dry run's core
-// and detector, writes each stored word's final value into the banks
-// and counts the dry run's reads and stores there. It overwrites the
-// core, so a write through CPU would be lost.
+// commit makes the dry run the execution: it takes the dry run's core,
+// detector and engine, writes each stored word's final value into the
+// banks and counts the dry run's reads and stores there. It overwrites
+// the core, so a write through CPU would be lost.
 func (ip *IP) commit() {
 	d := &ip.dry
-	*ip.cpu, ip.loop = d.cpu, d.loop
+	*ip.cpu, ip.loop, *ip.eng = d.cpu, d.loop, d.eng
 	ip.loop.reads += ip.banks.Reads
 	for _, a := range d.addrs {
 		ip.banks.Write(a, uint16(d.shadow[a]))
@@ -423,45 +443,64 @@ func (ip *IP) commit() {
 	ip.banks.Writes += d.stores - uint64(len(d.addrs))
 }
 
-// plan dry-runs a copy of the core from cycle synced to the first cycle
-// that must run in a real Eval, at most planSpan cycles ahead, with
-// step's fixed-point detector (a store clears its head), and sleeps
-// until that cycle if the plan is long enough. For catchUp to commit
-// the dry run, it undoes the core's step that ended the run (the
-// detector moved on none): an outside access was not ready and moved
-// only Cycles, and a halt or fixed point is stepped again from mark,
-// the last backward jump or store, so no store changes what it reads.
+// plan dry-runs a copy of the core and of the memory engine from cycle
+// synced to the first cycle that must run in a real Eval, at most
+// planSpan cycles ahead, and sleeps until that cycle if the plan is
+// long enough. The core runs with step's fixed-point detector (a store
+// clears its head); an inactive or halted core leaves the engine to run
+// alone until it drains. The engine writes and reads the dry run's
+// store; the cycle it would send a read return must run for real, and
+// on every cycle it is busy the detector loses its head, as in Eval.
+// For catchUp to commit the dry run, it undoes the core's step that
+// ended the run (the detector moved on none): an outside access was
+// not ready and moved only Cycles, and a halt or fixed point is stepped
+// again from mark, the last backward jump, store or busy-engine cycle,
+// so nothing written since changes what it reads and the engine is idle
+// throughout.
 func (ip *IP) plan() {
-	if ip.synced < ip.stop || ip.fixed || ip.cpu.Halted() || ip.eng.Busy() || ip.rstate != rIdle {
+	if ip.synced < ip.stop || ip.fixed || ip.rstate != rIdle {
 		return // a plan holds, or the next cycle is not plain local execution
+	}
+	running := ip.active && !ip.cpu.Halted()
+	if !running && !ip.eng.Busy() {
+		return // nothing runs
 	}
 	d := &ip.dry
 	d.gen++
-	d.cpu, d.loop = *ip.cpu, ip.loop
+	d.cpu, d.loop, d.eng = *ip.cpu, ip.loop, *ip.eng
 	d.loop.reads -= ip.banks.Reads
 	d.reads, d.stores, d.addrs, d.stored = 0, 0, d.addrs[:0], false
 	mark, markReads := d.cpu, d.reads
-	n := uint64(0)
+	// An idle engine stays idle: only a dispatched packet gives it work.
+	n, undo, busy := uint64(0), false, d.eng.Busy()
 	for ; n < planSpan; n++ {
-		d.outside = false
-		retired := d.cpu.Retired
-		d.cpu.Step(d)
-		if d.outside || d.cpu.Halted() {
-			break
+		if busy && d.eng.Replying() || !running && !busy {
+			break // the engine sends this cycle, or nothing runs
 		}
-		if d.cpu.Retired == retired {
-			continue
+		d.outside, d.used = false, false
+		if running {
+			retired := d.cpu.Retired
+			d.cpu.Step(d)
+			back, fixed := false, false
+			if d.cpu.Retired != retired && !d.cpu.Halted() {
+				back, fixed = d.loop.retire(&d.cpu, d.reads)
+			}
+			if d.outside || d.cpu.Halted() || fixed {
+				undo = true // fixed: the cycle that declares the fixed point
+				break
+			}
+			if back || d.stored {
+				mark, markReads, d.stored = d.cpu, d.reads, false
+			}
 		}
-		back, fixed := d.loop.retire(&d.cpu, d.reads)
-		if fixed {
-			break // the cycle that declares the fixed point
-		}
-		if back || d.stored {
-			mark, markReads, d.stored = d.cpu, d.reads, false
+		if busy {
+			d.loop.ok = false
+			d.eng.Tick((*dryStore)(d), !d.used, true)
+			mark, markReads, busy = d.cpu, d.reads, d.eng.Busy()
 		}
 	}
 	switch {
-	case n == planSpan:
+	case !undo:
 	case d.outside:
 		d.cpu.Cycles-- // the access was not ready, so only Cycles moved
 	default: // a halt or a fixed point
@@ -484,13 +523,9 @@ func (d *dryRun) Read(addr uint16) (uint16, bool) {
 		d.outside = true
 		return 0, false
 	}
+	d.used = true
 	d.reads++
-	if d.shadow != nil {
-		if e := d.shadow[addr]; e>>16 == d.gen {
-			return uint16(e), true
-		}
-	}
-	return d.banks.Peek(addr), true
+	return d.peek(addr), true
 }
 
 // Write implements r8.Bus for the dry run.
@@ -499,6 +534,24 @@ func (d *dryRun) Write(addr, v uint16) bool {
 		d.outside = true
 		return false
 	}
+	d.used = true
+	d.store(addr, v)
+	d.loop.ok, d.stored = false, true
+	return true
+}
+
+// peek reads local address addr under the dry run's stores.
+func (d *dryRun) peek(addr uint16) uint16 {
+	if d.shadow != nil {
+		if e := d.shadow[addr]; e>>16 == d.gen {
+			return uint16(e)
+		}
+	}
+	return d.banks.Peek(addr)
+}
+
+// store keeps v for local address addr until commit writes it.
+func (d *dryRun) store(addr, v uint16) {
 	if d.shadow == nil {
 		d.shadow = make([]uint64, d.local)
 	}
@@ -506,9 +559,22 @@ func (d *dryRun) Write(addr, v uint16) bool {
 		d.addrs = append(d.addrs, addr)
 	}
 	d.shadow[addr] = d.gen<<16 | uint64(v)
-	d.loop.ok, d.stored = false, true
 	d.stores++
-	return true
+}
+
+// dryStore is the dry run as its engine's mem.Store: the same reads and
+// stores, at addresses wrapped to the capacity as the banks wrap them.
+type dryStore dryRun
+
+func (s *dryStore) Read(addr uint16) uint16 {
+	d := (*dryRun)(s)
+	d.reads++
+	return d.peek(addr & uint16(d.local-1))
+}
+
+func (s *dryStore) Write(addr, v uint16) {
+	d := (*dryRun)(s)
+	d.store(addr&uint16(d.local-1), v)
 }
 
 func (ip *IP) dispatch() {

@@ -96,10 +96,17 @@ type item struct {
 	size  uint16 // words emitted
 }
 
+// segment is a Segment being emitted and the line of the .org that
+// began it (0 for the one before any .org).
+type segment struct {
+	Segment
+	line int
+}
+
 type assembler struct {
 	items   []item
 	symbols map[string]uint16
-	segs    []Segment // emit's output, in source order
+	segs    []segment // emit's output, in source order
 	errs    ErrorList
 }
 
@@ -294,7 +301,7 @@ func (a *assembler) define(line int, name string, v uint16) {
 // a closure handed to emitInst, so its variadic words stay on the stack.
 func (a *assembler) put(words ...uint16) {
 	if len(a.segs) == 0 {
-		a.segs = append(a.segs, Segment{Base: 0})
+		a.segs = append(a.segs, segment{})
 	}
 	s := &a.segs[len(a.segs)-1]
 	s.Words = append(s.Words, words...)
@@ -307,7 +314,7 @@ func (a *assembler) emit() *Program {
 		switch it.mnem {
 		case "", ".EQU":
 		case ".ORG":
-			a.segs = append(a.segs, Segment{Base: it.addr})
+			a.segs = append(a.segs, segment{Segment{Base: it.addr}, it.line})
 		case ".WORD":
 			for j := range it.args {
 				v, _ := a.evalArg(it, j, "word")
@@ -330,19 +337,22 @@ func (a *assembler) emit() *Program {
 			a.emitInst(it)
 		}
 	}
-	p := &Program{Symbols: a.symbols}
+	segs := a.segs[:0]
 	for _, s := range a.segs {
 		if len(s.Words) > 0 {
-			p.Segments = append(p.Segments, s)
+			segs = append(segs, s)
 		}
 	}
-	sort.Slice(p.Segments, func(i, j int) bool { return p.Segments[i].Base < p.Segments[j].Base })
-	// Overlap check.
-	for i := 1; i < len(p.Segments); i++ {
-		prev, cur := p.Segments[i-1], p.Segments[i]
-		if int(prev.Base)+len(prev.Words) > int(cur.Base) {
-			a.errorf(0, "segments at %#04x and %#04x overlap", prev.Base, cur.Base)
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Base < segs[j].Base })
+	p := &Program{Symbols: a.symbols}
+	for i, s := range segs {
+		if i > 0 {
+			// An overlap is the fault of whichever .org comes later.
+			if prev := segs[i-1]; int(prev.Base)+len(prev.Words) > int(s.Base) {
+				a.errorf(max(prev.line, s.line), "segments at %#04x and %#04x overlap", prev.Base, s.Base)
+			}
 		}
+		p.Segments = append(p.Segments, s.Segment)
 	}
 	return p
 }

@@ -206,6 +206,21 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestOverlapNamesTheLaterOrg: a segment overlap is reported on the
+// line of whichever of the two .org directives comes later in the
+// source, whatever their addresses.
+func TestOverlapNamesTheLaterOrg(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{".org 0\n.word 1, 2, 3\n.org 1\n.word 9", "line 3: segments at 0x0000 and 0x0001 overlap"},
+		{".org 5\n.word 1\n.org 0\n.word 1, 2, 3, 4, 5, 6", "line 3: segments at 0x0000 and 0x0005 overlap"},
+		{"NOP\nNOP\n\n.org 0x0001\nNOP", "line 4: segments at 0x0000 and 0x0001 overlap"},
+	} {
+		if _, err := Assemble(tc.src); err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %q", tc.src, err, tc.want)
+		}
+	}
+}
+
 func TestMultipleErrorsReported(t *testing.T) {
 	_, err := Assemble("FROB R1\nADD R1, R99, R2\nJMP nowhere")
 	var list ErrorList

@@ -12,8 +12,8 @@ import (
 
 // FuzzAssemble assembles arbitrary source twice. Assembly must never
 // panic, the two runs must return equal Programs and equal errors, and
-// every failure must be an ErrorList whose lines lie in [0, lines of
-// the source] (line 0 is a segment overlap's). The seeds are the Sobel
+// every failure must be an ErrorList whose lines lie in [1, lines of
+// the source]. The seeds are the Sobel
 // kernel at widths 3, 16 and 64 and the committed corpus
 // (testdata/fuzz/FuzzAssemble): E12's reduction, the examples'
 // programs and every source asm_test.go assembles.
@@ -36,7 +36,7 @@ func FuzzAssemble(f *testing.F) {
 		}
 		lines := strings.Count(src, "\n") + 1
 		for _, e := range list {
-			if e.Line < 0 || e.Line > lines {
+			if e.Line < 1 || e.Line > lines {
 				t.Fatalf("diagnostic %q outside the source's %d lines", e.Error(), lines)
 			}
 		}

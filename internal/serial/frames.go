@@ -39,15 +39,15 @@ type downParser struct {
 	Errors uint64
 }
 
-// need computes the total frame length once enough of the header is
-// visible, or 0 if more bytes are required to know.
+// downNeed returns the length of the frame buf begins, or until its
+// header shows that, a lower bound on it.
 func downNeed(buf []byte) (int, error) {
 	switch buf[0] {
 	case CmdRead:
 		return 5, nil
 	case CmdWrite:
 		if len(buf) < 3 {
-			return 0, nil
+			return 5, nil // a write of no words
 		}
 		return 5 + 2*int(buf[2]), nil
 	case CmdActivate:
@@ -57,6 +57,16 @@ func downNeed(buf []byte) (int, error) {
 	default:
 		return 0, fmt.Errorf("serial: unknown host command %#02x", buf[0])
 	}
+}
+
+// need returns a lower bound on the bytes, the next one counted, that
+// must arrive before the parser can complete a frame (RX.Need).
+func (p *downParser) need() int {
+	if len(p.buf) == 0 {
+		return 2 // an activate
+	}
+	n, _ := downNeed(p.buf) // buf begins with a known command
+	return n - len(p.buf)
 }
 
 // Feed consumes one byte; when it completes a frame it returns the
@@ -70,7 +80,7 @@ func (p *downParser) Feed(b byte) (*noc.Message, noc.Addr, bool) {
 		p.buf = p.buf[:0]
 		return nil, noc.Addr{}, false
 	}
-	if n == 0 || len(p.buf) < n {
+	if len(p.buf) < n {
 		return nil, noc.Addr{}, false
 	}
 	buf := p.buf
@@ -138,16 +148,18 @@ type UpParser struct {
 	Errors uint64
 }
 
+// upNeed returns the length of the frame buf begins, or until its
+// header shows that, a lower bound on it.
 func upNeed(buf []byte) (int, error) {
 	switch buf[0] {
 	case UpReadReturn:
 		if len(buf) < 3 {
-			return 0, nil
+			return 5, nil // a read return of no words
 		}
 		return 5 + 2*int(buf[2]), nil
 	case UpPrintf:
 		if len(buf) < 3 {
-			return 0, nil
+			return 3, nil // a printf of no bytes
 		}
 		return 3 + int(buf[2]), nil
 	case UpScanf:
@@ -155,6 +167,16 @@ func upNeed(buf []byte) (int, error) {
 	default:
 		return 0, fmt.Errorf("serial: unknown upstream frame %#02x", buf[0])
 	}
+}
+
+// Need returns a lower bound on the bytes, the next one counted, that
+// must arrive before the parser can complete a frame (RX.Need).
+func (p *UpParser) Need() int {
+	if len(p.buf) == 0 {
+		return 2 // a scanf request
+	}
+	n, _ := upNeed(p.buf) // buf begins with a known frame code
+	return n - len(p.buf)
 }
 
 // Feed consumes one byte, returning a decoded message when a frame
@@ -167,7 +189,7 @@ func (p *UpParser) Feed(b byte) (*noc.Message, bool) {
 		p.buf = p.buf[:0]
 		return nil, false
 	}
-	if n == 0 || len(p.buf) < n {
+	if len(p.buf) < n {
 		return nil, false
 	}
 	buf := p.buf

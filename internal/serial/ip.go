@@ -62,7 +62,7 @@ func NewIP(net *noc.Network, addr noc.Addr, rxd, txd *Line) (*IP, error) {
 	ip.self = ip.clk.Register(ip)
 	ip.utx = NewTX(txd, 0, ip.self)
 	ip.urx = NewRX(rxd, 0, ip.self)
-	ip.urx.Recv = ip.feed
+	ip.urx.Recv, ip.urx.Need = ip.feed, ip.parser.need
 	ep.SetOwner(ip.self)
 	// A burst on the host line must wake the IP out of idle sleep, both
 	// for auto-baud edge measurement and for frame reception.

@@ -9,11 +9,16 @@
 // burst ends. A receiver is the per-cycle receiver run lazily: each
 // Tick replays it over the cycles since the previous Tick from the
 // waves the line showed, and it arms a WakeAt timer for its owner only
-// where a byte completes. Its owner watches the line, so each new wave
-// wakes it. Between those events both owners sleep and the time-warp
-// kernel skips the cycles outright. An owner that never sleeps and
-// ticks them every cycle drives the same state machines, and the
-// receiver then delivers the same bytes on the same cycles.
+// where a command frame can complete. The owner's frame parser tells
+// it how many bytes that takes at least (RX.Need: an activate is 2
+// bytes, a write of no words 5), and the receiver hands over the bytes
+// before that one on the same tick. Its owner watches the line, so each
+// new wave wakes it. Between those events both owners sleep and the
+// time-warp kernel skips the cycles outright. An owner that never
+// sleeps and ticks them every cycle drives the same state machines,
+// and the receiver then delivers every byte on the cycle it completes;
+// a sleeping owner gets each byte no earlier than that, and every byte
+// that completes a frame on that very cycle.
 package serial
 
 import (
@@ -196,33 +201,47 @@ func (t *TX) Tick() {
 // tick. A frame samples at n+div/2+k*div for k = 0..9: the start bit
 // (high: a frame error, back to idle), eight data bits, LSB first, and
 // the stop bit (high: a byte, low: a frame error). Tick replays it over
-// the ticks since the previous Tick from the waves the line showed, and
-// arms a WakeAt timer for the owner at the stop-bit sample of the next
-// byte the line's wave holds, where Recv must run. The owner watches
-// the line, so a new wave wakes it and the wave each Tick reads is
-// exact; it need not stay awake for the receiver.
+// the ticks since the previous Tick from the waves the line showed and
+// delivers every byte completed by then, in order. It then decodes the
+// line's wave ahead, keeps the bytes it finds and arms a WakeAt timer
+// for the owner at the byte Need asks for, where Recv must run; the
+// bytes before it are delivered on that tick too. A wave that ends
+// short of that byte arms nothing: its bytes stay kept until the next
+// wave wakes the owner. The owner watches the line, so a new wave wakes
+// it and the wave each Tick reads is exact; it need not stay awake for
+// the receiver.
 type RX struct {
 	line  *Line
 	clk   *sim.Clock
-	owner sim.Handle // woken where a byte completes
+	owner sim.Handle // woken at the byte Need asks for
 	div   int
 
 	shown Wave    // the line's wave at the previous Tick
 	f     rxFrame // the per-cycle receiver, replayed through the previous Tick
 
-	// The byte armed at the previous Tick: the tick it completes in, 0
-	// for none, the receiver just after it and the frame errors before
-	// it, had the line kept its wave.
-	due   uint64
-	ahead rxFrame
-	errs  uint64
+	// kept are the bytes the previous Tick decoded ahead on shown, in
+	// order, each with the receiver just after it, f.data holding the
+	// byte and f.at-1 its tick, and the frame errors before it.
+	kept []rxKept
 
 	// Recv is called for every received byte during Tick.
 	Recv func(b byte)
 
+	// Need, when set, reports a lower bound on the bytes, the next one
+	// counted, that must arrive before the owner's frame can complete.
+	// The receiver wakes its owner at that byte, not before. Unset, or
+	// below 1, it wakes the owner at every byte.
+	Need func() int
+
 	// FrameError counts frame errors, brought up to date at the
 	// receiver's next Tick.
 	FrameError uint64
+}
+
+// rxKept is a byte the receiver decoded ahead of delivering it.
+type rxKept struct {
+	f    rxFrame
+	errs uint64
 }
 
 // NewRX returns a receiver for line at div cycles per bit (0 = not yet
@@ -238,7 +257,7 @@ func NewRX(line *Line, div int, owner sim.Handle) *RX {
 // receiver starts idle at the coming tick.
 func (r *RX) SetDiv(div int) {
 	r.div = div
-	r.f, r.due = rxFrame{at: r.clk.Cycle() + 1}, 0
+	r.f, r.kept = rxFrame{at: r.clk.Cycle() + 1}, r.kept[:0]
 }
 
 // Div reports the current divisor (0 when undetected).
@@ -255,32 +274,50 @@ func (r *RX) Tick() {
 	if r.div <= 0 {
 		return
 	}
-	if now == r.due && was == w {
-		// The armed byte, on the wave it was armed on: the previous
-		// Tick's look-ahead has replayed the ticks up to it.
-		r.f = r.ahead
-		r.FrameError += r.errs
-		if r.Recv != nil {
-			r.Recv(r.f.data)
-		}
-	} else {
-		r.replay(was, now-1)
-		r.replay(w, now)
+	// The kept bytes read was: deliver those whose ticks did.
+	last := now
+	if was != w {
+		last = now - 1
 	}
-	// Arm the stop-bit sample of the next byte the wave holds. A frame
-	// that starts after the wave's last edge reads one level throughout,
-	// so it cannot complete a byte.
+	for _, k := range r.kept {
+		if k.f.at-1 > last {
+			break
+		}
+		r.f = k.f
+		r.FrameError += k.errs
+		if r.Recv != nil {
+			r.Recv(k.f.data)
+		}
+	}
+	r.kept = r.kept[:0]
+	if was != w {
+		r.replay(was, now-1)
+	}
+	r.replay(w, now)
+	r.ahead(w, now)
+}
+
+// ahead decodes w past tick now, keeping its bytes up to the one Need
+// asks for, and arms the owner's timer there. A frame that starts after
+// the wave's last edge reads one level throughout, so it cannot
+// complete a byte.
+func (r *RX) ahead(w Wave, now uint64) {
+	need := 1
+	if r.Need != nil {
+		need = max(r.Need(), 1)
+	}
 	f, errs := r.f, uint64(0)
-	r.due = 0
 	until := max(now, w.At+uint64(w.N-1)*w.Div) + uint64(10*r.div)
 	for ev := f.step(w, r.div, until); ev != rxNone; ev = f.step(w, r.div, until) {
 		if ev == rxError {
 			errs++
 			continue
 		}
-		r.due, r.ahead, r.errs = f.at-1, f, errs
-		r.owner.WakeAt(r.due)
-		return
+		r.kept = append(r.kept, rxKept{f, errs})
+		if errs = 0; len(r.kept) == need {
+			r.owner.WakeAt(f.at - 1)
+			return
+		}
 	}
 }
 
@@ -312,7 +349,10 @@ const (
 )
 
 // step advances the receiver through tick until, reading the levels of
-// w, and stops early after the first frame that closes.
+// w, and stops early after the first frame that closes. A frame's
+// samples lie div cycles apart, so it walks them through w's bits by
+// quotient and remainder instead of dividing for each one, and at w's
+// own rate reads all ten at once.
 func (f *rxFrame) step(w Wave, div int, until uint64) int {
 	for {
 		if !f.busy {
@@ -326,19 +366,54 @@ func (f *rxFrame) step(w Wave, div int, until uint64) int {
 		if f.at > until {
 			return rxNone
 		}
-		high := w.level(f.at - 1)
-		if f.k == 0 && high || f.k == 9 {
+		// Sample f.at-1 reads bit q of w, r cycles into it; from the
+		// last bit on, the level holds.
+		last := uint64(w.N - 1)
+		q, r := last, uint64(0)
+		if d := f.at - 1 - w.At; d < last*w.Div {
+			q, r = d/w.Div, d%w.Div
+		}
+		if f.k == 0 && uint64(div) == w.Div && f.at+9*w.Div <= until {
+			// A whole frame at the wave's own rate reads ten bits in a
+			// row: bits q to q+9, the last bit's level past it.
+			v := w.Bits >> q
+			if held := last - q; held < 9 {
+				v &= 1<<(held+1) - 1
+				if w.Bits>>last&1 != 0 {
+					v |= ^uint64(0) << (held + 1)
+				}
+			}
 			f.busy = false
-			f.at++ // no frame starts at the tick one closed in
-			if f.k == 9 && high {
+			if v&1 != 0 { // a high start bit
+				f.at++
+				return rxError
+			}
+			f.data, f.at = byte(v>>1), f.at+9*w.Div+1
+			if v>>9&1 != 0 {
 				return rxByte
 			}
 			return rxError
 		}
-		if f.k > 0 && high {
-			f.data |= 1 << (f.k - 1)
+		for {
+			high := w.Bits>>q&1 != 0
+			if f.k == 0 && high || f.k == 9 {
+				f.busy = false
+				f.at++ // no frame starts at the tick one closed in
+				if f.k == 9 && high {
+					return rxByte
+				}
+				return rxError
+			}
+			if f.k > 0 && high {
+				f.data |= 1 << (f.k - 1)
+			}
+			f.k++
+			if f.at += uint64(div); f.at > until {
+				return rxNone
+			}
+			for r += uint64(div); q < last && r >= w.Div; r -= w.Div {
+				q++
+			}
 		}
-		f.k++
-		f.at += uint64(div)
 	}
 }

@@ -106,21 +106,24 @@
 // UARTs batch a serial run this way: a transmitter stages up to six
 // frames as one wire value and arms one timer at the burst's end, and a
 // receiver replays the per-cycle receiver from that value and arms one
-// timer per byte, where the byte completes. The Processor IP
+// timer per command frame, at the first byte that can complete it, where
+// it hands its owner that byte and the ones before it. The Processor IP
 // (internal/procip) batches its core two ways. At a fixed point, a
 // poll loop over local memory or a stalled access that repeats, it
 // sleeps without any timer until a packet or a backdoor access wakes
 // it, then adds the whole periods it slept through to its counters and
 // steps the rest. Through plain local execution it dry-runs a copy of
-// the core to the first cycle with an effect outside the core and its
-// local memory, sleeps on a timer for that cycle, and there commits the
-// dry run as the cycles in between; read mid-way, it steps them
-// instead. The contract is the one Idle() already imposes: every
-// latch, counter update, and wire change the batched span produces
-// must land on exactly the cycle the stepped model would produce it,
-// or, for state only the model's own accessors expose, be
-// brought up to date before any of them returns it, so batching is
-// invisible to differential comparison. Such state changes lazily under
+// the core and of its memory engine, which moves a NoC write's or
+// read's words a word per cycle, to the first cycle with an effect
+// outside them and its local memory, sleeps on a timer for that cycle,
+// and there commits the dry run as the cycles in between; read mid-way,
+// it steps them instead. The contract is the one Idle() already
+// imposes: every latch, counter update, and wire change the batched
+// span produces must land on exactly the cycle the stepped model would
+// produce it, or, for state only the model's own accessors expose (or
+// none, as a parser's partial frame), be brought up to date before any
+// of them returns it, so batching is invisible to differential
+// comparison. Such state changes lazily under
 // warp, so a RunUntil predicate sees it exact only through the model's
 // accessors, and only on executed cycles. A timer stays armed when the
 // model's plan changes (the kernel cannot cancel one) and holds off
