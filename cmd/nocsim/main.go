@@ -41,15 +41,12 @@ func main() {
 }
 
 // options is a parsed command line: the traffic experiment as one job
-// per offered rate, or one of the side experiments that only need a
-// mesh and a kernel.
+// per offered rate, and the side experiments that only need its mesh.
 type options struct {
 	jobs   []experiments.TrafficJob
 	peak   bool
 	vcd    string
 	record string
-	mesh   noc.Config
-	kernel sim.Kernel
 }
 
 func parse(args []string) (*options, error) {
@@ -104,11 +101,13 @@ func parse(args []string) (*options, error) {
 		if len(ignored) > 0 {
 			return nil, fmt.Errorf("%s ignores %s", mode, strings.Join(ignored, ", "))
 		}
-		ncfg, err := sideMesh(mode, *w, *h, *flit, *depth, *routing, sim.Kernel(*kernel))
-		if err != nil {
-			return nil, err
+		// The mesh is checked where it is built, so no error names a
+		// traffic pattern these experiments do not run.
+		mesh := experiments.TrafficJob{
+			Width: *w, Height: *h, FlitBits: *flit, BufDepth: *depth, Routing: *routing,
+			Kernel: sim.Kernel(*kernel),
 		}
-		return &options{peak: *peak, vcd: *vcdPath, mesh: ncfg, kernel: sim.Kernel(*kernel)}, nil
+		return &options{jobs: []experiments.TrafficJob{mesh}, peak: *peak, vcd: *vcdPath}, nil
 	}
 
 	job := experiments.TrafficJob{
@@ -167,37 +166,20 @@ func parse(args []string) (*options, error) {
 	return o, nil
 }
 
-// sideMesh returns the mesh of a -vcd or -peak run (mode), checking it,
-// the kernel and what that experiment needs of them, which no traffic
-// pattern's checks stand in for.
-func sideMesh(mode string, w, h, flit, depth int, routing string, kernel sim.Kernel) (noc.Config, error) {
-	ncfg, _, err := experiments.TrafficJob{Width: w, Height: h, FlitBits: flit, BufDepth: depth, Routing: routing}.Configs()
-	if err == nil {
-		err = ncfg.Validate()
-	}
-	if err == nil {
-		_, err = sim.ParseKernel(kernel)
-	}
-	switch {
-	case err != nil:
-	case mode == "-vcd" && w*h < 2:
-		err = fmt.Errorf("-vcd needs a mesh of at least two nodes: it traces a packet between opposite corners")
-	case mode == "-peak" && (w < 3 || h < 3):
-		err = fmt.Errorf("-peak needs a mesh of at least 3x3: it drives five connections through router 1,1")
-	}
-	return ncfg, err
-}
-
 func run(args []string, stdout io.Writer) error {
 	o, err := parse(args)
 	if err != nil {
 		return err
 	}
+	ncfg, _, err := o.jobs[0].Configs()
+	if err != nil {
+		return err
+	}
 	if o.vcd != "" {
-		return traceOnePacket(o.mesh, o.kernel, o.vcd)
+		return traceOnePacket(ncfg, o.jobs[0].Kernel, o.vcd)
 	}
 	if o.peak {
-		res, err := traffic.PeakThroughput(o.mesh, 50, o.kernel)
+		res, err := traffic.PeakThroughput(ncfg, 50, o.jobs[0].Kernel)
 		if err != nil {
 			return err
 		}
@@ -292,6 +274,9 @@ func parseAddrs(s string) ([]noc.Addr, error) {
 // packet at the mesh centre under kernel, for inspection in a VCD
 // viewer. Every kernel writes the same file.
 func traceOnePacket(cfg noc.Config, kernel sim.Kernel, path string) error {
+	if cfg.Width*cfg.Height < 2 {
+		return fmt.Errorf("-vcd needs a mesh of at least two nodes: it traces a packet between opposite corners")
+	}
 	net, err := noc.New(cfg, kernel)
 	if err != nil {
 		return err

@@ -101,8 +101,8 @@ func TestCLIRejects(t *testing.T) {
 		{[]string{"-vcd", vcd, "-flit", "12"}, "unsupported flit width 12"},
 		{[]string{"-vcd", vcd, "-w", "17"}, "16x16 addressing limit"},
 		{[]string{"-vcd", vcd, "-kernel", "fast"}, "unknown kernel"},
-		{[]string{"-peak", "-w", "2", "-h", "4"}, "-peak needs a mesh of at least 3x3"},
-		{[]string{"-peak", "-w", "1", "-h", "1"}, "-peak needs a mesh of at least 3x3"},
+		{[]string{"-peak", "-w", "2", "-h", "4"}, "peak experiment needs a 3x3 mesh"},
+		{[]string{"-peak", "-w", "1", "-h", "1"}, "peak experiment needs a 3x3 mesh"},
 		{[]string{"-peak", "-depth", "2000"}, "buffer depth 2000"},
 		{[]string{"-peak", "-routing", "zigzag"}, "routing"},
 		{[]string{"-peak", "-cycles", "100", "-sweep", "0.1,0.2"}, "-peak ignores -cycles, -sweep"},

@@ -21,32 +21,28 @@ const BankCount = 4
 
 // Banks is the 4-bank nibble-sliced storage: bank k holds bits
 // [4k+3:4k] of every word, so a 16-bit access reads or writes all four
-// banks in parallel, exactly as Figure 4 draws it. Its capacity is a
-// power of two, so an address wraps with a mask, as address decoding
-// that ignores the high bits does.
+// banks in parallel, exactly as Figure 4 draws it.
 type Banks struct {
-	bank [BankCount][]uint8
-	mask uint16
+	bank  [BankCount][]uint8
+	words int
 
 	Reads  uint64
 	Writes uint64
 }
 
 // NewBanks allocates storage for the given word count (1024 in
-// MultiNoC). The count must be a power of two from 1 to 65,536.
-func NewBanks(words int) (*Banks, error) {
-	if words < 1 || words > 1<<16 || words&(words-1) != 0 {
-		return nil, fmt.Errorf("mem: capacity of %d words is not a power of two from 1 to 65536", words)
-	}
-	b := &Banks{mask: uint16(words - 1)}
+// MultiNoC).
+func NewBanks(words int) *Banks {
+	b := &Banks{words: words}
 	for k := range b.bank {
 		b.bank[k] = make([]uint8, words)
 	}
-	return b, nil
+	return b
 }
 
 // Read assembles a 16-bit word from the four banks and counts the
-// access. Addresses wrap modulo the capacity.
+// access. Addresses wrap modulo the capacity, matching address decoding
+// that ignores high bits.
 func (b *Banks) Read(addr uint16) uint16 {
 	b.Reads++
 	return b.Peek(addr)
@@ -55,7 +51,7 @@ func (b *Banks) Read(addr uint16) uint16 {
 // Peek is Read without counting the access: what a model that looks
 // ahead of the hardware (procip's dry run) reads.
 func (b *Banks) Peek(addr uint16) uint16 {
-	i := addr & b.mask
+	i := int(addr) % b.words
 	var v uint16
 	for k := BankCount - 1; k >= 0; k-- {
 		v = v<<4 | uint16(b.bank[k][i]&0xF)
@@ -65,7 +61,7 @@ func (b *Banks) Peek(addr uint16) uint16 {
 
 // Write stores a 16-bit word nibble-wise across the banks.
 func (b *Banks) Write(addr, v uint16) {
-	i := addr & b.mask
+	i := int(addr) % b.words
 	b.Writes++
 	for k := 0; k < BankCount; k++ {
 		b.bank[k][i] = uint8(v >> (4 * k) & 0xF)
@@ -74,8 +70,8 @@ func (b *Banks) Write(addr, v uint16) {
 
 // Load copies an image into the banks starting at address 0.
 func (b *Banks) Load(img []uint16) error {
-	if len(img) > int(b.mask)+1 {
-		return fmt.Errorf("mem: image of %d words exceeds capacity %d", len(img), int(b.mask)+1)
+	if len(img) > b.words {
+		return fmt.Errorf("mem: image of %d words exceeds capacity %d", len(img), b.words)
 	}
 	for i, v := range img {
 		b.Write(uint16(i), v)
@@ -227,14 +223,11 @@ type IP struct {
 // NewIP creates the remote memory at the given mesh address and
 // registers it with the network's clock.
 func NewIP(net *noc.Network, addr noc.Addr, words int) (*IP, error) {
-	banks, err := NewBanks(words)
-	if err != nil {
-		return nil, err
-	}
 	ep, err := net.NewEndpoint(addr)
 	if err != nil {
 		return nil, err
 	}
+	banks := NewBanks(words)
 	ip := &IP{banks: banks, ep: ep}
 	ip.eng = NewEngine(func(dst noc.Addr, m *noc.Message) error {
 		_, err := ep.SendMessage(dst, m)

@@ -9,8 +9,8 @@ import (
 )
 
 func TestBanksRoundTrip(t *testing.T) {
-	b := newBanks(t, 1024)
 	if err := quick.Check(func(addr, v uint16) bool {
+		b := NewBanks(1024)
 		b.Write(addr, v)
 		return b.Read(addr) == v
 	}, nil); err != nil {
@@ -18,42 +18,8 @@ func TestBanksRoundTrip(t *testing.T) {
 	}
 }
 
-func newBanks(t *testing.T, words int) *Banks {
-	t.Helper()
-	b, err := NewBanks(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestBanksRejectCapacity: a capacity that is not a power of two would
-// break the address mask, so NewBanks and NewIP refuse it.
-func TestBanksRejectCapacity(t *testing.T) {
-	for _, words := range []int{0, -4, 3, 1000, 1 << 17} {
-		if _, err := NewBanks(words); err == nil {
-			t.Errorf("NewBanks(%d) accepted", words)
-		}
-	}
-	for _, words := range []int{1, 2, 1024, 1 << 16} {
-		if _, err := NewBanks(words); err != nil {
-			t.Errorf("NewBanks(%d): %v", words, err)
-		}
-	}
-	net, err := noc.New(noc.Defaults(2, 2), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewIP(net, noc.Addr{X: 1, Y: 1}, 1000); err == nil {
-		t.Error("NewIP accepted a memory of 1000 words")
-	}
-	if _, err := NewIP(net, noc.Addr{X: 1, Y: 1}, 1024); err != nil {
-		t.Errorf("NewIP after a rejected capacity: %v", err)
-	}
-}
-
 func TestBanksNibbleSlicing(t *testing.T) {
-	b := newBanks(t, 16)
+	b := NewBanks(16)
 	b.Write(3, 0xABCD)
 	// Bank k holds bits [4k+3:4k]: D in bank 0, C in 1, B in 2, A in 3.
 	want := []uint8{0xD, 0xC, 0xB, 0xA}
@@ -65,7 +31,7 @@ func TestBanksNibbleSlicing(t *testing.T) {
 }
 
 func TestBanksAddressWrap(t *testing.T) {
-	b := newBanks(t, 1024)
+	b := NewBanks(1024)
 	b.Write(1024+5, 0x1111)
 	if b.Read(5) != 0x1111 {
 		t.Error("address did not wrap modulo capacity")
@@ -73,7 +39,7 @@ func TestBanksAddressWrap(t *testing.T) {
 }
 
 func TestBanksLoadDump(t *testing.T) {
-	b := newBanks(t, 8)
+	b := NewBanks(8)
 	if err := b.Load([]uint16{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +180,7 @@ func TestEngineBankArbitration(t *testing.T) {
 	// With banksFree always false, a write op must make no progress;
 	// releasing the banks lets it finish. This is the
 	// processor-priority rule of §2.3.
-	banks := newBanks(t, 64)
+	banks := NewBanks(64)
 	var sent []*noc.Message
 	eng := NewEngine(func(dst noc.Addr, m *noc.Message) error {
 		sent = append(sent, m)
@@ -259,7 +225,7 @@ func TestEngineBankArbitration(t *testing.T) {
 
 func TestEngineServiceTiming(t *testing.T) {
 	// A k-word write takes exactly k bank cycles after dispatch.
-	banks := newBanks(t, 64)
+	banks := NewBanks(64)
 	eng := NewEngine(func(noc.Addr, *noc.Message) error { return nil })
 	eng.Deliver(&noc.Message{Svc: noc.SvcWriteMem, Addr: 0, Words: []uint16{1, 2, 3, 4, 5}})
 	ticks := 0

@@ -210,7 +210,7 @@ const (
 // store since mark.
 type dryRun struct {
 	banks                 *mem.Banks
-	local                 int // the capacity, a power of two
+	local                 int
 	gen                   uint64
 	shadow                []uint64 // gen<<16 | word, per local address
 	outside, used, stored bool
@@ -228,14 +228,11 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 	if cfg.LocalWords <= 0 {
 		cfg.LocalWords = 1024
 	}
-	banks, err := mem.NewBanks(cfg.LocalWords)
-	if err != nil {
-		return nil, err
-	}
 	ep, err := net.NewEndpoint(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
+	banks := mem.NewBanks(cfg.LocalWords)
 	ip := &IP{
 		cfg:             cfg,
 		clk:             net.Clock(),
@@ -569,12 +566,12 @@ type dryStore dryRun
 func (s *dryStore) Read(addr uint16) uint16 {
 	d := (*dryRun)(s)
 	d.reads++
-	return d.peek(addr & uint16(d.local-1))
+	return d.peek(uint16(int(addr) % d.local))
 }
 
 func (s *dryStore) Write(addr, v uint16) {
 	d := (*dryRun)(s)
-	d.store(addr&uint16(d.local-1), v)
+	d.store(uint16(int(addr)%d.local), v)
 }
 
 func (ip *IP) dispatch() {

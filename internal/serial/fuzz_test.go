@@ -17,7 +17,8 @@ import (
 // reference's bytes in order, each byte that closes a frame on the
 // reference's cycle and none before it, and after one final woken step
 // every byte and the reference's FrameError count. The seed corpus is
-// testdata/fuzz/FuzzUARTAgree.
+// testdata/fuzz/FuzzUARTAgree; each random-N-exact entry is random-N
+// with Need unset, so it holds every byte to the reference's cycle.
 func FuzzUARTAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeUART(data)
