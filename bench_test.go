@@ -254,11 +254,12 @@ func TestSystemSetupSteps(t *testing.T) {
 // set-up, the phases before BenchmarkSystemEdge's Driver.Process:
 // core.New, Boot and LoadKernels(1, 2) at SerialDiv 434. LoadKernels
 // assembles the kernel once for both processors, and the assembler
-// allocates per line, not per character. The set-up allocates 312
+// allocates per line, not per character. The set-up allocates 300
 // objects, 20 of them the Processor IPs' dry-run shadows and address
-// lists, which the download's NoC writes go through; the bound was set
-// 15% over the 292 it allocated before those. Like TestSystemEdgeSteps'
-// count, this one is exact, so it needs no timing.
+// lists, which the download's NoC writes go through, and one array per
+// memory; the bound was set 15% over the 292 it allocated before the
+// shadows, when each memory was four nibble slices. Like
+// TestSystemEdgeSteps' count, this one is exact, so it needs no timing.
 func TestSystemSetupAllocs(t *testing.T) {
 	const bound = 336
 	cfg := core.Default()

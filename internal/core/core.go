@@ -19,10 +19,6 @@ import (
 	"repro/internal/sim"
 )
 
-// LocalWords is the capacity of every memory in MultiNoC: 1K 16-bit
-// words (4 BlockRAMs of 1024 x 4 bits).
-const LocalWords = 1024
-
 // WindowBase is where remote address windows start in a processor's
 // address space (Figure 6): [1024,2048) is the first window, each
 // window is 1024 words.
@@ -150,16 +146,15 @@ func New(cfg Config) (*System, error) {
 		var windows []procip.Window
 		base := uint16(WindowBase)
 		for _, tgt := range targets {
-			windows = append(windows, procip.Window{Lo: base, Hi: base + LocalWords, Target: tgt})
-			base += LocalWords
+			windows = append(windows, procip.Window{Lo: base, Hi: base + mem.Words, Target: tgt})
+			base += mem.Words
 		}
 		p, err := procip.New(net, procip.Config{
-			Addr:       a,
-			ID:         uint16(i + 1),
-			Host:       cfg.Serial,
-			Windows:    windows,
-			ProcByID:   procByID,
-			LocalWords: LocalWords,
+			Addr:     a,
+			ID:       uint16(i + 1),
+			Host:     cfg.Serial,
+			Windows:  windows,
+			ProcByID: procByID,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: processor %d: %w", i+1, err)
@@ -167,7 +162,7 @@ func New(cfg Config) (*System, error) {
 		s.Procs = append(s.Procs, p)
 	}
 	for _, a := range cfg.Memories {
-		m, err := mem.NewIP(net, a, LocalWords)
+		m, err := mem.NewIP(net, a)
 		if err != nil {
 			return nil, fmt.Errorf("core: memory at %s: %w", a, err)
 		}
@@ -214,7 +209,7 @@ func (s *System) LoadProgramDirect(src string, ids ...int) (*r8asm.Program, erro
 	if err != nil {
 		return nil, err
 	}
-	img, err := prog.Flatten(LocalWords)
+	img, err := prog.Flatten(mem.Words)
 	if err != nil {
 		return nil, err
 	}

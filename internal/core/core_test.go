@@ -49,6 +49,39 @@ func TestAutobaudTracksHostRate(t *testing.T) {
 	}
 }
 
+// TestBootTiming pins the cycles at which Boot and a following
+// one-word WriteMemory return, under every kernel. The sync byte's
+// burst ends at cycle 1+10·div and Boot returns 4·div-1 cycles later,
+// at 14·div, so the write's seven-byte frame starts four bit periods
+// after the sync byte's stop bit; it returns when the frame's last bit
+// ends, 70·div cycles on.
+func TestBootTiming(t *testing.T) {
+	for _, c := range []struct {
+		div         int
+		boot, write uint64
+	}{{16, 224, 1345}, {434, 6076, 36457}} {
+		for _, k := range []sim.Kernel{"", "nowarp", "dense"} {
+			cfg := Default()
+			cfg.SerialDiv, cfg.Kernel = c.div, k
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Boot(); err != nil {
+				t.Fatal(err)
+			}
+			boot := s.Clk.Cycle()
+			if err := s.Host.WriteMemory(s.Proc(1).Addr(), 0x10, []uint16{0xBEEF}); err != nil {
+				t.Fatal(err)
+			}
+			if boot != c.boot || s.Clk.Cycle() != c.write {
+				t.Errorf("div %d, kernel %q: Boot returned at cycle %d and WriteMemory at %d, want %d and %d",
+					c.div, k, boot, s.Clk.Cycle(), c.boot, c.write)
+			}
+		}
+	}
+}
+
 func TestLoadRunPrintf(t *testing.T) {
 	s := boot(t)
 	src := `

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/r8asm"
 )
 
@@ -43,7 +44,7 @@ func (d *Driver) LoadKernels(procs ...int) error {
 	}
 	var img []uint16
 	if d.T == Direct {
-		if img, err = prog.Flatten(core.LocalWords); err != nil {
+		if img, err = prog.Flatten(mem.Words); err != nil {
 			return fmt.Errorf("edge: kernel: %w", err)
 		}
 	}

@@ -42,7 +42,6 @@ type Host struct {
 	printfBySrc  map[uint16][]byte
 	scanfPending []noc.Addr
 	readWords    []uint16
-	readsSeen    int
 
 	synced bool
 
@@ -93,7 +92,6 @@ func (h *Host) handle(m *noc.Message) {
 		}
 	case noc.SvcReadReturn:
 		h.readWords = append(h.readWords, m.Words...)
-		h.readsSeen++
 	}
 }
 
@@ -129,35 +127,35 @@ func (h *Host) Idle() bool { return h.utx.Dormant() }
 
 // Sync transmits the 0x55 synchronization byte and waits until the
 // line has been idle long enough for the Serial IP to lock its baud
-// divisor (§4, "Synchronize SW/HW").
+// divisor (§4, "Synchronize SW/HW"): it drains the transmitter, then
+// runs the clock through a settle window of four bit periods less one
+// cycle, so the first command frame starts four bit periods after the
+// sync byte's stop bit ends. The Serial IP locks inside that window,
+// once the line has stayed high for three bit periods, the stop bit's
+// included.
 func (h *Host) Sync() error {
-	h.utx.Gap = 4 * h.utx.Div()
 	h.utx.Queue(serial.SyncByte)
 	h.self.Wake()
 	if err := h.drain(); err != nil {
 		return fmt.Errorf("host: sync: %w", err)
 	}
-	h.utx.Gap = 0
+	h.clk.Run(uint64(4*h.utx.Div() - 1))
 	h.synced = true
 	return nil
 }
 
-// drain pumps the clock until the transmitter queue is empty, failing
-// once the cycles it took exceed a generous budget: 11 bit periods per
-// queued byte plus slack. It compares cycles, not steps, because under
-// time warp one step can cross a whole bit period.
+// drain runs the clock until the transmitter has sent every queued
+// byte, failing once it has taken more cycles than a generous budget:
+// 11 bit periods per queued byte plus slack. The budget is in cycles,
+// not steps, because under time warp one step can cross a whole bit
+// period.
 func (h *Host) drain() error {
-	deadline := h.clk.Cycle() + uint64((h.utx.QueueLen()+4)*11*h.utx.Div()+1000)
-	for !h.utx.Idle() {
-		if h.clk.Cycle() >= deadline {
-			return fmt.Errorf("transmitter did not drain")
-		}
-		h.clk.Step()
+	budget := uint64((h.utx.QueueLen()+4)*11*h.utx.Div() + 1000)
+	if err := h.clk.RunUntil(h.utx.Idle, budget); err != nil {
+		return fmt.Errorf("transmitter did not drain: %w", err)
 	}
 	return nil
 }
-
-const chunk = noc.MaxServiceWords
 
 // WriteMemory stores words at addr of the target IP's memory, chunking
 // into command frames as needed ("Fill Memory Contents" in Figure 8).
@@ -165,8 +163,9 @@ func (h *Host) WriteMemory(tgt noc.Addr, addr uint16, words []uint16) error {
 	if !h.synced {
 		return fmt.Errorf("host: WriteMemory before Sync")
 	}
-	for _, span := range noc.SplitWords(addr, words) {
-		h.sendFrame(tgt, &noc.Message{Svc: noc.SvcWriteMem, Addr: span.Addr, Words: span.Words})
+	for _, span := range noc.SplitWords(addr, len(words)) {
+		h.sendFrame(tgt, &noc.Message{Svc: noc.SvcWriteMem, Addr: span.Addr, Words: words[:span.N]})
+		words = words[span.N:]
 		if err := h.drain(); err != nil {
 			return fmt.Errorf("host: write %#04x: %w", span.Addr, err)
 		}
@@ -181,17 +180,8 @@ func (h *Host) ReadMemory(tgt noc.Addr, addr uint16, n int) ([]uint16, error) {
 		return nil, fmt.Errorf("host: ReadMemory before Sync")
 	}
 	h.readWords = nil
-	h.readsSeen = 0
-	wantFrames := 0
-	for left, a := n, addr; left > 0; {
-		c := left
-		if c > chunk {
-			c = chunk
-		}
-		h.sendFrame(tgt, &noc.Message{Svc: noc.SvcReadMem, Addr: a, Count: c})
-		a += uint16(c)
-		left -= c
-		wantFrames++
+	for _, span := range noc.SplitWords(addr, n) {
+		h.sendFrame(tgt, &noc.Message{Svc: noc.SvcReadMem, Addr: span.Addr, Count: span.N})
 	}
 	err := h.clk.RunUntil(func() bool { return len(h.readWords) >= n }, h.readBudget(n))
 	if err != nil {

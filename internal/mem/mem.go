@@ -1,6 +1,6 @@
 // Package mem implements the MultiNoC Memory IP core (§2.3): storage
-// built from four BlockRAM banks of 1024 x 4-bit words accessed in
-// parallel as 16-bit words, plus the control logic that serves
+// of 1024 16-bit words, built from four BlockRAM banks of 1024 x 4 bits
+// accessed in parallel, plus the control logic that serves
 // read/write service packets arriving from the Hermes NoC.
 //
 // The same engine backs both deployments the paper uses: the
@@ -16,62 +16,47 @@ import (
 	"repro/internal/noc"
 )
 
-// BankCount is the number of BlockRAM banks (Figure 4).
-const BankCount = 4
+// Words is the capacity of every MultiNoC memory, the remote memories
+// and each processor's local memory alike: 1K 16-bit words.
+const Words = 1024
 
-// Banks is the 4-bank nibble-sliced storage: bank k holds bits
-// [4k+3:4k] of every word, so a 16-bit access reads or writes all four
-// banks in parallel, exactly as Figure 4 draws it.
+// Banks is the storage of one memory. Figure 4 builds it from four
+// BlockRAMs of 1024 x 4 bits, bank k holding bits [4k+3:4k] of every
+// word, so a 16-bit access reads or writes all four banks in parallel
+// in one cycle; Banks keeps each word whole, which is the same storage
+// seen through that access.
 type Banks struct {
-	bank  [BankCount][]uint8
-	words int
+	words [Words]uint16
 
 	Reads  uint64
 	Writes uint64
 }
 
-// NewBanks allocates storage for the given word count (1024 in
-// MultiNoC).
-func NewBanks(words int) *Banks {
-	b := &Banks{words: words}
-	for k := range b.bank {
-		b.bank[k] = make([]uint8, words)
-	}
-	return b
-}
+// NewBanks returns zeroed storage.
+func NewBanks() *Banks { return new(Banks) }
 
-// Read assembles a 16-bit word from the four banks and counts the
-// access. Addresses wrap modulo the capacity, matching address decoding
-// that ignores high bits.
+// Read returns the word at addr and counts the access. Addresses wrap
+// modulo the capacity, matching address decoding that ignores high
+// bits.
 func (b *Banks) Read(addr uint16) uint16 {
 	b.Reads++
-	return b.Peek(addr)
+	return b.words[addr%Words]
 }
 
 // Peek is Read without counting the access: what a model that looks
 // ahead of the hardware (procip's dry run) reads.
-func (b *Banks) Peek(addr uint16) uint16 {
-	i := int(addr) % b.words
-	var v uint16
-	for k := BankCount - 1; k >= 0; k-- {
-		v = v<<4 | uint16(b.bank[k][i]&0xF)
-	}
-	return v
-}
+func (b *Banks) Peek(addr uint16) uint16 { return b.words[addr%Words] }
 
-// Write stores a 16-bit word nibble-wise across the banks.
+// Write stores a 16-bit word and counts the access.
 func (b *Banks) Write(addr, v uint16) {
-	i := int(addr) % b.words
 	b.Writes++
-	for k := 0; k < BankCount; k++ {
-		b.bank[k][i] = uint8(v >> (4 * k) & 0xF)
-	}
+	b.words[addr%Words] = v
 }
 
 // Load copies an image into the banks starting at address 0.
 func (b *Banks) Load(img []uint16) error {
-	if len(img) > b.words {
-		return fmt.Errorf("mem: image of %d words exceeds capacity %d", len(img), b.words)
+	if len(img) > Words {
+		return fmt.Errorf("mem: image of %d words exceeds capacity %d", len(img), Words)
 	}
 	for i, v := range img {
 		b.Write(uint16(i), v)
@@ -222,13 +207,12 @@ type IP struct {
 
 // NewIP creates the remote memory at the given mesh address and
 // registers it with the network's clock.
-func NewIP(net *noc.Network, addr noc.Addr, words int) (*IP, error) {
+func NewIP(net *noc.Network, addr noc.Addr) (*IP, error) {
 	ep, err := net.NewEndpoint(addr)
 	if err != nil {
 		return nil, err
 	}
-	banks := NewBanks(words)
-	ip := &IP{banks: banks, ep: ep}
+	ip := &IP{banks: NewBanks(), ep: ep}
 	ip.eng = NewEngine(func(dst noc.Addr, m *noc.Message) error {
 		_, err := ep.SendMessage(dst, m)
 		return err

@@ -10,7 +10,7 @@ import (
 
 func TestBanksRoundTrip(t *testing.T) {
 	if err := quick.Check(func(addr, v uint16) bool {
-		b := NewBanks(1024)
+		b := NewBanks()
 		b.Write(addr, v)
 		return b.Read(addr) == v
 	}, nil); err != nil {
@@ -18,28 +18,16 @@ func TestBanksRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBanksNibbleSlicing(t *testing.T) {
-	b := NewBanks(16)
-	b.Write(3, 0xABCD)
-	// Bank k holds bits [4k+3:4k]: D in bank 0, C in 1, B in 2, A in 3.
-	want := []uint8{0xD, 0xC, 0xB, 0xA}
-	for k := 0; k < BankCount; k++ {
-		if b.bank[k][3] != want[k] {
-			t.Errorf("bank %d nibble = %#x, want %#x", k, b.bank[k][3], want[k])
-		}
-	}
-}
-
 func TestBanksAddressWrap(t *testing.T) {
-	b := NewBanks(1024)
-	b.Write(1024+5, 0x1111)
+	b := NewBanks()
+	b.Write(Words+5, 0x1111)
 	if b.Read(5) != 0x1111 {
 		t.Error("address did not wrap modulo capacity")
 	}
 }
 
 func TestBanksLoadDump(t *testing.T) {
-	b := NewBanks(8)
+	b := NewBanks()
 	if err := b.Load([]uint16{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +37,7 @@ func TestBanksLoadDump(t *testing.T) {
 			t.Errorf("dump[%d] = %d, want %d", i, got[i], want)
 		}
 	}
-	if err := b.Load(make([]uint16, 9)); err == nil {
+	if err := b.Load(make([]uint16, Words+1)); err == nil {
 		t.Error("oversized load accepted")
 	}
 }
@@ -63,7 +51,7 @@ func harness(t *testing.T) (*sim.Clock, *noc.Network, *IP, *noc.Endpoint) {
 		t.Fatal(err)
 	}
 	clk := net.Clock()
-	ip, err := NewIP(net, noc.Addr{X: 1, Y: 1}, 1024)
+	ip, err := NewIP(net, noc.Addr{X: 1, Y: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +168,7 @@ func TestEngineBankArbitration(t *testing.T) {
 	// With banksFree always false, a write op must make no progress;
 	// releasing the banks lets it finish. This is the
 	// processor-priority rule of §2.3.
-	banks := NewBanks(64)
+	banks := NewBanks()
 	var sent []*noc.Message
 	eng := NewEngine(func(dst noc.Addr, m *noc.Message) error {
 		sent = append(sent, m)
@@ -225,7 +213,7 @@ func TestEngineBankArbitration(t *testing.T) {
 
 func TestEngineServiceTiming(t *testing.T) {
 	// A k-word write takes exactly k bank cycles after dispatch.
-	banks := NewBanks(64)
+	banks := NewBanks()
 	eng := NewEngine(func(noc.Addr, *noc.Message) error { return nil })
 	eng.Deliver(&noc.Message{Svc: noc.SvcWriteMem, Addr: 0, Words: []uint16{1, 2, 3, 4, 5}})
 	ticks := 0

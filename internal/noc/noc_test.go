@@ -526,17 +526,12 @@ func TestServiceOverNetwork(t *testing.T) {
 }
 
 func TestSplitWords(t *testing.T) {
-	spans := SplitWords(100, make([]uint16, 300))
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(spans))
+	spans := SplitWords(100, 300)
+	want := []WordSpan{{100, 125}, {225, 125}, {350, 50}}
+	if !slices.Equal(spans, want) {
+		t.Errorf("SplitWords(100, 300) = %v, want %v", spans, want)
 	}
-	if spans[0].Addr != 100 || len(spans[0].Words) != 125 {
-		t.Errorf("span 0: addr %d len %d", spans[0].Addr, len(spans[0].Words))
-	}
-	if spans[2].Addr != 350 || len(spans[2].Words) != 50 {
-		t.Errorf("span 2: addr %d len %d", spans[2].Addr, len(spans[2].Words))
-	}
-	if SplitWords(0, nil) != nil {
+	if SplitWords(0, 0) != nil {
 		t.Error("empty split not nil")
 	}
 }

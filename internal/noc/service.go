@@ -201,23 +201,21 @@ func (e *Endpoint) RecvMessage() (*Message, bool, error) {
 	return m, true, nil
 }
 
-// WordSpan is a contiguous run of 16-bit words starting at Addr.
+// WordSpan is a run of N consecutive 16-bit words starting at Addr.
 type WordSpan struct {
-	Addr  uint16
-	Words []uint16
+	Addr uint16
+	N    int
 }
 
-// SplitWords chunks a word transfer into service-packet-sized spans.
-func SplitWords(addr uint16, words []uint16) []WordSpan {
+// SplitWords splits a transfer of n words from addr into spans of at
+// most MaxServiceWords, the most one service packet carries.
+func SplitWords(addr uint16, n int) []WordSpan {
 	var out []WordSpan
-	for len(words) > 0 {
-		n := len(words)
-		if n > maxWordsPerPacket {
-			n = maxWordsPerPacket
-		}
-		out = append(out, WordSpan{Addr: addr, Words: words[:n]})
-		addr += uint16(n)
-		words = words[n:]
+	for n > 0 {
+		c := min(n, maxWordsPerPacket)
+		out = append(out, WordSpan{Addr: addr, N: c})
+		addr += uint16(c)
+		n -= c
 	}
 	return out
 }

@@ -5,9 +5,10 @@ import "repro/internal/vcd"
 // AttachVCD registers waveform probes for every port of the given
 // routers: the tx/ack handshake bits and the data value of each
 // connected input link. Call before simulating; the attachment
-// installs one probe (and one ProbeRange hook) on the network's clock.
-// Begin/Flush remain the caller's responsibility. The dump is
-// byte-identical under every kernel mode.
+// installs one probe on the network's clock. Begin/Flush remain the
+// caller's responsibility. The dump is byte-identical under every
+// kernel mode: time warp skips only spans in which no wire changes,
+// and the writer records only changes.
 func AttachVCD(net *Network, w *vcd.Writer, addrs ...Addr) {
 	type probe struct {
 		link *Link
@@ -44,7 +45,7 @@ func AttachVCD(net *Network, w *vcd.Writer, addrs ...Addr) {
 		}
 		return 0
 	}
-	sample := func(cycle uint64) {
+	net.clk.Probe(func(cycle uint64) {
 		for _, p := range probes {
 			p.tx.Set(b2u(p.link.Tx.Get()))
 			p.ack.Set(b2u(p.link.Ack.Get()))
@@ -52,13 +53,5 @@ func AttachVCD(net *Network, w *vcd.Writer, addrs ...Addr) {
 		}
 		// Tick errors only occur before Begin; probes start after.
 		_ = w.Tick(cycle)
-	}
-	net.clk.Probe(sample)
-	// Time warping skips cycles only when no wire can change, so a
-	// skipped span contains no VCD change records by construction; the
-	// interval hook re-samples the frozen signals at the span's end,
-	// which emits nothing, keeping the dump bit-identical to a dense (or
-	// warp-off) run while documenting the ProbeRange obligation for
-	// per-cycle observers.
-	net.clk.ProbeRange(func(from, to uint64) { sample(to) })
+	})
 }

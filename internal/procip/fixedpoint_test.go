@@ -35,7 +35,7 @@ func fixedRig(t *testing.T, k sim.Kernel, img []uint16, late bool) (*sim.Clock, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.NewIP(net, noc.Addr{X: 1, Y: 1}, 1024); err != nil {
+	if _, err := mem.NewIP(net, noc.Addr{X: 1, Y: 1}); err != nil {
 		t.Fatal(err)
 	}
 	host, err := net.NewEndpoint(noc.Addr{X: 0, Y: 0})

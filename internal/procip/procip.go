@@ -102,8 +102,6 @@ type Config struct {
 	Windows []Window
 	// ProcByID routes notify/wait packets to other processors.
 	ProcByID map[uint16]noc.Addr
-	// LocalWords is the local memory capacity (1024 in MultiNoC).
-	LocalWords int
 }
 
 // remote transaction states.
@@ -210,7 +208,6 @@ const (
 // store since mark.
 type dryRun struct {
 	banks                 *mem.Banks
-	local                 int
 	gen                   uint64
 	shadow                []uint64 // gen<<16 | word, per local address
 	outside, used, stored bool
@@ -225,14 +222,11 @@ type dryRun struct {
 // network's clock. The processor stays inactive until an "activate
 // processor" packet arrives.
 func New(net *noc.Network, cfg Config) (*IP, error) {
-	if cfg.LocalWords <= 0 {
-		cfg.LocalWords = 1024
-	}
 	ep, err := net.NewEndpoint(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	banks := mem.NewBanks(cfg.LocalWords)
+	banks := mem.NewBanks()
 	ip := &IP{
 		cfg:             cfg,
 		clk:             net.Clock(),
@@ -241,7 +235,7 @@ func New(net *noc.Network, cfg Config) (*IP, error) {
 		ep:              ep,
 		pendingNotifies: make(map[uint16]int),
 	}
-	ip.dry = dryRun{banks: banks, local: cfg.LocalWords}
+	ip.dry = dryRun{banks: banks}
 	ip.eng = mem.NewEngine(func(dst noc.Addr, m *noc.Message) error {
 		_, err := ep.SendMessage(dst, m)
 		return err
@@ -516,7 +510,7 @@ func (ip *IP) plan() {
 
 // Read implements r8.Bus for the dry run.
 func (d *dryRun) Read(addr uint16) (uint16, bool) {
-	if int(addr) >= d.local {
+	if addr >= mem.Words {
 		d.outside = true
 		return 0, false
 	}
@@ -527,7 +521,7 @@ func (d *dryRun) Read(addr uint16) (uint16, bool) {
 
 // Write implements r8.Bus for the dry run.
 func (d *dryRun) Write(addr, v uint16) bool {
-	if int(addr) >= d.local {
+	if addr >= mem.Words {
 		d.outside = true
 		return false
 	}
@@ -550,7 +544,7 @@ func (d *dryRun) peek(addr uint16) uint16 {
 // store keeps v for local address addr until commit writes it.
 func (d *dryRun) store(addr, v uint16) {
 	if d.shadow == nil {
-		d.shadow = make([]uint64, d.local)
+		d.shadow = make([]uint64, mem.Words)
 	}
 	if d.shadow[addr]>>16 != d.gen {
 		d.addrs = append(d.addrs, addr)
@@ -566,12 +560,12 @@ type dryStore dryRun
 func (s *dryStore) Read(addr uint16) uint16 {
 	d := (*dryRun)(s)
 	d.reads++
-	return d.peek(uint16(int(addr) % d.local))
+	return d.peek(addr % mem.Words)
 }
 
 func (s *dryStore) Write(addr, v uint16) {
 	d := (*dryRun)(s)
-	d.store(uint16(int(addr)%d.local), v)
+	d.store(addr%mem.Words, v)
 }
 
 func (ip *IP) dispatch() {
@@ -635,7 +629,7 @@ func (ip *IP) window(addr uint16) *Window {
 
 // Read implements r8.Bus. Only a local read keeps a fixed point.
 func (ip *IP) Read(addr uint16) (uint16, bool) {
-	if int(addr) < ip.cfg.LocalWords {
+	if addr < mem.Words {
 		ip.banksUsed = true
 		return ip.banks.Read(addr), true
 	}
@@ -659,7 +653,7 @@ func (ip *IP) Read(addr uint16) (uint16, bool) {
 func (ip *IP) Write(addr, v uint16) bool {
 	ip.drop()
 	switch {
-	case int(addr) < ip.cfg.LocalWords:
+	case addr < mem.Words:
 		ip.banksUsed = true
 		ip.banks.Write(addr, v)
 		return true

@@ -12,8 +12,8 @@ import (
 // receiver that reads the line's level every cycle and shares no code
 // with RX. It decodes its bytes (decodeUART) into a TX divisor, an RX
 // divisor up to 2 off it, the frame lengths the RX owner's Need asks
-// for, and bursts of bytes, Gap settings and glitch pulses at chosen
-// cycles. Under "", nowarp and dense, the RX must deliver the
+// for, and bursts of bytes, inter-frame gaps and glitch pulses at
+// chosen cycles. Under "", nowarp and dense, the RX must deliver the
 // reference's bytes in order, each byte that closes a frame on the
 // reference's cycle and none before it, and after one final woken step
 // every byte and the reference's FrameError count. The seed corpus is
@@ -80,8 +80,8 @@ func (c uartCase) need(n int) int {
 }
 
 // uartEvent is one driver action, gap cycles after the previous one:
-// kind 0 and 1 queue bytes on the TX, 2 sets its Gap to arg cycles and
-// 3 holds the line low for arg cycles, a glitch.
+// kind 0 and 1 queue bytes, 2 sets the inter-frame gap to arg cycles
+// and 3 holds the line low for arg cycles, a glitch.
 type uartEvent struct {
 	gap   uint64
 	kind  int
@@ -142,10 +142,13 @@ func (c uartCase) span() uint64 {
 	return s
 }
 
-// eventDriver plays a uartCase's events: it queues bytes on its TX,
-// sets the TX's Gap and, glitching, sets the line low instead of
-// ticking the TX, as glitchDriver does. It sleeps while its TX is
-// dormant and no glitch holds the line, on a timer for its next event.
+// eventDriver plays a uartCase's events. It hands its TX one burst at
+// a time: up to six frames back to back or, while its inter-frame gap
+// is positive, one frame, and after a burst it keeps the rest for gap
+// idle cycles, counted from the tick that ends the burst. Glitching,
+// it sets the line low instead of ticking the TX, as glitchDriver
+// does. It sleeps while no glitch holds the line, on timers for its
+// next event, its TX's burst end and its gap's end.
 type eventDriver struct {
 	clk      *sim.Clock
 	self     sim.Handle
@@ -154,6 +157,9 @@ type eventDriver struct {
 	events   []uartEvent
 	at       uint64 // the tick of events[0]
 	lowUntil uint64 // the last tick of the glitch under way
+	queue    []byte // the bytes not yet handed to the TX
+	gap      int    // the idle cycles after each burst
+	gapEnd   uint64 // the first tick at which a burst may start
 }
 
 func (d *eventDriver) Eval() {
@@ -161,9 +167,9 @@ func (d *eventDriver) Eval() {
 	for len(d.events) > 0 && d.at <= now {
 		switch e := d.events[0]; e.kind {
 		case 0, 1:
-			d.tx.Queue(e.bytes...)
+			d.queue = append(d.queue, e.bytes...)
 		case 2:
-			d.tx.Gap = e.arg
+			d.gap = e.arg
 		case 3:
 			d.lowUntil = now + uint64(e.arg) - 1
 		}
@@ -177,12 +183,29 @@ func (d *eventDriver) Eval() {
 	}
 	if now <= d.lowUntil {
 		d.line.Set(Wave{N: 1})
-	} else {
-		d.tx.Tick()
+		return
+	}
+	if d.tx.frames > 0 {
+		if now < d.tx.end {
+			return
+		}
+		d.gapEnd = now + uint64(d.gap) // the burst ends at this tick
+	}
+	if len(d.queue) > 0 && now >= d.gapEnd {
+		n := min(len(d.queue), maxBurst)
+		if d.gap > 0 {
+			n = 1
+		}
+		d.tx.Queue(d.queue[:n]...)
+		d.queue = d.queue[n:]
+	}
+	d.tx.Tick()
+	if len(d.queue) > 0 && now < d.gapEnd {
+		d.self.WakeAt(d.gapEnd)
 	}
 }
 func (d *eventDriver) Commit()    {}
-func (d *eventDriver) Idle() bool { return d.clk.Cycle() > d.lowUntil && d.tx.Dormant() }
+func (d *eventDriver) Idle() bool { return d.clk.Cycle() > d.lowUntil }
 
 // gotByte is one received byte and the tick its Recv ran in.
 type gotByte struct {

@@ -86,33 +86,31 @@ func (ip *IP) feed(b byte) {
 		return
 	}
 	ip.FramesToNoC++
-	// Oversized writes are split into multiple service packets so the
-	// 8-bit size flit can express them.
-	if m.Svc == noc.SvcWriteMem && len(m.Words) > noc.MaxServiceWords {
-		for _, span := range noc.SplitWords(m.Addr, m.Words) {
-			sub := &noc.Message{Svc: noc.SvcWriteMem, Addr: span.Addr, Words: span.Words}
-			if _, err := ip.ep.SendMessage(tgt, sub); err != nil {
-				ip.EncodeErrors++
-			}
-		}
+	// A command frame carries up to 255 words: oversized writes and
+	// reads are split into service packets the 8-bit size flit can
+	// express.
+	n := m.Count
+	if m.Svc == noc.SvcWriteMem {
+		n = len(m.Words)
+	}
+	if n <= noc.MaxServiceWords {
+		ip.send(tgt, m)
 		return
 	}
-	if m.Svc == noc.SvcReadMem && m.Count > noc.MaxServiceWords {
-		addr, left := m.Addr, m.Count
-		for left > 0 {
-			n := left
-			if n > noc.MaxServiceWords {
-				n = noc.MaxServiceWords
-			}
-			sub := &noc.Message{Svc: noc.SvcReadMem, Addr: addr, Count: n}
-			if _, err := ip.ep.SendMessage(tgt, sub); err != nil {
-				ip.EncodeErrors++
-			}
-			addr += uint16(n)
-			left -= n
+	words := m.Words
+	for _, span := range noc.SplitWords(m.Addr, n) {
+		sub := &noc.Message{Svc: m.Svc, Addr: span.Addr}
+		if m.Svc == noc.SvcWriteMem {
+			sub.Words, words = words[:span.N], words[span.N:]
+		} else {
+			sub.Count = span.N
 		}
-		return
+		ip.send(tgt, sub)
 	}
+}
+
+// send sends m to tgt, counting a message that does not encode.
+func (ip *IP) send(tgt noc.Addr, m *noc.Message) {
 	if _, err := ip.ep.SendMessage(tgt, m); err != nil {
 		ip.EncodeErrors++
 	}
@@ -204,8 +202,8 @@ func (ip *IP) armSettle() {
 func (ip *IP) Commit() {}
 
 // Idle implements sim.Idler. The Serial IP sleeps whenever its
-// transmitter is dormant (fully at rest, or paced by an armed burst or
-// gap timer) and no NoC packet awaits disassembly; its receiver never
+// transmitter is dormant (fully at rest, or paced by an armed burst
+// timer) and no NoC packet awaits disassembly; its receiver never
 // keeps it awake. Neither does auto-baud: the measured and settled spans
 // are constant line levels, so every event that advances the state
 // machine is a new wave on the watched host line, an edge inside it

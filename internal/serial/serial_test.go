@@ -65,19 +65,6 @@ func TestUARTPropertyAllBytes(t *testing.T) {
 	}
 }
 
-func TestUARTGapKeepsLineIdle(t *testing.T) {
-	clk, tx, _, got := uartPair(8)
-	tx.Gap = 32
-	tx.Queue(1, 2)
-	clk.Run(8*10*2 + 100)
-	if len(*got) != 2 {
-		t.Fatalf("received %d bytes", len(*got))
-	}
-	if tx.Sent != 2 {
-		t.Errorf("tx.Sent = %d", tx.Sent)
-	}
-}
-
 func TestRXIgnoresTrafficWithoutDivisor(t *testing.T) {
 	clk := new(sim.Clock)
 	line := NewLine(clk)
@@ -216,8 +203,6 @@ func TestSerialIPAutobaudAndFrames(t *testing.T) {
 	}
 	const div = 12
 	hostTx := newUARTDriver(clk, rxd, div, txd, div).tx
-	hostTx.Gap = 4 * div
-
 	hostTx.Queue(SyncByte)
 	if err := clk.RunUntil(ip.Synchronized, 10*div*20); err != nil {
 		t.Fatal("auto-baud never locked:", err)
@@ -225,7 +210,6 @@ func TestSerialIPAutobaudAndFrames(t *testing.T) {
 	if ip.Baud() != div {
 		t.Errorf("detected divisor = %d, want %d", ip.Baud(), div)
 	}
-	hostTx.Gap = 0
 	// Send an activate command to IP 10 and expect the packet there.
 	bs, err := EncodeDown(noc.Addr{X: 1, Y: 0}, &noc.Message{Svc: noc.SvcActivate})
 	if err != nil {
@@ -252,7 +236,11 @@ func TestSerialIPAutobaudAndFrames(t *testing.T) {
 	}
 }
 
-func TestSerialIPSplitsLargeWrites(t *testing.T) {
+// sendThroughIP locks a Serial IP's baud divisor, sends it one command
+// frame carrying m for IP 10, and returns the first n packets IP 10
+// receives.
+func sendThroughIP(t *testing.T, m *noc.Message, n int) []*noc.Message {
+	t.Helper()
 	net, err := noc.New(noc.Defaults(2, 2), "")
 	if err != nil {
 		t.Fatal(err)
@@ -270,18 +258,11 @@ func TestSerialIPSplitsLargeWrites(t *testing.T) {
 	}
 	const div = 8
 	hostTx := newUARTDriver(clk, rxd, div, txd, div).tx
-	hostTx.Gap = 4 * div
 	hostTx.Queue(SyncByte)
 	if err := clk.RunUntil(ip.Synchronized, 10*div*20); err != nil {
 		t.Fatal(err)
 	}
-	hostTx.Gap = 0
-	// 200 words exceed the 125-word packet limit: expect 2 packets.
-	words := make([]uint16, 200)
-	for i := range words {
-		words[i] = uint16(i)
-	}
-	bs, err := EncodeDown(noc.Addr{X: 1, Y: 0}, &noc.Message{Svc: noc.SvcWriteMem, Addr: 0, Words: words})
+	bs, err := EncodeDown(noc.Addr{X: 1, Y: 0}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,20 +270,32 @@ func TestSerialIPSplitsLargeWrites(t *testing.T) {
 	var msgs []*noc.Message
 	err = clk.RunUntil(func() bool {
 		for {
-			m, ok, err := tgt.RecvMessage()
+			got, ok, err := tgt.RecvMessage()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			msgs = append(msgs, m)
+			msgs = append(msgs, got)
 		}
-		return len(msgs) == 2
+		return len(msgs) == n
 	}, 5_000_000)
 	if err != nil {
 		t.Fatalf("got %d packets: %v", len(msgs), err)
 	}
+	return msgs
+}
+
+// TestSerialIPSplitsLargeWrites: a command frame carries up to 255
+// words, a service packet 125, so a 200-word write arrives as two
+// packets.
+func TestSerialIPSplitsLargeWrites(t *testing.T) {
+	words := make([]uint16, 200)
+	for i := range words {
+		words[i] = uint16(i)
+	}
+	msgs := sendThroughIP(t, &noc.Message{Svc: noc.SvcWriteMem, Addr: 0, Words: words}, 2)
 	if len(msgs[0].Words)+len(msgs[1].Words) != 200 {
 		t.Errorf("split lost words: %d + %d", len(msgs[0].Words), len(msgs[1].Words))
 	}
@@ -314,6 +307,21 @@ func TestSerialIPSplitsLargeWrites(t *testing.T) {
 			if w != uint16(int(m.Addr)+j) {
 				t.Fatalf("chunk %d word %d = %d", i, j, w)
 			}
+		}
+	}
+}
+
+// TestSerialIPSplitsLargeReads: a 200-word read arrives as reads of
+// 125 words at 0x0300 and 75 at 0x037D.
+func TestSerialIPSplitsLargeReads(t *testing.T) {
+	msgs := sendThroughIP(t, &noc.Message{Svc: noc.SvcReadMem, Addr: 0x0300, Count: 200}, 2)
+	for i, want := range []struct {
+		addr  uint16
+		count int
+	}{{0x0300, 125}, {0x037D, 75}} {
+		if m := msgs[i]; m.Svc != noc.SvcReadMem || m.Addr != want.addr || m.Count != want.count {
+			t.Errorf("read chunk %d = %s of %d at %#04x, want a read of %d at %#04x",
+				i, m.Svc, m.Count, m.Addr, want.count, want.addr)
 		}
 	}
 }

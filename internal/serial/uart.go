@@ -83,9 +83,9 @@ const maxBurst = 6
 // TX serializes bytes onto a line at a fixed divisor (clock cycles per
 // bit). The owning component calls Tick once per cycle it is awake and
 // Queue to append bytes; Queue is safe during the owner's Eval. Tick
-// stages up to six queued frames back to back in one Wave, or one while
-// Gap is positive, and arms a WakeAt timer for the owner at the burst's
-// end, so the owner sleeps through the burst.
+// stages up to six queued frames back to back in one Wave and arms a
+// WakeAt timer for the owner at the burst's end, so the owner sleeps
+// through the burst.
 type TX struct {
 	line  *Line
 	clk   *sim.Clock
@@ -95,11 +95,6 @@ type TX struct {
 	queue  []byte
 	frames int    // frames of the burst on the line; 0 between bursts
 	end    uint64 // cycle at which that burst ends
-	gapEnd uint64 // cycle before which no new byte may start
-
-	// Gap inserts idle cycles after each byte (used by the host to
-	// separate the auto-baud byte from the first frame).
-	Gap int
 
 	// Sent counts the frames sent, brought up to date at each burst's
 	// end.
@@ -118,35 +113,19 @@ func NewTX(line *Line, div int, owner sim.Handle) *TX {
 func (t *TX) Queue(bs ...byte) { t.queue = append(t.queue, bs...) }
 
 // Idle reports whether the transmitter has fully drained: nothing
-// queued, no burst on the line and any post-byte gap elapsed.
-func (t *TX) Idle() bool {
-	return t.frames == 0 && len(t.queue) == 0 && t.clk.Cycle()+1 >= t.gapEnd
-}
+// queued and no burst on the line.
+func (t *TX) Idle() bool { return t.frames == 0 && len(t.queue) == 0 }
 
-// Dormant reports whether the transmitter needs no Evals until an
-// already-armed timer fires (mid-burst, mid-gap) or it is fully idle:
-// its owner may sleep whenever it is Dormant.
-func (t *TX) Dormant() bool {
-	if t.frames > 0 || t.clk.Cycle()+1 < t.gapEnd {
-		return true // burst or gap timer armed
-	}
-	return len(t.queue) == 0
-}
+// Dormant reports whether the transmitter needs no Evals until its
+// burst's end timer fires (mid-burst) or it is fully idle: its owner
+// may sleep whenever it is Dormant.
+func (t *TX) Dormant() bool { return t.frames > 0 || len(t.queue) == 0 }
 
 // QueueLen reports how many bytes await transmission.
 func (t *TX) QueueLen() int { return len(t.queue) }
 
 // Div reports the configured divisor.
 func (t *TX) Div() int { return t.div }
-
-// restLine stages the line at rest unless the staged wave already ends
-// high, so an idle transmitter does not keep its line on the kernel's
-// dirty list.
-func (t *TX) restLine() {
-	if w := t.line.Peek(); w.Bits>>(w.N-1)&1 == 0 {
-		t.line.Set(rest)
-	}
-}
 
 // Tick advances the transmitter. Call once per cycle the owner is
 // awake; mid-burst calls return immediately.
@@ -158,29 +137,16 @@ func (t *TX) Tick() {
 		}
 		t.Sent += uint64(t.frames)
 		t.frames = 0
-		t.gapEnd = now + uint64(t.Gap)
 	}
-	if now < t.gapEnd {
-		t.restLine()
-		if len(t.queue) > 0 {
-			t.owner.WakeAt(t.gapEnd) // start the next byte the moment the gap ends
-		} else if now < t.gapEnd-1 {
-			// Nothing to transmit at the gap's end, but Idle() flips
-			// after cycle gapEnd-1 and drain loops poll it between
-			// steps: wake the owner there so a warped run observes the
-			// flip on exactly the cycle a stepped run does.
-			t.owner.WakeAt(t.gapEnd - 1)
+	if len(t.queue) == 0 {
+		// Rest the line unless the staged wave already ends high, so an
+		// idle transmitter does not keep its line on the dirty list.
+		if w := t.line.Peek(); w.Bits>>(w.N-1)&1 == 0 {
+			t.line.Set(rest)
 		}
 		return
 	}
-	if len(t.queue) == 0 {
-		t.restLine()
-		return
-	}
 	n := min(len(t.queue), maxBurst)
-	if t.Gap > 0 {
-		n = 1
-	}
 	w := Wave{At: now, Div: uint64(t.div), N: uint8(10 * n)}
 	for i, b := range t.queue[:n] {
 		// LSB first, framed by start (0) and stop (1).
@@ -259,9 +225,6 @@ func (r *RX) SetDiv(div int) {
 	r.div = div
 	r.f, r.kept = rxFrame{at: r.clk.Cycle() + 1}, r.kept[:0]
 }
-
-// Div reports the current divisor (0 when undetected).
-func (r *RX) Div() int { return r.div }
 
 // Tick advances the receiver. Call once per cycle the owner is awake.
 func (r *RX) Tick() {

@@ -529,6 +529,30 @@ func TestRunWarpNeverOvershoots(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopsAtBudgetBeforeTimer: RunUntil's budget is in
+// cycles, so under time warp a jump towards a timer past the budget
+// stops at the budget, and the call fails there with the timer unfired,
+// in two steps: the first, which never warps, and the capped warp.
+func TestRunUntilStopsAtBudgetBeforeTimer(t *testing.T) {
+	clk := new(Clock)
+	p := &pulser{clk: clk, work: 1}
+	h := clk.Register(p)
+	clk.Step() // evaluates at cycle 1, then sleeps
+	h.WakeAt(1000)
+	steps := 0
+	clk.Probe(func(uint64) { steps++ })
+	err := clk.RunUntil(func() bool { return len(p.evals) > 1 }, 50)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("RunUntil error = %v, want ErrTimeout", err)
+	}
+	if clk.Cycle() != 51 || steps != 2 {
+		t.Errorf("stopped at cycle %d after %d steps, want cycle 51 after 2", clk.Cycle(), steps)
+	}
+	if len(p.evals) != 1 {
+		t.Errorf("timer fired inside the budget: evals %v", p.evals)
+	}
+}
+
 // TestWakeAtCoalescesDuplicates: re-arming the same (component, cycle)
 // deadline must not grow the timer heap — the leak a periodic
 // component re-arming every Eval would otherwise cause.
